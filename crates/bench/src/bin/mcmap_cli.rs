@@ -13,7 +13,7 @@
 //!                                [--audit [json]] [--checkpoint <path>]
 //!                                [--resume <path>] [--eval-retries N]
 //!                                [--scenario-threads N] [--no-warm-start]
-//!                                [--no-prune] [--no-delta]
+//!                                [--no-prune]
 //!                                                         # power/service exploration
 //! mcmap_cli validate <benchmark> [pop gens] [--profiles N] [--seed N]
 //!                                [--boost F] [--threads N] [--json]
@@ -53,8 +53,10 @@
 //! genomes/sec) as text or, with `--eval-stats json`, as JSON, plus the
 //! WCRT-analysis effort counters (backend calls, fixed-point iterations,
 //! scenarios pruned, warm-start savings). The analysis fast path is on by
-//! default and bit-identical to the cold reference; `--no-warm-start` /
-//! `--no-prune` switch its two halves off for A/B timing and
+//! default and bit-identical to the cold reference whenever the analysis
+//! converges (pruning can change non-converged windows, and with them the
+//! front); `--no-warm-start` / `--no-prune` switch its two halves off for
+//! A/B timing and
 //! `--scenario-threads N` fans the per-candidate scenario analyses out
 //! over N workers.
 //!
@@ -83,8 +85,8 @@
 //! and doubles as an end-to-end check of the DSE pre-flight (the same codes
 //! that make `lint` exit non-zero also make `dse` refuse the input).
 //! `lint --interference` renders the shared-PE interference graph of a
-//! repaired sample chromosome — the structure that bounds the genome-delta
-//! fast path's may-affect sets — and `lint --explain MCxxxx` prints the
+//! repaired sample chromosome — which applications can shift each other's
+//! response times — and `lint --explain MCxxxx` prints the
 //! cause / example / fix card of any diagnostic code (with no code, it
 //! lists every known code with its one-line summary).
 //!
@@ -135,7 +137,7 @@ fn usage() -> ExitCode {
          \u{20}           --trace <path.jsonl>, --obs-summary [json], --gen-stats [json],\n\
          \u{20}           --audit [json], --checkpoint <path>, --resume <path>,\n\
          \u{20}           --eval-retries <n>, --scenario-threads <n>,\n\
-         \u{20}           --no-warm-start, --no-prune, --no-delta, --validate [n]\n\
+         \u{20}           --no-warm-start, --no-prune, --validate [n]\n\
          analyze:    mcmap_cli analyze <benchmark> [seed] [--json]\n\
          validate:   mcmap_cli validate <benchmark> [pop gens] [--profiles <n>]\n\
          \u{20}           [--seed <n>] [--boost <f>] [--threads <n>] [--json]\n\
@@ -194,8 +196,7 @@ fn cmd_analyze(b: &Benchmark, seed: u64, json: bool) -> ExitCode {
     let analysis_nanos = t_analysis.elapsed().as_nanos() as u64;
     if json {
         // One object per run, with the same `analysis` keys as the DSE's
-        // `--eval-stats json` report (a single candidate, analyzed cold —
-        // the delta counters exist but are necessarily zero here).
+        // `--eval-stats json` report (a single candidate).
         let stats = AnalysisStats {
             candidates: 1,
             scenarios: mc.scenarios as u64,

@@ -21,10 +21,20 @@ use std::collections::HashMap;
 
 /// Tuning knobs of the scenario-level WCRT fast path.
 ///
-/// Every combination of knobs produces **bit-identical** [`McAnalysis`]
-/// windows and verdicts (see `DESIGN.md` §15 for the argument); the knobs
-/// only trade wall time for backend work, so they are deliberately *not*
-/// part of any result fingerprint. The exceptions are the effort counters
+/// For every analysis whose fixed points converge, every combination of
+/// knobs produces **bit-identical** [`McAnalysis`] windows and verdicts
+/// (see `DESIGN.md` §15 for the argument); the knobs only trade wall time
+/// for backend work, so they are deliberately *not* part of any result
+/// fingerprint.
+///
+/// **Known exception:** dominance pruning relies on backend monotonicity,
+/// which only holds at converged fixed points. When a scenario run does
+/// not converge, `prune` can change the partial `worst` windows, hence the
+/// deadline-ratio penalty the DSE derives from them, and with it the
+/// front: `mcmap_cli dse dt-med 48 30` finds 865 feasible candidates with
+/// pruning and 974 with `--no-prune`. Converged analyses are unaffected.
+///
+/// The other exceptions are the effort counters
 /// ([`McAnalysis::backend_calls`], [`McAnalysis::fixedpoint_iters`],
 /// [`McAnalysis::scenarios_pruned`], [`McAnalysis::warm_iters_saved`]),
 /// which report the work *actually performed* and therefore change — still
@@ -78,58 +88,6 @@ fn dominates(a: &[ExecBounds], b: &[ExecBounds]) -> bool {
     a.iter()
         .zip(b)
         .all(|(x, y)| x.bcet <= y.bcet && x.wcet >= y.wcet)
-}
-
-/// The reusable fixed-point solutions of one candidate's analysis: the
-/// normal-state run plus every scenario run the backend actually performed,
-/// each keyed by the exact bound vector it solved.
-///
-/// Captured by [`proposed_analysis_delta`] / [`analyze_delta`] and fed back
-/// as the `parent` of a later analysis. A solution is reused **only** when
-/// its bound vector is bit-equal to the one the child is about to solve —
-/// and scenario solutions additionally require the normal-state vectors to
-/// coincide *and* the stored warm-gate decision to match the child's,
-/// because a warm-started run's iteration counters depend on the seeding
-/// solution. The caller must guarantee the parent solutions were
-/// produced by an identically-behaving backend (same hardened system,
-/// architecture, mapping, and policies); the DSE establishes this by
-/// checking repaired-genome gene equality before attaching a parent.
-///
-/// Under those gates the backend — a deterministic pure function of its
-/// bound vector (and warm seed) — would return exactly the stored windows,
-/// *including* `outer_iters`, so every deterministic effort counter of the
-/// resulting [`McAnalysis`] keeps its as-if-freshly-computed value, even
-/// when the parent was analyzed under different [`AnalysisOptions`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalysisSolutions {
-    /// The normal-state bound vector the `normal` solution solves.
-    pub normal_bounds: Vec<ExecBounds>,
-    /// The normal-state fixed-point solution.
-    pub normal: TaskWindows,
-    /// Every scenario run performed: `(bound vector, solution, warmed)`,
-    /// where `warmed` records whether the run was warm-started from the
-    /// normal-state solution.
-    pub runs: Vec<(Vec<ExecBounds>, TaskWindows, bool)>,
-}
-
-impl AnalysisSolutions {
-    /// Folds `extra`'s scenario runs into `self`, skipping runs whose
-    /// `(bound vector, warmed)` key is already present. A no-op when the
-    /// normal-state vectors differ (the sets then stem from different
-    /// systems and must not be mixed). Callers must uphold the same
-    /// same-backend obligation as [`proposed_analysis_delta`]'s `parent`:
-    /// under it, equal keys imply bit-equal windows, so merging variants
-    /// of one phenotype (e.g. across dropped sets) is lossless.
-    pub fn absorb(&mut self, extra: &AnalysisSolutions) {
-        if self.normal_bounds != extra.normal_bounds {
-            return;
-        }
-        for (v, w, warmed) in &extra.runs {
-            if !self.runs.iter().any(|(v2, _, w2)| v2 == v && w2 == warmed) {
-                self.runs.push((v.clone(), w.clone(), *warmed));
-            }
-        }
-    }
 }
 
 /// Result of the mixed-criticality analysis.
@@ -305,41 +263,11 @@ pub fn proposed_analysis_with<B: SchedBackend + Sync + ?Sized>(
     dropped: &[AppId],
     opts: AnalysisOptions,
 ) -> McAnalysis {
-    proposed_analysis_delta(backend, hsys, arch, mapping, nominal, dropped, opts, None).0
-}
-
-/// [`proposed_analysis_with`] with incremental solution reuse.
-///
-/// In addition to the [`McAnalysis`], returns the candidate's own
-/// [`AnalysisSolutions`] (for reuse by *its* children) and the number of
-/// backend runs satisfied from `parent` instead of being recomputed. The
-/// result — every field of the `McAnalysis`, including all deterministic
-/// effort counters — is **bit-identical** with or without a parent; reuse
-/// only skips recomputing values the bit-equality gates prove equal (see
-/// [`AnalysisSolutions`] for the argument and the caller obligation).
-#[allow(clippy::too_many_arguments)]
-pub fn proposed_analysis_delta<B: SchedBackend + Sync + ?Sized>(
-    backend: &B,
-    hsys: &HardenedSystem,
-    arch: &Architecture,
-    mapping: &Mapping,
-    nominal: &[ExecBounds],
-    dropped: &[AppId],
-    opts: AnalysisOptions,
-    parent: Option<&AnalysisSolutions>,
-) -> (McAnalysis, AnalysisSolutions, usize) {
     let n = hsys.num_tasks();
     assert_eq!(nominal.len(), n, "one bound per hardened task required");
 
     let normal_bounds = normal_state_bounds(hsys, nominal);
-    // The parent's solutions apply only when the normal-state vectors
-    // coincide bit-for-bit; scenario reuse is gated on the same check
-    // because warm-started runs are seeded from the normal solution.
-    let reusable = parent.filter(|p| p.normal_bounds == normal_bounds);
-    let (normal, normal_reused) = match reusable {
-        Some(p) => (p.normal.clone(), true),
-        None => (backend.analyze(&normal_bounds), false),
-    };
+    let normal = backend.analyze(&normal_bounds);
 
     let mut scenarios = 0usize;
     let mut class_normal = 0usize;
@@ -448,33 +376,19 @@ pub fn proposed_analysis_delta<B: SchedBackend + Sync + ?Sized>(
     // gate fails exactly for scenarios with certainly-dropped `[0, 0]`
     // tasks). Identical results for any thread count: the pool preserves
     // order and each run is a pure function of its vector.
-    // A stored solution is reused only when its recorded warm-gate decision
-    // matches the one this run would make — then the fresh invocation would
-    // be the identical pure-function call, so the stored windows (including
-    // `outer_iters`, and with it `warm_iters_saved`) keep their
-    // as-if-freshly-computed values.
-    let run_one = |&i: &usize| -> (TaskWindows, bool, bool) {
+    let run_one = |&i: &usize| -> (TaskWindows, bool) {
         let b = &distinct[i];
-        let warmed = opts.warm_start && normal.converged && dominates(b, &normal_bounds);
-        let stored = reusable.and_then(|p| {
-            p.runs
-                .iter()
-                .find(|(v, _, was_warmed)| v == b && *was_warmed == warmed)
-                .map(|(_, w, _)| w.clone())
-        });
-        match stored {
-            Some(w) => (w, warmed, true),
-            None if warmed => (backend.analyze_from(b, &normal), true, false),
-            None => (backend.analyze(b), false, false),
+        if opts.warm_start && normal.converged && dominates(b, &normal_bounds) {
+            (backend.analyze_from(b, &normal), true)
+        } else {
+            (backend.analyze(b), false)
         }
     };
-    let results: Vec<(TaskWindows, bool, bool)> = if opts.scenario_threads > 1 && to_run.len() > 1 {
+    let results: Vec<(TaskWindows, bool)> = if opts.scenario_threads > 1 && to_run.len() > 1 {
         parallel_map(&to_run, opts.scenario_threads, run_one)
     } else {
         to_run.iter().map(run_one).collect()
     };
-    let backend_reused =
-        usize::from(normal_reused) + results.iter().filter(|(_, _, reused)| *reused).count();
 
     // Fold the worst case over the runs actually performed and resolve the
     // windows each distinct vector is bounded by.
@@ -483,7 +397,7 @@ pub fn proposed_analysis_delta<B: SchedBackend + Sync + ?Sized>(
     let mut warm_iters_saved = 0usize;
     let mut resolved: Vec<Option<usize>> = vec![None; m];
     for (k, &i) in to_run.iter().enumerate() {
-        let (windows, warmed, _) = &results[k];
+        let (windows, warmed) = &results[k];
         fixedpoint_iters += windows.outer_iters;
         if *warmed {
             warm_iters_saved += normal.outer_iters.saturating_sub(windows.outer_iters);
@@ -519,17 +433,7 @@ pub fn proposed_analysis_delta<B: SchedBackend + Sync + ?Sized>(
         })
         .collect();
 
-    let solutions = AnalysisSolutions {
-        runs: to_run
-            .iter()
-            .enumerate()
-            .map(|(k, &i)| (distinct[i].clone(), results[k].0.clone(), results[k].1))
-            .collect(),
-        normal: normal.clone(),
-        normal_bounds,
-    };
-
-    let mc = McAnalysis {
+    McAnalysis {
         normal,
         worst,
         scenarios,
@@ -542,8 +446,7 @@ pub fn proposed_analysis_delta<B: SchedBackend + Sync + ?Sized>(
         fixedpoint_iters,
         scenarios_pruned: m - to_run.len(),
         warm_iters_saved,
-    };
-    (mc, solutions, backend_reused)
+    }
 }
 
 /// The **Naive** analysis of §3/§5.1: a single backend run where every task
@@ -629,29 +532,9 @@ pub fn analyze_with(
     dropped: &[AppId],
     opts: AnalysisOptions,
 ) -> McAnalysis {
-    analyze_delta(hsys, arch, mapping, policies, dropped, opts, None).0
-}
-
-/// [`analyze_with`] with incremental solution reuse: runs the holistic
-/// backend, feeding in a parent candidate's [`AnalysisSolutions`] when one
-/// is available, and returns this candidate's own solutions plus the number
-/// of backend runs reused. Bit-identical to [`analyze_with`] for any
-/// `parent` (see [`AnalysisSolutions`]); the caller must only attach a
-/// parent whose hardened system, mapping, and policies coincide.
-pub fn analyze_delta(
-    hsys: &HardenedSystem,
-    arch: &Architecture,
-    mapping: &Mapping,
-    policies: &[SchedPolicy],
-    dropped: &[AppId],
-    opts: AnalysisOptions,
-    parent: Option<&AnalysisSolutions>,
-) -> (McAnalysis, AnalysisSolutions, usize) {
     let backend = HolisticAnalysis::new(hsys, arch, mapping, policies.to_vec());
     let nominal = nominal_bounds(hsys, arch, mapping);
-    proposed_analysis_delta(
-        &backend, hsys, arch, mapping, &nominal, dropped, opts, parent,
-    )
+    proposed_analysis_with(&backend, hsys, arch, mapping, &nominal, dropped, opts)
 }
 
 /// Convenience wrapper running [`naive_analysis`] with the library's
@@ -695,7 +578,7 @@ mod tests {
 
     /// hi: one re-executed task (wcet 30, k=1); lo: droppable task (wcet 20),
     /// both on one PE, periods 200.
-    pub(super) fn mixed_system(
+    fn mixed_system(
         drop_lo: bool,
     ) -> (
         Architecture,
@@ -1049,86 +932,6 @@ mod dedup_tests {
             fast.backend_calls,
             reference.backend_calls
         );
-    }
-
-    /// Re-analyzing a candidate with its *own* solutions as the parent
-    /// reuses every backend run and changes nothing, for any knob setting.
-    #[test]
-    fn self_parent_reuses_every_run_bit_identically() {
-        let (arch, hsys, mapping, policies, dropped) = super::tests::mixed_system(true);
-        for opts in [
-            AnalysisOptions::default(),
-            AnalysisOptions::reference(),
-            AnalysisOptions {
-                warm_start: true,
-                prune: false,
-                scenario_threads: 3,
-            },
-        ] {
-            let (cold, sols, reused0) =
-                analyze_delta(&hsys, &arch, &mapping, &policies, &dropped, opts, None);
-            assert_eq!(reused0, 0);
-            let (warm, sols2, reused) = analyze_delta(
-                &hsys,
-                &arch,
-                &mapping,
-                &policies,
-                &dropped,
-                opts,
-                Some(&sols),
-            );
-            assert_eq!(warm, cold, "{opts:?}");
-            assert_eq!(sols2, sols, "{opts:?}");
-            assert_eq!(reused, cold.backend_calls, "{opts:?}");
-        }
-    }
-
-    /// Changing the dropped set keeps the normal-state vector (dropping
-    /// only affects scenario classification), so the normal run is reused
-    /// while the scenario vectors differ — and the result still matches a
-    /// cold analysis bit-for-bit.
-    #[test]
-    fn cross_dropped_reuse_keeps_results_bit_identical() {
-        let (arch, hsys, mapping, policies, _) = super::tests::mixed_system(false);
-        let opts = AnalysisOptions::default();
-        let (_, parent_sols, _) = analyze_delta(&hsys, &arch, &mapping, &policies, &[], opts, None);
-        let dropped = vec![AppId::new(1)];
-        let (cold, _, _) = analyze_delta(&hsys, &arch, &mapping, &policies, &dropped, opts, None);
-        let (warm, _, reused) = analyze_delta(
-            &hsys,
-            &arch,
-            &mapping,
-            &policies,
-            &dropped,
-            opts,
-            Some(&parent_sols),
-        );
-        assert_eq!(warm, cold);
-        assert!(reused >= 1, "the normal run must be reused");
-        assert!(reused <= cold.backend_calls);
-    }
-
-    /// A parent whose normal-state vector differs is ignored wholesale:
-    /// zero reuse, identical results.
-    #[test]
-    fn mismatched_parent_is_ignored() {
-        let (arch, hsys, mapping, policies, dropped) = super::tests::mixed_system(true);
-        let opts = AnalysisOptions::default();
-        let (cold, sols, _) =
-            analyze_delta(&hsys, &arch, &mapping, &policies, &dropped, opts, None);
-        let mut bogus = sols.clone();
-        bogus.normal_bounds[0] = ExecBounds::exact(Time::from_ticks(12345));
-        let (warm, _, reused) = analyze_delta(
-            &hsys,
-            &arch,
-            &mapping,
-            &policies,
-            &dropped,
-            opts,
-            Some(&bogus),
-        );
-        assert_eq!(warm, cold);
-        assert_eq!(reused, 0);
     }
 
     /// All knob combinations (and any scenario thread count) produce the

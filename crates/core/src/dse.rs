@@ -2,10 +2,9 @@
 //! multi-objective GA problem, plus the end-to-end [`explore`] driver.
 
 use crate::checkpoint::{read_checkpoint_with_fallback, write_checkpoint, DseCheckpoint};
-use crate::delta::{diff_genomes, may_affect, ParentArtifacts};
 use crate::{
-    analyze_delta, expected_power, lost_service, repair_reliability, repair_structure,
-    repair_structure_logged, AnalysisOptions, AnalysisSolutions, Genome, GenomeSpace,
+    analyze_with, expected_power, lost_service, repair_reliability, repair_structure,
+    repair_structure_logged, AnalysisOptions, Genome, GenomeSpace,
 };
 use mcmap_eval::{EvalCacheConfig, EvalEngine, EvalStats, ShardedCache};
 use mcmap_ga::{
@@ -134,19 +133,13 @@ pub struct DseConfig {
     /// chaos injection). All default off; none affect search results.
     pub resilience: ResilienceConfig,
     /// Scenario-level WCRT fast-path knobs (warm starts, dominance
-    /// pruning, per-candidate scenario threads). Every combination yields
-    /// bit-identical windows, fronts, and canonical traces, so — like the
-    /// thread and cache knobs — these are excluded from the context and
-    /// run fingerprints.
+    /// pruning, per-candidate scenario threads). Meant as speed knobs, so
+    /// — like the thread and cache knobs — they are excluded from the
+    /// context and run fingerprints. Every combination yields
+    /// bit-identical fronts and canonical traces as long as every analysis
+    /// converges; pruning can change the windows of non-converged analyses
+    /// and with them the front (see [`AnalysisOptions`]).
     pub analysis: AnalysisOptions,
-    /// Incremental genome-delta analysis (`--no-delta` disables it): each
-    /// GA child is evaluated with its designated parent's fixed-point
-    /// solutions as a reuse hint, skipping backend runs whose inputs are
-    /// bit-identical to the parent's. Pure speed knob — reused and fresh
-    /// runs are bit-equal by construction, so results, audit counters, and
-    /// canonical traces never change and, like [`DseConfig::analysis`],
-    /// this is excluded from the context and run fingerprints.
-    pub delta: bool,
     /// An externally owned memoization store shared across runs (the job
     /// server's cross-tenant cache). When set, [`DseConfig::cache_cap`] is
     /// ignored and the exploration's evaluation engine reads and writes
@@ -181,7 +174,6 @@ impl Default for DseConfig {
             obs: Recorder::default(),
             resilience: ResilienceConfig::default(),
             analysis: AnalysisOptions::default(),
-            delta: true,
             shared_cache: None,
             telemetry: Registry::default(),
         }
@@ -336,24 +328,15 @@ pub struct AnalysisStats {
     /// Wall nanoseconds inside Algorithm 1 (fresh evaluations only —
     /// cache hits replay the nanos their miss originally spent).
     pub analysis_nanos: u64,
-    /// Backend runs (out of `backend_calls`) satisfied bit-identically
-    /// from stored fixed-point solutions — the phenotype pool (merged
-    /// runs of every earlier candidate with the same repaired genes) or
-    /// the designated parent — instead of being recomputed. Like
-    /// `analysis_nanos`, this is availability-dependent (a cache hit
-    /// replays the reuse its miss achieved), so it is reported but
-    /// excluded from the deterministic-replay contract.
+    /// Always 0: every backend run is computed fresh. Kept so existing
+    /// readers of this struct still build.
     pub backend_reused: u64,
-    /// Candidates whose delta source (phenotype pool or designated
-    /// parent) satisfied at least one backend run.
+    /// Always 0: every backend run is computed fresh. Kept so existing
+    /// readers of this struct still build.
     pub delta_reuses: u64,
-    /// Candidates that had a delta source but fell back to a fully cold
-    /// analysis (repaired phenotype diverged, or no stored run's inputs
-    /// matched).
+    /// Always 0: every backend run is computed fresh. Kept so existing
+    /// readers of this struct still build.
     pub delta_cold_fallbacks: u64,
-    /// Summed size of the predicted may-affect sets (interference-closure
-    /// apps whose verdict the parent→child edit could change).
-    pub affect_set_size: u64,
 }
 
 impl AnalysisStats {
@@ -372,8 +355,6 @@ impl AnalysisStats {
             "analysis-stats: {} candidates, {} scenarios, {} backend calls\n\
              analysis-stats: fast path: {} scenarios pruned ({:.2} %), \
              {} warm iters saved, {} fixed-point iters total\n\
-             analysis-stats: delta: {} backend runs reused, {} candidate \
-             reuses, {} cold fallbacks, {} affect-set apps\n\
              analysis-stats: {} ns inside Algorithm 1\n",
             self.candidates,
             self.scenarios,
@@ -382,10 +363,6 @@ impl AnalysisStats {
             100.0 * self.prune_rate(),
             self.warm_iters_saved,
             self.fixedpoint_iters,
-            self.backend_reused,
-            self.delta_reuses,
-            self.delta_cold_fallbacks,
-            self.affect_set_size,
             self.analysis_nanos,
         )
     }
@@ -397,8 +374,6 @@ impl AnalysisStats {
             "{{\"candidates\":{},\"scenarios\":{},\"backend_calls\":{},\
              \"fixedpoint_iters\":{},\"scenarios_pruned\":{},\
              \"prune_rate\":{:.6},\"warm_iters_saved\":{},\
-             \"backend_reused\":{},\"delta_reuses\":{},\
-             \"delta_cold_fallbacks\":{},\"affect_set_size\":{},\
              \"analysis_nanos\":{}}}",
             self.candidates,
             self.scenarios,
@@ -407,10 +382,6 @@ impl AnalysisStats {
             self.scenarios_pruned,
             self.prune_rate(),
             self.warm_iters_saved,
-            self.backend_reused,
-            self.delta_reuses,
-            self.delta_cold_fallbacks,
-            self.affect_set_size,
             self.analysis_nanos,
         )
     }
@@ -432,10 +403,6 @@ struct Counters {
     an_pruned: AtomicU64,
     an_warm_saved: AtomicU64,
     an_nanos: AtomicU64,
-    an_backend_reused: AtomicU64,
-    an_delta_reuses: AtomicU64,
-    an_delta_cold: AtomicU64,
-    an_affect_size: AtomicU64,
 }
 
 /// Detailed description of one (repaired) design point, for reporting.
@@ -472,20 +439,6 @@ pub struct MappingProblem<'a> {
     context: u64,
     counters: Counters,
     engine: EvalEngine<EvalRecord>,
-    /// Parent-artifact store of the genome-delta fast path: the repaired
-    /// phenotype and fixed-point solutions of recently evaluated
-    /// candidates, keyed by the memo key of their *original* genome (the
-    /// driver designates parents by archive genotype). Bounded FIFO; a
-    /// miss only costs a cold analysis, never correctness.
-    parents: ShardedCache<std::sync::Arc<ParentArtifacts>>,
-    /// Phenotype pool of the genome-delta fast path: merged fixed-point
-    /// solutions keyed by the memo key of the *repaired genes* — the exact
-    /// projection of the chromosome that determines the hardened system
-    /// and the mapping. Every keep/alloc variant of one phenotype lands on
-    /// the same entry, so a candidate can reuse runs from *any* earlier
-    /// variant, not just its designated parent. Bounded FIFO; entries are
-    /// verified by bit-comparing the stored genes before use.
-    pool: ShardedCache<std::sync::Arc<ParentArtifacts>>,
     /// Batch coordinate for fault addressing: 0 = initial population,
     /// `g` = generation `g`'s offspring. Restored on resume.
     batch_index: AtomicU64,
@@ -555,18 +508,6 @@ struct EvalRecord {
     /// in non-deterministic telemetry payloads, and excluded from
     /// [`AnalysisEffort`]'s pure-function equality.
     analysis_nanos: u64,
-    /// Backend runs satisfied from a delta source (the phenotype pool or
-    /// the designated parent's solutions). Availability-class like
-    /// `analysis_nanos`: depends on what the stores held when the record
-    /// was computed, replayed verbatim on cache hits, excluded from
-    /// [`AnalysisEffort`] equality.
-    backend_reused: usize,
-    /// The candidate had a delta source and reused ≥ 1 backend run.
-    delta_reused: bool,
-    /// The candidate had a delta source but analyzed fully cold.
-    delta_cold: bool,
-    /// Size of the predicted may-affect set of the parent→child edit.
-    affect_set_size: usize,
 }
 
 /// Deterministic effort counters of one candidate's Algorithm 1 analysis.
@@ -737,14 +678,6 @@ struct Assessment {
     effort: AnalysisEffort,
     repair_codes: Vec<&'static str>,
     analysis_nanos: u64,
-    backend_reused: usize,
-    delta_reused: bool,
-    delta_cold: bool,
-    affect_set_size: usize,
-    /// The artifacts children of this candidate may reuse (fresh
-    /// evaluations under `cfg.delta` only — never cached in the memo
-    /// engine, only published to the parent store).
-    artifacts: Option<std::sync::Arc<ParentArtifacts>>,
 }
 
 impl<'a> MappingProblem<'a> {
@@ -777,8 +710,6 @@ impl<'a> MappingProblem<'a> {
             context,
             counters: Counters::default(),
             engine,
-            parents: ShardedCache::new(4096, 16),
-            pool: ShardedCache::new(4096, 16),
             batch_index: AtomicU64::new(0),
             failures: Mutex::new(Vec::new()),
             metrics,
@@ -825,10 +756,7 @@ impl<'a> MappingProblem<'a> {
             scenarios_pruned: self.counters.an_pruned.load(Ordering::Relaxed),
             warm_iters_saved: self.counters.an_warm_saved.load(Ordering::Relaxed),
             analysis_nanos: self.counters.an_nanos.load(Ordering::Relaxed),
-            backend_reused: self.counters.an_backend_reused.load(Ordering::Relaxed),
-            delta_reuses: self.counters.an_delta_reuses.load(Ordering::Relaxed),
-            delta_cold_fallbacks: self.counters.an_delta_cold.load(Ordering::Relaxed),
-            affect_set_size: self.counters.an_affect_size.load(Ordering::Relaxed),
+            ..AnalysisStats::default()
         }
     }
 
@@ -917,7 +845,7 @@ impl<'a> MappingProblem<'a> {
     /// Produces a human-readable report for a genome (running the same
     /// repair + evaluation pipeline, without touching the audit counters).
     pub fn report(&self, genome: &Genome) -> DesignReport {
-        let a = self.assess(genome, false, None);
+        let a = self.assess(genome, false);
         DesignReport {
             power: a.power,
             service: self.apps.total_service() - a.lost,
@@ -934,9 +862,9 @@ impl<'a> MappingProblem<'a> {
     /// evaluation). Seeded from the *repair-relevant projection* of the
     /// chromosome — the allocation bits and the genes, exactly the inputs
     /// the repair heuristics read — so genomes differing only in keep bits
-    /// repair identically. That stability is what lets the genome-delta
-    /// pass prove a mutant's phenotype equal to its parent's: a
-    /// repair-irrelevant edit can no longer reroll every randomized fix.
+    /// repair identically: a repair-irrelevant edit does not reroll every
+    /// randomized fix. The seeding shapes every repaired design, and hence
+    /// the front.
     fn repair_rng(&self, genome: &Genome) -> StdRng {
         let mut hasher = DefaultHasher::new();
         genome.alloc.hash(&mut hasher);
@@ -945,7 +873,7 @@ impl<'a> MappingProblem<'a> {
         StdRng::seed_from_u64(hasher.finish())
     }
 
-    fn assess(&self, genome: &Genome, audit: bool, parent: Option<&ParentArtifacts>) -> Assessment {
+    fn assess(&self, genome: &Genome, audit: bool) -> Assessment {
         let mut rng = self.repair_rng(genome);
 
         let mut g = genome.clone();
@@ -965,39 +893,6 @@ impl<'a> MappingProblem<'a> {
         }
         let histogram = plan.technique_histogram();
 
-        // Genome-delta fast path: only a designated parent whose repaired
-        // phenotype carries bit-equal genes can have its solutions
-        // attached (the genes determine the hardening plan and primary
-        // bindings, hence the hardened system, the mapping, and every
-        // bound vector; keep/alloc bits only move the scenario set and the
-        // power term). `analyze_delta`'s per-run gates re-verify
-        // bit-equality of the actual analysis inputs, so the prediction
-        // here can only cost reuse, never correctness. The interference
-        // closure is the *advisory* half: it sizes the predicted
-        // may-affect set of the edit for the delta telemetry and lint.
-        let parent = parent.filter(|_| self.cfg.delta);
-        let (eligible, affect_set_size) = match parent {
-            Some(p) => {
-                let edits = diff_genomes(&self.space, &p.repaired, &g);
-                let affect = may_affect(self.apps, self.arch, &p.repaired, &g, &edits)
-                    .map_or(self.apps.num_apps(), |a| a.size());
-                (p.repaired.genes == g.genes, affect)
-            }
-            None => (false, 0),
-        };
-        // Phenotype-pool lookup: merged solutions of *any* earlier
-        // candidate whose repaired genes are bit-equal to this one's. The
-        // hash key is verified by comparing the stored genes, so a
-        // collision only costs the lookup.
-        let pool_hit = if self.cfg.delta {
-            self.pool
-                .get(self.engine.key_of(&g.genes))
-                .filter(|e| e.repaired.genes == g.genes)
-        } else {
-            None
-        };
-        let had_source = parent.is_some() || pool_hit.is_some();
-
         let degenerate = |penalty: f64| Assessment {
             dropped: dropped.clone(),
             power: f64::MAX / 1e6,
@@ -1010,11 +905,6 @@ impl<'a> MappingProblem<'a> {
             effort: AnalysisEffort::default(),
             repair_codes: repair_codes.clone(),
             analysis_nanos: 0,
-            backend_reused: 0,
-            delta_reused: false,
-            delta_cold: had_source,
-            affect_set_size,
-            artifacts: None,
         };
 
         let hsys = match harden(self.apps, &plan, self.arch) {
@@ -1048,29 +938,14 @@ impl<'a> MappingProblem<'a> {
             }
         }
 
-        // Pick the reuse source. The phenotype pool merges the runs of
-        // every earlier variant of these exact genes (across dropped
-        // sets), so it is a superset of what the designated parent can
-        // offer; fall back to the parent's solutions when the pool has no
-        // entry yet. Either way `analyze_delta`'s per-run gates re-verify
-        // bit-equality of the actual inputs.
-        let delta_source: Option<&AnalysisSolutions> =
-            pool_hit.as_deref().map(|e| &*e.solutions).or_else(|| {
-                if eligible {
-                    parent.map(|p| &*p.solutions)
-                } else {
-                    None
-                }
-            });
         let t_analysis = std::time::Instant::now();
-        let (mc, solutions, mut backend_reused) = analyze_delta(
+        let mc = analyze_with(
             &hsys,
             self.arch,
             &mapping,
             &self.policies,
             &dropped,
             self.cfg.analysis,
-            delta_source,
         );
         let mut analysis_nanos = t_analysis.elapsed().as_nanos() as u64;
         let mut effort = AnalysisEffort {
@@ -1102,28 +977,18 @@ impl<'a> MappingProblem<'a> {
             }
         }
 
-        let mut audit_solutions: Option<AnalysisSolutions> = None;
         let rescued = if audit && !dropped.is_empty() {
-            // The no-dropping audit re-analysis shares the candidate's own
-            // hardened system and mapping. Under `cfg.delta` it is seeded
-            // from the same pool/parent source (whose merged runs include
-            // earlier no-dropping analyses of these genes — then *every*
-            // bound vector coincides), falling back to the just-computed
-            // protocol solutions (the normal run always matches; only
-            // scenario vectors the empty dropped set changes are
-            // recomputed).
+            // The no-dropping audit re-analysis of the same hardened
+            // system and mapping.
             let t_audit = std::time::Instant::now();
-            let (mc0, mc0_sols, mc0_reused) = analyze_delta(
+            let mc0 = analyze_with(
                 &hsys,
                 self.arch,
                 &mapping,
                 &self.policies,
                 &[],
                 self.cfg.analysis,
-                self.cfg.delta.then_some(delta_source.unwrap_or(&solutions)),
             );
-            audit_solutions = Some(mc0_sols);
-            backend_reused += mc0_reused;
             analysis_nanos += t_audit.elapsed().as_nanos() as u64;
             // The no-dropping re-analysis is real backend effort; fold it
             // into the enumeration counters (classification counts stay
@@ -1150,21 +1015,6 @@ impl<'a> MappingProblem<'a> {
         let lost = lost_service(self.apps, &dropped);
         let feasible = schedulable && penalty == 0.0;
 
-        let artifacts = self.cfg.delta.then(|| {
-            // Publish everything this phenotype's backend computed: the
-            // protocol runs plus the audit's no-dropping runs. Children
-            // (and keep/alloc variants via the phenotype pool) match
-            // per-vector, so the union can only widen reuse.
-            let mut all = solutions;
-            if let Some(extra) = &audit_solutions {
-                all.absorb(extra);
-            }
-            std::sync::Arc::new(ParentArtifacts {
-                repaired: g,
-                solutions: std::sync::Arc::new(all),
-            })
-        });
-
         Assessment {
             dropped,
             power,
@@ -1177,11 +1027,6 @@ impl<'a> MappingProblem<'a> {
             effort,
             repair_codes,
             analysis_nanos,
-            backend_reused,
-            delta_reused: had_source && backend_reused > 0,
-            delta_cold: had_source && backend_reused == 0,
-            affect_set_size,
-            artifacts,
         }
     }
 
@@ -1192,35 +1037,9 @@ impl<'a> MappingProblem<'a> {
         }
     }
 
-    /// The full (cacheable) evaluation of one genome. Fresh evaluations
-    /// under `cfg.delta` also publish the candidate's artifacts to the
-    /// parent store (keyed by the *original* genome's memo key — that is
-    /// how the driver designates parents); the artifacts themselves never
-    /// enter the memo cache.
-    fn assess_record(&self, g: &Genome, parent: Option<&ParentArtifacts>) -> EvalRecord {
-        let a = self.assess(g, self.cfg.audit, parent);
-        if let Some(artifacts) = &a.artifacts {
-            self.parents
-                .insert(self.engine.key_of(g), artifacts.clone());
-            // Merge into the phenotype pool keyed by the repaired genes:
-            // later variants of this phenotype (any keep/alloc setting)
-            // see the union of every run computed for it so far. A lost
-            // race between get and insert only drops reuse, never
-            // correctness.
-            let key = self.engine.key_of(&artifacts.repaired.genes);
-            let entry = match self.pool.get(key) {
-                Some(prev) if prev.repaired.genes == artifacts.repaired.genes => {
-                    let mut merged = (*artifacts.solutions).clone();
-                    merged.absorb(&prev.solutions);
-                    std::sync::Arc::new(ParentArtifacts {
-                        repaired: artifacts.repaired.clone(),
-                        solutions: std::sync::Arc::new(merged),
-                    })
-                }
-                _ => artifacts.clone(),
-            };
-            self.pool.insert(key, entry);
-        }
+    /// The full (cacheable) evaluation of one genome.
+    fn assess_record(&self, g: &Genome) -> EvalRecord {
+        let a = self.assess(g, self.cfg.audit);
         let objectives = self.objectives(&a);
         let eval = if a.feasible {
             Evaluation::feasible(objectives)
@@ -1236,10 +1055,6 @@ impl<'a> MappingProblem<'a> {
             effort: a.effort,
             repair_codes: a.repair_codes,
             analysis_nanos: a.analysis_nanos,
-            backend_reused: a.backend_reused,
-            delta_reused: a.delta_reused,
-            delta_cold: a.delta_cold,
-            affect_set_size: a.affect_set_size,
         }
     }
 
@@ -1283,18 +1098,6 @@ impl<'a> MappingProblem<'a> {
         self.counters
             .an_nanos
             .fetch_add(r.analysis_nanos, Ordering::Relaxed);
-        self.counters
-            .an_backend_reused
-            .fetch_add(r.backend_reused as u64, Ordering::Relaxed);
-        self.counters
-            .an_delta_reuses
-            .fetch_add(u64::from(r.delta_reused), Ordering::Relaxed);
-        self.counters
-            .an_delta_cold
-            .fetch_add(u64::from(r.delta_cold), Ordering::Relaxed);
-        self.counters
-            .an_affect_size
-            .fetch_add(r.affect_set_size as u64, Ordering::Relaxed);
         if let Some(m) = &self.metrics {
             m.observe_candidate(r);
         }
@@ -1319,17 +1122,7 @@ impl<'a> MappingProblem<'a> {
                     ("class_critical", Value::from(e.class_critical)),
                     ("feasible", Value::from(r.eval.feasible)),
                 ],
-                // Delta-reuse outcomes are availability-class (they depend
-                // on parent-store state, like wall time), so they ride in
-                // the non-deterministic payload and never perturb the
-                // canonical trace.
-                &[
-                    ("analysis_ns", Value::from(r.analysis_nanos)),
-                    ("backend_reused", Value::from(r.backend_reused)),
-                    ("delta_reused", Value::from(r.delta_reused)),
-                    ("delta_cold", Value::from(r.delta_cold)),
-                    ("affect_set_size", Value::from(r.affect_set_size)),
-                ],
+                &[("analysis_ns", Value::from(r.analysis_nanos))],
             );
             if !r.repair_codes.is_empty() {
                 self.cfg.obs.counter(
@@ -1368,53 +1161,13 @@ impl Problem for MappingProblem<'_> {
     }
 
     fn evaluate(&self, g: &Genome) -> Evaluation {
-        let record = self.engine.evaluate_one(g, |g| self.assess_record(g, None));
+        let record = self.engine.evaluate_one(g, |g| self.assess_record(g));
         self.record_audit(&record);
         record.eval
     }
 
+    /// Memoized, panic-isolated batch evaluation.
     fn evaluate_batch(&self, genotypes: &[Genome], threads: usize) -> Vec<Evaluation> {
-        self.batch_eval(genotypes, threads, &[])
-    }
-
-    fn evaluate_batch_with_parents(
-        &self,
-        genotypes: &[Genome],
-        parents: &[Option<&Genome>],
-        threads: usize,
-    ) -> Vec<Evaluation> {
-        // Resolve each designated parent to its stored artifacts up front
-        // (cheap u128 lookups); a miss — evicted, never evaluated, or
-        // delta disabled — just means that child analyzes cold.
-        let artifacts: Vec<Option<std::sync::Arc<ParentArtifacts>>> = if self.cfg.delta {
-            parents
-                .iter()
-                .map(|p| p.and_then(|g| self.parents.get(self.engine.key_of(g))))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        self.batch_eval(genotypes, threads, &artifacts)
-    }
-
-    fn num_objectives(&self) -> usize {
-        match self.cfg.objectives {
-            ObjectiveMode::Power => 1,
-            ObjectiveMode::PowerService => 2,
-        }
-    }
-}
-
-impl MappingProblem<'_> {
-    /// The shared batch-evaluation path: memoized, panic-isolated, with
-    /// optional per-candidate parent artifacts as a reuse hint
-    /// (`artifacts` may be empty — then every candidate analyzes cold).
-    fn batch_eval(
-        &self,
-        genotypes: &[Genome],
-        threads: usize,
-        artifacts: &[Option<std::sync::Arc<ParentArtifacts>>],
-    ) -> Vec<Evaluation> {
         let batch = self.batch_index.fetch_add(1, Ordering::Relaxed);
         let chaos = self.cfg.resilience.chaos.as_ref();
         let records = self.engine.evaluate_batch_isolated_with(
@@ -1438,7 +1191,7 @@ impl MappingProblem<'_> {
                     );
                 }
             },
-            |g, ctx| self.assess_record(g, artifacts.get(ctx.index).and_then(|o| o.as_deref())),
+            |g, _| self.assess_record(g),
         );
         // Audit deltas are replayed sequentially in submission order, so
         // the snapshot is deterministic for any thread count.
@@ -1466,6 +1219,13 @@ impl MappingProblem<'_> {
                 }
             })
             .collect()
+    }
+
+    fn num_objectives(&self) -> usize {
+        match self.cfg.objectives {
+            ObjectiveMode::Power => 1,
+            ObjectiveMode::PowerService => 2,
+        }
     }
 }
 
@@ -2104,66 +1864,6 @@ mod tests {
         // The untraced run records nothing.
         assert!(!plain.obs.enabled());
         assert!(plain.obs.events().is_empty());
-    }
-
-    #[test]
-    fn delta_reuse_is_bit_identical_and_actually_reuses() {
-        let (apps, arch) = small_system();
-        // Mutation-heavy budget: many children are single-edit deltas of
-        // their designated parents, so the parent store gets real traffic.
-        let mk = |delta: bool| {
-            let mut cfg = tiny_cfg();
-            cfg.ga.mutation_rate = 0.9;
-            cfg.ga.crossover_rate = 0.2;
-            cfg.audit = true;
-            cfg.delta = delta;
-            cfg
-        };
-        let with = explore(&apps, &arch, mk(true));
-        let without = explore(&apps, &arch, mk(false));
-        // Results are bit-identical for any delta setting: fronts, audit,
-        // and the deterministic (as-if-fresh) effort counters.
-        assert_eq!(with.result.front.len(), without.result.front.len());
-        for (a, b) in with.result.front.iter().zip(&without.result.front) {
-            assert_eq!(a.eval, b.eval);
-            assert_eq!(a.genotype, b.genotype);
-        }
-        assert_eq!(with.audit, without.audit);
-        assert_eq!(with.analysis.candidates, without.analysis.candidates);
-        assert_eq!(with.analysis.scenarios, without.analysis.scenarios);
-        assert_eq!(with.analysis.backend_calls, without.analysis.backend_calls);
-        assert_eq!(
-            with.analysis.fixedpoint_iters,
-            without.analysis.fixedpoint_iters
-        );
-        assert_eq!(
-            with.analysis.warm_iters_saved,
-            without.analysis.warm_iters_saved
-        );
-        // The disabled run records zero delta activity; the enabled run
-        // must have genuinely reused backend work.
-        assert_eq!(without.analysis.backend_reused, 0);
-        assert_eq!(without.analysis.delta_reuses, 0);
-        assert_eq!(without.analysis.delta_cold_fallbacks, 0);
-        assert_eq!(without.analysis.affect_set_size, 0);
-        assert!(
-            with.analysis.backend_reused > 0,
-            "delta must reuse backend runs: {:?}",
-            with.analysis
-        );
-        assert!(with.analysis.delta_reuses > 0);
-        // The report formats carry the delta counters.
-        let json = with.analysis.to_json();
-        let parsed = mcmap_obs::parse_json(&json).expect("analysis JSON parses");
-        for key in [
-            "backend_reused",
-            "delta_reuses",
-            "delta_cold_fallbacks",
-            "affect_set_size",
-        ] {
-            assert!(parsed.get(key).is_some(), "missing {key} in {json}");
-        }
-        assert!(with.analysis.render_text().contains("cold fallbacks"));
     }
 
     #[test]

@@ -307,8 +307,8 @@ pub fn optimize_resumable<P: Problem>(
             // Variation: binary tournaments over the archive. The first
             // tournament pick is each child's designated parent — the
             // archive member the child is a (crossover half + mutation)
-            // delta of — handed to the problem as an incremental-reuse
-            // hint. Hints never change results (see
+            // derivative of — handed to the problem as a reuse hint.
+            // Hints never change results (see
             // [`Problem::evaluate_batch_with_parents`]).
             let mut parent_idx: Vec<usize> = Vec::with_capacity(cfg.population);
             let offspring_genotypes: Vec<P::Genotype> = (0..cfg.population)

@@ -114,11 +114,9 @@ pub trait Problem: Sync {
     ///
     /// The parent is a **hint, never an input**: results must be bit-equal
     /// to [`Problem::evaluate_batch`] on the same genotypes for every
-    /// parent vector, including all-`None`. Problems with an incremental
-    /// fast path (see `mcmap-core`'s genome-delta analysis) override this
-    /// to reuse the parent's already-computed artifacts where provably
-    /// unchanged; the default implementation ignores the hint and
-    /// delegates, so existing problems are unaffected.
+    /// parent vector, including all-`None`. A problem with an incremental
+    /// fast path may override this to reuse work already computed for the
+    /// parent; the default implementation ignores the hint and delegates.
     ///
     /// `parents.len()` must equal `genotypes.len()`.
     fn evaluate_batch_with_parents(

@@ -5,38 +5,18 @@
 //! applications that place work on a shared processor (primary bindings,
 //! replicas, standbys, and voters all count — a preempted voter delays the
 //! hardened task just like a preempted primary). On top of the graph it
-//! computes, via a monotone closure, the sound **may-affect set** of every
-//! class of genome edit: the set of applications whose WCRT analysis could
-//! possibly change when that edit is applied. Everything outside the closure
-//! is provably unaffected, which is what powers the delta-analysis reuse in
-//! `mcmap-core`.
-//!
-//! ## Soundness model
-//!
-//! The WCRT backend couples tasks only through shared-processor preemption
-//! (the fabric models contention-free constant channel delays), and the
-//! mixed-criticality scenario fold couples applications only through the
-//! per-scenario execution-bound vectors. Hence:
-//!
-//! * An edit to a task's gene (binding or hardening) may change the bounds
-//!   and placement of its own application, which may shift busy periods on
-//!   every processor that application touches, which may cascade to any
-//!   application sharing those processors, transitively. The closure over
-//!   shared-PE edges from the owning application is therefore a sound
-//!   over-approximation.
-//! * A drop-bit flip changes the owning application's task rows in **every**
-//!   scenario vector, and cascades identically through shared PEs.
-//! * An allocation-bit flip never changes the WCRT analysis (the analysis
-//!   reads the mapping, not the allocation vector); it only re-weights the
-//!   power objective. Its analysis-affect set is empty.
+//! computes, via a monotone closure, the set of applications an edit to one
+//! application can reach: the WCRT backend couples tasks only through
+//! shared-processor preemption (the fabric models contention-free constant
+//! channel delays), so a change to one application's bounds or placement
+//! can only cascade through shared-PE edges, transitively.
 //!
 //! The closure `F(S) = S ∪ neighbors(S)` is monotone on the subset lattice
 //! (`S ⊆ T ⇒ F(S) ⊆ F(T)`), so iterating it from the seed terminates at the
 //! least fixed point — the connected component(s) containing the seed.
 //!
-//! The analysis is *advisory by itself*: the core crate verifies every reuse
-//! decision against decoded-artifact equality, so a bug here can cost
-//! precision but never correctness.
+//! The graph feeds the MC012x coupling diagnostics and
+//! `mcmap_cli lint --interference`.
 
 use crate::diag::{Diagnostic, EntityRef, LintReport};
 use crate::genome::{GenomeView, HardeningView};
@@ -45,65 +25,9 @@ use mcmap_model::{AppId, AppSet, Architecture, ProcId};
 /// Name of the lint pass that surfaces interference diagnostics.
 const PASS: &str = "interference";
 
-/// One class of genome edit, used to query [`InterferenceGraph::affect`].
-///
-/// `MappingGene` and `HardeningDegree` both identify the task by its flat
-/// index in the owning `AppSet`; `DropBit` names the droppable application
-/// whose keep bit flips; `AllocBit` names the processor whose allocation
-/// bit flips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GenomeEdit {
-    /// The task's primary binding changed.
-    MappingGene {
-        /// Flat task index in the owning `AppSet`.
-        flat: usize,
-    },
-    /// The task's hardening gene (technique, degree, or placement) changed.
-    HardeningDegree {
-        /// Flat task index in the owning `AppSet`.
-        flat: usize,
-    },
-    /// The keep bit of a droppable application flipped.
-    DropBit {
-        /// The droppable application whose keep bit flipped.
-        app: AppId,
-    },
-    /// A processor allocation bit flipped.
-    AllocBit {
-        /// The processor whose allocation bit flipped.
-        proc: ProcId,
-    },
-}
-
-/// The may-affect set of one genome edit: which applications' analyses may
-/// change, and whether the change can reach the scenario fold.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AffectSet {
-    /// Applications whose WCRT analysis may change, sorted by id.
-    pub apps: Vec<AppId>,
-    /// `true` when every mixed-criticality scenario may be affected (any
-    /// edit that changes an execution-bound row is visible in every
-    /// scenario vector containing that row); `false` when no scenario is
-    /// affected (power-only edits).
-    pub all_scenarios: bool,
-}
-
-impl AffectSet {
-    /// The number of (app, scenario-class) pairs in the set, collapsed to
-    /// the per-app granularity the DSE counters use.
-    pub fn size(&self) -> usize {
-        if self.all_scenarios {
-            self.apps.len()
-        } else {
-            0
-        }
-    }
-}
-
 /// The interference graph of one decoded candidate.
 ///
 /// Built with [`InterferenceGraph::build`]; query with
-/// [`affect`](InterferenceGraph::affect) /
 /// [`closure`](InterferenceGraph::closure), render with
 /// [`render_text`](InterferenceGraph::render_text),
 /// [`to_json`](InterferenceGraph::to_json), or
@@ -244,28 +168,6 @@ impl InterferenceGraph {
             .collect()
     }
 
-    /// The sound may-affect set of one genome edit (see the module docs for
-    /// the soundness argument). `apps` maps flat task indices to owners.
-    pub fn affect(&self, apps: &AppSet, edit: GenomeEdit) -> AffectSet {
-        match edit {
-            GenomeEdit::MappingGene { flat } | GenomeEdit::HardeningDegree { flat } => {
-                let owner = apps.task_refs()[flat].app;
-                AffectSet {
-                    apps: self.closure(&[owner]),
-                    all_scenarios: true,
-                }
-            }
-            GenomeEdit::DropBit { app } => AffectSet {
-                apps: self.closure(&[app]),
-                all_scenarios: true,
-            },
-            GenomeEdit::AllocBit { .. } => AffectSet {
-                apps: Vec::new(),
-                all_scenarios: false,
-            },
-        }
-    }
-
     /// All interference edges as `(a, b, shared processors)` with `a < b`.
     pub fn edges(&self) -> Vec<(AppId, AppId, Vec<ProcId>)> {
         let mut edges = Vec::new();
@@ -287,14 +189,14 @@ impl InterferenceGraph {
     /// Appends the MC012x coupling diagnostics to `r`:
     ///
     /// * `MC0120` (warning): three or more applications form a
-    ///   fully-connected interference clique — every edit to any of them
-    ///   forces re-analysis of all of them, defeating incremental reuse.
+    ///   fully-connected interference clique — an edit to any of them may
+    ///   shift the response times of all of them.
     /// * `MC0121` (warning): a hardened non-droppable task shares a
     ///   processor with a droppable application — the hardening overhead
     ///   couples criticality levels, so dropping decisions and critical-app
     ///   response times can no longer be reasoned about independently.
     /// * `MC0122` (hint): an application shares no processor with any
-    ///   other — an interference-free island that re-analyzes alone.
+    ///   other — an interference-free island.
     pub fn diagnose(&self, apps: &AppSet, genome: &GenomeView, r: &mut LintReport) {
         let n = self.num_apps();
         // MC0120: the whole app set forms a clique (pairwise shared PEs).
@@ -312,8 +214,8 @@ impl InterferenceGraph {
                         ),
                     )
                     .with_suggestion(
-                        "spread applications over disjoint processors so edits \
-                         re-analyze less of the system",
+                        "spread applications over disjoint processors so an edit \
+                         shifts fewer response times",
                     ),
                 );
             }
@@ -364,8 +266,8 @@ impl InterferenceGraph {
                              interference-free island",
                         )
                         .with_suggestion(
-                            "edits to this application re-analyze only itself; no action \
-                             needed",
+                            "edits to this application affect only its own response times; \
+                             no action needed",
                         ),
                     );
                 }
@@ -573,29 +475,6 @@ mod tests {
         // Monotone: a bigger seed yields a superset.
         let big = ig.closure(&[AppId::new(0), AppId::new(2)]);
         assert_eq!(big.len(), 3);
-    }
-
-    #[test]
-    fn affect_sets_per_edit_class() {
-        let (apps, arch, g) = split_system();
-        let ig = InterferenceGraph::build(&apps, &arch, &g).unwrap();
-        let m = ig.affect(&apps, GenomeEdit::MappingGene { flat: 0 });
-        assert_eq!(m.apps, vec![AppId::new(0), AppId::new(1)]);
-        assert!(m.all_scenarios);
-        assert_eq!(m.size(), 2);
-        let h = ig.affect(&apps, GenomeEdit::HardeningDegree { flat: 2 });
-        assert_eq!(h.apps, vec![AppId::new(2)]);
-        let d = ig.affect(&apps, GenomeEdit::DropBit { app: AppId::new(1) });
-        assert_eq!(d.apps, vec![AppId::new(0), AppId::new(1)]);
-        let p = ig.affect(
-            &apps,
-            GenomeEdit::AllocBit {
-                proc: ProcId::new(1),
-            },
-        );
-        assert!(p.apps.is_empty());
-        assert!(!p.all_scenarios);
-        assert_eq!(p.size(), 0);
     }
 
     #[test]

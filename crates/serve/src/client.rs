@@ -512,6 +512,18 @@ mod tests {
             boundaries.contains(&(spec.generations as u64)),
             "stream never reported the final generation: {boundaries:?}"
         );
+        // A subscriber that attaches after the job finished still gets the
+        // final generation, replayed from the persisted progress. A stream
+        // ends its connection, so each one gets a fresh connection.
+        let wait = Client::connect(&addr).unwrap().wait(&id);
+        assert_eq!(wait.unwrap(), "completed");
+        let mut late = Vec::new();
+        let mut latecomer = Client::connect(&addr).unwrap();
+        assert_eq!(
+            latecomer.stream(&id, |g| late.push(g)).unwrap(),
+            "completed"
+        );
+        assert_eq!(late.last(), Some(&(spec.generations as u64)), "{late:?}");
         let status = c.status(&id).unwrap();
         assert_eq!(
             status.get("state").and_then(|v| v.as_str()),

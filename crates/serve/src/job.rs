@@ -214,10 +214,6 @@ impl JobTotals {
         a.scenarios_pruned += analysis.scenarios_pruned;
         a.warm_iters_saved += analysis.warm_iters_saved;
         a.analysis_nanos += analysis.analysis_nanos;
-        a.backend_reused += analysis.backend_reused;
-        a.delta_reuses += analysis.delta_reuses;
-        a.delta_cold_fallbacks += analysis.delta_cold_fallbacks;
-        a.affect_set_size += analysis.affect_set_size;
     }
 }
 

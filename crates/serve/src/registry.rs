@@ -365,11 +365,21 @@ impl Registry {
     }
 
     /// Subscribes to the job's progress stream (one generation number per
-    /// completed boundary), along with its state at subscription time.
-    pub fn subscribe(&self, id: &str) -> Option<(Receiver<u64>, JobState)> {
+    /// completed boundary), along with its state and last persisted
+    /// generation at subscription time — what a late subscriber has
+    /// already missed.
+    pub fn subscribe(&self, id: &str) -> Option<(Receiver<u64>, JobState, Option<usize>)> {
         let inner = self.lock();
         let entry = inner.jobs.get(id)?;
-        Some((entry.tap.subscribe(), entry.state))
+        Some((entry.tap.subscribe(), entry.state, entry.generation_done))
+    }
+
+    /// The job's state and last persisted generation, if it exists.
+    pub fn progress_of(&self, id: &str) -> Option<(JobState, Option<usize>)> {
+        self.lock()
+            .jobs
+            .get(id)
+            .map(|e| (e.state, e.generation_done))
     }
 
     /// The full status document of one job (the `status` verb payload).

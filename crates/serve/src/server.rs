@@ -232,35 +232,50 @@ fn known_verb(verb: Option<&str>) -> &'static str {
     }
 }
 
-/// The `stream` verb body: acknowledge, then push one frame per completed
-/// generation boundary until the job reaches a terminal state, and close
-/// with a `done` frame naming it.
+/// One `generation` progress frame.
+fn generation_frame(generation: u64) -> String {
+    format!("{{\"event\":\"generation\",\"generation\":{generation}}}")
+}
+
+/// The `stream` verb body: acknowledge, replay the job's persisted
+/// progress, then push one frame per completed generation boundary until
+/// the job reaches a terminal state, and close with a `done` frame naming
+/// it. Frames are at-least-once: history may repeat, and the client drops
+/// repeats by keeping only strictly increasing generations.
 fn stream_job(id: &str, registry: &Arc<Registry>, stream: &mut TcpStream) -> Option<String> {
-    // Subscribe before reading the state so no boundary between the two
-    // can be missed (at-least-once: the first frames may repeat history).
-    let Some((rx, _)) = registry.subscribe(id) else {
+    // Subscribing and reading the persisted progress under one lock means
+    // a boundary is either already persisted or still to come on `rx`, so
+    // a subscriber that attaches late (even after the job finished) still
+    // sees the last generation.
+    let Some((rx, _, persisted)) = registry.subscribe(id) else {
         return Some(error_frame(&format!("no such job {id:?}")));
     };
     if write_frame(stream, &ok_frame(",\"streaming\":true")).is_err() {
         return None;
     }
+    if let Some(g) = persisted {
+        if write_frame(stream, &generation_frame(g as u64)).is_err() {
+            return None;
+        }
+    }
     loop {
         match rx.recv_timeout(POLL) {
             Ok(generation) => {
-                let frame = format!("{{\"event\":\"generation\",\"generation\":{generation}}}");
-                if write_frame(stream, &frame).is_err() {
+                if write_frame(stream, &generation_frame(generation)).is_err() {
                     return None;
                 }
             }
             Err(std::sync::mpsc::RecvTimeoutError::Timeout)
             | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                let state = registry.state_of(id)?;
+                let (state, persisted) = registry.progress_of(id)?;
                 if state.is_terminal() {
-                    // Flush any boundary that raced the state transition.
-                    for generation in rx.try_iter() {
-                        let frame =
-                            format!("{{\"event\":\"generation\",\"generation\":{generation}}}");
-                        if write_frame(stream, &frame).is_err() {
+                    // Flush any boundary that raced the state transition,
+                    // then the persisted last generation: a boundary the
+                    // tap published before this subscription but persisted
+                    // only after it is covered here.
+                    let last = persisted.map(|g| g as u64);
+                    for generation in rx.try_iter().chain(last) {
+                        if write_frame(stream, &generation_frame(generation)).is_err() {
                             return None;
                         }
                     }

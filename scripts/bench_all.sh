@@ -20,7 +20,6 @@ declare -A EMITTERS=(
     [eval_engine]=BENCH_eval.json
     [fleet_scale]=BENCH_scale.json
     [wcrt_analysis]=BENCH_sched.json
-    [delta_analysis]=BENCH_delta.json
     [obs_overhead]=BENCH_obs.json
     [telemetry_overhead]=BENCH_telemetry.json
     [serve_load]=BENCH_serve.json
@@ -32,8 +31,8 @@ keys_of() {
 }
 
 drift=0
-for bench in eval_engine fleet_scale wcrt_analysis delta_analysis \
-             obs_overhead telemetry_overhead serve_load sim_validation; do
+for bench in eval_engine fleet_scale wcrt_analysis obs_overhead \
+             telemetry_overhead serve_load sim_validation; do
     artifact="results/${EMITTERS[$bench]}"
     echo "== $bench -> $artifact"
     cargo bench -q -p mcmap-bench --bench "$bench"

@@ -10,6 +10,7 @@ use mcmap::benchmarks::cruise;
 use mcmap::core::{explore, DseConfig, DseOutcome, ObjectiveMode};
 use mcmap::ga::GaConfig;
 use mcmap::obs::{canonical_trace, Recorder};
+use mcmap::resilience::fnv1a64;
 use mcmap::telemetry::Registry;
 use proptest::prelude::*;
 
@@ -273,6 +274,62 @@ fn fleet_front_is_identical_for_any_thread_count() {
     );
     assert_eq!(serial.eval_stats.genomes, four.eval_stats.genomes);
     assert_eq!(serial.audit.evaluated, composed.audit.evaluated);
+}
+
+/// The `mcmap_cli dse <bench> 48 30 --audit` exploration (seed 8, power ×
+/// lost-service objectives, 80 repair iterations), traced into a ring.
+fn golden_outcome(b: &mcmap::benchmarks::Benchmark) -> DseOutcome {
+    explore(
+        &b.apps,
+        &b.arch,
+        DseConfig {
+            ga: GaConfig {
+                population: 48,
+                generations: 30,
+                seed: 8,
+                threads: 2,
+                ..GaConfig::default()
+            },
+            objectives: ObjectiveMode::PowerService,
+            policies: Some(b.policies.clone()),
+            repair_iters: 80,
+            audit: true,
+            obs: Recorder::ring(1 << 18),
+            ..DseConfig::default()
+        },
+    )
+}
+
+/// Pinned results of DT-med and Cruise at 48×30: the front, the audit
+/// counters and the canonical trace, each hashed with `fnv1a64`. They must
+/// not move under a refactor or a speed optimisation. A constant here
+/// changes only in a change that states the front change it causes (for
+/// example making non-converged analyses knob-independent under dominance
+/// pruning).
+#[test]
+fn golden_fronts_audits_and_traces_at_48x30() {
+    for (name, b, expected) in [
+        (
+            "dt-med",
+            mcmap::benchmarks::dt_med(),
+            [0x2ed2cb51def1d4a2, 0xd7d7bfa516dd9e1a, 0x101406897af23615],
+        ),
+        (
+            "cruise",
+            cruise(),
+            [0xd7ffedf161daa45d, 0xeef7b66b28aa8295, 0xb3e19a6c94576dae],
+        ),
+    ] {
+        let o = golden_outcome(&b);
+        assert_eq!(o.obs.dropped_events(), 0, "{name}: trace ring overflowed");
+        let [front, audit, trace] = [fingerprint(&o), format!("{:?}", o.audit), trace_of(&o)]
+            .map(|s| fnv1a64(s.as_bytes()));
+        assert_eq!(
+            [front, audit, trace],
+            expected,
+            "{name}: [front, audit, trace] = [{front:#018x}, {audit:#018x}, {trace:#018x}]"
+        );
+    }
 }
 
 #[test]
