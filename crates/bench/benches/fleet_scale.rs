@@ -20,15 +20,12 @@
 //! observable rather than inferred.
 //!
 //! Budget knobs: `MCMAP_FLEET` (default `fleet-med`), `MCMAP_POP` (default
-//! 8), `MCMAP_GENS` (default 2), `MCMAP_THREADS` (default 4),
-//! `MCMAP_SCENARIO_THREADS` (default 2 in the parallel leg — batch- and
-//! scenario-level fan-out share the pool's thread budget, so composing
-//! them is safe by construction).
+//! 8), `MCMAP_GENS` (default 2), `MCMAP_THREADS` (default 4).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcmap_bench::{env_u64, env_usize};
 use mcmap_benchmarks::{fleet, fleet_preset, Benchmark, FleetConfig};
-use mcmap_core::{explore, AnalysisOptions, DseConfig, DseOutcome, ObjectiveMode};
+use mcmap_core::{explore, DseConfig, DseOutcome, ObjectiveMode};
 use mcmap_eval::pool_capacity;
 use mcmap_ga::GaConfig;
 use std::time::Instant;
@@ -37,7 +34,6 @@ fn dse_cfg(
     b: &Benchmark,
     preset: &FleetConfig,
     threads: usize,
-    scenario_threads: usize,
     pop: usize,
     gens: usize,
 ) -> DseConfig {
@@ -55,10 +51,6 @@ fn dse_cfg(
         repair_iters: 40,
         max_reexec: preset.max_reexec,
         max_replicas: preset.max_replicas,
-        analysis: AnalysisOptions {
-            scenario_threads,
-            ..AnalysisOptions::default()
-        },
         ..DseConfig::default()
     }
 }
@@ -67,12 +59,11 @@ fn timed_explore(
     b: &Benchmark,
     preset: &FleetConfig,
     threads: usize,
-    scenario_threads: usize,
     pop: usize,
     gens: usize,
 ) -> (DseOutcome, f64) {
     let t0 = Instant::now();
-    let cfg = dse_cfg(b, preset, threads, scenario_threads, pop, gens);
+    let cfg = dse_cfg(b, preset, threads, pop, gens);
     let outcome = explore(&b.apps, &b.arch, cfg);
     (outcome, t0.elapsed().as_secs_f64())
 }
@@ -89,7 +80,6 @@ fn bench_fleet_scale(c: &mut Criterion) {
     let pop = env_usize("MCMAP_POP", 8);
     let gens = env_usize("MCMAP_GENS", 2);
     let par = env_usize("MCMAP_THREADS", 4).max(2);
-    let scenario_par = env_usize("MCMAP_SCENARIO_THREADS", 2).max(1);
     let b = fleet(&preset, seed);
     println!(
         "fleet_scale: {} — {} tasks, {} apps, {} PEs (pool capacity {})",
@@ -100,8 +90,8 @@ fn bench_fleet_scale(c: &mut Criterion) {
         pool_capacity(),
     );
 
-    let (serial, wall_1) = timed_explore(&b, &preset, 1, 1, pop, gens);
-    let (parallel, wall_n) = timed_explore(&b, &preset, par, scenario_par, pop, gens);
+    let (serial, wall_1) = timed_explore(&b, &preset, 1, pop, gens);
+    let (parallel, wall_n) = timed_explore(&b, &preset, par, pop, gens);
 
     assert_eq!(
         front_fingerprint(&serial),
@@ -131,8 +121,7 @@ fn bench_fleet_scale(c: &mut Criterion) {
         .collect();
     println!(
         "fleet_scale/{preset_name}: {wall_1:.3} s serial, {wall_n:.3} s at {par} threads \
-         x {scenario_par} scenario-threads (speedup x{speedup:.2}, gate {}, \
-         worker utilization [{}], fronts identical)",
+         (speedup x{speedup:.2}, gate {}, worker utilization [{}], fronts identical)",
         if gate_enforced {
             "enforced"
         } else {
@@ -146,7 +135,7 @@ fn bench_fleet_scale(c: &mut Criterion) {
     let json = format!(
         "{{\"benchmark\":\"{preset_name}\",\"tasks\":{},\"apps\":{},\"pes\":{},\
          \"population\":{pop},\"generations\":{gens},\"threads\":{par},\
-         \"scenario_threads\":{scenario_par},\"pool_capacity\":{capacity},\
+         \"pool_capacity\":{capacity},\
          \"wall_secs_1\":{wall_1:.6},\"wall_secs_n\":{wall_n:.6},\
          \"speedup\":{speedup:.3},\"speedup_required\":2.0,\
          \"speedup_gate_enforced\":{gate_enforced},\
@@ -172,7 +161,7 @@ fn bench_fleet_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_scale");
     group.sample_size(10);
     group.bench_function("explore/fleet_small_4x1", |bench| {
-        bench.iter(|| explore(&sb.apps, &sb.arch, dse_cfg(&sb, &small, par, 1, 4, 1)))
+        bench.iter(|| explore(&sb.apps, &sb.arch, dse_cfg(&sb, &small, par, 4, 1)))
     });
     group.finish();
 }

@@ -1,7 +1,7 @@
 //! Criterion-compat harness for the Algorithm 1 **analysis fast path**
-//! (warm-started scenario fixed points + dominance pruning), in two parts:
+//! (dominance pruning of scenario bound vectors), in two parts:
 //!
-//! 1. a macro A/B run over a heavily hardened DT-med design — the cold,
+//! 1. a macro A/B run over a heavily hardened DT-med design — the
 //!    prune-free reference enumeration ([`AnalysisOptions::reference`])
 //!    against the default fast path — asserting **bit-identical** windows
 //!    and verdicts while requiring strictly fewer backend calls;
@@ -32,7 +32,7 @@ use std::time::Instant;
 /// DT-med with every task hardened by two re-executions and nothing
 /// dropped: every trigger spawns a transition scenario whose bound vector
 /// inflates towards the head tasks', which is exactly the workload the
-/// dominance pruner and the warm starts are built for. The placement comes
+/// dominance pruner is built for. The placement comes
 /// from the first clustered chromosome whose reference analysis converges,
 /// so both timed variants chase real fixed points rather than saturating.
 fn hardened_dt_med() -> (Benchmark, HardenedSystem, Mapping) {
@@ -166,14 +166,13 @@ fn bench_wcrt_macro(c: &mut Criterion) {
     println!(
         "wcrt_analysis/dt_med: cold {:.2} ms, fast {:.2} ms (best of {batches} \
          batches x {per_batch} iters; speedup x{speedup:.2}; backend calls {} -> {}, \
-         {} of {} scenarios pruned, {} warm iters saved)",
+         {} of {} scenarios pruned)",
         wall_cold * 1e3,
         wall_fast * 1e3,
         cold.backend_calls,
         fast.backend_calls,
         fast.scenarios_pruned,
         fast.scenarios,
-        fast.warm_iters_saved
     );
     assert!(
         speedup >= 1.5,
@@ -188,7 +187,7 @@ fn bench_wcrt_macro(c: &mut Criterion) {
          \"wall_secs_cold\":{wall_cold:.6},\
          \"wall_secs_fast\":{wall_fast:.6},\"speedup\":{speedup:.3},\
          \"backend_calls_cold\":{},\"backend_calls_fast\":{},\
-         \"scenarios_pruned\":{},\"warm_iters_saved\":{},\
+         \"scenarios_pruned\":{},\
          \"fixedpoint_iters_cold\":{},\"fixedpoint_iters_fast\":{},\
          \"windows_identical\":true}}\n",
         hsys.num_tasks(),
@@ -196,7 +195,6 @@ fn bench_wcrt_macro(c: &mut Criterion) {
         cold.backend_calls,
         fast.backend_calls,
         fast.scenarios_pruned,
-        fast.warm_iters_saved,
         cold.fixedpoint_iters,
         fast.fixedpoint_iters,
     );

@@ -12,8 +12,7 @@
 //!                                [--obs-summary [json]] [--gen-stats [json]]
 //!                                [--audit [json]] [--checkpoint <path>]
 //!                                [--resume <path>] [--eval-retries N]
-//!                                [--scenario-threads N] [--no-warm-start]
-//!                                [--no-prune]
+//!                                [--no-prune] [--validate [N]]
 //!                                                         # power/service exploration
 //! mcmap_cli validate <benchmark> [pop gens] [--profiles N] [--seed N]
 //!                                [--boost F] [--threads N] [--json]
@@ -52,13 +51,11 @@
 //! prints the engine's instrumentation (cache hit rate, per-phase nanos,
 //! genomes/sec) as text or, with `--eval-stats json`, as JSON, plus the
 //! WCRT-analysis effort counters (backend calls, fixed-point iterations,
-//! scenarios pruned, warm-start savings). The analysis fast path is on by
-//! default and bit-identical to the cold reference whenever the analysis
-//! converges (pruning can change non-converged windows, and with them the
-//! front); `--no-warm-start` / `--no-prune` switch its two halves off for
-//! A/B timing and
-//! `--scenario-threads N` fans the per-candidate scenario analyses out
-//! over N workers.
+//! scenarios pruned). Dominance pruning of transition scenarios is on by
+//! default and bit-identical to the prune-free reference whenever the
+//! analysis converges (it can change non-converged windows, and with them
+//! the front); `--no-prune` switches it off for A/B timing. Any other
+//! flag is rejected with exit code 2.
 //!
 //! `dse` can additionally trace itself through `mcmap-obs`: `--trace`
 //! streams every event (spans, counters, per-generation telemetry) to a
@@ -136,8 +133,7 @@ fn usage() -> ExitCode {
          dse flags:  --threads <n>, --cache-cap <n>, --eval-stats [json],\n\
          \u{20}           --trace <path.jsonl>, --obs-summary [json], --gen-stats [json],\n\
          \u{20}           --audit [json], --checkpoint <path>, --resume <path>,\n\
-         \u{20}           --eval-retries <n>, --scenario-threads <n>,\n\
-         \u{20}           --no-warm-start, --no-prune, --validate [n]\n\
+         \u{20}           --eval-retries <n>, --no-prune, --validate [n]\n\
          analyze:    mcmap_cli analyze <benchmark> [seed] [--json]\n\
          validate:   mcmap_cli validate <benchmark> [pop gens] [--profiles <n>]\n\
          \u{20}           [--seed <n>] [--boost <f>] [--threads <n>] [--json]\n\
@@ -203,7 +199,6 @@ fn cmd_analyze(b: &Benchmark, seed: u64, json: bool) -> ExitCode {
             backend_calls: mc.backend_calls as u64,
             fixedpoint_iters: mc.fixedpoint_iters as u64,
             scenarios_pruned: mc.scenarios_pruned as u64,
-            warm_iters_saved: mc.warm_iters_saved as u64,
             analysis_nanos,
             ..AnalysisStats::default()
         };
@@ -268,13 +263,11 @@ fn cmd_analyze(b: &Benchmark, seed: u64, json: bool) -> ExitCode {
         );
     }
     println!(
-        "\nschedulable: {} ({} scenarios, {} backend calls, {} pruned, \
-         {} warm iterations saved)",
+        "\nschedulable: {} ({} scenarios, {} backend calls, {} pruned)",
         mc.schedulable(&d.hsys, &d.dropped),
         mc.scenarios,
         mc.backend_calls,
         mc.scenarios_pruned,
-        mc.warm_iters_saved
     );
     ExitCode::SUCCESS
 }
@@ -1248,8 +1241,9 @@ fn cmd_obs_diff(path_a: &str, path_b: &str, json: bool) -> ExitCode {
 }
 
 /// Strips the eval-engine flags (and their values) out of a `dse` argument
-/// tail, leaving the positional `[pop gens]` budget.
-fn dse_positionals(tail: &[String]) -> Vec<String> {
+/// tail, leaving the positional `[pop gens]` budget. An unknown flag is
+/// returned as the error: skipping it would read its value as the budget.
+fn dse_positionals(tail: &[String]) -> Result<Vec<String>, String> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < tail.len() {
@@ -1260,7 +1254,6 @@ fn dse_positionals(tail: &[String]) -> Vec<String> {
             || a == "--checkpoint"
             || a == "--resume"
             || a == "--eval-retries"
-            || a == "--scenario-threads"
         {
             i += 2;
         } else if a == "--eval-stats"
@@ -1280,14 +1273,16 @@ fn dse_positionals(tail: &[String]) -> Vec<String> {
             if tail.get(i).is_some_and(|v| v.parse::<u64>().is_ok()) {
                 i += 1;
             }
-        } else if a.starts_with("--") {
+        } else if a == "--no-prune" {
             i += 1;
+        } else if a.starts_with("--") {
+            return Err(a.to_string());
         } else {
             out.push(tail[i].clone());
             i += 1;
         }
     }
-    out
+    Ok(out)
 }
 
 fn main() -> ExitCode {
@@ -1356,7 +1351,14 @@ fn main() -> ExitCode {
         "dse" => {
             let tail = &args[2..];
             let knobs = EvalKnobs::from_args(tail);
-            let pos = dse_positionals(tail);
+            let pos = match dse_positionals(tail) {
+                Ok(pos) => pos,
+                Err(flag) => {
+                    eprintln!("mcmap_cli dse: unknown flag {flag}");
+                    usage();
+                    return ExitCode::from(2);
+                }
+            };
             let budget = |i: usize, default: usize| -> usize {
                 pos.get(i).and_then(|v| v.parse().ok()).unwrap_or(default)
             };

@@ -121,19 +121,16 @@ pub enum StatsFormat {
 /// `MCMAP_EVAL_STATS=text|json`, `--trace <path.jsonl>` / `MCMAP_TRACE`,
 /// `--obs-summary [text|json]` / `MCMAP_OBS_SUMMARY`, `--gen-stats
 /// [text|json]` / `MCMAP_GEN_STATS`, `--audit [text|json]` /
-/// `MCMAP_AUDIT`, plus the analysis fast-path knobs `--scenario-threads N`
-/// / `MCMAP_SCENARIO_THREADS`, `--no-warm-start` / `MCMAP_NO_WARM_START`,
-/// `--no-prune` / `MCMAP_NO_PRUNE`, and the workload override
-/// `--fleet <preset>` / `MCMAP_FLEET`.
+/// `MCMAP_AUDIT`, plus the analysis knob `--no-prune` / `MCMAP_NO_PRUNE`
+/// and the workload override `--fleet <preset>` / `MCMAP_FLEET`.
 ///
 /// CLI flags take precedence over environment variables. `threads == 0`
 /// (the default) means one worker per available core — results are
 /// bit-identical for any thread count, so this is purely a speed knob; so
 /// are all the observability flags (tracing never perturbs the search) and
-/// the analysis fast-path knobs (warm starts, scenario pruning, and the
-/// scenario thread count reproduce the cold reference bit-for-bit), with
-/// one known exception: pruning can change the windows of non-converged
-/// analyses, and with them the front (see
+/// scenario pruning (it reproduces the prune-free reference bit-for-bit),
+/// with one known exception: pruning can change the windows of
+/// non-converged analyses, and with them the front (see
 /// [`AnalysisOptions`](mcmap_core::AnalysisOptions)).
 #[derive(Debug, Clone)]
 pub struct EvalKnobs {
@@ -163,13 +160,6 @@ pub struct EvalKnobs {
     /// Retry budget for candidates whose evaluation panics
     /// (`--eval-retries` / `MCMAP_EVAL_RETRIES`, default 1).
     pub eval_retries: u32,
-    /// Worker threads for the per-candidate scenario fan-out
-    /// (`--scenario-threads` / `MCMAP_SCENARIO_THREADS`, default 1 —
-    /// candidate-level parallelism usually saturates the cores already).
-    pub scenario_threads: usize,
-    /// Disables warm-started scenario fixed points
-    /// (`--no-warm-start` / `MCMAP_NO_WARM_START`).
-    pub no_warm_start: bool,
     /// Disables dominance pruning of scenario bound-vectors
     /// (`--no-prune` / `MCMAP_NO_PRUNE`).
     pub no_prune: bool,
@@ -234,11 +224,6 @@ impl EvalKnobs {
             eval_retries: value_of("--eval-retries")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or_else(|| env_u64("MCMAP_EVAL_RETRIES", 1) as u32),
-            scenario_threads: value_of("--scenario-threads")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| env_usize("MCMAP_SCENARIO_THREADS", 1)),
-            no_warm_start: args.iter().any(|a| a == "--no-warm-start")
-                || env_usize("MCMAP_NO_WARM_START", 0) != 0,
             no_prune: args.iter().any(|a| a == "--no-prune") || env_usize("MCMAP_NO_PRUNE", 0) != 0,
             fleet: value_of("--fleet")
                 .filter(|v| !v.is_empty())
@@ -350,9 +335,7 @@ impl EvalKnobs {
         cfg.resilience.resume = self.resume.as_ref().map(std::path::PathBuf::from);
         cfg.resilience.eval_retries = self.eval_retries;
         cfg.analysis = mcmap_core::AnalysisOptions {
-            warm_start: !self.no_warm_start,
             prune: !self.no_prune,
-            scenario_threads: self.scenario_threads,
         };
         // A fleet run also deepens the hardening space to the preset's
         // bounds — that is part of what makes the workload fleet-scale.
@@ -566,9 +549,7 @@ mod tests {
         assert_eq!(k.threads, 4);
         assert_eq!(k.cache_cap, 128);
         assert_eq!(k.eval_stats, Some(StatsFormat::Json));
-        assert_eq!(k.scenario_threads, 1, "fast-path default");
-        assert!(!k.no_warm_start);
-        assert!(!k.no_prune);
+        assert!(!k.no_prune, "fast-path default");
 
         // A bare `--eval-stats` (even as the last flag) means text.
         let k = EvalKnobs::from_args(&["--eval-stats".to_string()]);
@@ -586,28 +567,18 @@ mod tests {
 
     #[test]
     fn eval_knobs_parse_analysis_flags() {
-        let args: Vec<String> = ["--scenario-threads", "3", "--no-warm-start", "--no-prune"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let k = EvalKnobs::from_args(&args);
-        assert_eq!(k.scenario_threads, 3);
-        assert!(k.no_warm_start);
+        let k = EvalKnobs::from_args(&["--no-prune".to_string()]);
         assert!(k.no_prune);
 
         let mut cfg = mcmap_core::DseConfig::default();
         k.apply(&mut cfg);
-        assert!(!cfg.analysis.warm_start);
         assert!(!cfg.analysis.prune);
-        assert_eq!(cfg.analysis.scenario_threads, 3);
 
         // The defaults leave the fast path on.
         let k = EvalKnobs::from_args(&[]);
         let mut cfg = mcmap_core::DseConfig::default();
         k.apply(&mut cfg);
-        assert!(cfg.analysis.warm_start);
         assert!(cfg.analysis.prune);
-        assert_eq!(cfg.analysis.scenario_threads, 1);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! the chronological information of each transition, which is exactly what
 //! removes the pessimism of the naive treatment.
 
-use mcmap_eval::parallel_map;
 use mcmap_hardening::{HTaskId, HardenedSystem};
 use mcmap_model::{AppId, Architecture, ExecBounds, Time};
 use mcmap_sched::{
@@ -20,65 +19,46 @@ use mcmap_sim::{ExhaustiveReexecution, SimConfig, Simulator};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// Tuning knobs of the scenario-level WCRT fast path.
+/// The one knob of the scenario-level WCRT analysis: dominance pruning.
 ///
-/// For every analysis whose fixed points converge, every combination of
-/// knobs produces **bit-identical** [`McAnalysis`] windows and verdicts
-/// (see `DESIGN.md` §15 for the argument); the knobs only trade wall time
-/// for backend work, so they are deliberately *not* part of any result
-/// fingerprint.
+/// Rely: the backend is monotone in the bounds and every scenario run
+/// converges. Guarantee: `prune` on and off give **bit-identical**
+/// [`McAnalysis`] windows and verdicts (see `DESIGN.md` §15), so the knob
+/// only trades wall time for backend work and is deliberately *not* part
+/// of any result fingerprint.
 ///
-/// **Known exception:** dominance pruning relies on backend monotonicity,
-/// which only holds at converged fixed points. When a scenario run does
-/// not converge, `prune` can change the partial `worst` windows, hence the
+/// **Known exception:** when a scenario run does not converge, the rely
+/// fails: `prune` can change the partial `worst` windows, hence the
 /// deadline-ratio penalty the DSE derives from them, and with it the
 /// front: `mcmap_cli dse dt-med 48 30` finds 865 feasible candidates with
 /// pruning and 974 with `--no-prune`. Converged analyses are unaffected.
 ///
-/// The other exceptions are the effort counters
-/// ([`McAnalysis::backend_calls`], [`McAnalysis::fixedpoint_iters`],
-/// [`McAnalysis::scenarios_pruned`], [`McAnalysis::warm_iters_saved`]),
-/// which report the work *actually performed* and therefore change — still
-/// deterministically — with `warm_start`/`prune` (never with
-/// `scenario_threads`).
+/// The effort counters ([`McAnalysis::backend_calls`],
+/// [`McAnalysis::fixedpoint_iters`], [`McAnalysis::scenarios_pruned`])
+/// report the work *actually performed* and therefore change — still
+/// deterministically — with `prune`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalysisOptions {
-    /// Seed each scenario fixed point from the normal-state solution
-    /// whenever the scenario's bounds pointwise contain the normal-state
-    /// bounds ([`SchedBackend::analyze_from`]).
-    pub warm_start: bool,
     /// Skip backend runs for scenarios whose bound vector is pointwise
     /// dominated by another scenario's: by backend monotonicity the
     /// dominating run's windows contain the dominated one's, so folding the
     /// dominated scenario into the worst case is a no-op.
     pub prune: bool,
-    /// Worker threads for independent scenario runs of one candidate
-    /// (`<= 1` runs inline). Results are order-preserved and identical for
-    /// any thread count.
-    pub scenario_threads: usize,
 }
 
 impl Default for AnalysisOptions {
-    /// The fast path: warm starts and pruning on, serial scenario runs.
+    /// The fast path: pruning on.
     fn default() -> Self {
-        Self {
-            warm_start: true,
-            prune: true,
-            scenario_threads: 1,
-        }
+        Self { prune: true }
     }
 }
 
 impl AnalysisOptions {
-    /// The cold, prune-free reference enumeration — one cold backend run
-    /// per distinct scenario, exactly the pre-fast-path behavior. Used by
-    /// the equivalence proptests and the `wcrt_analysis` bench baseline.
+    /// The prune-free reference enumeration — one backend run per distinct
+    /// scenario. Used by the equivalence proptests and the `wcrt_analysis`
+    /// bench baseline.
     pub fn reference() -> Self {
-        Self {
-            warm_start: false,
-            prune: false,
-            scenario_threads: 1,
-        }
+        Self { prune: false }
     }
 }
 
@@ -171,11 +151,6 @@ pub struct McAnalysis {
     /// windows are bounded by — and their diagnostics taken from — the
     /// dominating run). Always 0 with [`AnalysisOptions::reference`].
     pub scenarios_pruned: usize,
-    /// Estimated fixed-point sweeps avoided by warm-starting scenario runs
-    /// from the normal-state solution, using the normal-state run's
-    /// iteration count as the cold-run proxy (a cold scenario run starts
-    /// from the same floor). Deterministic; 0 when warm starts are off.
-    pub warm_iters_saved: usize,
 }
 
 impl McAnalysis {
@@ -273,7 +248,7 @@ fn critical_wcet(
 ///
 /// Runs with the default [`AnalysisOptions`] (the fast path); see
 /// [`proposed_analysis_with`] to pick different knobs.
-pub fn proposed_analysis<B: SchedBackend + Sync + ?Sized>(
+pub fn proposed_analysis<B: SchedBackend + ?Sized>(
     backend: &B,
     hsys: &HardenedSystem,
     arch: &Architecture,
@@ -299,12 +274,10 @@ pub fn proposed_analysis<B: SchedBackend + Sync + ?Sized>(
 /// distinct threshold key, see `DESIGN.md` §15 — and deduplicate the
 /// vectors by content; (2) when pruning is on, drop every vector that is
 /// pointwise dominated by another and remember its first *maximal*
-/// dominator; (3) run the backend once per surviving vector — warm-started
-/// from the normal-state solution when the vector contains the normal-state
-/// bounds — optionally fanned out over the order-preserving worker pool,
-/// then fold the worst case and resolve per-scenario diagnostics (pruned
-/// scenarios report their dominator's windows).
-pub fn proposed_analysis_with<B: SchedBackend + Sync + ?Sized>(
+/// dominator; (3) run the backend once per surviving vector, then fold the
+/// worst case and resolve per-scenario diagnostics (pruned scenarios report
+/// their dominator's windows).
+pub fn proposed_analysis_with<B: SchedBackend + ?Sized>(
     backend: &B,
     hsys: &HardenedSystem,
     arch: &Architecture,
@@ -464,38 +437,18 @@ pub fn proposed_analysis_with<B: SchedBackend + Sync + ?Sized>(
         .filter(|&i| !opts.prune || !(0..m).any(|j| j != i && dominates_at(j, i)))
         .collect();
 
-    // Backend runs for the surviving vectors, warm-started from the
-    // normal-state solution whenever the scenario's bounds pointwise
-    // contain the normal-state bounds (the `analyze_from` contract; the
-    // gate fails exactly for scenarios with certainly-dropped `[0, 0]`
-    // tasks). Identical results for any thread count: the pool preserves
-    // order and each run is a pure function of its vector.
-    let run_one = |&i: &usize| -> (TaskWindows, bool) {
-        let b = &distinct[i];
-        if opts.warm_start && normal.converged && dominates(b, &normal_bounds) {
-            (backend.analyze_from(b, &normal), true)
-        } else {
-            (backend.analyze(b), false)
-        }
-    };
-    let results: Vec<(TaskWindows, bool)> = if opts.scenario_threads > 1 && to_run.len() > 1 {
-        parallel_map(&to_run, opts.scenario_threads, run_one)
-    } else {
-        to_run.iter().map(run_one).collect()
-    };
+    let results: Vec<TaskWindows> = to_run
+        .iter()
+        .map(|&i| backend.analyze(&distinct[i]))
+        .collect();
 
     // Fold the worst case over the runs actually performed and resolve the
     // windows each distinct vector is bounded by.
     let mut worst = normal.clone();
     let mut fixedpoint_iters = normal.outer_iters;
-    let mut warm_iters_saved = 0usize;
     let mut resolved: Vec<Option<usize>> = vec![None; m];
-    for (k, &i) in to_run.iter().enumerate() {
-        let (windows, warmed) = &results[k];
+    for (k, (&i, windows)) in to_run.iter().zip(&results).enumerate() {
         fixedpoint_iters += windows.outer_iters;
-        if *warmed {
-            warm_iters_saved += normal.outer_iters.saturating_sub(windows.outer_iters);
-        }
         worst.converged &= windows.converged;
         for t in 0..n {
             worst.max_finish[t] = worst.max_finish[t].max(windows.max_finish[t]);
@@ -517,7 +470,7 @@ pub fn proposed_analysis_with<B: SchedBackend + Sync + ?Sized>(
     // scenario that run resolves.
     let run_app_wcrt: Vec<Vec<Time>> = results
         .iter()
-        .map(|(windows, _)| {
+        .map(|windows| {
             hsys.apps()
                 .iter()
                 .map(|happ| windows.app_wcrt(hsys, happ.app))
@@ -544,7 +497,6 @@ pub fn proposed_analysis_with<B: SchedBackend + Sync + ?Sized>(
         class_critical: classes[class::CRITICAL],
         fixedpoint_iters,
         scenarios_pruned: m - to_run.len(),
-        warm_iters_saved,
     }
 }
 
@@ -622,7 +574,7 @@ pub fn analyze(
 }
 
 /// [`analyze`] with explicit [`AnalysisOptions`] — the entry point the DSE
-/// uses to honor `--no-warm-start`/`--no-prune`/`--scenario-threads`.
+/// uses to honor `--no-prune`.
 pub fn analyze_with(
     hsys: &HardenedSystem,
     arch: &Architecture,
@@ -1033,8 +985,8 @@ mod dedup_tests {
         );
     }
 
-    /// All knob combinations (and any scenario thread count) produce the
-    /// same windows, verdicts, and classification counts.
+    /// Pruning on and off produce the same windows, verdicts, and
+    /// classification counts.
     #[test]
     fn fast_path_knobs_never_change_the_result() {
         let arch = Architecture::builder()
@@ -1094,50 +1046,39 @@ mod dedup_tests {
             &dropped,
             AnalysisOptions::reference(),
         );
-        for warm_start in [false, true] {
-            for prune in [false, true] {
-                for scenario_threads in [1, 4] {
-                    let opts = AnalysisOptions {
-                        warm_start,
-                        prune,
-                        scenario_threads,
-                    };
-                    let mc = analyze_with(&hsys, &arch, &mapping, &policies, &dropped, opts);
-                    assert_eq!(mc.normal, reference.normal, "{opts:?}");
-                    assert_eq!(mc.worst, reference.worst, "{opts:?}");
-                    assert_eq!(
-                        mc.schedulable(&hsys, &dropped),
-                        reference.schedulable(&hsys, &dropped),
-                        "{opts:?}"
-                    );
-                    assert_eq!(
-                        (
-                            mc.scenarios,
-                            mc.class_normal,
-                            mc.class_dropped,
-                            mc.class_transition,
-                            mc.class_critical
-                        ),
-                        (
-                            reference.scenarios,
-                            reference.class_normal,
-                            reference.class_dropped,
-                            reference.class_transition,
-                            reference.class_critical
-                        ),
-                        "{opts:?}"
-                    );
-                    if !warm_start {
-                        assert_eq!(mc.warm_iters_saved, 0, "{opts:?}");
-                    }
-                    if !prune {
-                        assert_eq!(mc.scenarios_pruned, 0, "{opts:?}");
-                        assert_eq!(
-                            mc.scenario_app_wcrt, reference.scenario_app_wcrt,
-                            "{opts:?}"
-                        );
-                    }
-                }
+        for prune in [false, true] {
+            let opts = AnalysisOptions { prune };
+            let mc = analyze_with(&hsys, &arch, &mapping, &policies, &dropped, opts);
+            assert_eq!(mc.normal, reference.normal, "{opts:?}");
+            assert_eq!(mc.worst, reference.worst, "{opts:?}");
+            assert_eq!(
+                mc.schedulable(&hsys, &dropped),
+                reference.schedulable(&hsys, &dropped),
+                "{opts:?}"
+            );
+            assert_eq!(
+                (
+                    mc.scenarios,
+                    mc.class_normal,
+                    mc.class_dropped,
+                    mc.class_transition,
+                    mc.class_critical
+                ),
+                (
+                    reference.scenarios,
+                    reference.class_normal,
+                    reference.class_dropped,
+                    reference.class_transition,
+                    reference.class_critical
+                ),
+                "{opts:?}"
+            );
+            if !prune {
+                assert_eq!(mc.scenarios_pruned, 0, "{opts:?}");
+                assert_eq!(
+                    mc.scenario_app_wcrt, reference.scenario_app_wcrt,
+                    "{opts:?}"
+                );
             }
         }
     }

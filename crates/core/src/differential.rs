@@ -94,7 +94,7 @@ fn dominates(a: &[ExecBounds], b: &[ExecBounds]) -> bool {
 
 /// The scenario enumeration as it was: every task reclassified for every
 /// trigger, SipHash dedup, all-pairs dominance, per-scenario response
-/// times. Serial scenario runs (thread count never changes results).
+/// times.
 fn proposed_analysis_reference<B: SchedBackend>(
     backend: &B,
     hsys: &HardenedSystem,
@@ -178,27 +178,16 @@ fn proposed_analysis_reference<B: SchedBackend>(
         }
     }
     let to_run: Vec<usize> = (0..m).filter(|&i| maximal[i]).collect();
-    let results: Vec<(TaskWindows, bool)> = to_run
+    let results: Vec<TaskWindows> = to_run
         .iter()
-        .map(|&i| {
-            let b = &distinct[i];
-            if opts.warm_start && normal.converged && dominates(b, &normal_bounds) {
-                (backend.analyze_from(b, &normal), true)
-            } else {
-                (backend.analyze(b), false)
-            }
-        })
+        .map(|&i| backend.analyze(&distinct[i]))
         .collect();
     let mut worst = normal.clone();
     let mut fixedpoint_iters = normal.outer_iters;
-    let mut warm_iters_saved = 0usize;
     let mut resolved: Vec<Option<usize>> = vec![None; m];
     for (k, &i) in to_run.iter().enumerate() {
-        let (windows, warmed) = &results[k];
+        let windows = &results[k];
         fixedpoint_iters += windows.outer_iters;
-        if *warmed {
-            warm_iters_saved += normal.outer_iters.saturating_sub(windows.outer_iters);
-        }
         worst.converged &= windows.converged;
         for t in 0..n {
             worst.max_finish[t] = worst.max_finish[t].max(windows.max_finish[t]);
@@ -216,7 +205,7 @@ fn proposed_analysis_reference<B: SchedBackend>(
     let scenario_app_wcrt = scenario_vec
         .iter()
         .map(|&(v, di)| {
-            let windows = &results[resolved[di].expect("resolved")].0;
+            let windows = &results[resolved[di].expect("resolved")];
             let wcrt = hsys
                 .apps()
                 .iter()
@@ -237,7 +226,6 @@ fn proposed_analysis_reference<B: SchedBackend>(
         class_critical,
         fixedpoint_iters,
         scenarios_pruned: m - to_run.len(),
-        warm_iters_saved,
     }
 }
 
@@ -406,21 +394,9 @@ impl<B: SchedBackend> SchedBackend for Disordered<B> {
     }
 }
 
-/// Every knob combination of the fast path.
-fn all_options() -> Vec<AnalysisOptions> {
-    let mut out = Vec::new();
-    for warm_start in [false, true] {
-        for prune in [false, true] {
-            for scenario_threads in [1, 3] {
-                out.push(AnalysisOptions {
-                    warm_start,
-                    prune,
-                    scenario_threads,
-                });
-            }
-        }
-    }
-    out
+/// Both settings of the pruning knob.
+fn all_options() -> [AnalysisOptions; 2] {
+    [false, true].map(|prune| AnalysisOptions { prune })
 }
 
 #[test]
@@ -456,7 +432,7 @@ fn enumeration_matches_the_reference_for_every_knob() {
                     assert_eq!(fast, reference, "{} genome {i}, {opts:?}", b.name);
                     // Disordered windows multiply the distinct vectors, so
                     // only random genomes under pruning take this check.
-                    if i % 3 != 0 || !opts.prune || opts.scenario_threads > 1 {
+                    if i % 3 != 0 || !opts.prune {
                         continue;
                     }
                     let fast = proposed_analysis_with(

@@ -132,10 +132,9 @@ pub struct DseConfig {
     /// Fault-tolerance knobs (checkpointing, resume, panic isolation,
     /// chaos injection). All default off; none affect search results.
     pub resilience: ResilienceConfig,
-    /// Scenario-level WCRT fast-path knobs (warm starts, dominance
-    /// pruning, per-candidate scenario threads). Meant as speed knobs, so
-    /// — like the thread and cache knobs — they are excluded from the
-    /// context and run fingerprints. Every combination yields
+    /// Scenario-level WCRT knob (dominance pruning). Meant as a speed
+    /// knob, so — like the thread and cache knobs — it is excluded from
+    /// the context and run fingerprints. Pruning on and off yield
     /// bit-identical fronts and canonical traces as long as every analysis
     /// converges; pruning can change the windows of non-converged analyses
     /// and with them the front (see [`AnalysisOptions`]).
@@ -323,8 +322,6 @@ pub struct AnalysisStats {
     pub fixedpoint_iters: u64,
     /// Distinct scenario bound-vectors skipped by dominance pruning.
     pub scenarios_pruned: u64,
-    /// Estimated fixed-point sweeps avoided by warm-started runs.
-    pub warm_iters_saved: u64,
     /// Wall nanoseconds inside Algorithm 1 (fresh evaluations only —
     /// cache hits replay the nanos their miss originally spent).
     pub analysis_nanos: u64,
@@ -354,14 +351,13 @@ impl AnalysisStats {
         format!(
             "analysis-stats: {} candidates, {} scenarios, {} backend calls\n\
              analysis-stats: fast path: {} scenarios pruned ({:.2} %), \
-             {} warm iters saved, {} fixed-point iters total\n\
+             {} fixed-point iters total\n\
              analysis-stats: {} ns inside Algorithm 1\n",
             self.candidates,
             self.scenarios,
             self.backend_calls,
             self.scenarios_pruned,
             100.0 * self.prune_rate(),
-            self.warm_iters_saved,
             self.fixedpoint_iters,
             self.analysis_nanos,
         )
@@ -373,7 +369,7 @@ impl AnalysisStats {
         format!(
             "{{\"candidates\":{},\"scenarios\":{},\"backend_calls\":{},\
              \"fixedpoint_iters\":{},\"scenarios_pruned\":{},\
-             \"prune_rate\":{:.6},\"warm_iters_saved\":{},\
+             \"prune_rate\":{:.6},\
              \"analysis_nanos\":{}}}",
             self.candidates,
             self.scenarios,
@@ -381,7 +377,6 @@ impl AnalysisStats {
             self.fixedpoint_iters,
             self.scenarios_pruned,
             self.prune_rate(),
-            self.warm_iters_saved,
             self.analysis_nanos,
         )
     }
@@ -401,7 +396,6 @@ struct Counters {
     an_backend_calls: AtomicU64,
     an_fixedpoint_iters: AtomicU64,
     an_pruned: AtomicU64,
-    an_warm_saved: AtomicU64,
     an_nanos: AtomicU64,
 }
 
@@ -460,7 +454,6 @@ struct SchedMetrics {
     candidates: Arc<Counter>,
     scenarios: Arc<Counter>,
     backend_calls: Arc<Counter>,
-    warm_iters_saved: Arc<Counter>,
     fixedpoint_iters: Arc<Histogram>,
     analysis_ns: Arc<Histogram>,
 }
@@ -471,7 +464,6 @@ impl SchedMetrics {
             candidates: registry.counter("sched.candidates", Class::Det),
             scenarios: registry.counter("sched.scenarios", Class::Det),
             backend_calls: registry.counter("sched.backend_calls", Class::Det),
-            warm_iters_saved: registry.counter("sched.warm_iters_saved", Class::Det),
             fixedpoint_iters: registry.histogram("sched.fixedpoint_iters", Class::Det),
             analysis_ns: registry.histogram("sched.analysis_ns", Class::Nondet),
         }
@@ -482,7 +474,6 @@ impl SchedMetrics {
         self.candidates.inc();
         self.scenarios.add(e.scenarios as u64);
         self.backend_calls.add(e.backend_calls as u64);
-        self.warm_iters_saved.add(e.warm_iters_saved as u64);
         self.fixedpoint_iters.observe(e.fixedpoint_iters as u64);
         self.analysis_ns.observe(r.analysis_nanos);
     }
@@ -535,8 +526,6 @@ struct AnalysisEffort {
     class_critical: usize,
     /// Distinct scenario bound-vectors skipped by dominance pruning.
     scenarios_pruned: usize,
-    /// Estimated fixed-point sweeps avoided by warm-started runs.
-    warm_iters_saved: usize,
 }
 
 /// Content fingerprint of the non-genome evaluation inputs: the memo key
@@ -754,7 +743,6 @@ impl<'a> MappingProblem<'a> {
             backend_calls: self.counters.an_backend_calls.load(Ordering::Relaxed),
             fixedpoint_iters: self.counters.an_fixedpoint_iters.load(Ordering::Relaxed),
             scenarios_pruned: self.counters.an_pruned.load(Ordering::Relaxed),
-            warm_iters_saved: self.counters.an_warm_saved.load(Ordering::Relaxed),
             analysis_nanos: self.counters.an_nanos.load(Ordering::Relaxed),
             ..AnalysisStats::default()
         }
@@ -949,7 +937,6 @@ impl<'a> MappingProblem<'a> {
             class_transition: mc.class_transition,
             class_critical: mc.class_critical,
             scenarios_pruned: mc.scenarios_pruned,
-            warm_iters_saved: mc.warm_iters_saved,
         };
         let app_wcrt: Vec<Time> = self
             .apps
@@ -989,7 +976,6 @@ impl<'a> MappingProblem<'a> {
             effort.backend_calls += mc0.backend_calls;
             effort.fixedpoint_iters += mc0.fixedpoint_iters;
             effort.scenarios_pruned += mc0.scenarios_pruned;
-            effort.warm_iters_saved += mc0.warm_iters_saved;
             let feasible_without = mc0.schedulable(&hsys, &[]);
             Some(schedulable && penalty == 0.0 && !feasible_without)
         } else {
@@ -1085,9 +1071,6 @@ impl<'a> MappingProblem<'a> {
             .an_pruned
             .fetch_add(e.scenarios_pruned as u64, Ordering::Relaxed);
         self.counters
-            .an_warm_saved
-            .fetch_add(e.warm_iters_saved as u64, Ordering::Relaxed);
-        self.counters
             .an_nanos
             .fetch_add(r.analysis_nanos, Ordering::Relaxed);
         if let Some(m) = &self.metrics {
@@ -1107,7 +1090,6 @@ impl<'a> MappingProblem<'a> {
                     ("backend_calls", Value::from(e.backend_calls)),
                     ("fixedpoint_iters", Value::from(e.fixedpoint_iters)),
                     ("scenarios_pruned", Value::from(e.scenarios_pruned)),
-                    ("warm_iters_saved", Value::from(e.warm_iters_saved)),
                     ("class_normal", Value::from(e.class_normal)),
                     ("class_dropped", Value::from(e.class_dropped)),
                     ("class_transition", Value::from(e.class_transition)),
@@ -1290,8 +1272,8 @@ pub struct DseOutcome {
     /// Evaluation-engine instrumentation (cache traffic, per-phase nanos,
     /// throughput) over the whole run.
     pub eval_stats: EvalStats,
-    /// Scenario-analysis effort (Algorithm 1 enumeration, fast-path
-    /// pruning and warm-start savings) over the whole run.
+    /// Scenario-analysis effort (Algorithm 1 enumeration and dominance
+    /// pruning) over the whole run.
     pub analysis: AnalysisStats,
     /// The recorder the run traced into (a clone of `DseConfig::obs`,
     /// already flushed). Query its in-memory ring with
@@ -1878,7 +1860,6 @@ mod tests {
                     run.analysis.backend_calls,
                     run.analysis.fixedpoint_iters,
                     run.analysis.scenarios_pruned,
-                    run.analysis.warm_iters_saved,
                 ),
                 (
                     reference.analysis.candidates,
@@ -1886,7 +1867,6 @@ mod tests {
                     reference.analysis.backend_calls,
                     reference.analysis.fixedpoint_iters,
                     reference.analysis.scenarios_pruned,
-                    reference.analysis.warm_iters_saved,
                 ),
                 "threads={threads} cache_cap={cache_cap}"
             );
@@ -1897,7 +1877,6 @@ mod tests {
         cold_cfg.analysis = AnalysisOptions::reference();
         let cold = explore(&apps, &arch, cold_cfg);
         assert_eq!(cold.analysis.scenarios_pruned, 0);
-        assert_eq!(cold.analysis.warm_iters_saved, 0);
         assert!(cold.analysis.backend_calls >= reference.analysis.backend_calls);
         assert_eq!(cold.result.front.len(), reference.result.front.len());
         for (a, b) in cold.result.front.iter().zip(&reference.result.front) {

@@ -8,26 +8,8 @@ use mcmap_resilience::{panic_message, EvalFailure};
 use mcmap_telemetry::{Class, Counter, Histogram, Registry};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Predicted per-batch work (nanoseconds) below which fanning out to the
-/// worker pool costs more than it saves. Retuned for the persistent pool
-/// (PR 10): dispatch no longer spawns threads per batch, it enqueues one
-/// ticket and wakes already-parked helpers, so the fixed cost dropped from
-/// low milliseconds to tens of microseconds of wake-up latency plus
-/// contended sharded-cache traffic. A batch whose *observed* per-candidate
-/// cost times its size lands under this bound runs serially instead.
-///
-/// The bound keeps a ~2× margin over the measured break-even for the same
-/// reason as before: the cost history it consults is per-thread accounted,
-/// and a batch that already ran parallel inflates it by the very
-/// contention (allocator, cache shards) the fallback exists to dodge. With
-/// the old 8 ms bound dt-med batches (~2 ms of real work) were *always*
-/// rescued serially; at 750 µs they fan out, and only genuinely tiny
-/// (near-fully-cached) batches fall back.
-const SERIAL_FALLBACK_NANOS: u64 = 750_000;
 
 /// Where an evaluation attempt sits inside its batch — handed to the
 /// evaluation closure of [`EvalEngine::evaluate_batch_isolated`] so fault
@@ -100,15 +82,14 @@ pub struct EvalEngine<V> {
 
 /// The engine's registered telemetry instruments. Batch/genome counts are
 /// deterministic functions of the submitted work; everything else (the
-/// hit/miss split, wall latency, the timing-driven serial fallback) is
-/// thread-racy and registered as [`Class::Nondet`].
+/// hit/miss split, wall latency) is thread-racy and registered as
+/// [`Class::Nondet`].
 struct EvalMetrics {
     batches: Arc<Counter>,
     genomes: Arc<Counter>,
     batch_wall: Arc<Histogram>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
-    serial_fallbacks: Arc<Counter>,
 }
 
 impl EvalMetrics {
@@ -119,7 +100,6 @@ impl EvalMetrics {
             batch_wall: registry.histogram("eval.batch_wall_ns", Class::Nondet),
             cache_hits: registry.counter("eval.cache_hits", Class::Nondet),
             cache_misses: registry.counter("eval.cache_misses", Class::Nondet),
-            serial_fallbacks: registry.counter("eval.serial_fallbacks", Class::Nondet),
         }
     }
 
@@ -132,8 +112,6 @@ impl EvalMetrics {
         self.cache_hits.add(after.cache_hits - before.cache_hits);
         self.cache_misses
             .add(after.cache_misses - before.cache_misses);
-        self.serial_fallbacks
-            .add(after.serial_fallbacks - before.serial_fallbacks);
     }
 }
 
@@ -185,8 +163,8 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
 
     /// Attaches a telemetry registry: the engine registers its fleet
     /// metrics (`eval.batches` / `eval.genomes` as deterministic counters;
-    /// batch wall-latency histogram, cache hit/miss split, and
-    /// serial-fallback count as non-deterministic) and folds every batch
+    /// batch wall-latency histogram and cache hit/miss split as
+    /// non-deterministic) and folds every batch
     /// into them. A disabled registry leaves the engine unmetered — the
     /// hot path carries no extra work. Results are identical either way.
     #[must_use]
@@ -244,34 +222,6 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
         v
     }
 
-    /// Picks the effective worker count for a batch: the requested budget,
-    /// unless the work the batch is *predicted* to carry (observed
-    /// per-candidate cost × batch size) is too small to amortize pool and
-    /// cache-contention overhead — then the batch runs serially and the
-    /// fallback is counted. The first batch has no history and always
-    /// honors the request. Results are bit-identical either way (the
-    /// thread count never shapes values or order), so this timing-driven
-    /// choice stays out of the canonical trace like any other thread knob.
-    fn adaptive_threads(&self, batch: usize, requested: usize) -> usize {
-        if requested == 1 || batch <= 1 {
-            return requested;
-        }
-        let history = self.counters.genomes.load(Ordering::Relaxed);
-        if history == 0 {
-            return requested;
-        }
-        let work = self.counters.lookup_nanos.load(Ordering::Relaxed)
-            + self.counters.eval_nanos.load(Ordering::Relaxed)
-            + self.counters.insert_nanos.load(Ordering::Relaxed);
-        let predicted = (work / history).saturating_mul(batch as u64);
-        if predicted < SERIAL_FALLBACK_NANOS {
-            self.counters.add(&self.counters.serial_fallbacks, 1);
-            1
-        } else {
-            requested
-        }
-    }
-
     /// Evaluates a batch across `threads` workers (0 = one per core),
     /// returning results in input order regardless of thread count.
     pub fn evaluate_batch<G, F>(&self, genomes: &[G], threads: usize, eval: F) -> Vec<V>
@@ -287,12 +237,8 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
             .obs
             .span("eval.batch", &[("genomes", Value::from(genomes.len()))]);
         span.nondet("threads", threads);
-        let effective = self.adaptive_threads(genomes.len(), threads);
-        if effective != threads {
-            span.nondet("serial_fallback", true);
-        }
         let (results, loads) =
-            parallel_map_timed(genomes, effective, |g| self.evaluate_one(g, &eval));
+            parallel_map_timed(genomes, threads, |g| self.evaluate_one(g, &eval));
         self.counters.merge_loads(&loads);
         self.counters.add(&self.counters.batches, 1);
         self.counters
@@ -378,10 +324,6 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
             .obs
             .span("eval.batch", &[("genomes", Value::from(genomes.len()))]);
         span.nondet("threads", threads);
-        let effective = self.adaptive_threads(genomes.len(), threads);
-        if effective != threads {
-            span.nondet("serial_fallback", true);
-        }
 
         let mut slots: Vec<Option<Result<V, EvalFailure>>> = std::iter::repeat_with(|| None)
             .take(genomes.len())
@@ -390,7 +332,7 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
         let mut attempt: u32 = 0;
         while !pending.is_empty() {
             let wave: Vec<(usize, &G)> = pending.iter().map(|&i| (i, &genomes[i])).collect();
-            let (outcomes, loads) = parallel_map_caught_timed(&wave, effective, |&(index, g)| {
+            let (outcomes, loads) = parallel_map_caught_timed(&wave, threads, |&(index, g)| {
                 let ctx = EvalContext { index, attempt };
                 inject(ctx);
                 self.evaluate_one(g, |g| eval(g, ctx))
@@ -638,53 +580,6 @@ mod tests {
             .map(|r| r.unwrap())
             .collect();
         assert_eq!(plain, isolated);
-    }
-
-    #[test]
-    fn small_cheap_batches_fall_back_to_serial_dispatch() {
-        let e = engine(256);
-        let genomes: Vec<u64> = (0..24).collect();
-        // First batch: no cost history, the requested budget is honored.
-        let first = e.evaluate_batch(&genomes, 4, |g| g + 1);
-        assert_eq!(e.stats().serial_fallbacks, 0);
-        // Second batch: observed per-candidate cost is sub-microsecond, so
-        // 24 candidates predict far below the fan-out threshold — the batch
-        // runs serially, with identical results.
-        let second = e.evaluate_batch(&genomes, 4, |g| g + 1);
-        assert_eq!(first, second);
-        assert_eq!(e.stats().serial_fallbacks, 1);
-        // The isolated path takes the same decision.
-        let isolated: Vec<u64> = e
-            .evaluate_batch_isolated(&genomes, 4, 1, |g, _ctx| g + 1)
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(isolated, second);
-        assert_eq!(e.stats().serial_fallbacks, 2);
-    }
-
-    #[test]
-    fn expensive_batches_keep_their_thread_budget() {
-        let e = engine(0); // no cache: every candidate pays full cost
-        let genomes: Vec<u64> = (0..4).collect();
-        let slow = |g: &u64| {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            *g
-        };
-        let _ = e.evaluate_batch(&genomes, 4, slow);
-        // History now says ~5 ms per candidate → 4 candidates predict
-        // 20 ms, comfortably above the threshold: no fallback.
-        let _ = e.evaluate_batch(&genomes, 4, slow);
-        assert_eq!(e.stats().serial_fallbacks, 0);
-    }
-
-    #[test]
-    fn serial_requests_never_count_as_fallbacks() {
-        let e = engine(256);
-        let genomes: Vec<u64> = (0..10).collect();
-        let _ = e.evaluate_batch(&genomes, 1, |g| *g);
-        let _ = e.evaluate_batch(&genomes, 1, |g| *g);
-        assert_eq!(e.stats().serial_fallbacks, 0);
     }
 
     #[test]

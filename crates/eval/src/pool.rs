@@ -8,12 +8,12 @@
 //! results are written straight into their output slots (no per-worker
 //! bucket allocation, no gather pass).
 //!
-//! The pool is also the process's **shared thread budget**: batch-level
-//! parallelism (`--threads`) and scenario-level parallelism
-//! (`--scenario-threads`) both borrow helpers from the same fixed set, so
-//! nested fan-out *composes* instead of oversubscribing — an inner
-//! `parallel_map` issued from a helper that finds every other helper busy
-//! simply runs inline on its caller. Deadlock is impossible by
+//! The pool is also the process's **shared thread budget**: every
+//! `parallel_map` call, nested ones included, borrows helpers from the
+//! same fixed set, so nested fan-out *composes* instead of
+//! oversubscribing — an inner `parallel_map` issued from a helper that
+//! finds every other helper busy simply runs inline on its caller.
+//! Deadlock is impossible by
 //! construction: the submitting thread always participates in its own run,
 //! so every run completes even when zero helpers are free.
 

@@ -14,7 +14,6 @@ pub(crate) struct StatCounters {
     pub evictions: AtomicU64,
     pub panics: AtomicU64,
     pub degraded: AtomicU64,
-    pub serial_fallbacks: AtomicU64,
     pub lookup_nanos: AtomicU64,
     pub eval_nanos: AtomicU64,
     pub insert_nanos: AtomicU64,
@@ -52,7 +51,6 @@ impl StatCounters {
             &self.evictions,
             &self.panics,
             &self.degraded,
-            &self.serial_fallbacks,
             &self.lookup_nanos,
             &self.eval_nanos,
             &self.insert_nanos,
@@ -73,7 +71,6 @@ impl StatCounters {
             evictions: self.evictions.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
-            serial_fallbacks: self.serial_fallbacks.load(Ordering::Relaxed),
             cache_entries,
             lookup_nanos: self.lookup_nanos.load(Ordering::Relaxed),
             eval_nanos: self.eval_nanos.load(Ordering::Relaxed),
@@ -109,10 +106,6 @@ pub struct EvalStats {
     /// Candidates that exhausted their retry budget and were degraded to
     /// a typed failure.
     pub degraded: u64,
-    /// Batches the adaptive dispatcher ran serially because the predicted
-    /// work (observed per-candidate cost x batch size) was too small to
-    /// amortize worker-pool and cache-contention overhead.
-    pub serial_fallbacks: u64,
     /// Entries resident in the cache at snapshot time.
     pub cache_entries: u64,
     /// Nanoseconds spent hashing keys and probing the cache.
@@ -185,12 +178,6 @@ impl EvalStats {
             self.insert_nanos,
             self.wall_nanos,
         );
-        if self.serial_fallbacks > 0 {
-            out.push_str(&format!(
-                "eval-stats: adaptive dispatch: {} small batches ran serially\n",
-                self.serial_fallbacks,
-            ));
-        }
         if !self.worker_loads.is_empty() {
             let util = self.utilization();
             let rendered: Vec<String> = self
@@ -230,7 +217,7 @@ impl EvalStats {
         format!(
             "{{\"batches\":{},\"genomes\":{},\"cache_hits\":{},\"cache_misses\":{},\
              \"hit_rate\":{:.6},\"evictions\":{},\"panics\":{},\"degraded\":{},\
-             \"serial_fallbacks\":{},\"cache_entries\":{},\
+             \"cache_entries\":{},\
              \"lookup_nanos\":{},\"eval_nanos\":{},\"insert_nanos\":{},\
              \"wall_nanos\":{},\"genomes_per_sec\":{:.3},\"workers\":[{}]}}",
             self.batches,
@@ -241,7 +228,6 @@ impl EvalStats {
             self.evictions,
             self.panics,
             self.degraded,
-            self.serial_fallbacks,
             self.cache_entries,
             self.lookup_nanos,
             self.eval_nanos,
@@ -274,7 +260,6 @@ mod tests {
             evictions: 1,
             panics: 3,
             degraded: 1,
-            serial_fallbacks: 2,
             cache_entries: 5,
             lookup_nanos: 100,
             eval_nanos: 900,
@@ -300,8 +285,6 @@ mod tests {
         assert!(json.contains("\"hit_rate\":0.400000"));
         assert!(json.contains("\"panics\":3"));
         assert!(json.contains("\"degraded\":1"));
-        assert!(json.contains("\"serial_fallbacks\":2"));
-        assert!(text.contains("2 small batches ran serially"));
         assert!(json.contains("\"genomes_per_sec\":10.000"));
         assert!(text.contains("7 (90 %), 3 (25 %)"), "got: {text}");
         assert!(json.contains(

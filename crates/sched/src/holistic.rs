@@ -290,7 +290,7 @@ impl<'a> HolisticAnalysis<'a> {
 
     /// One full analysis run: pops a scratch state from the pool, iterates,
     /// and returns the buffers for reuse.
-    fn run(&self, bounds: &[ExecBounds], seed: Option<&TaskWindows>) -> TaskWindows {
+    fn run(&self, bounds: &[ExecBounds]) -> TaskWindows {
         assert_eq!(
             bounds.len(),
             self.hsys.num_tasks(),
@@ -302,7 +302,7 @@ impl<'a> HolisticAnalysis<'a> {
             .expect("scratch pool poisoned")
             .pop()
             .unwrap_or_default();
-        let windows = self.run_with(bounds, seed, &mut scratch);
+        let windows = self.run_with(bounds, &mut scratch);
         let mut pool = self.scratch.lock().expect("scratch pool poisoned");
         if pool.len() < MAX_POOLED_SCRATCH {
             pool.push(scratch);
@@ -310,22 +310,9 @@ impl<'a> HolisticAnalysis<'a> {
         windows
     }
 
-    /// The worst-case fixed point, optionally warm-started.
-    ///
-    /// Cold (`seed == None`) this is the classic iteration from
-    /// `lr = er, max_finish = 0`. Warm-started, the latest releases begin
-    /// at `max(er, seed.min_start)` and the finishes at `seed.max_finish`
-    /// — valid whenever the seed came from a pointwise-contained bounds
-    /// vector (see [`SchedBackend::analyze_from`]): the seed then lies at
-    /// or below the least fixed point for `bounds`, and a monotone
-    /// iteration started anywhere between the cold start and the least
-    /// fixed point converges to exactly that same fixed point.
-    fn run_with(
-        &self,
-        bounds: &[ExecBounds],
-        seed: Option<&TaskWindows>,
-        scratch: &mut ScratchState,
-    ) -> TaskWindows {
+    /// The worst-case fixed point: the classic iteration from
+    /// `lr = er, max_finish = 0`.
+    fn run_with(&self, bounds: &[ExecBounds], scratch: &mut ScratchState) -> TaskWindows {
         let n = self.hsys.num_tasks();
         let ScratchState { lr, min_finish } = scratch;
         let mut er = vec![Time::ZERO; n];
@@ -333,27 +320,7 @@ impl<'a> HolisticAnalysis<'a> {
 
         let mut max_finish: Vec<Time> = vec![Time::ZERO; n];
         lr.clear();
-        match seed {
-            None => lr.extend_from_slice(&er),
-            Some(s) => {
-                max_finish.copy_from_slice(&s.max_finish);
-                // Seed the latest releases at the value the seeded finishes
-                // already imply: `lr[v] = max(er[v], arrival over seeded
-                // predecessor finishes)`. The seed's finishes are at or
-                // below the least fixed point for `bounds` (containment),
-                // so this stays between the cold start and the fixed point
-                // — and when the seed *is* the fixed point, the first sweep
-                // is a pure verification pass.
-                for (v, &e) in er.iter().enumerate() {
-                    let arrival = self.in_edges[v]
-                        .iter()
-                        .map(|&(src, delay)| max_finish[src.index()].saturating_add(delay))
-                        .max()
-                        .unwrap_or(Time::ZERO);
-                    lr.push(e.max(arrival));
-                }
-            }
-        }
+        lr.extend_from_slice(&er);
 
         let mut converged = false;
         let mut diverged = false;
@@ -466,26 +433,7 @@ impl AppReachability {
 
 impl SchedBackend for HolisticAnalysis<'_> {
     fn analyze(&self, bounds: &[ExecBounds]) -> TaskWindows {
-        self.run(bounds, None)
-    }
-
-    fn analyze_from(&self, bounds: &[ExecBounds], seed: &TaskWindows) -> TaskWindows {
-        // A diverged seed carries saturated finishes that are not a valid
-        // lower bound of anything — run cold.
-        if !seed.converged {
-            return self.analyze(bounds);
-        }
-        let warm = self.run(bounds, Some(seed));
-        if warm.converged {
-            warm
-        } else {
-            // The warm iteration hit the divergence bound (or the sweep
-            // budget). The cold run saturates at a *different* iterate, so
-            // re-run cold to keep the bit-identical-windows contract; the
-            // extra cost only hits unschedulable candidates, whose
-            // iterates grow geometrically and bail out quickly.
-            self.analyze(bounds)
-        }
+        self.run(bounds)
     }
 
     fn num_tasks(&self) -> usize {
@@ -818,9 +766,9 @@ mod tests {
         }
     }
 
-    /// Fixture shared by the warm-start tests: three cross-coupled apps on
-    /// two PEs with real interference, nominal vs. ×3-inflated bounds.
-    fn warm_fixture() -> (
+    /// Three cross-coupled apps on two PEs with real interference, nominal
+    /// vs. ×3-inflated bounds.
+    fn coupled_fixture() -> (
         HardenedSystem,
         Architecture,
         crate::Mapping,
@@ -861,78 +809,8 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_reproduces_the_cold_fixed_point_exactly() {
-        let (hsys, arch, mapping, narrow, wide) = warm_fixture();
-        let analysis = HolisticAnalysis::new(
-            &hsys,
-            &arch,
-            &mapping,
-            uniform_policies(2, SchedPolicy::FixedPriorityPreemptive),
-        );
-        let seed = analysis.analyze(&narrow);
-        assert!(seed.converged);
-        let cold = analysis.analyze(&wide);
-        let warm = analysis.analyze_from(&wide, &seed);
-        assert_eq!(warm.min_start, cold.min_start);
-        assert_eq!(warm.max_finish, cold.max_finish);
-        assert_eq!(warm.converged, cold.converged);
-        assert!(
-            warm.outer_iters <= cold.outer_iters,
-            "warm {} > cold {}",
-            warm.outer_iters,
-            cold.outer_iters
-        );
-    }
-
-    #[test]
-    fn warm_start_from_identical_bounds_converges_in_one_sweep() {
-        let (hsys, arch, mapping, narrow, _) = warm_fixture();
-        let analysis = HolisticAnalysis::new(
-            &hsys,
-            &arch,
-            &mapping,
-            uniform_policies(2, SchedPolicy::FixedPriorityPreemptive),
-        );
-        let seed = analysis.analyze(&narrow);
-        let warm = analysis.analyze_from(&narrow, &seed);
-        assert_eq!(warm.max_finish, seed.max_finish);
-        assert_eq!(
-            warm.outer_iters, 1,
-            "a fixed-point seed needs exactly the verification sweep"
-        );
-    }
-
-    #[test]
-    fn warm_start_with_diverged_seed_falls_back_to_cold() {
-        // Saturated processor from `saturated_processor_diverges`.
-        let mk = |name: &str| {
-            TaskGraph::builder(name, Time::from_ticks(10))
-                .task(task(name, 8, 8))
-                .build()
-                .unwrap()
-        };
-        let apps = AppSet::new(vec![mk("a"), mk("b"), mk("c")]).unwrap();
-        let arch = arch(1);
-        let hsys = harden(&apps, &HardeningPlan::unhardened(&apps), &arch).unwrap();
-        let mapping = Mapping::new(&hsys, &arch, vec![ProcId::new(0); 3]).unwrap();
-        let analysis = HolisticAnalysis::new(
-            &hsys,
-            &arch,
-            &mapping,
-            uniform_policies(1, SchedPolicy::FixedPriorityPreemptive),
-        );
-        let bounds = nominal_bounds(&hsys, &arch, &mapping);
-        let cold = analysis.analyze(&bounds);
-        assert!(!cold.converged);
-        // Both a diverged seed and a divergent warm run must reproduce the
-        // cold result bit-for-bit (including the saturation pattern).
-        let warm = analysis.analyze_from(&bounds, &cold);
-        assert_eq!(warm, cold);
-    }
-
-    #[test]
     fn scratch_reuse_keeps_repeated_analyses_identical() {
-        let (hsys, arch, mapping, narrow, wide) = warm_fixture();
+        let (hsys, arch, mapping, narrow, wide) = coupled_fixture();
         let analysis = HolisticAnalysis::new(
             &hsys,
             &arch,

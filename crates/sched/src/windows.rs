@@ -76,22 +76,11 @@ pub trait SchedBackend {
     /// bounds (indexed by [`HTaskId::index`]).
     fn analyze(&self, bounds: &[ExecBounds]) -> TaskWindows;
 
-    /// Warm-started variant of [`analyze`](Self::analyze): computes the
-    /// **same windows** as `analyze(bounds)` but may seed its fixed point
-    /// from `seed` to converge in fewer iterations.
+    /// Runs [`analyze`](Self::analyze) and ignores `seed`.
     ///
-    /// # Contract
-    ///
-    /// The caller must guarantee that `seed` is the result of analyzing a
-    /// bounds vector that is *pointwise contained* in `bounds` (for every
-    /// task, `seed`'s `[bcet, wcet]` interval lies inside the one in
-    /// `bounds`). Under that precondition a monotone backend's least fixed
-    /// point for `bounds` lies at or above `seed`, so starting there cannot
-    /// change the result — only the iteration count ([`TaskWindows::
-    /// outer_iters`] may be smaller than the cold run's).
-    ///
-    /// The default implementation ignores the seed and runs cold, which is
-    /// always correct; single-pass backends have nothing to warm.
+    /// Nothing in the library calls this method; it remains only because
+    /// the benchmark harness overrides it. It goes at the next benchmark
+    /// change together with `mcmap_ga::Problem::evaluate_batch_with_parents`.
     fn analyze_from(&self, bounds: &[ExecBounds], seed: &TaskWindows) -> TaskWindows {
         let _ = seed;
         self.analyze(bounds)

@@ -192,7 +192,6 @@ impl JobTotals {
         e.evictions += eval.evictions;
         e.panics += eval.panics;
         e.degraded += eval.degraded;
-        e.serial_fallbacks += eval.serial_fallbacks;
         e.cache_entries = eval.cache_entries;
         e.lookup_nanos += eval.lookup_nanos;
         e.eval_nanos += eval.eval_nanos;
@@ -212,7 +211,6 @@ impl JobTotals {
         a.backend_calls += analysis.backend_calls;
         a.fixedpoint_iters += analysis.fixedpoint_iters;
         a.scenarios_pruned += analysis.scenarios_pruned;
-        a.warm_iters_saved += analysis.warm_iters_saved;
         a.analysis_nanos += analysis.analysis_nanos;
     }
 }

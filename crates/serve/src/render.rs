@@ -102,7 +102,6 @@ pub fn render_status(job: &Json) -> String {
                 "cache_hits",
                 "cache_misses",
                 "evictions",
-                "serial_fallbacks",
                 "panics",
                 "degraded",
             ],
@@ -119,7 +118,6 @@ pub fn render_status(job: &Json) -> String {
                 "backend_calls",
                 "fixedpoint_iters",
                 "scenarios_pruned",
-                "warm_iters_saved",
             ],
             &mut out,
         );

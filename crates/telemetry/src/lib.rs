@@ -14,7 +14,7 @@
 //!   calls, fixed-point iterations, batch counts). For a fixed
 //!   benchmark/seed/config, the canonical snapshot
 //!   ([`Registry::snapshot_canonical`]) is identical regardless of
-//!   `--threads`, `--scenario-threads`, or cache capacity.
+//!   `--threads` or cache capacity.
 //! * [`Class::Nondet`] — timing and thread-racy measurements (wall-time
 //!   histograms, cache hit/miss splits, queue depths). Excluded from the
 //!   canonical snapshot; operational only.

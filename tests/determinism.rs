@@ -19,25 +19,20 @@ fn outcome_with(threads: usize, cache_cap: usize, seed: u64) -> DseOutcome {
 }
 
 fn outcome_traced(threads: usize, cache_cap: usize, seed: u64, traced: bool) -> DseOutcome {
-    outcome_full(threads, 1, cache_cap, seed, traced, Registry::default()).0
+    outcome_full(threads, cache_cap, seed, traced, Registry::default()).0
 }
 
-/// The fully-knobbed exploration: worker threads, scenario threads, cache
-/// capacity, optional tracing, and an optional metrics registry (returned
-/// alongside so callers can snapshot it).
+/// The fully-knobbed exploration: worker threads, cache capacity, optional
+/// tracing, and an optional metrics registry (returned alongside so callers
+/// can snapshot it).
 fn outcome_full(
     threads: usize,
-    scenario_threads: usize,
     cache_cap: usize,
     seed: u64,
     traced: bool,
     telemetry: Registry,
 ) -> (DseOutcome, Registry) {
     let b = cruise();
-    let analysis = mcmap::core::AnalysisOptions {
-        scenario_threads,
-        ..mcmap::core::AnalysisOptions::default()
-    };
     let outcome = explore(
         &b.apps,
         &b.arch,
@@ -54,7 +49,6 @@ fn outcome_full(
             policies: Some(b.policies.clone()),
             repair_iters: 40,
             cache_cap,
-            analysis,
             obs: if traced {
                 Recorder::ring(1 << 18)
             } else {
@@ -171,11 +165,11 @@ fn det_snapshot_of(reg: &Registry) -> String {
 #[test]
 fn canonical_trace_is_identical_with_telemetry_enabled_at_any_threads() {
     // Metrics collection must be a read-only observer exactly like
-    // tracing: same front, same canonical trace, for any combination of
-    // worker and scenario threads.
-    let (serial, reg_serial) = outcome_full(1, 1, 65_536, 8, true, Registry::new());
-    let (eight, reg_eight) = outcome_full(8, 1, 65_536, 8, true, Registry::new());
-    let (scen, reg_scen) = outcome_full(2, 4, 65_536, 8, true, Registry::new());
+    // tracing: same front, same canonical trace, for any worker thread
+    // count.
+    let (serial, reg_serial) = outcome_full(1, 65_536, 8, true, Registry::new());
+    let (eight, reg_eight) = outcome_full(8, 65_536, 8, true, Registry::new());
+    let (two, reg_two) = outcome_full(2, 65_536, 8, true, Registry::new());
 
     let untraced = outcome_with(1, 65_536, 8);
     assert_eq!(
@@ -184,7 +178,7 @@ fn canonical_trace_is_identical_with_telemetry_enabled_at_any_threads() {
         "metrics collection changed the Pareto front"
     );
     assert_eq!(fingerprint(&serial), fingerprint(&eight));
-    assert_eq!(fingerprint(&serial), fingerprint(&scen));
+    assert_eq!(fingerprint(&serial), fingerprint(&two));
 
     let reference = trace_of(&serial);
     assert!(!reference.is_empty(), "traced run produced no events");
@@ -195,8 +189,8 @@ fn canonical_trace_is_identical_with_telemetry_enabled_at_any_threads() {
     );
     assert_eq!(
         reference,
-        trace_of(&scen),
-        "metrics collection broke canonical-trace identity with scenario threads"
+        trace_of(&two),
+        "metrics collection broke canonical-trace identity at 2 threads"
     );
 
     // The deterministic metric classes themselves replay identically:
@@ -215,8 +209,8 @@ fn canonical_trace_is_identical_with_telemetry_enabled_at_any_threads() {
     );
     assert_eq!(
         det,
-        det_snapshot_of(&reg_scen),
-        "scenario threads changed a deterministic metric"
+        det_snapshot_of(&reg_two),
+        "2 worker threads changed a deterministic metric"
     );
     // And the nondet classes stayed out of the canonical snapshot.
     assert!(!det.contains("batch_wall_ns"));
@@ -225,9 +219,8 @@ fn canonical_trace_is_identical_with_telemetry_enabled_at_any_threads() {
 
 /// A smoke-budget exploration of a generated fleet preset: the same
 /// determinism contract must hold on the workloads the persistent pool
-/// was built for, including their deeper hardening spaces and composed
-/// batch- + scenario-level fan-out.
-fn fleet_outcome(threads: usize, scenario_threads: usize, seed: u64) -> DseOutcome {
+/// was built for, including their deeper hardening spaces.
+fn fleet_outcome(threads: usize, seed: u64) -> DseOutcome {
     let preset = mcmap::benchmarks::fleet_small_config();
     let b = mcmap::benchmarks::fleet(&preset, 7);
     explore(
@@ -247,10 +240,6 @@ fn fleet_outcome(threads: usize, scenario_threads: usize, seed: u64) -> DseOutco
             repair_iters: 40,
             max_reexec: preset.max_reexec,
             max_replicas: preset.max_replicas,
-            analysis: mcmap::core::AnalysisOptions {
-                scenario_threads,
-                ..mcmap::core::AnalysisOptions::default()
-            },
             ..DseConfig::default()
         },
     )
@@ -258,9 +247,9 @@ fn fleet_outcome(threads: usize, scenario_threads: usize, seed: u64) -> DseOutco
 
 #[test]
 fn fleet_front_is_identical_for_any_thread_count() {
-    let serial = fleet_outcome(1, 1, 8);
-    let four = fleet_outcome(4, 1, 8);
-    let composed = fleet_outcome(2, 4, 8);
+    let serial = fleet_outcome(1, 8);
+    let four = fleet_outcome(4, 8);
+    let two = fleet_outcome(2, 8);
 
     assert_eq!(
         fingerprint(&serial),
@@ -269,11 +258,11 @@ fn fleet_front_is_identical_for_any_thread_count() {
     );
     assert_eq!(
         fingerprint(&serial),
-        fingerprint(&composed),
-        "composed batch x scenario fan-out changed the fleet Pareto front"
+        fingerprint(&two),
+        "2 worker threads changed the fleet Pareto front"
     );
     assert_eq!(serial.eval_stats.genomes, four.eval_stats.genomes);
-    assert_eq!(serial.audit.evaluated, composed.audit.evaluated);
+    assert_eq!(serial.audit.evaluated, two.audit.evaluated);
 }
 
 /// The `mcmap_cli dse <bench> <pop> <gens> --audit` exploration (seed 8,
@@ -322,21 +311,21 @@ fn golden_fronts_audits_and_traces_at_48x30() {
             mcmap::benchmarks::dt_med(),
             (48, 30),
             (2, 2),
-            [0x2ed2cb51def1d4a2, 0xd7d7bfa516dd9e1a, 0x101406897af23615],
+            [0x2ed2cb51def1d4a2, 0xd7d7bfa516dd9e1a, 0x3356cb82845e3f50],
         ),
         (
             "cruise",
             cruise(),
             (48, 30),
             (2, 2),
-            [0xd7ffedf161daa45d, 0xeef7b66b28aa8295, 0xb3e19a6c94576dae],
+            [0xd7ffedf161daa45d, 0xeef7b66b28aa8295, 0xda7ffc30a1cad472],
         ),
         (
             "fleet-small",
             mcmap::benchmarks::fleet(&preset, 7),
             (12, 3),
             (preset.max_reexec, preset.max_replicas),
-            [0xdcd82eb61b5d09ad, 0xa305384e7ab69f06, 0xc6d51e3ba841ea48],
+            [0xdcd82eb61b5d09ad, 0xa305384e7ab69f06, 0x5ec6dc653b613ba0],
         ),
     ] {
         let o = golden_outcome(&b, budget, depth);
