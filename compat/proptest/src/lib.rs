@@ -291,7 +291,7 @@ impl<V> Strategy for Union<V> {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Accepted length specifications for [`vec`].
+    /// Accepted length specifications for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         min: usize,

@@ -7,7 +7,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcmap_benchmarks::{synth, SynthConfig};
 use mcmap_core::{analyze, analyze_naive, GenomeSpace};
 use mcmap_hardening::harden;
-use mcmap_model::ProcId;
 use mcmap_sched::Mapping;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,10 +30,7 @@ fn scaled_system(
     let g = space.clustered(&mut rng);
     let (plan, _, bindings) = space.decode(&g);
     let hsys = harden(&b.apps, &plan, &b.arch).expect("clustered plans are valid");
-    let placement: Vec<ProcId> = hsys
-        .tasks()
-        .map(|(id, t)| t.fixed_proc.unwrap_or(bindings[hsys.flat_of(id)]))
-        .collect();
+    let placement = hsys.placement(&bindings);
     let mapping = Mapping::new(&hsys, &b.arch, placement).expect("clustered plans map");
     (b, hsys, mapping)
 }

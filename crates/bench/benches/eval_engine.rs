@@ -76,9 +76,10 @@ fn bench_engine_micro(c: &mut Criterion) {
         bench.iter(|| parallel_map(&items, 2, |&g| black_box(g).wrapping_mul(0x9E37_79B9)))
     });
     let engine: EvalEngine<u64> = EvalEngine::new(EvalCacheConfig::default(), &"micro");
-    engine.evaluate_batch(&items, 1, |&g| g.wrapping_mul(3));
+    let eval = |&g: &u64, _| g.wrapping_mul(3);
+    engine.evaluate_batch(&items, 1, 0, |_| {}, eval);
     group.bench_function("cache_hit/256", |bench| {
-        bench.iter(|| engine.evaluate_batch(&items, 1, |&g| g.wrapping_mul(3)))
+        bench.iter(|| engine.evaluate_batch(&items, 1, 0, |_| {}, eval))
     });
     group.finish();
 }

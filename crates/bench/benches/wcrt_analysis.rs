@@ -23,7 +23,6 @@ use mcmap_bench::env_usize;
 use mcmap_benchmarks::{dt_med, Benchmark};
 use mcmap_core::{analyze_with, AnalysisOptions, GenomeSpace, McAnalysis};
 use mcmap_hardening::{harden, HardenedSystem, HardeningPlan, TaskHardening};
-use mcmap_model::ProcId;
 use mcmap_sched::Mapping;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,10 +46,7 @@ fn hardened_dt_med() -> (Benchmark, HardenedSystem, Mapping) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = space.clustered(&mut rng);
         let (_, _, bindings) = space.decode(&g);
-        let placement: Vec<ProcId> = hsys
-            .tasks()
-            .map(|(id, t)| t.fixed_proc.unwrap_or(bindings[hsys.flat_of(id)]))
-            .collect();
+        let placement = hsys.placement(&bindings);
         let Ok(mapping) = Mapping::new(&hsys, &b.arch, placement) else {
             continue;
         };

@@ -20,7 +20,7 @@
 use mcmap_benchmarks::Benchmark;
 use mcmap_core::{repair_reliability, repair_structure, GenomeSpace};
 use mcmap_hardening::{harden, HardenedSystem};
-use mcmap_model::{AppId, ProcId};
+use mcmap_model::AppId;
 use mcmap_sched::Mapping;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,10 +76,7 @@ pub fn sample_designs(b: &Benchmark, count: usize, seed: u64) -> Vec<SampleDesig
         let Ok(hsys) = harden(&b.apps, &plan, &b.arch) else {
             continue;
         };
-        let placement: Vec<ProcId> = hsys
-            .tasks()
-            .map(|(id, t)| t.fixed_proc.unwrap_or(bindings[hsys.flat_of(id)]))
-            .collect();
+        let placement = hsys.placement(&bindings);
         let Ok(mapping) = Mapping::new(&hsys, &b.arch, placement) else {
             continue;
         };

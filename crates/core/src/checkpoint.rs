@@ -21,7 +21,7 @@
 use std::path::Path;
 
 use mcmap_ga::{DriverState, Evaluation, GenerationStats, Individual};
-use mcmap_obs::{parse_json, Json};
+use mcmap_obs::{parse_json, push_json_str, Json};
 use mcmap_resilience::{atomic_write_rotating, backup_path, seal, unseal, ResilienceError};
 
 use crate::dse::AuditSnapshot;
@@ -276,22 +276,6 @@ fn encode(ckpt: &DseCheckpoint) -> String {
     }
     out.push('}');
     out
-}
-
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn push_audit_fields(out: &mut String, a: &AuditSnapshot) {

@@ -408,10 +408,7 @@ fn enumeration_matches_the_reference_for_every_knob() {
             let _ = repair_reliability(&mut g, &space, &b.apps, &b.arch, &mut rng, 80);
             let (plan, decoded, bindings) = space.decode(&g);
             let hsys = harden(&b.apps, &plan, &b.arch).expect("repaired genomes harden");
-            let placement = hsys
-                .tasks()
-                .map(|(id, t)| t.fixed_proc.unwrap_or(bindings[hsys.flat_of(id)]))
-                .collect();
+            let placement = hsys.placement(&bindings);
             let mapping = Mapping::new(&hsys, &b.arch, placement).expect("repaired genomes map");
             let backend = HolisticAnalysis::new(&hsys, &b.arch, &mapping, b.policies.clone());
             let nominal = nominal_bounds(&hsys, &b.arch, &mapping);

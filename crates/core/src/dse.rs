@@ -3,8 +3,8 @@
 
 use crate::checkpoint::{read_checkpoint_with_fallback, write_checkpoint, DseCheckpoint};
 use crate::{
-    analyze_with, expected_power, lost_service, repair_reliability, repair_structure,
-    repair_structure_logged, AnalysisOptions, Genome, GenomeSpace,
+    analyze_with, expected_power, lost_service, repair_reliability, repair_structure_logged,
+    AnalysisOptions, Genome, GenomeSpace,
 };
 use mcmap_eval::{EvalCacheConfig, EvalEngine, EvalStats, ShardedCache};
 use mcmap_ga::{
@@ -23,7 +23,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Which objective vector the DSE minimizes.
@@ -61,19 +61,13 @@ pub struct ResilienceConfig {
     /// out by a job server): when set, the run stops at the next
     /// generation boundary after writing its checkpoint.
     pub stop: Option<Arc<AtomicBool>>,
-    /// Stop after this generation completes (testing hook for
-    /// deterministic kill-and-resume sweeps).
-    pub stop_after_generation: Option<usize>,
     /// Stop after this many generation boundaries have been observed *by
     /// this process* — the budget-slice primitive of the job server's
-    /// round-robin scheduler. Unlike [`stop_after_generation`], which is
-    /// an absolute generation index, this counts boundaries relative to
-    /// where the (possibly resumed) run started, so a sequence of
-    /// one-slice runs walks the exact same boundaries as one long run.
-    /// The initial-population boundary (generation 0) of a fresh run
-    /// counts as a slice boundary too.
-    ///
-    /// [`stop_after_generation`]: ResilienceConfig::stop_after_generation
+    /// round-robin scheduler. The count is relative to where the (possibly
+    /// resumed) run started, so a sequence of one-slice runs walks the
+    /// exact same boundaries as one long run. The initial-population
+    /// boundary (generation 0) of a fresh run counts as a slice boundary
+    /// too, so on a fresh run `Some(k + 1)` stops after generation `k`.
     pub stop_after_slice: Option<usize>,
 }
 
@@ -85,7 +79,6 @@ impl Default for ResilienceConfig {
             eval_retries: 1,
             chaos: None,
             stop: None,
-            stop_after_generation: None,
             stop_after_slice: None,
         }
     }
@@ -305,9 +298,9 @@ impl AuditSnapshot {
 /// the aggregate view of the per-candidate `sched.analyze` telemetry.
 ///
 /// All fields except `analysis_nanos` are deterministic for a fixed
-/// configuration (replayed from cached [`EvalRecord`]s on hits, so thread
-/// count and cache capacity never shift them); `analysis_nanos` is wall
-/// time and varies run to run. Like [`EvalStats`], this aggregate is not
+/// configuration (replayed from cached evaluation records on hits, so
+/// thread count and cache capacity never shift them); `analysis_nanos` is
+/// wall time and varies run to run. Like [`EvalStats`], this aggregate is not
 /// checkpointed: a resumed run reports the effort it actually performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AnalysisStats {
@@ -382,23 +375,6 @@ impl AnalysisStats {
     }
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    evaluated: AtomicUsize,
-    feasible: AtomicUsize,
-    audited: AtomicUsize,
-    rescued: AtomicUsize,
-    reexec: AtomicUsize,
-    active: AtomicUsize,
-    passive: AtomicUsize,
-    an_candidates: AtomicU64,
-    an_scenarios: AtomicU64,
-    an_backend_calls: AtomicU64,
-    an_fixedpoint_iters: AtomicU64,
-    an_pruned: AtomicU64,
-    an_nanos: AtomicU64,
-}
-
 /// Detailed description of one (repaired) design point, for reporting.
 #[derive(Debug, Clone)]
 pub struct DesignReport {
@@ -431,7 +407,9 @@ pub struct MappingProblem<'a> {
     space: GenomeSpace,
     policies: Vec<SchedPolicy>,
     context: u64,
-    counters: Counters,
+    /// The cumulative audit and analysis-effort tallies, updated by
+    /// [`MappingProblem::record_audit`] in submission order.
+    tally: Mutex<(AuditSnapshot, AnalysisStats)>,
     engine: EvalEngine<EvalRecord>,
     /// Batch coordinate for fault addressing: 0 = initial population,
     /// `g` = generation `g`'s offspring. Restored on resume.
@@ -655,6 +633,16 @@ fn diff_config_summaries(
     diff
 }
 
+/// A genome after [`MappingProblem::repair_and_decode`].
+struct Repaired {
+    genome: Genome,
+    repair_codes: Vec<&'static str>,
+    rel_repaired: bool,
+    plan: mcmap_hardening::HardeningPlan,
+    dropped: Vec<AppId>,
+    bindings: Vec<ProcId>,
+}
+
 struct Assessment {
     dropped: Vec<AppId>,
     power: f64,
@@ -697,7 +685,7 @@ impl<'a> MappingProblem<'a> {
             space,
             policies,
             context,
-            counters: Counters::default(),
+            tally: Mutex::default(),
             engine,
             batch_index: AtomicU64::new(0),
             failures: Mutex::new(Vec::new()),
@@ -737,28 +725,12 @@ impl<'a> MappingProblem<'a> {
 
     /// A snapshot of the cumulative scenario-analysis effort counters.
     pub fn analysis_stats(&self) -> AnalysisStats {
-        AnalysisStats {
-            candidates: self.counters.an_candidates.load(Ordering::Relaxed),
-            scenarios: self.counters.an_scenarios.load(Ordering::Relaxed),
-            backend_calls: self.counters.an_backend_calls.load(Ordering::Relaxed),
-            fixedpoint_iters: self.counters.an_fixedpoint_iters.load(Ordering::Relaxed),
-            scenarios_pruned: self.counters.an_pruned.load(Ordering::Relaxed),
-            analysis_nanos: self.counters.an_nanos.load(Ordering::Relaxed),
-            ..AnalysisStats::default()
-        }
+        self.tally().1
     }
 
     /// A snapshot of the cumulative audit counters.
     pub fn audit(&self) -> AuditSnapshot {
-        AuditSnapshot {
-            evaluated: self.counters.evaluated.load(Ordering::Relaxed),
-            feasible: self.counters.feasible.load(Ordering::Relaxed),
-            audited: self.counters.audited.load(Ordering::Relaxed),
-            rescued_by_dropping: self.counters.rescued.load(Ordering::Relaxed),
-            reexecutions: self.counters.reexec.load(Ordering::Relaxed),
-            active_replications: self.counters.active.load(Ordering::Relaxed),
-            passive_replications: self.counters.passive.load(Ordering::Relaxed),
-        }
+        self.tally().0
     }
 
     /// The evaluation failures recorded so far (candidates degraded to
@@ -770,27 +742,11 @@ impl<'a> MappingProblem<'a> {
     /// Restores the audit counters from a checkpoint, so the cumulative
     /// [`AuditSnapshot`] of a resumed run matches the uninterrupted one.
     pub fn restore_audit(&self, snapshot: &AuditSnapshot) {
-        self.counters
-            .evaluated
-            .store(snapshot.evaluated, Ordering::Relaxed);
-        self.counters
-            .feasible
-            .store(snapshot.feasible, Ordering::Relaxed);
-        self.counters
-            .audited
-            .store(snapshot.audited, Ordering::Relaxed);
-        self.counters
-            .rescued
-            .store(snapshot.rescued_by_dropping, Ordering::Relaxed);
-        self.counters
-            .reexec
-            .store(snapshot.reexecutions, Ordering::Relaxed);
-        self.counters
-            .active
-            .store(snapshot.active_replications, Ordering::Relaxed);
-        self.counters
-            .passive
-            .store(snapshot.passive_replications, Ordering::Relaxed);
+        self.tally().0 = *snapshot;
+    }
+
+    fn tally(&self) -> std::sync::MutexGuard<'_, (AuditSnapshot, AnalysisStats)> {
+        self.tally.lock().expect("tally poisoned")
     }
 
     /// Sets the next batch coordinate for fault addressing (resume path:
@@ -807,22 +763,8 @@ impl<'a> MappingProblem<'a> {
         &self,
         genome: &Genome,
     ) -> (mcmap_hardening::HardeningPlan, Vec<AppId>, Vec<ProcId>) {
-        let mut rng = self.repair_rng(genome);
-        let mut g = genome.clone();
-        repair_structure(&mut g, &self.space, &mut rng);
-        let _ = repair_reliability(
-            &mut g,
-            &self.space,
-            self.apps,
-            self.arch,
-            &mut rng,
-            self.cfg.repair_iters,
-        );
-        let (plan, mut dropped, bindings) = self.space.decode(&g);
-        if !self.cfg.allow_dropping {
-            dropped.clear();
-        }
-        (plan, dropped, bindings)
+        let r = self.repair_and_decode(genome);
+        (r.plan, r.dropped, r.bindings)
     }
 
     /// The per-processor scheduling policies this problem analyzes with.
@@ -861,24 +803,43 @@ impl<'a> MappingProblem<'a> {
         StdRng::seed_from_u64(hasher.finish())
     }
 
-    fn assess(&self, genome: &Genome, audit: bool) -> Assessment {
+    /// The repair pipeline shared by every genome-to-design path: structure
+    /// repair, reliability repair, decode, and the `allow_dropping` rule.
+    fn repair_and_decode(&self, genome: &Genome) -> Repaired {
         let mut rng = self.repair_rng(genome);
-
-        let mut g = genome.clone();
-        let repair_codes = repair_structure_logged(&mut g, &self.space, &mut rng);
+        let mut genome = genome.clone();
+        let repair_codes = repair_structure_logged(&mut genome, &self.space, &mut rng);
         let rel_repaired = repair_reliability(
-            &mut g,
+            &mut genome,
             &self.space,
             self.apps,
             self.arch,
             &mut rng,
             self.cfg.repair_iters,
         );
-
-        let (plan, mut dropped, bindings) = self.space.decode(&g);
+        let (plan, mut dropped, bindings) = self.space.decode(&genome);
         if !self.cfg.allow_dropping {
             dropped.clear();
         }
+        Repaired {
+            genome,
+            repair_codes,
+            rel_repaired,
+            plan,
+            dropped,
+            bindings,
+        }
+    }
+
+    fn assess(&self, genome: &Genome, audit: bool) -> Assessment {
+        let Repaired {
+            genome: g,
+            repair_codes,
+            rel_repaired,
+            plan,
+            dropped,
+            bindings,
+        } = self.repair_and_decode(genome);
         let histogram = plan.technique_histogram();
 
         let degenerate = |penalty: f64| Assessment {
@@ -899,10 +860,7 @@ impl<'a> MappingProblem<'a> {
             Ok(h) => h,
             Err(_) => return degenerate(1e9),
         };
-        let placement: Vec<ProcId> = hsys
-            .tasks()
-            .map(|(id, t)| t.fixed_proc.unwrap_or(bindings[hsys.flat_of(id)]))
-            .collect();
+        let placement = hsys.placement(&bindings);
         let mapping = match Mapping::new(&hsys, self.arch, placement) {
             Ok(m) => m,
             Err(_) => return degenerate(1e9),
@@ -1041,38 +999,25 @@ impl<'a> MappingProblem<'a> {
     /// evaluation — so `AuditSnapshot::evaluated` keeps matching the
     /// driver's evaluation count exactly.
     fn record_audit(&self, r: &EvalRecord) {
-        self.counters.evaluated.fetch_add(1, Ordering::Relaxed);
-        if r.eval.feasible {
-            self.counters.feasible.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(rescued) = r.rescued {
-            self.counters.audited.fetch_add(1, Ordering::Relaxed);
-            if rescued {
-                self.counters.rescued.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.counters.reexec.fetch_add(r.reexec, Ordering::Relaxed);
-        self.counters.active.fetch_add(r.active, Ordering::Relaxed);
-        self.counters
-            .passive
-            .fetch_add(r.passive, Ordering::Relaxed);
         let e = &r.effort;
-        self.counters.an_candidates.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .an_scenarios
-            .fetch_add(e.scenarios as u64, Ordering::Relaxed);
-        self.counters
-            .an_backend_calls
-            .fetch_add(e.backend_calls as u64, Ordering::Relaxed);
-        self.counters
-            .an_fixedpoint_iters
-            .fetch_add(e.fixedpoint_iters as u64, Ordering::Relaxed);
-        self.counters
-            .an_pruned
-            .fetch_add(e.scenarios_pruned as u64, Ordering::Relaxed);
-        self.counters
-            .an_nanos
-            .fetch_add(r.analysis_nanos, Ordering::Relaxed);
+        {
+            let (audit, analysis) = &mut *self.tally();
+            audit.evaluated += 1;
+            audit.feasible += usize::from(r.eval.feasible);
+            if let Some(rescued) = r.rescued {
+                audit.audited += 1;
+                audit.rescued_by_dropping += usize::from(rescued);
+            }
+            audit.reexecutions += r.reexec;
+            audit.active_replications += r.active;
+            audit.passive_replications += r.passive;
+            analysis.candidates += 1;
+            analysis.scenarios += e.scenarios as u64;
+            analysis.backend_calls += e.backend_calls as u64;
+            analysis.fixedpoint_iters += e.fixedpoint_iters as u64;
+            analysis.scenarios_pruned += e.scenarios_pruned as u64;
+            analysis.analysis_nanos += r.analysis_nanos;
+        }
         if let Some(m) = &self.metrics {
             m.observe_candidate(r);
         }
@@ -1144,7 +1089,7 @@ impl Problem for MappingProblem<'_> {
     fn evaluate_batch(&self, genotypes: &[Genome], threads: usize) -> Vec<Evaluation> {
         let batch = self.batch_index.fetch_add(1, Ordering::Relaxed);
         let chaos = self.cfg.resilience.chaos.as_ref();
-        let records = self.engine.evaluate_batch_isolated_with(
+        let records = self.engine.evaluate_batch(
             genotypes,
             threads,
             self.cfg.resilience.eval_retries,
@@ -1182,7 +1127,7 @@ impl Problem for MappingProblem<'_> {
                     // search loses one candidate, not the whole run. It
                     // still counts as evaluated so the audit stays in sync
                     // with the driver's evaluation count.
-                    self.counters.evaluated.fetch_add(1, Ordering::Relaxed);
+                    self.tally().0.evaluated += 1;
                     let eval =
                         Evaluation::infeasible(vec![f64::MAX / 1e6; self.num_objectives()], 1e12);
                     self.failures
@@ -1281,7 +1226,7 @@ pub struct DseOutcome {
     /// profile with [`mcmap_obs::TraceProfile`].
     pub obs: Recorder,
     /// Whether the run was stopped before its generation budget was spent
-    /// (cooperative stop flag, `stop_after_generation`, or a checkpoint
+    /// (cooperative stop flag, `stop_after_slice`, or a checkpoint
     /// write failure). The front/audit reflect the last completed
     /// generation; resuming from the checkpoint continues bit-identically.
     pub interrupted: bool,
@@ -1428,7 +1373,6 @@ pub fn explore_checked(
         path: resilience.checkpoint,
         chaos: resilience.chaos,
         stop: resilience.stop,
-        stop_after: resilience.stop_after_generation,
         stop_after_slice: resilience.stop_after_slice,
         boundaries: 0,
         error: None,
@@ -1499,7 +1443,6 @@ struct CheckpointHook<'p, 'a> {
     path: Option<PathBuf>,
     chaos: Option<FaultPlan>,
     stop: Option<Arc<AtomicBool>>,
-    stop_after: Option<usize>,
     stop_after_slice: Option<usize>,
     boundaries: usize,
     error: Option<ResilienceError>,
@@ -1542,7 +1485,6 @@ impl GenerationObserver<Genome> for CheckpointHook<'_, '_> {
             }
         }
         let stop = self.stop.as_ref().is_some_and(|s| s.load(Ordering::SeqCst))
-            || self.stop_after.is_some_and(|k| snap.generation >= k)
             || self.stop_after_slice.is_some_and(|k| self.boundaries >= k);
         if stop {
             LoopControl::Stop
@@ -1994,7 +1936,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut cfg = tiny_cfg();
         cfg.resilience.checkpoint = Some(path.clone());
-        cfg.resilience.stop_after_generation = Some(1);
+        cfg.resilience.stop_after_slice = Some(2);
         let _ = explore(&apps, &arch, cfg);
 
         let mut resumed = tiny_cfg();

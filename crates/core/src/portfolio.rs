@@ -216,10 +216,7 @@ impl Portfolio {
             let (plan, dropped, bindings) = problem.decode_repaired(&point.genome);
             let hsys = harden(problem.apps(), &plan, problem.arch())
                 .map_err(|e| malformed(path, format!("point {i}: hardening failed: {e}")))?;
-            let placement: Vec<ProcId> = hsys
-                .tasks()
-                .map(|(id, t)| t.fixed_proc.unwrap_or(bindings[hsys.flat_of(id)]))
-                .collect();
+            let placement = hsys.placement(&bindings);
             let histogram = plan.technique_histogram();
             let mapping = Mapping::new(&hsys, problem.arch(), placement)
                 .map_err(|e| malformed(path, format!("point {i}: invalid mapping: {e}")))?;

@@ -85,10 +85,7 @@ impl<'a> Sensitivity<'a> {
 
     fn instantiate(&self, plan: &HardeningPlan) -> Option<(HardenedSystem, Mapping)> {
         let hsys = harden(self.apps, plan, self.arch).ok()?;
-        let placement: Vec<ProcId> = hsys
-            .tasks()
-            .map(|(id, t)| t.fixed_proc.unwrap_or(self.bindings[hsys.flat_of(id)]))
-            .collect();
+        let placement = hsys.placement(&self.bindings);
         let mapping = Mapping::new(&hsys, self.arch, placement).ok()?;
         Some((hsys, mapping))
     }

@@ -348,10 +348,7 @@ proptest! {
         // The decoded design must harden and map without errors.
         let (plan, _dropped, bindings) = space.decode(&g);
         let hsys = harden(&apps, &plan, &arch).expect("repaired plans are valid");
-        let placement: Vec<ProcId> = hsys
-            .tasks()
-            .map(|(id, t)| t.fixed_proc.unwrap_or(bindings[hsys.flat_of(id)]))
-            .collect();
+        let placement = hsys.placement(&bindings);
         prop_assert!(Mapping::new(&hsys, &arch, placement).is_ok());
     }
 }

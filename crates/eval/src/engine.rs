@@ -1,7 +1,7 @@
 //! The evaluation engine: worker pool + memo cache + instrumentation.
 
 use crate::cache::ShardedCache;
-use crate::pool::{parallel_map_caught_timed, parallel_map_timed};
+use crate::pool::parallel_map_caught_timed;
 use crate::stats::{EvalStats, StatCounters};
 use mcmap_obs::{Recorder, Value};
 use mcmap_resilience::{panic_message, EvalFailure};
@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Where an evaluation attempt sits inside its batch — handed to the
-/// evaluation closure of [`EvalEngine::evaluate_batch_isolated`] so fault
+/// evaluation closure of [`EvalEngine::evaluate_batch`] so fault
 /// injection (and any retry-aware logic) can address candidates by stable,
 /// scheduling-independent coordinates without polluting the memo keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,88 +224,28 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
 
     /// Evaluates a batch across `threads` workers (0 = one per core),
     /// returning results in input order regardless of thread count.
-    pub fn evaluate_batch<G, F>(&self, genomes: &[G], threads: usize, eval: F) -> Vec<V>
-    where
-        G: Hash + Sync,
-        F: Fn(&G) -> V + Sync,
-    {
-        let t0 = Instant::now();
-        let before = (self.obs.enabled() || self.metrics.is_some()).then(|| self.stats());
-        // The thread budget is a speed knob that must not shape the
-        // canonical trace, so it rides in the non-deterministic payload.
-        let mut span = self
-            .obs
-            .span("eval.batch", &[("genomes", Value::from(genomes.len()))]);
-        span.nondet("threads", threads);
-        let (results, loads) =
-            parallel_map_timed(genomes, threads, |g| self.evaluate_one(g, &eval));
-        self.counters.merge_loads(&loads);
-        self.counters.add(&self.counters.batches, 1);
-        self.counters
-            .add(&self.counters.genomes, genomes.len() as u64);
-        self.counters
-            .add(&self.counters.wall_nanos, t0.elapsed().as_nanos() as u64);
-        if let Some(before) = before {
-            // Which worker computes vs. reuses a value is a race: the cache
-            // split and the phase latencies are non-deterministic payload.
-            let after = self.stats();
-            span.nondet("cache_hits", after.cache_hits - before.cache_hits);
-            span.nondet("cache_misses", after.cache_misses - before.cache_misses);
-            span.nondet("evictions", after.evictions - before.evictions);
-            span.nondet("lookup_ns", after.lookup_nanos - before.lookup_nanos);
-            span.nondet("eval_ns", after.eval_nanos - before.eval_nanos);
-            span.nondet("insert_ns", after.insert_nanos - before.insert_nanos);
-            if let Some(m) = &self.metrics {
-                m.observe_batch(
-                    genomes.len() as u64,
-                    t0.elapsed().as_nanos() as u64,
-                    &before,
-                    &after,
-                );
-            }
-        }
-        span.end();
-        results
-    }
-
-    /// The panic-isolated sibling of [`EvalEngine::evaluate_batch`]: a
-    /// panicking evaluation is caught per candidate, retried up to
-    /// `retries` more times, and — if every attempt fails — degraded into
-    /// a typed [`EvalFailure`] instead of unwinding the run.
     ///
-    /// The evaluation closure additionally receives an [`EvalContext`]
-    /// naming the candidate's batch position and attempt number; memo keys
-    /// are still content-only, so retried successes are cached normally
-    /// and failed attempts are never cached. In the fault-free case the
-    /// emitted `eval.batch` span is identical to the non-isolated path;
-    /// each degraded candidate additionally emits an `eval.failure`
-    /// counter (in batch order, on the calling thread, so traces stay
-    /// deterministic for any thread count).
-    pub fn evaluate_batch_isolated<G, F>(
-        &self,
-        genomes: &[G],
-        threads: usize,
-        retries: u32,
-        eval: F,
-    ) -> Vec<Result<V, EvalFailure>>
-    where
-        G: Hash + Sync,
-        F: Fn(&G, EvalContext) -> V + Sync,
-    {
-        self.evaluate_batch_isolated_with(genomes, threads, retries, |_| {}, eval)
-    }
-
-    /// [`evaluate_batch_isolated`](Self::evaluate_batch_isolated) with an
-    /// explicit fault-injection hook.
+    /// Each candidate is evaluated behind a panic-isolation boundary: a
+    /// panicking evaluation is caught, retried up to `retries` more times,
+    /// and — if every attempt fails — degraded into a typed
+    /// [`EvalFailure`] instead of unwinding the run.
     ///
-    /// `inject` runs inside the panic-isolation boundary but **before**
-    /// the memo-cache lookup, once per attempt. This placement matters for
-    /// deterministic chaos testing: a hook inside the evaluation closure
-    /// would be skipped on cache hits, so whether an injected fault fires
-    /// could depend on cache capacity and on which worker first filled a
-    /// shared key — the hook here fires at exactly its addressed
+    /// The evaluation closure receives an [`EvalContext`] naming the
+    /// candidate's batch position and attempt number; memo keys are
+    /// content-only, so retried successes are cached normally and failed
+    /// attempts are never cached. Each degraded candidate emits an
+    /// `eval.failure` counter (in batch order, on the calling thread, so
+    /// traces stay deterministic for any thread count).
+    ///
+    /// `inject` is a fault-injection hook (pass `|_| {}` for none). It runs
+    /// inside the panic-isolation boundary but **before** the memo-cache
+    /// lookup, once per attempt. This placement matters for deterministic
+    /// chaos testing: a hook inside the evaluation closure would be
+    /// skipped on cache hits, so whether an injected fault fires could
+    /// depend on cache capacity and on which worker first filled a shared
+    /// key — the hook here fires at exactly its addressed
     /// `(index, attempt)` coordinates regardless.
-    pub fn evaluate_batch_isolated_with<G, F, I>(
+    pub fn evaluate_batch<G, F, I>(
         &self,
         genomes: &[G],
         threads: usize,
@@ -320,6 +260,8 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
     {
         let t0 = Instant::now();
         let before = (self.obs.enabled() || self.metrics.is_some()).then(|| self.stats());
+        // The thread budget is a speed knob that must not shape the
+        // canonical trace, so it rides in the non-deterministic payload.
         let mut span = self
             .obs
             .span("eval.batch", &[("genomes", Value::from(genomes.len()))]);
@@ -386,6 +328,8 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
             span.field("failures", failures);
         }
         if let Some(before) = before {
+            // Which worker computes vs. reuses a value is a race: the cache
+            // split and the phase latencies are non-deterministic payload.
             let after = self.stats();
             span.nondet("cache_hits", after.cache_hits - before.cache_hits);
             span.nondet("cache_misses", after.cache_misses - before.cache_misses);
@@ -411,16 +355,6 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
         let entries = self.cache.as_ref().map_or(0, |c| c.len()) as u64;
         self.counters.snapshot(entries)
     }
-
-    /// Zeroes the instrumentation counters (the cache keeps its contents).
-    pub fn reset_stats(&self) {
-        self.counters.reset();
-    }
-
-    /// Whether memoization is active.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
-    }
 }
 
 impl<V> std::fmt::Debug for EvalEngine<V> {
@@ -441,14 +375,27 @@ mod tests {
         EvalEngine::new(EvalCacheConfig::with_capacity(capacity), &"test-context")
     }
 
+    /// A fault-free batch: no retries, no injection, every result unwrapped.
+    fn batch<F: Fn(&u64) -> u64 + Sync>(
+        e: &EvalEngine<u64>,
+        genomes: &[u64],
+        threads: usize,
+        eval: F,
+    ) -> Vec<u64> {
+        e.evaluate_batch(genomes, threads, 0, |_| {}, |g, _| eval(g))
+            .into_iter()
+            .map(|r| r.expect("fault-free"))
+            .collect()
+    }
+
     #[test]
     fn results_are_identical_across_thread_counts() {
         let genomes: Vec<u64> = (0..200).map(|i| i * 31 % 17).collect();
-        let reference = engine(256).evaluate_batch(&genomes, 1, |g| g.wrapping_mul(*g) + 1);
+        let reference = batch(&engine(256), &genomes, 1, |g| g.wrapping_mul(*g) + 1);
         for threads in [2, 4, 8] {
             let e = engine(256);
             assert_eq!(
-                e.evaluate_batch(&genomes, threads, |g| g.wrapping_mul(*g) + 1),
+                batch(&e, &genomes, threads, |g| g.wrapping_mul(*g) + 1),
                 reference
             );
             assert_eq!(e.stats().genomes, 200);
@@ -461,7 +408,7 @@ mod tests {
         let calls = AtomicUsize::new(0);
         let e = engine(1024);
         let genomes = vec![1u64, 2, 3, 1, 2, 3, 1, 2, 3];
-        let out = e.evaluate_batch(&genomes, 1, |g| {
+        let out = batch(&e, &genomes, 1, |g| {
             calls.fetch_add(1, Ordering::Relaxed);
             g + 100
         });
@@ -477,8 +424,7 @@ mod tests {
     fn disabled_cache_always_misses() {
         let calls = AtomicUsize::new(0);
         let e = engine(0);
-        assert!(!e.cache_enabled());
-        let _ = e.evaluate_batch(&[5u64, 5, 5], 1, |g| {
+        let _ = batch(&e, &[5u64, 5, 5], 1, |g| {
             calls.fetch_add(1, Ordering::Relaxed);
             *g
         });
@@ -499,7 +445,7 @@ mod tests {
     fn eviction_pressure_is_counted_and_bounded() {
         let e = engine(8);
         let genomes: Vec<u64> = (0..1000).collect();
-        let _ = e.evaluate_batch(&genomes, 1, |g| *g);
+        let _ = batch(&e, &genomes, 1, |g| *g);
         let s = e.stats();
         assert_eq!(s.cache_misses, 1000);
         assert!(s.evictions > 900, "tiny cache must churn: {s:?}");
@@ -511,10 +457,16 @@ mod tests {
         let genomes: Vec<u64> = (0..30).collect();
         for threads in [1, 4] {
             let e = engine(256);
-            let out = e.evaluate_batch_isolated(&genomes, threads, 0, |g, _ctx| {
-                assert!(g % 9 != 4, "poison {g}");
-                g + 1
-            });
+            let out = e.evaluate_batch(
+                &genomes,
+                threads,
+                0,
+                |_| {},
+                |g, _ctx| {
+                    assert!(g % 9 != 4, "poison {g}");
+                    g + 1
+                },
+            );
             for (g, r) in genomes.iter().zip(&out) {
                 if g % 9 == 4 {
                     let f = r.as_ref().expect_err("poisoned");
@@ -538,13 +490,19 @@ mod tests {
         let first_attempts = AtomicUsize::new(0);
         let e = engine(256);
         let genomes: Vec<u64> = (0..10).collect();
-        let out = e.evaluate_batch_isolated(&genomes, 2, 1, |g, ctx| {
-            if ctx.attempt == 0 && g % 3 == 0 {
-                first_attempts.fetch_add(1, Ordering::Relaxed);
-                panic!("transient");
-            }
-            g * 2
-        });
+        let out = e.evaluate_batch(
+            &genomes,
+            2,
+            1,
+            |_| {},
+            |g, ctx| {
+                if ctx.attempt == 0 && g % 3 == 0 {
+                    first_attempts.fetch_add(1, Ordering::Relaxed);
+                    panic!("transient");
+                }
+                g * 2
+            },
+        );
         let values: Vec<u64> = out.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(values, genomes.iter().map(|g| g * 2).collect::<Vec<_>>());
         assert_eq!(first_attempts.load(Ordering::Relaxed), 4);
@@ -558,28 +516,22 @@ mod tests {
         let calls = AtomicUsize::new(0);
         let e = engine(256);
         let poisoned = [7u64];
-        let out = e.evaluate_batch_isolated(&poisoned, 1, 2, |_g, _ctx| -> u64 {
-            calls.fetch_add(1, Ordering::Relaxed);
-            panic!("always")
-        });
+        let out = e.evaluate_batch(
+            &poisoned,
+            1,
+            2,
+            |_| {},
+            |_g, _ctx| -> u64 {
+                calls.fetch_add(1, Ordering::Relaxed);
+                panic!("always")
+            },
+        );
         assert!(out[0].is_err());
         assert_eq!(calls.load(Ordering::Relaxed), 3, "1 + 2 retries");
         // The same genome evaluated cleanly afterwards is a miss, not a
         // stale hit of a poisoned entry.
-        let ok = e.evaluate_batch_isolated(&poisoned, 1, 0, |g, _ctx| g + 1);
+        let ok = e.evaluate_batch(&poisoned, 1, 0, |_| {}, |g, _ctx| g + 1);
         assert_eq!(*ok[0].as_ref().unwrap(), 8);
-    }
-
-    #[test]
-    fn isolated_batch_matches_plain_batch_when_fault_free() {
-        let genomes: Vec<u64> = (0..100).map(|i| i % 23).collect();
-        let plain = engine(128).evaluate_batch(&genomes, 4, |g| g * 7);
-        let isolated: Vec<u64> = engine(128)
-            .evaluate_batch_isolated(&genomes, 4, 1, |g, _ctx| g * 7)
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(plain, isolated);
     }
 
     #[test]
@@ -593,8 +545,8 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             g * 10
         };
-        let first = a.evaluate_batch(&genomes, 1, eval);
-        let second = b.evaluate_batch(&genomes, 1, eval);
+        let first = batch(&a, &genomes, 1, eval);
+        let second = batch(&b, &genomes, 1, eval);
         assert_eq!(first, second);
         assert_eq!(calls.load(Ordering::Relaxed), 3, "b reuses a's work");
         // Per-engine counters stay per-tenant; the store sees the union.
@@ -604,41 +556,19 @@ mod tests {
         assert_eq!((g.hits, g.misses, g.insertions), (3, 3, 3));
         // A different context on the same store must never exchange values.
         let c = EvalEngine::with_shared_cache(Arc::clone(&store), &"other-ctx");
-        let _ = c.evaluate_batch(&genomes, 1, eval);
+        let _ = batch(&c, &genomes, 1, eval);
         assert_eq!(c.stats().cache_hits, 0);
         assert_eq!(calls.load(Ordering::Relaxed), 6);
     }
 
     #[test]
-    fn reset_stats_keeps_the_cache_warm() {
-        let calls = AtomicUsize::new(0);
-        let e = engine(64);
-        let _ = e.evaluate_batch(&[9u64], 1, |g| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            *g
-        });
-        e.reset_stats();
-        let _ = e.evaluate_batch(&[9u64], 1, |g| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            *g
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 1, "second pass is a hit");
-        let s = e.stats();
-        assert_eq!((s.cache_hits, s.cache_misses), (1, 0));
-    }
-
-    #[test]
-    fn telemetry_registry_observes_every_batch_path() {
+    fn telemetry_registry_observes_every_batch() {
         use mcmap_telemetry::{Registry, SampleValue};
         let registry = Registry::new();
         let e = engine(256).with_metrics(&registry);
         let genomes = vec![1u64, 2, 3, 1, 2, 3];
-        let _ = e.evaluate_batch(&genomes, 1, |g| *g);
-        let _ = e
-            .evaluate_batch_isolated(&genomes, 1, 0, |g, _ctx| *g)
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect::<Vec<_>>();
+        let _ = batch(&e, &genomes, 1, |g| *g);
+        let _ = batch(&e, &genomes, 1, |g| *g);
         let snap = registry.snapshot();
         let counter = |name: &str| {
             snap.metrics
@@ -669,7 +599,7 @@ mod tests {
         // A disabled registry leaves the engine unmetered but unchanged.
         let quiet = Registry::default();
         let q = engine(256).with_metrics(&quiet);
-        let out = q.evaluate_batch(&genomes, 1, |g| *g);
+        let out = batch(&q, &genomes, 1, |g| *g);
         assert_eq!(out, genomes);
         assert!(quiet.snapshot().metrics.is_empty());
     }

@@ -13,7 +13,10 @@
 //!   claim candidates through an atomic cursor (natural load balancing for
 //!   evaluations of very different cost) and results are gathered **by
 //!   index**, so the output is bit-identical regardless of the thread
-//!   count: `threads` is purely a speed knob.
+//!   count: `threads` is purely a speed knob. `evaluate_batch` is the
+//!   engine's one batch path: each candidate runs behind a panic-isolation
+//!   boundary with bounded retries, and a candidate that keeps panicking
+//!   comes back as a typed `EvalFailure` instead of unwinding the run.
 //! * **Memoization** ([`ShardedCache`]) — results are cached under a
 //!   128-bit content hash of (genome, evaluation context), where the
 //!   context fingerprints the application set, the architecture, and the
@@ -41,8 +44,8 @@
 //!
 //! let engine: EvalEngine<u64> = EvalEngine::new(EvalCacheConfig::default(), &"ctx");
 //! let genomes: Vec<u64> = (0..64).map(|i| i % 8).collect();
-//! let squares = engine.evaluate_batch(&genomes, 4, |g| g * g);
-//! assert_eq!(squares[9], 1);
+//! let squares = engine.evaluate_batch(&genomes, 4, 0, |_| {}, |g, _| g * g);
+//! assert_eq!(squares[9], Ok(1));
 //! let stats = engine.stats();
 //! assert_eq!(stats.genomes, 64);
 //! assert!(stats.cache_hits >= 48, "only 8 distinct genomes exist");
@@ -59,7 +62,6 @@ mod stats;
 pub use cache::{CacheStats, ShardedCache};
 pub use engine::{EvalCacheConfig, EvalContext, EvalEngine};
 pub use pool::{
-    parallel_map, parallel_map_caught, parallel_map_caught_timed, parallel_map_timed,
-    pool_capacity, CaughtResult, WorkerLoad,
+    parallel_map, parallel_map_caught, parallel_map_timed, pool_capacity, CaughtResult, WorkerLoad,
 };
 pub use stats::EvalStats;

@@ -356,7 +356,7 @@ where
 
 /// [`parallel_map_caught`] with the per-participant [`WorkerLoad`] ledger
 /// of [`parallel_map_timed`].
-pub fn parallel_map_caught_timed<T, V, F>(
+pub(crate) fn parallel_map_caught_timed<T, V, F>(
     items: &[T],
     threads: usize,
     f: F,

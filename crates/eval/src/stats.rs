@@ -42,25 +42,6 @@ impl StatCounters {
         }
     }
 
-    pub fn reset(&self) {
-        for f in [
-            &self.batches,
-            &self.genomes,
-            &self.hits,
-            &self.misses,
-            &self.evictions,
-            &self.panics,
-            &self.degraded,
-            &self.lookup_nanos,
-            &self.eval_nanos,
-            &self.insert_nanos,
-            &self.wall_nanos,
-        ] {
-            f.store(0, Ordering::Relaxed);
-        }
-        self.workers.lock().expect("worker ledger").clear();
-    }
-
     pub fn snapshot(&self, cache_entries: u64) -> EvalStats {
         EvalStats {
             worker_loads: self.workers.lock().expect("worker ledger").clone(),
@@ -100,8 +81,8 @@ pub struct EvalStats {
     pub cache_misses: u64,
     /// Entries evicted to respect the capacity bound.
     pub evictions: u64,
-    /// Worker panics caught by the isolated evaluation path (one per
-    /// failed attempt, including attempts later rescued by a retry).
+    /// Evaluation panics caught by the batch path (one per failed
+    /// attempt, including attempts later rescued by a retry).
     pub panics: u64,
     /// Candidates that exhausted their retry budget and were degraded to
     /// a typed failure.
@@ -297,21 +278,6 @@ mod tests {
             !clean.render_text().contains("resilience"),
             "fault-free runs keep the original report shape"
         );
-    }
-
-    #[test]
-    fn counters_reset_to_zero() {
-        let c = StatCounters::default();
-        c.add(&c.genomes, 5);
-        c.add(&c.hits, 2);
-        c.merge_loads(&[WorkerLoad {
-            busy_nanos: 10,
-            items: 5,
-        }]);
-        assert_eq!(c.snapshot(0).genomes, 5);
-        assert_eq!(c.snapshot(0).worker_loads.len(), 1);
-        c.reset();
-        assert_eq!(c.snapshot(0), EvalStats::default());
     }
 
     #[test]

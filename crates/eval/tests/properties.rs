@@ -4,6 +4,14 @@
 use mcmap_eval::{parallel_map, EvalCacheConfig, EvalEngine};
 use proptest::prelude::*;
 
+/// A fault-free batch of [`expensive`] evaluations, unwrapped.
+fn batch(e: &EvalEngine<(u64, bool)>, items: &[u64], threads: usize) -> Vec<(u64, bool)> {
+    e.evaluate_batch(items, threads, 0, |_| {}, |g, _| expensive(g))
+        .into_iter()
+        .map(|r| r.expect("fault-free"))
+        .collect()
+}
+
 /// A deliberately collision-heavy "evaluation": maps many genomes to the
 /// same value so the cache sees real hit traffic.
 fn expensive(g: &u64) -> (u64, bool) {
@@ -38,8 +46,8 @@ proptest! {
             EvalEngine::new(EvalCacheConfig::with_capacity(capacity), &"prop");
         let bare: EvalEngine<(u64, bool)> =
             EvalEngine::new(EvalCacheConfig::disabled(), &"prop");
-        let a = cached.evaluate_batch(&items, threads, expensive);
-        let b = bare.evaluate_batch(&items, 1, expensive);
+        let a = batch(&cached, &items, threads);
+        let b = batch(&bare, &items, 1);
         prop_assert_eq!(a, b);
         // Both engines account every submitted genome exactly once.
         prop_assert_eq!(cached.stats().genomes, items.len() as u64);
@@ -53,8 +61,8 @@ proptest! {
     ) {
         let e: EvalEngine<(u64, bool)> =
             EvalEngine::new(EvalCacheConfig::default(), &"prop-idem");
-        let first = e.evaluate_batch(&items, 2, expensive);
-        let second = e.evaluate_batch(&items, 4, expensive);
+        let first = batch(&e, &items, 2);
+        let second = batch(&e, &items, 4);
         prop_assert_eq!(first, second);
         // The second pass is answered entirely from the cache.
         let s = e.stats();

@@ -232,6 +232,19 @@ impl HardenedSystem {
     pub fn flats_of_app(&self, app: AppId) -> Range<usize> {
         self.app_flats[app.index()].clone()
     }
+
+    /// The placement of every hardened task: the plan's fixed processor
+    /// for replicas and voters, `bindings[flat]` for the primary of
+    /// original task `flat` — the genome-to-design rule of the DSE.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bindings` has fewer entries than the original task set.
+    pub fn placement(&self, bindings: &[ProcId]) -> Vec<ProcId> {
+        self.tasks()
+            .map(|(id, t)| t.fixed_proc.unwrap_or(bindings[self.flat_of(id)]))
+            .collect()
+    }
 }
 
 /// Applies a hardening plan to an application set.

@@ -50,7 +50,7 @@ impl Value {
                 }
             }
             Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-            Value::Str(s) => write_json_string(s, out),
+            Value::Str(s) => push_json_str(out, s),
         }
     }
 
@@ -141,8 +141,12 @@ pub(crate) fn push_u64(out: &mut String, mut v: u64) {
     out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
 }
 
-/// JSON-escapes `s` (with surrounding quotes) into `out`.
-pub(crate) fn write_json_string(s: &str, out: &mut String) {
+/// JSON-escapes `s` (with surrounding quotes) into `out` — the one escape
+/// set of every JSON this workspace writes for [`parse_json`] to read
+/// back.
+///
+/// [`parse_json`]: crate::parse_json
+pub fn push_json_str(out: &mut String, s: &str) {
     // Fast path: nothing to escape (true for every site/field name and
     // almost every label) — one bulk copy instead of per-char pushes.
     if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
@@ -279,7 +283,7 @@ impl Event {
         s.push_str(",\"kind\":\"");
         s.push_str(self.kind.as_str());
         s.push_str("\",\"name\":");
-        write_json_string(&self.name, s);
+        push_json_str(s, &self.name);
         if let Some(id) = self.span {
             s.push_str(",\"span\":");
             push_u64(s, id);
@@ -306,7 +310,7 @@ fn write_map(map: &[(Key, Value)], out: &mut String) {
         if i > 0 {
             out.push(',');
         }
-        write_json_string(k, out);
+        push_json_str(out, k);
         out.push(':');
         v.write_json(out);
     }

@@ -174,7 +174,7 @@ pub struct CampaignSummary {
     pub done: u64,
     /// Per-point aggregates, portfolio order.
     pub points: Vec<PointValidation>,
-    /// Detailed violations (capped at [`MAX_VIOLATION_DETAIL`]; the
+    /// Detailed violations (at most 64 are kept; the
     /// per-point `violations` counters are exact).
     pub violations: Vec<Violation>,
     /// `true` when the stop flag ended the campaign early.

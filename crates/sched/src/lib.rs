@@ -19,12 +19,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod coarse;
 mod holistic;
 mod mapping;
 mod windows;
 
-pub use coarse::CoarseAnalysis;
 pub use holistic::HolisticAnalysis;
 pub use mapping::{
     deadline_monotonic_priorities, nominal_utilization, rate_monotonic_priorities,

@@ -6,8 +6,8 @@
 //! frame arrives — open a second [`Client`] for concurrent control verbs.
 
 use crate::job::JobSpec;
-use crate::proto::{push_json_str, read_frame, write_frame};
-use mcmap_obs::Json;
+use crate::proto::{read_frame, write_frame};
+use mcmap_obs::{push_json_str, Json};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 

@@ -18,10 +18,8 @@
 //! document behind.
 
 use mcmap_core::{AnalysisStats, DesignReport, EvalStats};
-use mcmap_obs::Json;
+use mcmap_obs::{push_json_str, Json};
 use std::path::{Path, PathBuf};
-
-use crate::proto::push_json_str;
 
 /// What one tenant asked the server to explore. The assembled
 /// [`DseConfig`](mcmap_core::DseConfig) mirrors the CLI's `dse` command

@@ -7,6 +7,7 @@
 //! request/response alternation: after the initial acknowledgement the
 //! server pushes progress frames until the job reaches a terminal state.
 
+use mcmap_obs::push_json_str;
 use std::io::{Read, Write};
 
 /// Frames larger than this are rejected as malformed — no legitimate
@@ -100,25 +101,6 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<String>> {
     String::from_utf8(buf)
         .map(Some)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
-/// JSON-escapes `s` (with surrounding quotes) into `out` — same escape set
-/// as the trace writer's, so every frame this crate emits parses back with
-/// [`mcmap_obs::parse_json`].
-pub fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Builds the uniform error response frame.

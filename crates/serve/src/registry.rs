@@ -13,13 +13,12 @@
 
 use crate::job::{front_to_json, status_doc, JobPaths, JobSpec, JobState, JobTotals};
 use crate::progress::{ProgressTap, TapSink};
-use crate::proto::push_json_str;
 use mcmap_core::{
     explore_checked, read_checkpoint_with_fallback, CacheStats, DseConfig, ObjectiveMode,
     SharedEvalCache,
 };
 use mcmap_ga::GaConfig;
-use mcmap_obs::RecorderBuilder;
+use mcmap_obs::{push_json_str, RecorderBuilder};
 use mcmap_resilience::atomic_write;
 use mcmap_telemetry::{Class, Counter, Gauge, Histogram, Registry as MetricsRegistry};
 use std::collections::{BTreeMap, VecDeque};

@@ -157,7 +157,7 @@ fn dispatch(
             match registry.submit(spec) {
                 Ok(id) => {
                     let mut payload = String::from(",\"id\":");
-                    crate::proto::push_json_str(&mut payload, &id);
+                    mcmap_obs::push_json_str(&mut payload, &id);
                     ok_frame(&payload)
                 }
                 Err(e) => error_frame(&e),
@@ -191,7 +191,7 @@ fn dispatch(
                 // one JSON string member — scrape bridges unwrap it.
                 Some("prometheus") => {
                     let mut payload = String::from(",\"prometheus\":");
-                    crate::proto::push_json_str(&mut payload, &snap.to_prometheus());
+                    mcmap_obs::push_json_str(&mut payload, &snap.to_prometheus());
                     ok_frame(&payload)
                 }
                 Some(other) => error_frame(&format!("unknown metrics format {other:?}")),
@@ -280,7 +280,7 @@ fn stream_job(id: &str, registry: &Arc<Registry>, stream: &mut TcpStream) -> Opt
                         }
                     }
                     let mut done = String::from("{\"event\":\"done\",\"state\":");
-                    crate::proto::push_json_str(&mut done, state.as_str());
+                    mcmap_obs::push_json_str(&mut done, state.as_str());
                     done.push('}');
                     let _ = write_frame(stream, &done);
                     let _ = stream.flush();

@@ -7,7 +7,7 @@
 use mcmap::benchmarks::dt_med;
 use mcmap::core::{analyze, repair_reliability, repair_structure, GenomeSpace};
 use mcmap::hardening::harden;
-use mcmap::model::{AppId, ProcId};
+use mcmap::model::AppId;
 use mcmap::sched::Mapping;
 use mcmap::sim::{monte_carlo, MonteCarloConfig, SimConfig};
 use rand::rngs::StdRng;
@@ -31,10 +31,7 @@ fn main() {
     ));
     let (plan, dropped, bindings) = space.decode(&genome);
     let hsys = harden(&b.apps, &plan, &b.arch).expect("repaired plans are valid");
-    let placement: Vec<ProcId> = hsys
-        .tasks()
-        .map(|(id, t)| t.fixed_proc.unwrap_or(bindings[hsys.flat_of(id)]))
-        .collect();
+    let placement = hsys.placement(&bindings);
     let mapping = Mapping::new(&hsys, &b.arch, placement).expect("repaired plans map");
 
     let mc = analyze(&hsys, &b.arch, &mapping, &b.policies, &dropped);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, lints, the whole test suite, the evaluation
-# engine's determinism suite, the server and validation-campaign
+# Full local gate: formatting, lints, rustdoc links, the whole test suite,
+# the evaluation engine's determinism suite, the server and validation-campaign
 # kill-and-resume smokes, and the eval-engine + fleet-scale + wcrt-analysis
 # + obs-overhead + telemetry-overhead + serve-load + sim-validation benches
 # (which write the machine-readable results/BENCH_eval.json,
@@ -21,6 +21,10 @@ else
     cargo fmt --check
     cargo clippy --workspace --all-targets -- -D warnings
 fi
+
+# Rustdoc gate: no broken or private intra-doc links, so a doc comment
+# cannot keep pointing at a deleted item.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 cargo test --workspace -q
 

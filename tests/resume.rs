@@ -105,7 +105,8 @@ fn kill_at_every_generation_resumes_bit_identically() {
     let baseline_trace = canonical_trace(&baseline.obs.events());
 
     // k = 1 (first boundary after the initial population), mid, and the
-    // final generation (resume is then a pure no-op replay).
+    // final generation (resume is then a pure no-op replay). A fresh run's
+    // slice `k + 1` ends at generation `k`.
     for k in [1, GENS / 2, GENS] {
         let path = scratch(&format!("sweep_k{k}.ckpt"));
         cleanup(&path);
@@ -117,7 +118,7 @@ fn kill_at_every_generation_resumes_bit_identically() {
             traced: true,
             resilience: ResilienceConfig {
                 checkpoint: Some(path.clone()),
-                stop_after_generation: Some(k),
+                stop_after_slice: Some(k + 1),
                 ..ResilienceConfig::default()
             },
         }
@@ -184,7 +185,7 @@ fn resume_is_independent_of_threads_and_cache_capacity() {
         traced: false,
         resilience: ResilienceConfig {
             checkpoint: Some(path.clone()),
-            stop_after_generation: Some(2),
+            stop_after_slice: Some(3),
             ..ResilienceConfig::default()
         },
     }
@@ -340,7 +341,7 @@ proptest! {
             traced: false,
             resilience: ResilienceConfig {
                 checkpoint: Some(path.clone()),
-                stop_after_generation: Some(kill),
+                stop_after_slice: Some(kill + 1),
                 ..ResilienceConfig::default()
             },
         }
