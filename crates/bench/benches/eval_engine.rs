@@ -27,7 +27,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mcmap_bench::env_usize;
 use mcmap_benchmarks::{dt_med, Benchmark};
 use mcmap_core::{explore, DseConfig, DseOutcome, ObjectiveMode};
-use mcmap_eval::{parallel_map, EvalCacheConfig, EvalEngine};
+use mcmap_eval::{parallel_map, EvalEngine};
 use mcmap_ga::GaConfig;
 use std::time::Instant;
 
@@ -75,7 +75,7 @@ fn bench_engine_micro(c: &mut Criterion) {
     group.bench_function("parallel_map/256x2t", |bench| {
         bench.iter(|| parallel_map(&items, 2, |&g| black_box(g).wrapping_mul(0x9E37_79B9)))
     });
-    let engine: EvalEngine<u64> = EvalEngine::new(EvalCacheConfig::default(), &"micro");
+    let engine: EvalEngine<u64> = EvalEngine::new(65_536, &"micro");
     let eval = |&g: &u64, _| g.wrapping_mul(3);
     engine.evaluate_batch(&items, 1, 0, |_| {}, eval);
     group.bench_function("cache_hit/256", |bench| {

@@ -27,6 +27,7 @@ fn t(name: &str, wcet: u64) -> Task {
 }
 
 fn main() -> ExitCode {
+    let knobs = EvalKnobs::parse();
     let arch = Architecture::builder()
         .homogeneous(2, Processor::new("pe", ProcKind::new(0), 5.0, 20.0, 1e-6))
         .fabric(Fabric::new(1 << 20))
@@ -119,7 +120,6 @@ fn main() -> ExitCode {
     // The three scenarios (b)/(c)/(d) are independent simulations, so they
     // run on the evaluation worker pool; each builds its own fault script,
     // and the gather preserves scenario order.
-    let knobs = EvalKnobs::parse();
     let obs = knobs.recorder();
     let scenarios: [usize; 3] = [0, 1, 2];
     let span = obs.span(

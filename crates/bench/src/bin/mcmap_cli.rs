@@ -42,7 +42,12 @@
 //! (500–5000-task layered-DAG sets on 16–64-PE interference-aware
 //! platforms; a fleet name also deepens the explored hardening space to
 //! the preset's re-execution/replica bounds). The experiment binaries
-//! accept the same presets through `--fleet <preset>` / `MCMAP_FLEET`.
+//! accept the same presets through `--fleet <preset>`.
+//!
+//! Every verb parses its flags through the one table-driven parser of
+//! `mcmap_bench::flags`, and answers a usage error — an unknown flag, a
+//! missing or malformed value, an extra argument — with the usage text and
+//! exit code 2, before running anything.
 //!
 //! `dse` runs the candidate-evaluation engine (`mcmap-eval`) underneath:
 //! `--threads` spreads each generation across a worker pool (0 = one per
@@ -54,8 +59,7 @@
 //! scenarios pruned). Dominance pruning of transition scenarios is on by
 //! default and bit-identical to the prune-free reference whenever the
 //! analysis converges (it can change non-converged windows, and with them
-//! the front); `--no-prune` switches it off for A/B timing. Any other
-//! flag is rejected with exit code 2.
+//! the front); `--no-prune` switches it off for A/B timing.
 //!
 //! `dse` can additionally trace itself through `mcmap-obs`: `--trace`
 //! streams every event (spans, counters, per-generation telemetry) to a
@@ -97,6 +101,7 @@
 //! exits 0 only when the job completes, and `stream` prints one line per
 //! finished generation.
 
+use mcmap_bench::flags::{self, number, text, Args, Arity::*, Flag, UsageError};
 use mcmap_bench::{sample_designs, EvalKnobs, SampleDesign};
 use mcmap_benchmarks::Benchmark;
 use mcmap_core::{
@@ -125,9 +130,11 @@ fn benchmark(name: &str) -> Option<Benchmark> {
     }
 }
 
-fn usage() -> ExitCode {
+/// Prints the usage error and the usage text; exit code 2.
+fn usage(err: &UsageError) -> ExitCode {
     eprintln!(
-        "usage: mcmap_cli <list|analyze|simulate|gantt|dot|dse|lint|obs|serve|client> [args…]\n\
+        "mcmap_cli: {err}\n\
+         usage: mcmap_cli <list|analyze|simulate|gantt|dot|dse|validate|lint|obs|serve|client> [args…]\n\
          benchmarks: cruise, dt-med, dt-large, synth1, synth2,\n\
          \u{20}           fleet-small, fleet-med, fleet-large\n\
          dse flags:  --threads <n>, --cache-cap <n>, --eval-stats [json],\n\
@@ -135,13 +142,17 @@ fn usage() -> ExitCode {
          \u{20}           --audit [json], --checkpoint <path>, --resume <path>,\n\
          \u{20}           --eval-retries <n>, --no-prune, --validate [n]\n\
          analyze:    mcmap_cli analyze <benchmark> [seed] [--json]\n\
+         simulate:   mcmap_cli simulate <benchmark> [runs]\n\
+         gantt:      mcmap_cli gantt <benchmark> [seed]\n\
+         dot:        mcmap_cli dot <benchmark>\n\
          validate:   mcmap_cli validate <benchmark> [pop gens] [--profiles <n>]\n\
          \u{20}           [--seed <n>] [--boost <f>] [--threads <n>] [--json]\n\
          \u{20}           [--portfolio <path>] [--checkpoint <path>] [--resume]\n\
          lint flags: --json, --inject <cycle|relbound|inverted>,\n\
          \u{20}           --interference [seed] [--json|--dot], --explain [MCxxxx]\n\
          obs:        mcmap_cli obs <trace.jsonl> [--json]\n\
-         \u{20}           | obs query <trace> [--name <s>] [--kind <k>] [--field <k[=v]>]\n\
+         \u{20}           | obs query <trace> [--name <s>]\n\
+         \u{20}             [--kind <span_begin|span_end|counter|mark>] [--field <k[=v]>]\n\
          \u{20}             [--generation <n>] [--json]\n\
          \u{20}           | obs critical-path <trace> [--json] | obs flame <trace>\n\
          \u{20}           | obs diff <a.jsonl> <b.jsonl> [--json]\n\
@@ -151,8 +162,20 @@ fn usage() -> ExitCode {
          \u{20}           | <status|cancel|resume|front|stream|wait> <id> | list | shutdown\n\
          \u{20}           | stats [--json] | status <id> [--json] | metrics [--prometheus]"
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }
+
+/// A verb's first positional, resolved as a benchmark name.
+fn bench_arg(args: &Args) -> Result<(Benchmark, &str), UsageError> {
+    let name = args.required(0, "<benchmark>")?;
+    match benchmark(name) {
+        Some(b) => Ok((b, name)),
+        None => Err(UsageError(format!("unknown benchmark {name:?}"))),
+    }
+}
+
+/// `--json`, the switch several verbs share.
+const JSON: Flag = ("--json", Switch);
 
 fn sampled(b: &Benchmark, seed: u64) -> Option<SampleDesign> {
     sample_designs(b, 1, seed).into_iter().next()
@@ -357,42 +380,16 @@ fn cmd_explain_all() -> ExitCode {
 /// client `shutdown` verb, then drains — running slices stop at their next
 /// checkpointed generation boundary, so every unfinished job resumes
 /// bit-identically.
-fn cmd_serve(tail: &[String]) -> ExitCode {
-    let mut addr = "127.0.0.1:7421".to_string();
+fn cmd_serve(args: &Args) -> ExitCode {
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7421").to_string();
     let mut cfg = mcmap_serve::ServeConfig::default();
-    let mut i = 0;
-    while i < tail.len() {
-        let value = tail.get(i + 1);
-        let parsed = value.and_then(|v| v.parse::<usize>().ok());
-        match tail[i].as_str() {
-            "--addr" => match value {
-                Some(v) => addr = v.clone(),
-                None => return usage(),
-            },
-            "--jobs-dir" => match value {
-                Some(v) => cfg.jobs_dir = std::path::PathBuf::from(v),
-                None => return usage(),
-            },
-            "--workers" => match parsed {
-                Some(n) => cfg.workers = n,
-                None => return usage(),
-            },
-            "--slice" => match parsed {
-                Some(n) if n > 0 => cfg.slice = n,
-                _ => return usage(),
-            },
-            "--cache-cap" => match parsed {
-                Some(n) => cfg.cache_cap = n,
-                None => return usage(),
-            },
-            "--job-threads" => match parsed {
-                Some(n) => cfg.job_threads = n,
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-        i += 2;
+    if let Some(dir) = args.value("--jobs-dir") {
+        cfg.jobs_dir = std::path::PathBuf::from(dir);
     }
+    cfg.workers = args.get("--workers").unwrap_or(cfg.workers);
+    cfg.slice = args.get("--slice").unwrap_or(cfg.slice);
+    cfg.cache_cap = args.get("--cache-cap").unwrap_or(cfg.cache_cap);
+    cfg.job_threads = args.get("--job-threads").unwrap_or(cfg.job_threads);
     let jobs_dir = cfg.jobs_dir.clone();
     let server = match mcmap_serve::Server::bind(&addr, cfg) {
         Ok(s) => s,
@@ -426,199 +423,99 @@ fn cmd_serve(tail: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `client`: one verb against a running server.
-fn cmd_client(tail: &[String]) -> ExitCode {
-    let Some(addr) = tail.first() else {
-        return usage();
+/// `client`: one verb against a running server. The command line is
+/// checked before connecting, so a usage error never reaches the server.
+fn cmd_client(tail: &[String]) -> Result<ExitCode, UsageError> {
+    let [addr, verb, rest @ ..] = tail else {
+        return Err(UsageError("client needs <addr> <verb>".into()));
     };
-    let Some(verb) = tail.get(1).map(String::as_str) else {
-        return usage();
+    let verb = verb.as_str();
+    // Each verb's flags, and its positionals: none, a job id, or a
+    // benchmark with an optional `pop gens` budget.
+    let (table, max): (&[Flag], usize) = match verb {
+        "submit" => (&[("--seed", Value(number::<u64>))], 3),
+        "status" => (&[JSON], 1),
+        "stats" => (&[JSON], 0),
+        "metrics" => (&[("--prometheus", Switch)], 0),
+        "front" | "cancel" | "resume" | "stream" | "wait" => (&[], 1),
+        "list" | "shutdown" => (&[], 0),
+        _ => return Err(UsageError(format!("unknown client verb {verb:?}"))),
     };
+    let args = flags::parse(rest, table, max)?;
+    let id = match (verb, max) {
+        (_, 0) => "",
+        ("submit", _) => args.required(0, "<benchmark>")?,
+        _ => args.required(0, "<id>")?,
+    };
+    let (population, generations) = (args.positional(1, 40)?, args.positional(2, 40)?);
     let mut c = match mcmap_serve::Client::connect(addr) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("client: cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let fail = |e: String| -> ExitCode {
         eprintln!("client: {e}");
         ExitCode::FAILURE
     };
-    let arg = tail.get(2).map(String::as_str);
-    match verb {
+    // Prints a reply verbatim, or reports the failure.
+    let show = |reply: Result<String, String>| match reply {
+        Ok(out) => {
+            print!("{out}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => fail(e),
+    };
+    let line = |text: String| text + "\n";
+    Ok(match verb {
         "submit" => {
-            let Some(bench) = arg else {
-                return usage();
-            };
-            let mut pos = Vec::new();
-            let mut seed = 8u64;
-            let mut i = 3;
-            while i < tail.len() {
-                if tail[i] == "--seed" {
-                    match tail.get(i + 1).and_then(|v| v.parse().ok()) {
-                        Some(s) => seed = s,
-                        None => return usage(),
-                    }
-                    i += 2;
-                } else {
-                    pos.push(tail[i].as_str());
-                    i += 1;
-                }
-            }
-            let budget = |i: usize| pos.get(i).and_then(|v| v.parse().ok()).unwrap_or(40);
             let spec = mcmap_serve::JobSpec {
-                benchmark: bench.to_string(),
-                population: budget(0),
-                generations: budget(1),
-                seed,
+                benchmark: id.to_string(),
+                population,
+                generations,
+                seed: args.get("--seed").unwrap_or(8),
             };
-            match c.submit(&spec) {
-                Ok(id) => {
-                    println!("{id}");
+            show(c.submit(&spec).map(line))
+        }
+        "status" if args.has("--json") => show(c.verb_raw(verb, Some(id)).map(line)),
+        "status" => show(
+            c.status(id)
+                .map(|job| mcmap_serve::render::render_status(&job)),
+        ),
+        "stats" if args.has("--json") => show(c.verb_raw(verb, None).map(line)),
+        "stats" => show(
+            c.stats()
+                .map(|stats| mcmap_serve::render::render_stats(&stats)),
+        ),
+        "metrics" if args.has("--prometheus") => show(c.metrics_prometheus()),
+        "front" => show(c.verb_raw(verb, Some(id)).map(line)),
+        "metrics" | "list" => show(c.verb_raw(verb, None).map(line)),
+        "cancel" | "resume" => show(c.verb_raw(verb, Some(id)).map(|_| "ok\n".into())),
+        "stream" => show(
+            c.stream(id, |g| println!("generation {g}"))
+                .map(|state| format!("done: {state}\n")),
+        ),
+        "wait" => match c.wait(id) {
+            Ok(state) => {
+                println!("{state}");
+                if state == "completed" {
                     ExitCode::SUCCESS
+                } else {
+                    ExitCode::FAILURE
                 }
-                Err(e) => fail(e),
-            }
-        }
-        "status" => {
-            let Some(id) = arg else {
-                return usage();
-            };
-            if tail.iter().any(|a| a == "--json") {
-                match c.verb_raw(verb, Some(id)) {
-                    Ok(text) => {
-                        println!("{text}");
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => fail(e),
-                }
-            } else {
-                match c.status(id) {
-                    Ok(job) => {
-                        print!("{}", mcmap_serve::render::render_status(&job));
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => fail(e),
-                }
-            }
-        }
-        "front" => {
-            let Some(id) = arg else {
-                return usage();
-            };
-            match c.verb_raw(verb, Some(id)) {
-                Ok(text) => {
-                    println!("{text}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(e),
-            }
-        }
-        "stats" => {
-            if tail.iter().any(|a| a == "--json") {
-                match c.verb_raw(verb, None) {
-                    Ok(text) => {
-                        println!("{text}");
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => fail(e),
-                }
-            } else {
-                match c.stats() {
-                    Ok(stats) => {
-                        print!("{}", mcmap_serve::render::render_stats(&stats));
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => fail(e),
-                }
-            }
-        }
-        "metrics" => {
-            if tail.iter().any(|a| a == "--prometheus") {
-                match c.metrics_prometheus() {
-                    Ok(text) => {
-                        print!("{text}");
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => fail(e),
-                }
-            } else {
-                match c.verb_raw(verb, None) {
-                    Ok(text) => {
-                        println!("{text}");
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => fail(e),
-                }
-            }
-        }
-        "list" => match c.verb_raw(verb, None) {
-            Ok(text) => {
-                println!("{text}");
-                ExitCode::SUCCESS
             }
             Err(e) => fail(e),
         },
-        "cancel" | "resume" => {
-            let Some(id) = arg else {
-                return usage();
-            };
-            match c.verb_raw(verb, Some(id)) {
-                Ok(_) => {
-                    println!("ok");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(e),
-            }
-        }
-        "stream" => {
-            let Some(id) = arg else {
-                return usage();
-            };
-            match c.stream(id, |g| println!("generation {g}")) {
-                Ok(state) => {
-                    println!("done: {state}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(e),
-            }
-        }
-        "wait" => {
-            let Some(id) = arg else {
-                return usage();
-            };
-            match c.wait(id) {
-                Ok(state) => {
-                    println!("{state}");
-                    if state == "completed" {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(e) => fail(e),
-            }
-        }
-        "shutdown" => match c.shutdown() {
-            Ok(()) => {
-                println!("ok");
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(e),
-        },
-        _ => usage(),
-    }
+        _ => show(c.shutdown().map(|()| "ok\n".into())),
+    })
 }
 
 /// `lint --interference`: samples a repaired chromosome, builds its
 /// interference graph, and renders it (text with diagnostics, `--json`, or
 /// `--dot` for GraphViz).
-fn cmd_interference(b: &Benchmark, flags: &[String]) -> ExitCode {
-    let seed = flags
-        .iter()
-        .find_map(|f| f.parse::<u64>().ok())
-        .unwrap_or(11);
+fn cmd_interference(b: &Benchmark, args: &Args) -> ExitCode {
+    let seed = args.get("--interference").unwrap_or(11);
     let space = GenomeSpace::new(&b.apps, &b.arch);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = space.random(&mut rng);
@@ -629,9 +526,9 @@ fn cmd_interference(b: &Benchmark, flags: &[String]) -> ExitCode {
         eprintln!("lint: sampled genome does not fit the system (internal error)");
         return ExitCode::FAILURE;
     };
-    if flags.iter().any(|f| f == "--dot") {
+    if args.has("--dot") {
         print!("{}", ig.to_dot());
-    } else if flags.iter().any(|f| f == "--json") {
+    } else if args.has("--json") {
         println!("{}", ig.to_json());
     } else {
         println!("interference graph of a repaired sample (seed {seed}):\n");
@@ -652,24 +549,18 @@ fn cmd_interference(b: &Benchmark, flags: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_lint(b: &Benchmark, flags: &[String]) -> ExitCode {
-    let json = flags.iter().any(|f| f == "--json");
-    if flags.iter().any(|f| f == "--interference") {
-        return cmd_interference(b, flags);
+fn cmd_lint(b: &Benchmark, args: &Args) -> ExitCode {
+    if args.has("--interference") {
+        return cmd_interference(b, args);
     }
-    let apps = match flags
-        .iter()
-        .position(|f| f == "--inject")
-        .map(|i| flags.get(i + 1).map(String::as_str))
-    {
+    let apps = match args.value("--inject") {
         None => b.apps.clone(),
-        Some(Some("cycle")) => mcmap_lint::inject::with_cycle(&b.apps),
-        Some(Some("relbound")) => mcmap_lint::inject::with_unsatisfiable_reliability(&b.apps),
-        Some(Some("inverted")) => mcmap_lint::inject::with_inverted_bounds(&b.apps),
-        Some(_) => return usage(),
+        Some("cycle") => mcmap_lint::inject::with_cycle(&b.apps),
+        Some("relbound") => mcmap_lint::inject::with_unsatisfiable_reliability(&b.apps),
+        Some(_) => mcmap_lint::inject::with_inverted_bounds(&b.apps),
     };
     let report = mcmap_lint::Linter::new(&apps, &b.arch).lint();
-    if json {
+    if args.has("--json") {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.render_text());
@@ -689,18 +580,7 @@ fn cmd_dse(
     knobs: &EvalKnobs,
     validate: Option<u64>,
 ) -> ExitCode {
-    let mut cfg = DseConfig {
-        ga: GaConfig {
-            population: pop,
-            generations: gens,
-            seed: 8,
-            ..GaConfig::default()
-        },
-        objectives: ObjectiveMode::PowerService,
-        policies: Some(b.policies.clone()),
-        repair_iters: 80,
-        ..DseConfig::default()
-    };
+    let mut cfg = explore_config(b, pop, gens);
     // A fleet benchmark brings its own hardening-space depth.
     if let Some(fleet) = mcmap_benchmarks::fleet_preset(key) {
         cfg.max_reexec = fleet.max_reexec;
@@ -878,76 +758,14 @@ fn run_validation(
     ExitCode::SUCCESS
 }
 
-fn cmd_validate(b: &Benchmark, key: &str, tail: &[String]) -> ExitCode {
-    let mut profiles: u64 = 1000;
-    let mut seed: u64 = 0xC0FFEE;
-    let mut boost: f64 = 1e3;
-    let mut threads: usize = 0;
-    let mut checkpoint: Option<String> = None;
-    let mut resume = false;
-    let mut portfolio_path: Option<String> = None;
-    let mut json = false;
-    let mut pos: Vec<usize> = Vec::new();
-    let mut i = 0;
-    while i < tail.len() {
-        let a = tail[i].as_str();
-        let mut value = |what: &str| -> Option<String> {
-            i += 1;
-            let v = tail.get(i).cloned();
-            if v.is_none() {
-                eprintln!("validate: {what} needs a value");
-            }
-            v
-        };
-        match a {
-            "--profiles" => match value("--profiles").and_then(|v| v.parse().ok()) {
-                Some(v) => profiles = v,
-                None => return usage(),
-            },
-            "--seed" => match value("--seed").and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => return usage(),
-            },
-            "--boost" => match value("--boost").and_then(|v| v.parse().ok()) {
-                Some(v) => boost = v,
-                None => return usage(),
-            },
-            "--threads" => match value("--threads").and_then(|v| v.parse().ok()) {
-                Some(v) => threads = v,
-                None => return usage(),
-            },
-            "--checkpoint" => match value("--checkpoint") {
-                Some(v) => checkpoint = Some(v),
-                None => return usage(),
-            },
-            "--portfolio" => match value("--portfolio") {
-                Some(v) => portfolio_path = Some(v),
-                None => return usage(),
-            },
-            "--resume" => resume = true,
-            "--json" => json = true,
-            _ if a.starts_with("--") => {
-                eprintln!("validate: unknown flag {a}");
-                return usage();
-            }
-            _ => match a.parse() {
-                Ok(v) => pos.push(v),
-                Err(_) => return usage(),
-            },
-        }
-        i += 1;
-    }
-    let pop = pos.first().copied().unwrap_or(24);
-    let gens = pos.get(1).copied().unwrap_or(24);
-
+fn cmd_validate(b: &Benchmark, key: &str, pop: usize, gens: usize, args: &Args) -> ExitCode {
+    let portfolio_path = args.value("--portfolio");
     let stop = mcmap_resilience::install_stop_flag();
 
     // The portfolio: loaded from --portfolio when the file exists,
     // otherwise extracted from a fresh (deterministic, seed-8)
     // exploration and saved there for the next invocation.
-    let stored = portfolio_path
-        .as_ref()
-        .filter(|p| std::path::Path::new(p).exists());
+    let stored = portfolio_path.filter(|p| std::path::Path::new(p).exists());
     let portfolio = match stored {
         Some(path) => match read_portfolio(std::path::Path::new(path)) {
             Ok((p, recovered)) => {
@@ -977,7 +795,7 @@ fn cmd_validate(b: &Benchmark, key: &str, tail: &[String]) -> ExitCode {
             }
             let problem = MappingProblem::new(&b.apps, &b.arch, explore_config(b, pop, gens));
             let portfolio = Portfolio::extract(&problem, &outcome.result.front);
-            if let Some(path) = &portfolio_path {
+            if let Some(path) = portfolio_path {
                 if let Err(e) = write_portfolio(std::path::Path::new(path), &portfolio) {
                     eprintln!("validate: {e}");
                     return ExitCode::FAILURE;
@@ -992,16 +810,16 @@ fn cmd_validate(b: &Benchmark, key: &str, tail: &[String]) -> ExitCode {
         portfolio.context
     );
     let ccfg = CampaignConfig {
-        profiles,
-        seed,
-        boost,
-        threads,
-        checkpoint: checkpoint.map(std::path::PathBuf::from),
-        resume,
+        profiles: args.get("--profiles").unwrap_or(1000),
+        seed: args.get("--seed").unwrap_or(0xC0FFEE),
+        boost: args.get("--boost").unwrap_or(1e3),
+        threads: args.get("--threads").unwrap_or(0),
+        checkpoint: args.value("--checkpoint").map(std::path::PathBuf::from),
+        resume: args.has("--resume"),
         stop: Some(stop),
         ..CampaignConfig::default()
     };
-    run_validation(b, key, pop, gens, &portfolio, &ccfg, json)
+    run_validation(b, key, pop, gens, &portfolio, &ccfg, args.has("--json"))
 }
 
 fn cmd_obs(path: &str, json: bool) -> ExitCode {
@@ -1068,54 +886,17 @@ fn load_trace(path: &str) -> Result<Vec<mcmap_obs::Event>, ExitCode> {
 
 /// `obs query`: filter a trace by name substring, event kind, field
 /// presence/value, and generation; print matches as a table or JSONL.
-fn cmd_obs_query(path: &str, tail: &[String]) -> ExitCode {
-    let mut q = mcmap_obs::TraceQuery::default();
-    let mut json = false;
-    let mut i = 0;
-    while i < tail.len() {
-        let value = tail.get(i + 1).map(String::as_str);
-        match tail[i].as_str() {
-            "--name" => match value {
-                Some(v) => {
-                    q.name = Some(v.to_string());
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--kind" => match value.and_then(mcmap_obs::EventKind::parse) {
-                Some(k) => {
-                    q.kind = Some(k);
-                    i += 2;
-                }
-                None => {
-                    eprintln!("obs query: --kind takes span_begin|span_end|counter|mark");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--field" => match value {
-                Some(v) => {
-                    q.field = Some(match v.split_once('=') {
-                        Some((k, val)) => (k.to_string(), Some(val.to_string())),
-                        None => (v.to_string(), None),
-                    });
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--generation" => match value.and_then(|v| v.parse().ok()) {
-                Some(g) => {
-                    q.generation = Some(g);
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            _ => return usage(),
-        }
-    }
+fn cmd_obs_query(path: &str, args: &Args) -> ExitCode {
+    let q = mcmap_obs::TraceQuery {
+        name: args.value("--name").map(String::from),
+        kind: args.value("--kind").and_then(mcmap_obs::EventKind::parse),
+        field: args.value("--field").map(|v| match v.split_once('=') {
+            Some((k, val)) => (k.to_string(), Some(val.to_string())),
+            None => (v.to_string(), None),
+        }),
+        generation: args.get("--generation"),
+    };
+    let json = args.has("--json");
     let events = match load_trace(path) {
         Ok(e) => e,
         Err(code) => return code,
@@ -1240,144 +1021,141 @@ fn cmd_obs_diff(path_a: &str, path_b: &str, json: bool) -> ExitCode {
     }
 }
 
-/// Strips the eval-engine flags (and their values) out of a `dse` argument
-/// tail, leaving the positional `[pop gens]` budget. An unknown flag is
-/// returned as the error: skipping it would read its value as the budget.
-fn dse_positionals(tail: &[String]) -> Result<Vec<String>, String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < tail.len() {
-        let a = tail[i].as_str();
-        if a == "--threads"
-            || a == "--cache-cap"
-            || a == "--trace"
-            || a == "--checkpoint"
-            || a == "--resume"
-            || a == "--eval-retries"
-        {
-            i += 2;
-        } else if a == "--eval-stats"
-            || a == "--obs-summary"
-            || a == "--gen-stats"
-            || a == "--audit"
-        {
-            i += 1;
-            if matches!(
-                tail.get(i).map(String::as_str),
-                Some("json") | Some("text") | Some("off") | Some("0")
-            ) {
-                i += 1;
-            }
-        } else if a == "--validate" {
-            i += 1;
-            if tail.get(i).is_some_and(|v| v.parse::<u64>().is_ok()) {
-                i += 1;
-            }
-        } else if a == "--no-prune" {
-            i += 1;
-        } else if a.starts_with("--") {
-            return Err(a.to_string());
-        } else {
-            out.push(tail[i].clone());
-            i += 1;
+/// Parses one command line against its verb's flag table and runs the
+/// verb; a usage error returns before any work starts.
+fn run(args: &[String]) -> Result<ExitCode, UsageError> {
+    let Some((cmd, tail)) = args.split_first() else {
+        return Err(UsageError("missing command".into()));
+    };
+    Ok(match cmd.as_str() {
+        "list" => {
+            flags::parse(tail, &[], 0)?;
+            cmd_list()
         }
-    }
-    Ok(out)
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().map(String::as_str) else {
-        return usage();
-    };
-    if cmd == "list" {
-        return cmd_list();
-    }
-    if cmd == "obs" {
-        let json = args.iter().any(|a| a == "--json");
-        // Analytics subverbs first; anything else is a trace path for the
-        // classic profile rendering.
-        return match args.get(1).map(String::as_str) {
-            Some("query") => match args.get(2) {
-                Some(path) => cmd_obs_query(path, &args[3..]),
-                None => usage(),
-            },
-            Some("critical-path") => match args.get(2) {
-                Some(path) => cmd_obs_critical_path(path, json),
-                None => usage(),
-            },
-            Some("flame") => match args.get(2) {
-                Some(path) => cmd_obs_flame(path),
-                None => usage(),
-            },
-            Some("diff") => match (args.get(2), args.get(3)) {
-                (Some(a), Some(b)) if !b.starts_with("--") => cmd_obs_diff(a, b, json),
-                _ => usage(),
-            },
-            Some(path) => cmd_obs(path, json),
-            None => usage(),
-        };
-    }
-    if cmd == "serve" {
-        return cmd_serve(&args[1..]);
-    }
-    if cmd == "client" {
-        return cmd_client(&args[1..]);
-    }
-    // `lint --explain [MCxxxx]` documents one code (or lists them all), no
-    // benchmark involved.
-    if cmd == "lint" {
-        if let Some(i) = args.iter().position(|a| a == "--explain") {
-            return match args.get(i + 1).filter(|c| !c.starts_with("--")) {
-                Some(code) => cmd_explain(code),
-                None => cmd_explain_all(),
-            };
+        "analyze" => {
+            let args = flags::parse(tail, &[JSON], 2)?;
+            let (b, _) = bench_arg(&args)?;
+            cmd_analyze(&b, args.positional(1, 11)?, args.has("--json"))
         }
-    }
-    let Some(b) = args.get(1).and_then(|n| benchmark(n)) else {
-        return usage();
-    };
-    let num = |i: usize, default: usize| -> usize {
-        args.get(i).and_then(|v| v.parse().ok()).unwrap_or(default)
-    };
-    match cmd {
-        "analyze" => cmd_analyze(&b, num(2, 11) as u64, args.iter().any(|a| a == "--json")),
-        "simulate" => cmd_simulate(&b, num(2, 500)),
-        "gantt" => cmd_gantt(&b, num(2, 11) as u64),
+        "simulate" => {
+            let args = flags::parse(tail, &[], 2)?;
+            let (b, _) = bench_arg(&args)?;
+            cmd_simulate(&b, args.positional(1, 500)?)
+        }
+        "gantt" => {
+            let args = flags::parse(tail, &[], 2)?;
+            let (b, _) = bench_arg(&args)?;
+            cmd_gantt(&b, args.positional(1, 11)?)
+        }
         "dot" => {
+            let args = flags::parse(tail, &[], 1)?;
+            let (b, _) = bench_arg(&args)?;
             print!("{}", mcmap_model::appset_to_dot(&b.apps));
             ExitCode::SUCCESS
         }
         "dse" => {
-            let tail = &args[2..];
-            let knobs = EvalKnobs::from_args(tail);
-            let pos = match dse_positionals(tail) {
-                Ok(pos) => pos,
-                Err(flag) => {
-                    eprintln!("mcmap_cli dse: unknown flag {flag}");
-                    usage();
-                    return ExitCode::from(2);
-                }
-            };
-            let budget = |i: usize, default: usize| -> usize {
-                pos.get(i).and_then(|v| v.parse().ok()).unwrap_or(default)
-            };
-            let validate = tail.iter().position(|a| a == "--validate").map(|i| {
-                tail.get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(256u64)
-            });
-            cmd_dse(
-                &b,
-                args.get(1).map_or("cruise", String::as_str),
-                budget(0, 40),
-                budget(1, 40),
-                &knobs,
-                validate,
-            )
+            let args = flags::parse(tail, &mcmap_bench::dse_flags(), 3)?;
+            let (b, key) = bench_arg(&args)?;
+            let (pop, gens) = (args.positional(1, 40)?, args.positional(2, 40)?);
+            let validate = args
+                .has("--validate")
+                .then(|| args.get("--validate").unwrap_or(256));
+            cmd_dse(&b, key, pop, gens, &EvalKnobs::from_flags(&args), validate)
         }
-        "lint" => cmd_lint(&b, &args[2..]),
-        "validate" => cmd_validate(&b, args.get(1).map_or("cruise", String::as_str), &args[2..]),
-        _ => usage(),
-    }
+        "validate" => {
+            let table = [
+                ("--profiles", Value(number::<u64>)),
+                ("--seed", Value(number::<u64>)),
+                ("--boost", Value(number::<f64>)),
+                ("--threads", Value(number::<usize>)),
+                JSON,
+                ("--portfolio", Value(text)),
+                ("--checkpoint", Value(text)),
+                ("--resume", Switch),
+            ];
+            let args = flags::parse(tail, &table, 3)?;
+            let (b, key) = bench_arg(&args)?;
+            let (pop, gens) = (args.positional(1, 24)?, args.positional(2, 24)?);
+            cmd_validate(&b, key, pop, gens, &args)
+        }
+        "lint" => {
+            let table = [
+                JSON,
+                (
+                    "--inject",
+                    Value(|v| matches!(v, "cycle" | "relbound" | "inverted")),
+                ),
+                ("--interference", Optional(number::<u64>)),
+                ("--dot", Switch),
+                // `--explain [MCxxxx]` documents one code (or lists them
+                // all), no benchmark involved.
+                ("--explain", Optional(text)),
+            ];
+            let args = flags::parse(tail, &table, 1)?;
+            match args.value("--explain") {
+                Some(code) => cmd_explain(code),
+                None if args.has("--explain") => cmd_explain_all(),
+                None => cmd_lint(&bench_arg(&args)?.0, &args),
+            }
+        }
+        "obs" => {
+            // Analytics subverbs first; anything else is a trace path for
+            // the classic profile rendering.
+            let rest = tail.get(1..).unwrap_or_default();
+            match tail.first().map(String::as_str) {
+                Some("query") => {
+                    let table = [
+                        ("--name", Value(text)),
+                        (
+                            "--kind",
+                            Value(|v| mcmap_obs::EventKind::parse(v).is_some()),
+                        ),
+                        ("--field", Value(text)),
+                        ("--generation", Value(number::<u64>)),
+                        JSON,
+                    ];
+                    let args = flags::parse(rest, &table, 1)?;
+                    cmd_obs_query(args.required(0, "<trace>")?, &args)
+                }
+                Some("flame") => cmd_obs_flame(flags::parse(rest, &[], 1)?.required(0, "<trace>")?),
+                Some("diff") => {
+                    let args = flags::parse(rest, &[JSON], 2)?;
+                    let (a, b) = (
+                        args.required(0, "<a.jsonl>")?,
+                        args.required(1, "<b.jsonl>")?,
+                    );
+                    cmd_obs_diff(a, b, args.has("--json"))
+                }
+                Some("critical-path") => {
+                    let args = flags::parse(rest, &[JSON], 1)?;
+                    cmd_obs_critical_path(args.required(0, "<trace>")?, args.has("--json"))
+                }
+                _ => {
+                    let args = flags::parse(tail, &[JSON], 1)?;
+                    cmd_obs(args.required(0, "<trace.jsonl>")?, args.has("--json"))
+                }
+            }
+        }
+        "serve" => {
+            let table = [
+                ("--addr", Value(text)),
+                ("--jobs-dir", Value(text)),
+                ("--workers", Value(number::<usize>)),
+                (
+                    "--slice",
+                    Value(|v| v.parse::<usize>().is_ok_and(|n| n > 0)),
+                ),
+                ("--cache-cap", Value(number::<usize>)),
+                ("--job-threads", Value(number::<usize>)),
+            ];
+            cmd_serve(&flags::parse(tail, &table, 0)?)
+        }
+        "client" => cmd_client(tail)?,
+        _ => return Err(UsageError(format!("unknown command {cmd:?}"))),
+    })
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    run(&args).unwrap_or_else(|err| usage(&err))
 }

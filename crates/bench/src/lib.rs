@@ -13,9 +13,14 @@
 //! Budgets are configurable through environment variables (`MCMAP_POP`,
 //! `MCMAP_GENS`, `MCMAP_SIM_RUNS`, `MCMAP_SEED`) so the tables regenerate in
 //! minutes by default and can be pushed towards the paper's 100×5000 budget
-//! when time allows.
+//! when time allows. Everything else is a command-line flag, parsed by the
+//! one table-driven parser in [`flags`].
 
 #![warn(missing_docs)]
+
+pub mod flags;
+
+use flags::{number, report_format, text, Args, Arity::*, Flag};
 
 use mcmap_benchmarks::Benchmark;
 use mcmap_core::{repair_reliability, repair_structure, GenomeSpace};
@@ -113,21 +118,19 @@ pub enum StatsFormat {
 }
 
 /// The shared evaluation-engine and observability knobs of every experiment
-/// binary: `--threads N` / `MCMAP_THREADS`, `--cache-cap N` /
-/// `MCMAP_CACHE_CAP`, `--eval-stats [text|json]` /
-/// `MCMAP_EVAL_STATS=text|json`, `--trace <path.jsonl>` / `MCMAP_TRACE`,
-/// `--obs-summary [text|json]` / `MCMAP_OBS_SUMMARY`, `--gen-stats
-/// [text|json]` / `MCMAP_GEN_STATS`, `--audit [text|json]` /
-/// `MCMAP_AUDIT`, plus the analysis knob `--no-prune` / `MCMAP_NO_PRUNE`
-/// and the workload override `--fleet <preset>` / `MCMAP_FLEET`.
+/// binary: `--threads N`, `--cache-cap N`, `--eval-stats [json]`, `--trace
+/// <path.jsonl>`, `--obs-summary [json]`, `--gen-stats [json]`, `--audit
+/// [json]`, `--checkpoint <path>`, `--resume <path>`, `--eval-retries N`,
+/// the analysis knob `--no-prune`, and the workload override `--fleet
+/// <preset>` — the rows of [`EvalKnobs::FLAGS`]. A report flag also takes
+/// `text`, and `off` or `0` to turn the report off again.
 ///
-/// CLI flags take precedence over environment variables. `threads == 0`
-/// (the default) means one worker per available core — results are
-/// bit-identical for any thread count, so this is purely a speed knob; so
-/// are all the observability flags (tracing never perturbs the search) and
-/// scenario pruning (it reproduces the prune-free reference bit-for-bit),
-/// with one known exception: pruning can change the windows of
-/// non-converged analyses, and with them the front (see
+/// `threads == 0` (the default) means one worker per available core —
+/// results are bit-identical for any thread count, so this is purely a
+/// speed knob; so are all the observability flags (tracing never perturbs
+/// the search) and scenario pruning (it reproduces the prune-free
+/// reference bit-for-bit), with one known exception: pruning can change
+/// the windows of non-converged analyses, and with them the front (see
 /// [`AnalysisOptions`](mcmap_core::AnalysisOptions)).
 #[derive(Debug, Clone)]
 pub struct EvalKnobs {
@@ -149,83 +152,84 @@ pub struct EvalKnobs {
     /// after the run.
     pub audit: Option<StatsFormat>,
     /// When set, checkpoint the exploration to this path after every
-    /// generation (`--checkpoint` / `MCMAP_CHECKPOINT`).
+    /// generation.
     pub checkpoint: Option<String>,
-    /// When set, resume the exploration from this checkpoint
-    /// (`--resume` / `MCMAP_RESUME`).
+    /// When set, resume the exploration from this checkpoint.
     pub resume: Option<String>,
-    /// Retry budget for candidates whose evaluation panics
-    /// (`--eval-retries` / `MCMAP_EVAL_RETRIES`, default 1).
+    /// Retry budget for candidates whose evaluation panics (default 1).
     pub eval_retries: u32,
-    /// Disables dominance pruning of scenario bound-vectors
-    /// (`--no-prune` / `MCMAP_NO_PRUNE`).
+    /// Disables dominance pruning of scenario bound-vectors.
     pub no_prune: bool,
     /// When set, swap the experiment's benchmark for a generated fleet
-    /// preset (`--fleet <fleet-small|fleet-med|fleet-large>` /
-    /// `MCMAP_FLEET`) — the 500–5000-task workloads the parallel
-    /// evaluation path is sized against.
+    /// preset (`fleet-small`, `fleet-med` or `fleet-large`) — the
+    /// 500–5000-task workloads the parallel evaluation path is sized
+    /// against.
     pub fleet: Option<String>,
 }
 
 impl EvalKnobs {
-    /// Reads the knobs from the process arguments and environment.
+    /// The knobs' flag table: every flag an experiment binary accepts, and
+    /// (less `--fleet`) the base of `mcmap_cli dse`'s table.
+    pub const FLAGS: &'static [Flag] = &[
+        ("--threads", Value(number::<usize>)),
+        ("--cache-cap", Value(number::<usize>)),
+        ("--eval-stats", Optional(report_format)),
+        ("--trace", Value(text)),
+        ("--obs-summary", Optional(report_format)),
+        ("--gen-stats", Optional(report_format)),
+        ("--audit", Optional(report_format)),
+        ("--checkpoint", Value(text)),
+        ("--resume", Value(text)),
+        ("--eval-retries", Value(number::<u32>)),
+        ("--no-prune", Switch),
+        ("--fleet", Value(text)),
+    ];
+
+    /// Reads the knobs from the process arguments. A usage error — an
+    /// unknown flag, a missing or malformed value, any positional — prints
+    /// the usage line and exits with code 2 before anything runs.
     pub fn parse() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_args(&args)
+        let mut argv = std::env::args();
+        let bin = argv.next().unwrap_or_default();
+        let args: Vec<String> = argv.collect();
+        match flags::parse(&args, Self::FLAGS, 0) {
+            Ok(parsed) => Self::from_flags(&parsed),
+            Err(err) => {
+                eprintln!(
+                    "{bin}: {err}\n\
+                     usage: {bin} [--threads <n>] [--cache-cap <n>] [--eval-stats [json]]\n\
+                     \u{20}      [--trace <path.jsonl>] [--obs-summary [json]] [--gen-stats [json]]\n\
+                     \u{20}      [--audit [json]] [--checkpoint <path>] [--resume <path>]\n\
+                     \u{20}      [--eval-retries <n>] [--no-prune] [--fleet <preset>]"
+                );
+                std::process::exit(2);
+            }
+        }
     }
 
-    /// Reads the knobs from an explicit argument list (env as fallback).
-    pub fn from_args(args: &[String]) -> Self {
-        let value_of = |flag: &str| -> Option<String> {
-            args.iter().position(|a| a == flag).and_then(|i| {
-                args.get(i + 1)
-                    .filter(|v| !v.starts_with("--"))
-                    .cloned()
-                    .or(Some(String::new()))
-            })
+    /// Reads the knobs from a command line parsed against (a table
+    /// containing) [`Self::FLAGS`]; an absent flag keeps its default.
+    pub fn from_flags(args: &Args) -> Self {
+        let report = |name: &str| match args.value(name) {
+            _ if !args.has(name) => None,
+            Some("json") => Some(StatsFormat::Json),
+            Some("off" | "0") => None,
+            _ => Some(StatsFormat::Text),
         };
-        let format_knob = |flag: &str, env: &str| -> Option<StatsFormat> {
-            let arg = value_of(flag);
-            match (arg, std::env::var(env).ok()) {
-                (Some(v), _) | (None, Some(v)) => match v.as_str() {
-                    "json" => Some(StatsFormat::Json),
-                    "0" | "off" => None,
-                    _ => Some(StatsFormat::Text),
-                },
-                (None, None) => None,
-            }
-        };
+        let path = |name: &str| args.value(name).map(String::from);
         EvalKnobs {
-            threads: value_of("--threads")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| env_usize("MCMAP_THREADS", 0)),
-            cache_cap: value_of("--cache-cap")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| env_usize("MCMAP_CACHE_CAP", 65_536)),
-            eval_stats: format_knob("--eval-stats", "MCMAP_EVAL_STATS"),
-            trace: value_of("--trace")
-                .filter(|v| !v.is_empty())
-                .or_else(|| std::env::var("MCMAP_TRACE").ok())
-                .filter(|v| !v.is_empty()),
-            obs_summary: format_knob("--obs-summary", "MCMAP_OBS_SUMMARY"),
-            gen_stats: format_knob("--gen-stats", "MCMAP_GEN_STATS"),
-            audit: format_knob("--audit", "MCMAP_AUDIT"),
-            checkpoint: value_of("--checkpoint")
-                .filter(|v| !v.is_empty())
-                .or_else(|| std::env::var("MCMAP_CHECKPOINT").ok())
-                .filter(|v| !v.is_empty()),
-            resume: value_of("--resume")
-                .filter(|v| !v.is_empty())
-                .or_else(|| std::env::var("MCMAP_RESUME").ok())
-                .filter(|v| !v.is_empty()),
-            eval_retries: value_of("--eval-retries")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| env_u64("MCMAP_EVAL_RETRIES", 1) as u32),
-            no_prune: args.iter().any(|a| a == "--no-prune") || env_usize("MCMAP_NO_PRUNE", 0) != 0,
-            fleet: value_of("--fleet")
-                .filter(|v| !v.is_empty())
-                .or_else(|| std::env::var("MCMAP_FLEET").ok())
-                .filter(|v| !v.is_empty()),
+            threads: args.get("--threads").unwrap_or(0),
+            cache_cap: args.get("--cache-cap").unwrap_or(65_536),
+            eval_stats: report("--eval-stats"),
+            trace: path("--trace"),
+            obs_summary: report("--obs-summary"),
+            gen_stats: report("--gen-stats"),
+            audit: report("--audit"),
+            checkpoint: path("--checkpoint"),
+            resume: path("--resume"),
+            eval_retries: args.get("--eval-retries").unwrap_or(1),
+            no_prune: args.has("--no-prune"),
+            fleet: path("--fleet"),
         }
     }
 
@@ -291,7 +295,19 @@ impl EvalKnobs {
             let file = std::path::Path::new(path);
             let attached = match self.resume_trace_seq() {
                 Some(trace_seq) => {
-                    salvage_trace(file, trace_seq);
+                    match mcmap_core::salvage_trace(file, trace_seq) {
+                        Ok(cut) if cut.dropped > 0 || cut.torn_bytes > 0 => eprintln!(
+                            "mcmap: salvaged trace {path}: kept {} event(s) up to seq \
+                             {trace_seq}, dropped {} event(s) past the checkpoint and {} \
+                             torn byte(s)",
+                            cut.kept, cut.dropped, cut.torn_bytes
+                        ),
+                        Ok(_) => {}
+                        Err(err) => {
+                            eprintln!("mcmap: cannot salvage trace {path}: {err}");
+                            std::process::exit(2);
+                        }
+                    }
                     builder.jsonl_append(file, trace_seq)
                 }
                 None => builder.jsonl(file),
@@ -345,16 +361,8 @@ impl EvalKnobs {
     /// Prints one engine snapshot in the requested format (no-op when
     /// `--eval-stats` was not requested).
     pub fn report(&self, label: &str, stats: &mcmap_core::EvalStats) {
-        match self.eval_stats {
-            None => {}
-            Some(StatsFormat::Text) => {
-                println!("\n[{label}]");
-                print!("{}", stats.render_text());
-            }
-            Some(StatsFormat::Json) => {
-                println!("{{\"label\":\"{label}\",\"eval\":{}}}", stats.to_json());
-            }
-        }
+        let (text, json) = (|| stats.render_text(), || stats.to_json());
+        print_snapshot(self.eval_stats, label, "eval", text, json);
     }
 
     /// Prints one WCRT-analysis effort snapshot in the requested format
@@ -362,16 +370,8 @@ impl EvalKnobs {
     /// `--eval-stats` knob because the analysis counters answer the same
     /// question — where did the evaluation time go — at the layer below.
     pub fn report_analysis(&self, label: &str, stats: &mcmap_core::AnalysisStats) {
-        match self.eval_stats {
-            None => {}
-            Some(StatsFormat::Text) => {
-                println!("\n[{label}]");
-                print!("{}", stats.render_text());
-            }
-            Some(StatsFormat::Json) => {
-                println!("{{\"label\":\"{label}\",\"analysis\":{}}}", stats.to_json());
-            }
-        }
+        let (text, json) = (|| stats.render_text(), || stats.to_json());
+        print_snapshot(self.eval_stats, label, "analysis", text, json);
     }
 
     /// Prints the requested observability reports for a finished run: the
@@ -425,16 +425,8 @@ impl EvalKnobs {
 
     /// Prints the `--audit` snapshot report (no-op when not requested).
     pub fn report_audit(&self, label: &str, audit: &mcmap_core::AuditSnapshot) {
-        match self.audit {
-            None => {}
-            Some(StatsFormat::Text) => {
-                println!("\n[{label}]");
-                print!("{}", audit.render_text());
-            }
-            Some(StatsFormat::Json) => {
-                println!("{{\"label\":\"{label}\",\"audit\":{}}}", audit.to_json());
-            }
-        }
+        let (text, json) = (|| audit.render_text(), || audit.to_json());
+        print_snapshot(self.audit, label, "audit", text, json);
     }
 
     /// Prints a plain wall-clock throughput line for binaries whose work is
@@ -462,43 +454,31 @@ impl EvalKnobs {
     }
 }
 
-/// Rewrites the trace file at `path` down to its valid prefix of events
-/// with `seq <= trace_seq` — the part the checkpoint being resumed from
-/// vouches for. A crash can leave a torn final line and events past the
-/// checkpoint boundary (the interrupted process kept running); both must
-/// go before the resumed run appends, or the stitched stream would differ
-/// from an uninterrupted run's. The rewrite is atomic (write-temp, fsync,
-/// rename) so a crash *here* cannot make things worse.
-fn salvage_trace(path: &std::path::Path, trace_seq: u64) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return;
-    };
-    let (events, recovery) = mcmap_obs::events_from_jsonl_lossy(&text);
-    let mut out = String::with_capacity(text.len());
-    let mut kept = 0usize;
-    for event in &events {
-        if event.seq <= trace_seq {
-            event.write_jsonl(&mut out);
-            out.push('\n');
-            kept += 1;
-        }
+/// Prints one labelled snapshot in `format`: a `[label]` header over its
+/// text rendering, or one `{"label":…,"<key>":…}` JSON line.
+fn print_snapshot(
+    format: Option<StatsFormat>,
+    label: &str,
+    key: &str,
+    text: impl FnOnce() -> String,
+    json: impl FnOnce() -> String,
+) {
+    match format {
+        None => {}
+        Some(StatsFormat::Text) => print!("\n[{label}]\n{}", text()),
+        Some(StatsFormat::Json) => println!("{{\"label\":\"{label}\",\"{key}\":{}}}", json()),
     }
-    if out == text {
-        return;
-    }
-    let dropped = events.len() - kept;
-    if dropped > 0 || recovery.lossy() {
-        eprintln!(
-            "mcmap: salvaged trace {}: kept {kept} event(s) up to seq {trace_seq}, \
-             dropped {dropped} event(s) past the checkpoint and {} torn byte(s)",
-            path.display(),
-            recovery.dropped_bytes
-        );
-    }
-    if let Err(err) = mcmap_resilience::atomic_write(path, out.as_bytes()) {
-        eprintln!("mcmap: cannot salvage trace {}: {err}", path.display());
-        std::process::exit(2);
-    }
+}
+
+/// `mcmap_cli dse`'s flag table: [`EvalKnobs::FLAGS`] plus `--validate
+/// [n]`, less `--fleet` (`dse` takes a fleet preset as its benchmark).
+pub fn dse_flags() -> Vec<Flag> {
+    EvalKnobs::FLAGS
+        .iter()
+        .copied()
+        .filter(|(name, _)| *name != "--fleet")
+        .chain([("--validate", Optional(number::<u64>))])
+        .collect()
 }
 
 /// Installs the process-wide SIGINT/SIGTERM stop flag and wires it into an
@@ -529,42 +509,77 @@ mod tests {
         assert_eq!(fmt_time(Time::MAX), "-");
     }
 
+    /// Knobs from a command line parsed against `table`.
+    fn parsed(table: &[Flag], args: &[&str]) -> Args {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        flags::parse(&args, table, 0).expect("valid command line")
+    }
+
+    fn knobs(args: &[&str]) -> EvalKnobs {
+        EvalKnobs::from_flags(&parsed(EvalKnobs::FLAGS, args))
+    }
+
     #[test]
     fn eval_knobs_parse_flags() {
-        let args: Vec<String> = [
+        let k = knobs(&[
             "--threads",
             "4",
             "--cache-cap",
             "128",
             "--eval-stats",
             "json",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let k = EvalKnobs::from_args(&args);
+        ]);
         assert_eq!(k.threads, 4);
         assert_eq!(k.cache_cap, 128);
         assert_eq!(k.eval_stats, Some(StatsFormat::Json));
         assert!(!k.no_prune, "fast-path default");
 
-        // A bare `--eval-stats` (even as the last flag) means text.
-        let k = EvalKnobs::from_args(&["--eval-stats".to_string()]);
-        assert_eq!(k.eval_stats, Some(StatsFormat::Text));
+        // A bare `--eval-stats` (even as the last flag) means text; `off`
+        // turns the report off again.
+        assert_eq!(knobs(&["--eval-stats"]).eval_stats, Some(StatsFormat::Text));
+        assert_eq!(
+            knobs(&["--eval-stats", "text"]).eval_stats,
+            Some(StatsFormat::Text)
+        );
+        assert_eq!(knobs(&["--eval-stats", "off"]).eval_stats, None);
+        assert_eq!(
+            knobs(&["--eval-stats", "json", "--eval-stats", "0"]).eval_stats,
+            None
+        );
+        assert_eq!(knobs(&[]).eval_stats, None);
 
         // The flag value must not swallow a following flag.
-        let args: Vec<String> = ["--eval-stats", "--threads", "2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let k = EvalKnobs::from_args(&args);
+        let k = knobs(&["--eval-stats", "--threads", "2"]);
         assert_eq!(k.eval_stats, Some(StatsFormat::Text));
         assert_eq!(k.threads, 2);
+
+        // Defaults.
+        let k = knobs(&[]);
+        assert_eq!((k.threads, k.cache_cap, k.eval_retries), (0, 65_536, 1));
+        assert_eq!(knobs(&["--eval-retries", "3"]).eval_retries, 3);
+    }
+
+    #[test]
+    fn the_dse_table_adds_validate_and_drops_fleet() {
+        let table = dse_flags();
+        let a = parsed(&table, &["--validate"]);
+        assert!(a.has("--validate"));
+        assert_eq!(a.get::<u64>("--validate"), None);
+        assert_eq!(
+            parsed(&table, &["--validate", "64"]).get::<u64>("--validate"),
+            Some(64)
+        );
+        // Every knob but `--fleet` carries over.
+        let k = EvalKnobs::from_flags(&parsed(&table, &["--threads", "2", "--audit", "json"]));
+        assert_eq!((k.threads, k.audit), (2, Some(StatsFormat::Json)));
+        let fleet = ["--fleet".to_string(), "fleet-small".to_string()];
+        assert!(flags::parse(&fleet, &table, 0).is_err());
+        assert_eq!(table.len(), EvalKnobs::FLAGS.len());
     }
 
     #[test]
     fn eval_knobs_parse_analysis_flags() {
-        let k = EvalKnobs::from_args(&["--no-prune".to_string()]);
+        let k = knobs(&["--no-prune"]);
         assert!(k.no_prune);
 
         let mut cfg = mcmap_core::DseConfig::default();
@@ -572,15 +587,14 @@ mod tests {
         assert!(!cfg.analysis.prune);
 
         // The defaults leave the fast path on.
-        let k = EvalKnobs::from_args(&[]);
         let mut cfg = mcmap_core::DseConfig::default();
-        k.apply(&mut cfg);
+        knobs(&[]).apply(&mut cfg);
         assert!(cfg.analysis.prune);
     }
 
     #[test]
     fn eval_knobs_parse_obs_flags() {
-        let args: Vec<String> = [
+        let k = knobs(&[
             "--trace",
             "/tmp/x.jsonl",
             "--obs-summary",
@@ -588,24 +602,20 @@ mod tests {
             "--gen-stats",
             "--audit",
             "json",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let k = EvalKnobs::from_args(&args);
+        ]);
         assert_eq!(k.trace.as_deref(), Some("/tmp/x.jsonl"));
         assert_eq!(k.obs_summary, Some(StatsFormat::Json));
         assert_eq!(k.gen_stats, Some(StatsFormat::Text));
         assert_eq!(k.audit, Some(StatsFormat::Json));
         assert!(k.wants_obs());
 
-        let k = EvalKnobs::from_args(&[]);
+        let k = knobs(&[]);
         assert_eq!(k.trace, None);
         assert!(!k.wants_obs());
         assert!(!k.recorder().enabled(), "no knobs → disabled recorder");
 
         // An enabled recorder without --trace is ring-only.
-        let k = EvalKnobs::from_args(&["--obs-summary".to_string()]);
+        let k = knobs(&["--obs-summary"]);
         assert!(k.recorder().enabled());
 
         // `--audit` also flips the exploration into audit mode.
@@ -613,18 +623,13 @@ mod tests {
         assert!(!cfg.audit);
         k.apply(&mut cfg);
         assert!(!cfg.audit, "no --audit flag, mode untouched");
-        let k = EvalKnobs::from_args(&["--audit".to_string()]);
-        k.apply(&mut cfg);
+        knobs(&["--audit"]).apply(&mut cfg);
         assert!(cfg.audit);
     }
 
     #[test]
     fn fleet_knob_swaps_the_benchmark_and_deepens_hardening() {
-        let args: Vec<String> = ["--fleet", "fleet-small"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let k = EvalKnobs::from_args(&args);
+        let k = knobs(&["--fleet", "fleet-small"]);
         assert_eq!(k.fleet.as_deref(), Some("fleet-small"));
         let b = k.fleet_or(7, mcmap_benchmarks::cruise());
         assert!(b.name.starts_with("fleet-small"), "got {}", b.name);
@@ -636,7 +641,7 @@ mod tests {
         assert_eq!(cfg.max_replicas, preset.max_replicas);
 
         // Unset knob: the fallback benchmark and config pass through.
-        let k = EvalKnobs::from_args(&[]);
+        let k = knobs(&[]);
         assert_eq!(k.fleet, None);
         assert_eq!(k.fleet_or(7, mcmap_benchmarks::cruise()).name, "Cruise");
         let mut cfg = mcmap_core::DseConfig::default();

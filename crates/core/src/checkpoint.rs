@@ -22,7 +22,9 @@ use std::path::Path;
 
 use mcmap_ga::{DriverState, Evaluation, GenerationStats, Individual};
 use mcmap_obs::{parse_json, push_json_str, Json};
-use mcmap_resilience::{atomic_write_rotating, backup_path, seal, unseal, ResilienceError};
+use mcmap_resilience::{
+    atomic_write, atomic_write_rotating, backup_path, seal, unseal, ResilienceError,
+};
 
 use crate::dse::AuditSnapshot;
 use crate::genome::{GeneHardening, Genome, TaskGene};
@@ -128,6 +130,53 @@ pub fn read_checkpoint_with_fallback(
         }
         Err(e) => Err(e),
     }
+}
+
+/// What [`salvage_trace`] kept and cut from a trace file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TraceSalvage {
+    /// Events kept: the valid prefix with `seq <= trace_seq`.
+    pub kept: usize,
+    /// Valid events dropped because they lie past the checkpoint.
+    pub dropped: usize,
+    /// Bytes of the torn tail dropped (a malformed line and everything
+    /// after it).
+    pub torn_bytes: usize,
+}
+
+/// Rewrites the trace file at `path` down to its valid prefix of events
+/// with `seq <= trace_seq` — the part the checkpoint being resumed from
+/// vouches for. A crash can leave a torn final line and events past the
+/// checkpoint boundary (the interrupted process kept running); both must
+/// go before the resumed run appends, or the stitched stream would differ
+/// from an uninterrupted run's. The rewrite is atomic (write-temp, fsync,
+/// rename) so a crash *here* cannot make things worse. A missing trace
+/// leaves nothing to salvage.
+///
+/// # Errors
+///
+/// Returns the rewrite's I/O error; the trace is then left as it was and
+/// must not be appended to.
+pub fn salvage_trace(path: &Path, trace_seq: u64) -> Result<TraceSalvage, ResilienceError> {
+    let Ok(text) = std::fs::read_to_string(path) else {
+        return Ok(TraceSalvage::default());
+    };
+    let (events, recovery) = mcmap_obs::events_from_jsonl_lossy(&text);
+    let mut out = String::with_capacity(text.len());
+    let mut kept = 0usize;
+    for event in events.iter().filter(|e| e.seq <= trace_seq) {
+        event.write_jsonl(&mut out);
+        out.push('\n');
+        kept += 1;
+    }
+    if out != text {
+        atomic_write(path, out.as_bytes())?;
+    }
+    Ok(TraceSalvage {
+        kept,
+        dropped: events.len() - kept,
+        torn_bytes: recovery.dropped_bytes,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -672,6 +721,30 @@ mod tests {
         assert_eq!(restored.generation, 3);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(backup_path(&path)).ok();
+    }
+
+    #[test]
+    fn salvage_cuts_the_trace_back_to_the_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("mcmap_core_salvage_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.jsonl");
+        let line = |seq: u64| format!("{{\"seq\":{seq},\"kind\":\"mark\",\"name\":\"m\"}}\n");
+        let torn = "{\"seq\":4,\"ki";
+        std::fs::write(&path, format!("{}{}{}{torn}", line(1), line(2), line(3))).unwrap();
+        let salvage = salvage_trace(&path, 2).unwrap();
+        assert_eq!(
+            salvage,
+            TraceSalvage {
+                kept: 2,
+                dropped: 1,
+                torn_bytes: torn.len(),
+            }
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), line(1) + &line(2));
+        // An intact trace within the boundary, and a missing one, are left alone.
+        assert_eq!(salvage_trace(&path, 2).unwrap().kept, 2);
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(salvage_trace(&path, 2).unwrap(), TraceSalvage::default());
     }
 
     #[test]

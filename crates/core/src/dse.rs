@@ -6,7 +6,7 @@ use crate::{
     analyze_with, expected_power, lost_service, repair_reliability, repair_structure_logged,
     AnalysisOptions, Genome, GenomeSpace,
 };
-use mcmap_eval::{EvalCacheConfig, EvalEngine, EvalStats, ShardedCache};
+use mcmap_eval::{EvalEngine, EvalStats, ShardedCache, CACHE_SHARDS};
 use mcmap_ga::{
     optimize_resumable, Evaluation, GaConfig, GaResult, GenerationObserver, GenerationSnapshot,
     LoopControl, Problem,
@@ -192,10 +192,10 @@ pub struct SharedEvalCache {
 
 impl SharedEvalCache {
     /// Builds a store bounded to roughly `capacity` records with the
-    /// engine's default shard count.
+    /// engine's shard count.
     pub fn with_capacity(capacity: usize) -> Self {
         SharedEvalCache {
-            cache: Arc::new(ShardedCache::new(capacity.max(1), 16)),
+            cache: Arc::new(ShardedCache::new(capacity, CACHE_SHARDS)),
         }
     }
 
@@ -670,7 +670,7 @@ impl<'a> MappingProblem<'a> {
         let context = context_fingerprint(apps, arch, &policies, &cfg);
         let engine = match &cfg.shared_cache {
             Some(shared) => EvalEngine::with_shared_cache(Arc::clone(&shared.cache), &context),
-            None => EvalEngine::new(EvalCacheConfig::with_capacity(cfg.cache_cap), &context),
+            None => EvalEngine::new(cfg.cache_cap, &context),
         }
         .with_recorder(cfg.obs.clone())
         .with_metrics(&cfg.telemetry);

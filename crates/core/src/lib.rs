@@ -77,15 +77,16 @@ pub use analysis::{
     proposed_analysis, proposed_analysis_with, AnalysisOptions, McAnalysis,
 };
 pub use checkpoint::{
-    read_checkpoint, read_checkpoint_with_fallback, write_checkpoint, DseCheckpoint,
+    read_checkpoint, read_checkpoint_with_fallback, salvage_trace, write_checkpoint, DseCheckpoint,
+    TraceSalvage,
 };
 pub use dse::{
     explore, explore_checked, AnalysisStats, AuditSnapshot, DesignReport, DseConfig, DseError,
     DseOutcome, MappingProblem, ObjectiveMode, ResilienceConfig, SharedEvalCache,
 };
 pub use genome::{GeneHardening, Genome, GenomeSpace, TaskGene};
-pub use mcmap_eval::{CacheStats, EvalCacheConfig, EvalStats};
-pub use objective::{expected_power, lost_service, service_after_dropping};
+pub use mcmap_eval::{CacheStats, EvalStats};
+pub use objective::{expected_power, lost_service};
 pub use portfolio::{
     read_portfolio, write_portfolio, MaterializedPoint, OperatingPoint, Portfolio,
 };

@@ -76,12 +76,6 @@ pub fn expected_power(
         .sum()
 }
 
-/// Quality of service retained after dropping `dropped`: `Σ sv_t` over
-/// alive droppable applications.
-pub fn service_after_dropping(apps: &AppSet, dropped: &[AppId]) -> f64 {
-    apps.service_after_dropping(dropped)
-}
-
 /// Service lost by dropping `dropped` — the minimized form of the service
 /// objective (`0` when nothing is dropped).
 pub fn lost_service(apps: &AppSet, dropped: &[AppId]) -> f64 {
@@ -248,7 +242,7 @@ mod tests {
             .build()
             .unwrap();
         let apps = AppSet::new(vec![hi, lo1, lo2]).unwrap();
-        assert_eq!(service_after_dropping(&apps, &[]), 8.0);
+        assert_eq!(apps.service_after_dropping(&[]), 8.0);
         assert_eq!(lost_service(&apps, &[]), 0.0);
         assert_eq!(lost_service(&apps, &[AppId::new(1)]), 3.0);
         assert_eq!(lost_service(&apps, &[AppId::new(1), AppId::new(2)]), 8.0);

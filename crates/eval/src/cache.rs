@@ -38,6 +38,10 @@ impl CacheStats {
     }
 }
 
+/// Shard count of every engine-built cache: enough independently locked
+/// segments that parallel workers rarely contend on one lock.
+pub const CACHE_SHARDS: usize = 16;
+
 /// A concurrent map from 128-bit content keys to cached evaluations.
 ///
 /// The key space is split across `shards` independently locked segments
@@ -134,11 +138,6 @@ impl<V: Clone> ShardedCache<V> {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The per-shard entry bound.
-    pub fn capacity_per_shard(&self) -> usize {
-        self.cap_per_shard
     }
 
     /// Lifetime traffic counters, aggregated over every client of this

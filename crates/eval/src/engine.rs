@@ -1,6 +1,6 @@
 //! The evaluation engine: worker pool + memo cache + instrumentation.
 
-use crate::cache::ShardedCache;
+use crate::cache::{ShardedCache, CACHE_SHARDS};
 use crate::pool::parallel_map_caught_timed;
 use crate::stats::{EvalStats, StatCounters};
 use mcmap_obs::{Recorder, Value};
@@ -21,41 +21,6 @@ pub struct EvalContext {
     pub index: usize,
     /// Which attempt this is (0 = first, bumped once per caught panic).
     pub attempt: u32,
-}
-
-/// Sizing of the memoization cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalCacheConfig {
-    /// Total entry bound across all shards; `0` disables caching entirely
-    /// (every candidate re-evaluates — the ablation / baseline mode).
-    pub capacity: usize,
-    /// Number of independently locked segments.
-    pub shards: usize,
-}
-
-impl Default for EvalCacheConfig {
-    fn default() -> Self {
-        EvalCacheConfig {
-            capacity: 65_536,
-            shards: 16,
-        }
-    }
-}
-
-impl EvalCacheConfig {
-    /// A cache bounded to `capacity` entries (0 = disabled) with the
-    /// default shard count.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EvalCacheConfig {
-            capacity,
-            ..EvalCacheConfig::default()
-        }
-    }
-
-    /// The disabled-cache configuration.
-    pub fn disabled() -> Self {
-        EvalCacheConfig::with_capacity(0)
-    }
 }
 
 /// A parallel, memoizing evaluator of candidate solutions.
@@ -116,13 +81,14 @@ impl EvalMetrics {
 }
 
 impl<V: Clone + Send + Sync> EvalEngine<V> {
-    /// Builds an engine whose keys are scoped to `context`.
-    pub fn new(cfg: EvalCacheConfig, context: &impl Hash) -> Self {
+    /// Builds an engine whose keys are scoped to `context`, with a private
+    /// cache bounded to `capacity` entries (`0` disables caching: every
+    /// candidate re-evaluates — the ablation / baseline mode).
+    pub fn new(capacity: usize, context: &impl Hash) -> Self {
         let mut h = DefaultHasher::new();
         context.hash(&mut h);
         EvalEngine {
-            cache: (cfg.capacity > 0)
-                .then(|| Arc::new(ShardedCache::new(cfg.capacity, cfg.shards))),
+            cache: (capacity > 0).then(|| Arc::new(ShardedCache::new(capacity, CACHE_SHARDS))),
             context: h.finish(),
             counters: StatCounters::default(),
             obs: Recorder::default(),
@@ -372,7 +338,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn engine(capacity: usize) -> EvalEngine<u64> {
-        EvalEngine::new(EvalCacheConfig::with_capacity(capacity), &"test-context")
+        EvalEngine::new(capacity, &"test-context")
     }
 
     /// A fault-free batch: no retries, no injection, every result unwrapped.
@@ -434,8 +400,8 @@ mod tests {
 
     #[test]
     fn distinct_contexts_produce_distinct_keys() {
-        let a: EvalEngine<u64> = EvalEngine::new(EvalCacheConfig::default(), &"ctx-a");
-        let b: EvalEngine<u64> = EvalEngine::new(EvalCacheConfig::default(), &"ctx-b");
+        let a: EvalEngine<u64> = EvalEngine::new(65_536, &"ctx-a");
+        let b: EvalEngine<u64> = EvalEngine::new(65_536, &"ctx-b");
         assert_ne!(a.key_of(&42u64), b.key_of(&42u64));
         assert_eq!(a.key_of(&42u64), a.key_of(&42u64));
         assert_ne!(a.key_of(&42u64), a.key_of(&43u64));

@@ -40,9 +40,9 @@
 //! # Examples
 //!
 //! ```
-//! use mcmap_eval::{EvalCacheConfig, EvalEngine};
+//! use mcmap_eval::EvalEngine;
 //!
-//! let engine: EvalEngine<u64> = EvalEngine::new(EvalCacheConfig::default(), &"ctx");
+//! let engine: EvalEngine<u64> = EvalEngine::new(65_536, &"ctx");
 //! let genomes: Vec<u64> = (0..64).map(|i| i % 8).collect();
 //! let squares = engine.evaluate_batch(&genomes, 4, 0, |_| {}, |g, _| g * g);
 //! assert_eq!(squares[9], Ok(1));
@@ -59,8 +59,8 @@ mod engine;
 mod pool;
 mod stats;
 
-pub use cache::{CacheStats, ShardedCache};
-pub use engine::{EvalCacheConfig, EvalContext, EvalEngine};
+pub use cache::{CacheStats, ShardedCache, CACHE_SHARDS};
+pub use engine::{EvalContext, EvalEngine};
 pub use pool::{
     parallel_map, parallel_map_caught, parallel_map_timed, pool_capacity, CaughtResult, WorkerLoad,
 };

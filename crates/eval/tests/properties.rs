@@ -1,7 +1,7 @@
 //! Property-based tests of the evaluation engine's core guarantees:
 //! thread-count invariance and cache transparency.
 
-use mcmap_eval::{parallel_map, EvalCacheConfig, EvalEngine};
+use mcmap_eval::{parallel_map, EvalEngine};
 use proptest::prelude::*;
 
 /// A fault-free batch of [`expensive`] evaluations, unwrapped.
@@ -43,9 +43,9 @@ proptest! {
         capacity in 0usize..64,
     ) {
         let cached: EvalEngine<(u64, bool)> =
-            EvalEngine::new(EvalCacheConfig::with_capacity(capacity), &"prop");
+            EvalEngine::new(capacity, &"prop");
         let bare: EvalEngine<(u64, bool)> =
-            EvalEngine::new(EvalCacheConfig::disabled(), &"prop");
+            EvalEngine::new(0, &"prop");
         let a = batch(&cached, &items, threads);
         let b = batch(&bare, &items, 1);
         prop_assert_eq!(a, b);
@@ -60,7 +60,7 @@ proptest! {
         items in proptest::collection::vec(0u64..16, 1..60),
     ) {
         let e: EvalEngine<(u64, bool)> =
-            EvalEngine::new(EvalCacheConfig::default(), &"prop-idem");
+            EvalEngine::new(65_536, &"prop-idem");
         let first = batch(&e, &items, 2);
         let second = batch(&e, &items, 4);
         prop_assert_eq!(first, second);

@@ -127,13 +127,6 @@ impl Client {
         Err(last_err.expect("at least one attempt"))
     }
 
-    /// Replaces the attached retry policy.
-    #[must_use]
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Client {
-        self.retry = policy;
-        self
-    }
-
     /// Tears down the current connection and dials again under the
     /// attached policy.
     fn reconnect(&mut self) -> Result<(), String> {

@@ -14,8 +14,8 @@
 use crate::job::{front_to_json, status_doc, JobPaths, JobSpec, JobState, JobTotals};
 use crate::progress::{ProgressTap, TapSink};
 use mcmap_core::{
-    explore_checked, read_checkpoint_with_fallback, CacheStats, DseConfig, ObjectiveMode,
-    SharedEvalCache,
+    explore_checked, read_checkpoint_with_fallback, salvage_trace, CacheStats, DseConfig,
+    ObjectiveMode, SharedEvalCache,
 };
 use mcmap_ga::GaConfig;
 use mcmap_obs::{push_json_str, RecorderBuilder};
@@ -625,7 +625,15 @@ impl Registry {
                 let trace_seq = read_checkpoint_with_fallback(path)
                     .map(|(c, _)| c.trace_seq)
                     .unwrap_or(0);
-                salvage_trace(&trace, trace_seq);
+                if let Err(e) = salvage_trace(&trace, trace_seq) {
+                    return (
+                        SliceVerdict::Failed(format!(
+                            "cannot salvage trace {}: {e}",
+                            trace.display()
+                        )),
+                        None,
+                    );
+                }
                 builder.jsonl_append(&trace, trace_seq)
             }
             None => builder.jsonl(&trace),
@@ -696,29 +704,6 @@ pub fn cache_stats_json(stats: &CacheStats) -> String {
         stats.evictions,
         stats.hit_rate(),
     )
-}
-
-/// Rewrites the job's trace down to its valid prefix of events with
-/// `seq <= trace_seq` — exactly what the checkpoint being resumed from
-/// vouches for. A SIGKILL mid-slice can leave a torn final line and events
-/// past the checkpoint boundary; both must go before the resumed slice
-/// appends, or the stitched stream would differ from an uninterrupted
-/// run's.
-fn salvage_trace(path: &std::path::Path, trace_seq: u64) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return;
-    };
-    let (events, _) = mcmap_obs::events_from_jsonl_lossy(&text);
-    let mut out = String::with_capacity(text.len());
-    for event in &events {
-        if event.seq <= trace_seq {
-            event.write_jsonl(&mut out);
-            out.push('\n');
-        }
-    }
-    if out != text {
-        let _ = atomic_write(path, out.as_bytes());
-    }
 }
 
 #[cfg(test)]

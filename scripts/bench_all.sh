@@ -16,13 +16,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# emitter bench -> artifact it writes
+# emitter bench -> artifacts it writes (space-separated)
 declare -A EMITTERS=(
     [eval_engine]=BENCH_eval.json
     [fleet_scale]=BENCH_scale.json
     [wcrt_analysis]=BENCH_sched.json
-    [obs_overhead]=BENCH_obs.json
-    [telemetry_overhead]=BENCH_telemetry.json
+    [obs_overhead]="BENCH_obs.json BENCH_telemetry.json"
     [serve_load]=BENCH_serve.json
     [sim_validation]=BENCH_sim.json
 )
@@ -51,11 +50,12 @@ check_schema() {
 }
 
 for bench in eval_engine fleet_scale wcrt_analysis obs_overhead \
-             telemetry_overhead serve_load sim_validation; do
-    artifact="results/${EMITTERS[$bench]}"
-    echo "== $bench -> $artifact"
+             serve_load sim_validation; do
+    echo "== $bench -> ${EMITTERS[$bench]}"
     cargo bench -q -p mcmap-bench --bench "$bench"
-    check_schema "$artifact"
+    for artifact in ${EMITTERS[$bench]}; do
+        check_schema "results/$artifact"
+    done
 done
 
 # Per-stage wall time of a traced DSE candidate evaluation (perfbench,

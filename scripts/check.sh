@@ -2,7 +2,7 @@
 # Full local gate: formatting, lints, rustdoc links, the whole test suite,
 # the evaluation engine's determinism suite, the server and validation-campaign
 # kill-and-resume smokes, and the eval-engine + fleet-scale + wcrt-analysis
-# + obs-overhead + telemetry-overhead + serve-load + sim-validation benches
+# + obs-overhead (tracing and metrics) + serve-load + sim-validation benches
 # (which write the machine-readable results/BENCH_eval.json,
 # results/BENCH_scale.json, results/BENCH_sched.json,
 # results/BENCH_obs.json, results/BENCH_telemetry.json,
@@ -69,12 +69,10 @@ MCMAP_BENCH_OUT="$(mktemp -d)" \
 # enumeration); emits results/BENCH_sched.json.
 cargo bench -p mcmap-bench --bench wcrt_analysis
 
-# Tracing overhead gate (budget 5 %); emits results/BENCH_obs.json.
-cargo bench -p mcmap-bench --bench obs_overhead
-
-# Metrics-collection overhead gate (budget 5 %); emits
+# Tracing and metrics-collection overhead gates (budget 5 % each, against
+# one shared unobserved leg); emits results/BENCH_obs.json and
 # results/BENCH_telemetry.json.
-cargo bench -p mcmap-bench --bench telemetry_overhead
+cargo bench -p mcmap-bench --bench obs_overhead
 
 # Multi-tenant serve load gate (100 concurrent jobs, zero failures,
 # nonzero cross-job cache hits); emits results/BENCH_serve.json.
