@@ -27,16 +27,18 @@ fn bench_pareto(c: &mut Criterion) {
         bench.iter(|| explore(&b.apps, &b.arch, cfg.clone()))
     });
 
-    // The SPEA-II environmental-selection primitive on a 200-point pool.
-    let pool: Vec<Individual<usize>> = (0..200)
+    // The SPEA-II environmental-selection primitive in the dse-paper shape:
+    // population ∪ archive at population 96 is a 192-member pool. Here it
+    // is one convex front of 64 distinct points, each present three times,
+    // so every member is non-dominated and truncation removes 96 of them.
+    let pool: Vec<Individual<usize>> = (0..192)
         .map(|i| {
-            let x = (i % 20) as f64;
-            let y = ((i * 7) % 23) as f64;
-            Individual::new(i, Evaluation::feasible(vec![x, y]))
+            let x = (i % 64) as f64 / 63.0;
+            Individual::new(i, Evaluation::feasible(vec![x, 1.0 - x.sqrt()]))
         })
         .collect();
-    group.bench_function("spea2_selection_200", |bench| {
-        bench.iter(|| environmental_selection(&pool, 100))
+    group.bench_function("spea2_selection_192", |bench| {
+        bench.iter(|| environmental_selection(&pool, 96))
     });
     group.finish();
 }

@@ -24,6 +24,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+#[cfg(test)]
+mod differential;
 mod driver;
 mod hypervolume;
 mod nsga2;
