@@ -1,21 +1,21 @@
 //! Overhead gate for the two observers of an exploration: the `mcmap-obs`
-//! tracing layer and the `mcmap-telemetry` metrics layer.
+//! tracing layer and the `mcmap-telemetry` metrics it folds into.
 //!
 //! Each repetition runs the same Cruise exploration three times, rotating
 //! the order so no leg systematically lands in the slower part of a
-//! throttling window: unobserved (a disabled [`Recorder`] and a disabled
-//! [`Registry`], the no-op fast paths), traced (the production `--trace`
-//! configuration: one JSONL file sink), and metered (an enabled `Registry`
-//! across every instrumented layer). Each observer's gated metric is the
-//! **ratio of its best-of-N time** to the unobserved leg's: scheduler and
-//! hypervisor noise is strictly additive, so each leg's minimum converges
-//! on its true runtime, while per-repetition ratios of ~40 ms runs are
-//! noise-dominated on a virtualized host. The median per-repetition ratio
-//! is reported as a cross-check. For each observer the bench asserts that
-//! the Pareto front is bit-identical to the unobserved one (observation is
-//! read-only), that the run recorded something (events, instruments), and
-//! that the overhead stays below the budget (default **5 %**, override
-//! with `MCMAP_OBS_MAX_OVERHEAD_PCT`).
+//! throttling window: unobserved (a disabled [`Recorder`], the no-op fast
+//! path), traced (the production `--trace` configuration: one JSONL file
+//! sink), and metered (a recorder whose only sink is a [`MetricsSink`]
+//! folding every event into a [`Registry`]). Each observer's gated metric
+//! is the **ratio of its best-of-N time** to the unobserved leg's:
+//! scheduler and hypervisor noise is strictly additive, so each leg's
+//! minimum converges on its true runtime, while per-repetition ratios of
+//! ~20 ms runs are noise-dominated on a virtualized host. The median
+//! per-repetition ratio is reported as a cross-check. For each observer
+//! the bench asserts that the Pareto front is bit-identical to the
+//! unobserved one (observation is read-only), that the run recorded
+//! something (events, instruments), and that the overhead stays below the
+//! budget (default **5 %**, override with `MCMAP_OBS_MAX_OVERHEAD_PCT`).
 //!
 //! Summaries go to `results/BENCH_obs.json` (tracing) and
 //! `results/BENCH_telemetry.json` (metrics); directory override:
@@ -25,7 +25,7 @@
 
 use mcmap_bench::{env_u64, env_usize};
 use mcmap_benchmarks::{cruise, Benchmark};
-use mcmap_core::{explore, DseConfig, DseOutcome, ObjectiveMode};
+use mcmap_core::{explore, DseConfig, DseOutcome, MetricsSink, ObjectiveMode};
 use mcmap_ga::GaConfig;
 use mcmap_obs::{Recorder, RecorderBuilder};
 use mcmap_telemetry::Registry;
@@ -82,8 +82,8 @@ fn main() {
 
     let trace_path =
         std::env::temp_dir().join(format!("mcmap_obs_overhead_{}.jsonl", std::process::id()));
-    // The exploration every leg runs, observed by `obs` and `telemetry`.
-    let cfg = |obs, telemetry| DseConfig {
+    // The exploration every leg runs, observed by `obs`.
+    let cfg = |obs| DseConfig {
         ga: GaConfig {
             population: pop,
             generations: gens,
@@ -96,13 +96,12 @@ fn main() {
         policies: Some(b.policies.clone()),
         repair_iters: 40,
         obs,
-        telemetry,
         ..DseConfig::default()
     };
 
     // Warm-up: populate allocator pools, page in the code, and grab the
     // reference fingerprint every leg must reproduce.
-    let (reference, _) = timed_explore(&b, cfg(Recorder::default(), Registry::default()));
+    let (reference, _) = timed_explore(&b, cfg(Recorder::default()));
     let want = fingerprint(&reference);
 
     // Wall times per repetition of the off, traced and metered legs.
@@ -116,8 +115,7 @@ fn main() {
             let leg = (rep + k) % 3;
             let wall = match leg {
                 0 => {
-                    let (plain, t) =
-                        timed_explore(&b, cfg(Recorder::default(), Registry::default()));
+                    let (plain, t) = timed_explore(&b, cfg(Recorder::default()));
                     assert_eq!(fingerprint(&plain), want, "unobserved run diverged");
                     t
                 }
@@ -126,7 +124,7 @@ fn main() {
                         .jsonl(&trace_path)
                         .expect("open temp trace file")
                         .build();
-                    let (traced, t) = timed_explore(&b, cfg(obs, Registry::default()));
+                    let (traced, t) = timed_explore(&b, cfg(obs));
                     assert_eq!(
                         fingerprint(&traced),
                         want,
@@ -138,7 +136,10 @@ fn main() {
                 }
                 _ => {
                     let reg = Registry::new();
-                    let (metered, t) = timed_explore(&b, cfg(Recorder::default(), reg.clone()));
+                    let obs = RecorderBuilder::new()
+                        .sink(Box::new(MetricsSink::new(reg.clone())))
+                        .build();
+                    let (metered, t) = timed_explore(&b, cfg(obs));
                     assert_eq!(
                         fingerprint(&metered),
                         want,

@@ -129,7 +129,6 @@ fn main() {
             ..ReactionConfig::default()
         },
         mcmap_obs::Recorder::default(),
-        mcmap_telemetry::Registry::default(),
     );
     assert_eq!(
         mission.bound_violations, 0,

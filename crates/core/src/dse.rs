@@ -16,7 +16,6 @@ use mcmap_model::{AppId, AppSet, Architecture, ProcId, Time};
 use mcmap_obs::{Recorder, Value};
 use mcmap_resilience::{EvalFailure, FaultPlan, ResilienceError};
 use mcmap_sched::{uniform_policies, Mapping, SchedPolicy};
-use mcmap_telemetry::{Class, Counter, Histogram, Registry};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::hash_map::DefaultHasher;
@@ -140,14 +139,6 @@ pub struct DseConfig {
     /// their model, configuration, and seed are identical — a pure speed
     /// knob, excluded from the fingerprints like `cache_cap`.
     pub shared_cache: Option<SharedEvalCache>,
-    /// Telemetry registry. The disabled default meters nothing; an enabled
-    /// registry accumulates fleet metrics (`eval.*` batch/cache counters,
-    /// `sched.*` analysis-effort counters and histograms) alongside — and
-    /// under the same determinism contract as — the [`DseConfig::obs`]
-    /// trace: `Class::Det` instruments are replay-stable for any thread
-    /// count or cache capacity, timing rides in `Class::Nondet`. Like the
-    /// recorder, it never changes a result.
-    pub telemetry: Registry,
 }
 
 impl Default for DseConfig {
@@ -167,7 +158,6 @@ impl Default for DseConfig {
             resilience: ResilienceConfig::default(),
             analysis: AnalysisOptions::default(),
             shared_cache: None,
-            telemetry: Registry::default(),
         }
     }
 }
@@ -295,7 +285,7 @@ impl AuditSnapshot {
 }
 
 /// Cumulative scenario-analysis effort over every evaluated candidate —
-/// the aggregate view of the per-candidate `sched.analyze` telemetry.
+/// the aggregate view of the per-candidate `sched.analyze` events.
 ///
 /// All fields except `analysis_nanos` are deterministic for a fixed
 /// configuration (replayed from cached evaluation records on hits, so
@@ -416,45 +406,6 @@ pub struct MappingProblem<'a> {
     batch_index: AtomicU64,
     /// Candidates degraded after exhausting their evaluation retries.
     failures: Mutex<Vec<EvalFailure>>,
-    /// Registered scheduling-analysis instruments (`None` when the
-    /// config's telemetry registry is disabled).
-    metrics: Option<SchedMetrics>,
-}
-
-/// The scheduling-analysis telemetry instruments. All observations happen
-/// in [`MappingProblem::record_audit`] — the sequential per-submitted-
-/// candidate replay path, with values carried in cached evaluation
-/// records — so every `Class::Det` instrument accumulates identically for
-/// any thread count or cache capacity. Analysis wall time is host timing
-/// and rides in `Class::Nondet`.
-#[derive(Debug)]
-struct SchedMetrics {
-    candidates: Arc<Counter>,
-    scenarios: Arc<Counter>,
-    backend_calls: Arc<Counter>,
-    fixedpoint_iters: Arc<Histogram>,
-    analysis_ns: Arc<Histogram>,
-}
-
-impl SchedMetrics {
-    fn register(registry: &Registry) -> Self {
-        SchedMetrics {
-            candidates: registry.counter("sched.candidates", Class::Det),
-            scenarios: registry.counter("sched.scenarios", Class::Det),
-            backend_calls: registry.counter("sched.backend_calls", Class::Det),
-            fixedpoint_iters: registry.histogram("sched.fixedpoint_iters", Class::Det),
-            analysis_ns: registry.histogram("sched.analysis_ns", Class::Nondet),
-        }
-    }
-
-    fn observe_candidate(&self, r: &EvalRecord) {
-        let e = &r.effort;
-        self.candidates.inc();
-        self.scenarios.add(e.scenarios as u64);
-        self.backend_calls.add(e.backend_calls as u64);
-        self.fixedpoint_iters.observe(e.fixedpoint_iters as u64);
-        self.analysis_ns.observe(r.analysis_nanos);
-    }
 }
 
 /// Everything one evaluation produces: the GA-facing [`Evaluation`]
@@ -474,7 +425,7 @@ struct EvalRecord {
     /// Wall nanoseconds spent inside Algorithm 1 for this candidate
     /// (protocol analysis plus the optional no-dropping audit run).
     /// Timing, not content: replayed from the cache on hits, emitted only
-    /// in non-deterministic telemetry payloads, and excluded from
+    /// in non-deterministic event payloads, and excluded from
     /// [`AnalysisEffort`]'s pure-function equality.
     analysis_nanos: u64,
 }
@@ -483,7 +434,7 @@ struct EvalRecord {
 ///
 /// These are a pure function of the genome (and fixed config), so they ride
 /// inside the cached [`EvalRecord`] and replay identically on cache hits —
-/// the emitted `sched.analyze` telemetry is the same whether a record was
+/// the emitted `sched.analyze` event is the same whether a record was
 /// computed fresh or served from the memo cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct AnalysisEffort {
@@ -672,12 +623,7 @@ impl<'a> MappingProblem<'a> {
             Some(shared) => EvalEngine::with_shared_cache(Arc::clone(&shared.cache), &context),
             None => EvalEngine::new(cfg.cache_cap, &context),
         }
-        .with_recorder(cfg.obs.clone())
-        .with_metrics(&cfg.telemetry);
-        let metrics = cfg
-            .telemetry
-            .enabled()
-            .then(|| SchedMetrics::register(&cfg.telemetry));
+        .with_recorder(cfg.obs.clone());
         MappingProblem {
             apps,
             arch,
@@ -689,7 +635,6 @@ impl<'a> MappingProblem<'a> {
             engine,
             batch_index: AtomicU64::new(0),
             failures: Mutex::new(Vec::new()),
-            metrics,
         }
     }
 
@@ -1017,9 +962,6 @@ impl<'a> MappingProblem<'a> {
             analysis.fixedpoint_iters += e.fixedpoint_iters as u64;
             analysis.scenarios_pruned += e.scenarios_pruned as u64;
             analysis.analysis_nanos += r.analysis_nanos;
-        }
-        if let Some(m) = &self.metrics {
-            m.observe_candidate(r);
         }
         if self.cfg.obs.enabled() {
             // Emitted on the sequential replay path, from cached effort

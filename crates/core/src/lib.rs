@@ -67,6 +67,7 @@ mod checkpoint;
 mod differential;
 mod dse;
 mod genome;
+mod metrics;
 mod objective;
 mod portfolio;
 mod repair;
@@ -86,6 +87,7 @@ pub use dse::{
 };
 pub use genome::{GeneHardening, Genome, GenomeSpace, TaskGene};
 pub use mcmap_eval::{CacheStats, EvalStats};
+pub use metrics::MetricsSink;
 pub use objective::{expected_power, lost_service};
 pub use portfolio::{
     read_portfolio, write_portfolio, MaterializedPoint, OperatingPoint, Portfolio,

@@ -5,7 +5,6 @@ use crate::pool::parallel_map_caught_timed;
 use crate::stats::{EvalStats, StatCounters};
 use mcmap_obs::{Recorder, Value};
 use mcmap_resilience::{panic_message, EvalFailure};
-use mcmap_telemetry::{Class, Counter, Histogram, Registry};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -42,42 +41,6 @@ pub struct EvalEngine<V> {
     context: u64,
     counters: StatCounters,
     obs: Recorder,
-    metrics: Option<EvalMetrics>,
-}
-
-/// The engine's registered telemetry instruments. Batch/genome counts are
-/// deterministic functions of the submitted work; everything else (the
-/// hit/miss split, wall latency) is thread-racy and registered as
-/// [`Class::Nondet`].
-struct EvalMetrics {
-    batches: Arc<Counter>,
-    genomes: Arc<Counter>,
-    batch_wall: Arc<Histogram>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-}
-
-impl EvalMetrics {
-    fn register(registry: &Registry) -> Self {
-        EvalMetrics {
-            batches: registry.counter("eval.batches", Class::Det),
-            genomes: registry.counter("eval.genomes", Class::Det),
-            batch_wall: registry.histogram("eval.batch_wall_ns", Class::Nondet),
-            cache_hits: registry.counter("eval.cache_hits", Class::Nondet),
-            cache_misses: registry.counter("eval.cache_misses", Class::Nondet),
-        }
-    }
-
-    /// Folds one batch into the instruments from the engine's own stats
-    /// deltas — the same source the `eval.batch` span reports.
-    fn observe_batch(&self, genomes: u64, wall_ns: u64, before: &EvalStats, after: &EvalStats) {
-        self.batches.inc();
-        self.genomes.add(genomes);
-        self.batch_wall.observe(wall_ns);
-        self.cache_hits.add(after.cache_hits - before.cache_hits);
-        self.cache_misses
-            .add(after.cache_misses - before.cache_misses);
-    }
 }
 
 impl<V: Clone + Send + Sync> EvalEngine<V> {
@@ -92,7 +55,6 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
             context: h.finish(),
             counters: StatCounters::default(),
             obs: Recorder::default(),
-            metrics: None,
         }
     }
 
@@ -112,7 +74,6 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
             context: h.finish(),
             counters: StatCounters::default(),
             obs: Recorder::default(),
-            metrics: None,
         }
     }
 
@@ -124,18 +85,6 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
     #[must_use]
     pub fn with_recorder(mut self, obs: Recorder) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Attaches a telemetry registry: the engine registers its fleet
-    /// metrics (`eval.batches` / `eval.genomes` as deterministic counters;
-    /// batch wall-latency histogram and cache hit/miss split as
-    /// non-deterministic) and folds every batch
-    /// into them. A disabled registry leaves the engine unmetered — the
-    /// hot path carries no extra work. Results are identical either way.
-    #[must_use]
-    pub fn with_metrics(mut self, registry: &Registry) -> Self {
-        self.metrics = registry.enabled().then(|| EvalMetrics::register(registry));
         self
     }
 
@@ -225,7 +174,7 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
         I: Fn(EvalContext) + Sync,
     {
         let t0 = Instant::now();
-        let before = (self.obs.enabled() || self.metrics.is_some()).then(|| self.stats());
+        let before = self.obs.enabled().then(|| self.stats());
         // The thread budget is a speed knob that must not shape the
         // canonical trace, so it rides in the non-deterministic payload.
         let mut span = self
@@ -303,14 +252,6 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
             span.nondet("lookup_ns", after.lookup_nanos - before.lookup_nanos);
             span.nondet("eval_ns", after.eval_nanos - before.eval_nanos);
             span.nondet("insert_ns", after.insert_nanos - before.insert_nanos);
-            if let Some(m) = &self.metrics {
-                m.observe_batch(
-                    genomes.len() as u64,
-                    t0.elapsed().as_nanos() as u64,
-                    &before,
-                    &after,
-                );
-            }
         }
         span.end();
         results
@@ -525,48 +466,5 @@ mod tests {
         let _ = batch(&c, &genomes, 1, eval);
         assert_eq!(c.stats().cache_hits, 0);
         assert_eq!(calls.load(Ordering::Relaxed), 6);
-    }
-
-    #[test]
-    fn telemetry_registry_observes_every_batch() {
-        use mcmap_telemetry::{Registry, SampleValue};
-        let registry = Registry::new();
-        let e = engine(256).with_metrics(&registry);
-        let genomes = vec![1u64, 2, 3, 1, 2, 3];
-        let _ = batch(&e, &genomes, 1, |g| *g);
-        let _ = batch(&e, &genomes, 1, |g| *g);
-        let snap = registry.snapshot();
-        let counter = |name: &str| {
-            snap.metrics
-                .iter()
-                .find(|m| m.id.name == name)
-                .and_then(|m| match &m.value {
-                    SampleValue::Counter(v) => Some(*v),
-                    _ => None,
-                })
-                .unwrap_or_else(|| panic!("missing counter {name}"))
-        };
-        assert_eq!(counter("eval.batches"), 2);
-        assert_eq!(counter("eval.genomes"), 12);
-        // Second batch replays entirely from cache: 3 misses + 9 hits.
-        assert_eq!(
-            counter("eval.cache_hits") + counter("eval.cache_misses"),
-            12
-        );
-        let wall = snap
-            .metrics
-            .iter()
-            .find(|m| m.id.name == "eval.batch_wall_ns")
-            .expect("wall histogram registered");
-        match &wall.value {
-            SampleValue::Histogram(h) => assert_eq!(h.count(), 2),
-            other => panic!("expected histogram, got {other:?}"),
-        }
-        // A disabled registry leaves the engine unmetered but unchanged.
-        let quiet = Registry::default();
-        let q = engine(256).with_metrics(&quiet);
-        let out = batch(&q, &genomes, 1, |g| *g);
-        assert_eq!(out, genomes);
-        assert!(quiet.snapshot().metrics.is_empty());
     }
 }

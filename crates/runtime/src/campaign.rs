@@ -29,7 +29,6 @@ use mcmap_obs::{parse_json, Json, Recorder, Value};
 use mcmap_resilience::{atomic_write_rotating, backup_path, seal, unseal, ResilienceError};
 use mcmap_sched::SchedPolicy;
 use mcmap_sim::{ExecModel, RandomFaults, SimConfig, Simulator};
-use mcmap_telemetry::{Class, Registry};
 
 /// Envelope kind tag for campaign checkpoints.
 const KIND: &str = "sim-campaign";
@@ -70,8 +69,6 @@ pub struct CampaignConfig {
     pub stop_after_chunks: Option<u64>,
     /// Obs recorder (`validate.campaign` span, per-chunk progress).
     pub obs: Recorder,
-    /// Telemetry registry (`validate.*` counters).
-    pub telemetry: Registry,
 }
 
 impl Default for CampaignConfig {
@@ -88,7 +85,6 @@ impl Default for CampaignConfig {
             stop: None,
             stop_after_chunks: None,
             obs: Recorder::default(),
-            telemetry: Registry::default(),
         }
     }
 }
@@ -502,15 +498,6 @@ pub fn run_campaign(
             ("profiles", Value::U64(cfg.profiles)),
         ],
     );
-    let profiles_counter = cfg
-        .telemetry
-        .enabled()
-        .then(|| cfg.telemetry.counter("validate.profiles", Class::Det));
-    let violations_counter = cfg
-        .telemetry
-        .enabled()
-        .then(|| cfg.telemetry.counter("validate.violations", Class::Det));
-
     let sims: Vec<Simulator<'_>> = points
         .iter()
         .map(|p| Simulator::new(&p.hsys, arch, &p.mapping, policies.to_vec()))
@@ -596,12 +583,6 @@ pub fn run_campaign(
                     });
                 }
             }
-        }
-        if let Some(c) = &profiles_counter {
-            c.add(end - done);
-        }
-        if let Some(c) = &violations_counter {
-            c.add(outcomes.iter().map(|o| o.violations.len() as u64).sum());
         }
         done = end;
         cfg.obs

@@ -14,9 +14,8 @@
 //!   the system has been quiet long enough. A permanent processor loss
 //!   invalidates every point that maps work onto the dead processor and
 //!   forces an immediate switch to the best surviving point. Every
-//!   transition emits an obs mark (`runtime.switch`) and telemetry
-//!   (`runtime.switch` counters, `runtime.degraded_apps` gauge,
-//!   `runtime.time_in_mode_ticks` histogram).
+//!   transition emits an obs mark (`runtime.switch`), which a
+//!   [`MetricsSink`](mcmap_core::MetricsSink) on the recorder counts.
 //!
 //! * [`run_campaign`] — a seeded Monte-Carlo validation campaign: the
 //!   refutation harness for the static analysis. Every fault profile

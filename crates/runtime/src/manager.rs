@@ -5,7 +5,6 @@ use mcmap_model::{AppId, Architecture, Criticality, ProcId, Time};
 use mcmap_obs::{Recorder, Value};
 use mcmap_sched::SchedPolicy;
 use mcmap_sim::{ExecModel, RandomFaults, SimConfig, Simulator};
-use mcmap_telemetry::{Class, Registry};
 
 /// An event the runtime reacts to, one per hyperperiod boundary. The
 /// first two are produced by the simulator itself (critical-state entries
@@ -89,11 +88,9 @@ pub struct RuntimeManager<'a> {
     quiet_streak: u32,
     pressure_streak: u32,
     exhausted: bool,
-    mode_entered: Time,
     history: Vec<Transition>,
     cfg: RuntimeConfig,
     obs: Recorder,
-    telemetry: Registry,
 }
 
 impl<'a> RuntimeManager<'a> {
@@ -131,12 +128,10 @@ impl<'a> RuntimeManager<'a> {
             quiet_streak: 0,
             pressure_streak: 0,
             exhausted: false,
-            mode_entered: Time::ZERO,
             history: Vec::new(),
             cfg,
             points,
             obs: Recorder::default(),
-            telemetry: Registry::default(),
         }
     }
 
@@ -145,15 +140,6 @@ impl<'a> RuntimeManager<'a> {
     #[must_use]
     pub fn with_recorder(mut self, obs: Recorder) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Attaches a telemetry registry (`runtime.switch` counters,
-    /// `runtime.degraded_apps` gauge, `runtime.time_in_mode_ticks`
-    /// histogram).
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Registry) -> Self {
-        self.telemetry = telemetry;
         self
     }
 
@@ -278,8 +264,6 @@ impl<'a> RuntimeManager<'a> {
 
     fn record(&mut self, now: Time, to: usize, reason: &'static str) -> Transition {
         let from = self.current;
-        let in_mode = now.saturating_sub(self.mode_entered);
-        self.mode_entered = now;
         // The dropped set after this transition (`to`/`depth` already
         // reflect it for ladder moves; point switches reset depth first).
         let dropped = {
@@ -299,18 +283,6 @@ impl<'a> RuntimeManager<'a> {
                 ("degraded", Value::U64(dropped.len() as u64)),
             ],
         );
-        if self.telemetry.enabled() {
-            self.telemetry.counter("runtime.switch", Class::Det).inc();
-            self.telemetry
-                .counter_with("runtime.switch_reason", &[("reason", reason)], Class::Det)
-                .inc();
-            self.telemetry
-                .gauge("runtime.degraded_apps", Class::Det)
-                .set(dropped.len() as i64);
-            self.telemetry
-                .histogram("runtime.time_in_mode_ticks", Class::Det)
-                .observe(in_mode.ticks());
-        }
         let t = Transition {
             at: now,
             from,
@@ -326,11 +298,6 @@ impl<'a> RuntimeManager<'a> {
         if !self.exhausted {
             self.exhausted = true;
             self.obs.mark("runtime.exhausted", &[]);
-            if self.telemetry.enabled() {
-                self.telemetry
-                    .counter("runtime.exhausted", Class::Det)
-                    .inc();
-            }
         }
     }
 }
@@ -399,11 +366,8 @@ pub fn run_reaction(
     policies: &[SchedPolicy],
     cfg: &ReactionConfig,
     obs: Recorder,
-    telemetry: Registry,
 ) -> ReactionReport {
-    let mut manager = RuntimeManager::new(points, cfg.runtime)
-        .with_recorder(obs)
-        .with_telemetry(telemetry);
+    let mut manager = RuntimeManager::new(points, cfg.runtime).with_recorder(obs);
     let hp = points[0]
         .hsys
         .apps()

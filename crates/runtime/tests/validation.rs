@@ -344,7 +344,6 @@ fn reaction_mission_holds_bounds_in_every_mode() {
             ..ReactionConfig::default()
         },
         mcmap_obs::Recorder::default(),
-        mcmap_telemetry::Registry::default(),
     );
     assert_eq!(report.bound_violations, 0);
     assert_eq!(report.faulty_hyperperiods + report.quiet_hyperperiods, 48);
@@ -356,4 +355,45 @@ fn reaction_mission_holds_bounds_in_every_mode() {
         report.switch_latency.len() as u64,
         report.faulty_hyperperiods
     );
+}
+
+/// The "Algorithm 1 ≥ simulation" contract where the system runs: the
+/// feasible portfolio of a seeded fleet-small exploration (500 tasks on 16
+/// heterogeneous cores, the preset's deeper hardening space) survives a
+/// seeded worst-case Monte-Carlo campaign with zero WCRT-bound violations
+/// within coverage.
+#[test]
+fn fleet_portfolio_holds_its_bounds_under_simulation() {
+    let preset = mcmap_benchmarks::fleet_preset("fleet-small").expect("known preset");
+    let b = mcmap_benchmarks::fleet(&preset, 42);
+    let cfg = || DseConfig {
+        ga: GaConfig {
+            population: 32,
+            generations: 10,
+            seed: 8,
+            ..GaConfig::default()
+        },
+        objectives: ObjectiveMode::PowerService,
+        policies: Some(b.policies.clone()),
+        repair_iters: 80,
+        max_reexec: preset.max_reexec,
+        max_replicas: preset.max_replicas,
+        ..DseConfig::default()
+    };
+    let outcome = explore_checked(&b.apps, &b.arch, cfg()).expect("explore");
+    let problem = MappingProblem::new(&b.apps, &b.arch, cfg());
+    let portfolio = Portfolio::extract(&problem, &outcome.result.front);
+    assert!(!portfolio.points.is_empty(), "no feasible fleet point");
+    let points = portfolio.materialize(&problem).unwrap();
+    let campaign = CampaignConfig {
+        profiles: 200,
+        seed: 8,
+        ..CampaignConfig::default()
+    };
+    let summary = run_campaign(&points, &b.arch, &b.policies, &campaign).unwrap();
+    assert!(
+        summary.points.iter().any(|p| p.covered > 0 && p.faulty > 0),
+        "no faulty run within coverage: the campaign checked nothing"
+    );
+    assert_eq!(summary.total_violations(), 0, "{}", summary.render_text());
 }

@@ -558,7 +558,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert!(!by_name("serve.request_ns").is_empty(), "verb latencies");
-        assert!(!by_name("eval.batches").is_empty(), "exploration meters");
+        assert!(!by_name("eval.batch").is_empty(), "exploration meters");
         let slice = by_name("serve.slice_ns");
         let per_job = slice
             .iter()
@@ -579,7 +579,7 @@ mod tests {
         );
         let prom = c.metrics_prometheus().unwrap();
         assert!(prom.contains("# TYPE mcmap_serve_slice_ns histogram"));
-        assert!(prom.contains("mcmap_eval_batches_total"));
+        assert!(prom.contains("mcmap_eval_batch_total"));
         assert!(prom.contains("mcmap_serve_request_ns_bucket{"));
         // Unknown verbs and ids produce typed errors, not hangups.
         assert!(c.request("{\"verb\":\"bogus\"}").is_err());

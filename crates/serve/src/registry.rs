@@ -15,7 +15,7 @@ use crate::job::{front_to_json, status_doc, JobPaths, JobSpec, JobState, JobTota
 use crate::progress::{ProgressTap, TapSink};
 use mcmap_core::{
     explore_checked, read_checkpoint_with_fallback, salvage_trace, CacheStats, DseConfig,
-    ObjectiveMode, SharedEvalCache,
+    MetricsSink, ObjectiveMode, SharedEvalCache,
 };
 use mcmap_ga::GaConfig;
 use mcmap_obs::{push_json_str, RecorderBuilder};
@@ -91,11 +91,11 @@ pub struct Registry {
     work: Condvar,
     /// Signalled when a worker finishes a slice (drain waits on this).
     idle: Condvar,
-    /// The server's metrics registry. Every slice's exploration runs with
-    /// it attached, so `eval.*` / `sched.*` instruments aggregate across
-    /// all tenants; the serve layer adds its own `serve.*` instruments
-    /// (request latency, queue depth, slice duration) — all timing, hence
-    /// `Class::Nondet`.
+    /// The server's metrics registry. Every slice's recorder folds its
+    /// events into it through a [`MetricsSink`], so the `eval.*` /
+    /// `sched.*` series aggregate across all tenants; the serve layer adds
+    /// its own `serve.*` instruments (request latency, queue depth, slice
+    /// duration) — all timing, hence `Class::Nondet`.
     metrics: MetricsRegistry,
     /// Runnable-queue length (all timing-dependent: `Class::Nondet`).
     queue_depth: Arc<Gauge>,
@@ -616,29 +616,29 @@ impl Registry {
         let ckpt = paths.checkpoint();
         let resume = ckpt.exists().then(|| ckpt.clone());
         let trace = paths.trace();
-        let mut builder = RecorderBuilder::new().sink(Box::new(TapSink(tap)));
-        let attached = match &resume {
-            Some(path) => {
-                // The checkpoint's trace high-water mark bounds what the
-                // salvaged part-1 trace may keep; the resumed recorder then
-                // skips the re-emitted preamble below it.
-                let trace_seq = read_checkpoint_with_fallback(path)
-                    .map(|(c, _)| c.trace_seq)
-                    .unwrap_or(0);
-                if let Err(e) = salvage_trace(&trace, trace_seq) {
-                    return (
-                        SliceVerdict::Failed(format!(
-                            "cannot salvage trace {}: {e}",
-                            trace.display()
-                        )),
-                        None,
-                    );
-                }
-                builder.jsonl_append(&trace, trace_seq)
+        // The checkpoint's trace high-water mark bounds what the salvaged
+        // part-1 trace may keep; the resumed recorder's sinks then skip the
+        // re-emitted preamble below it, on disk and in the metrics fold.
+        let trace_seq = resume.as_ref().map_or(0, |path| {
+            read_checkpoint_with_fallback(path).map_or(0, |(c, _)| c.trace_seq)
+        });
+        let builder = RecorderBuilder::new()
+            .sink(Box::new(TapSink(tap)))
+            .sink(Box::new(
+                MetricsSink::new(self.metrics.clone()).skip_upto(trace_seq),
+            ));
+        let attached = if resume.is_some() {
+            if let Err(e) = salvage_trace(&trace, trace_seq) {
+                return (
+                    SliceVerdict::Failed(format!("cannot salvage trace {}: {e}", trace.display())),
+                    None,
+                );
             }
-            None => builder.jsonl(&trace),
+            builder.jsonl_append(&trace, trace_seq)
+        } else {
+            builder.jsonl(&trace)
         };
-        builder = match attached {
+        let builder = match attached {
             Ok(bld) => bld,
             Err(e) => {
                 return (
@@ -660,7 +660,6 @@ impl Registry {
             repair_iters: 80,
             shared_cache: Some(self.shared.clone()),
             obs: builder.build(),
-            telemetry: self.metrics.clone(),
             ..DseConfig::default()
         };
         cfg.resilience.checkpoint = Some(ckpt);
@@ -773,6 +772,62 @@ mod tests {
             json.get("state").and_then(|v| v.as_str()),
             Some("completed")
         );
+        reg.drain();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn metrics_fold_matches_the_job_ledger_across_resumed_slices() {
+        use mcmap_telemetry::SampleValue;
+        let dir = scratch("metrics_fold");
+        let reg = Registry::open(ServeConfig {
+            jobs_dir: dir.clone(),
+            workers: 1,
+            slice: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let workers = reg.start_workers();
+        let id = reg
+            .submit(JobSpec {
+                generations: 3,
+                ..tiny_spec(8)
+            })
+            .unwrap();
+        assert_eq!(wait_terminal(&reg, &id), JobState::Completed);
+        let (slices, analysis, genomes) = {
+            let inner = reg.lock();
+            let t = &inner.jobs[&id].totals;
+            (t.slices, t.analysis, t.eval.genomes)
+        };
+        assert!(
+            slices >= 3,
+            "the job must resume at least twice: {slices} slices"
+        );
+        // A counter as `(value, value)`, a histogram as `(count, sum)`.
+        let sample = |name: &str| {
+            let snap = reg.metrics().snapshot();
+            match snap.metrics.into_iter().find(|m| m.id.name == name) {
+                Some(m) => match m.value {
+                    SampleValue::Counter(v) => (v, v),
+                    SampleValue::Histogram(h) => (h.count(), h.sum()),
+                    SampleValue::Gauge(_) => panic!("{name} is a gauge"),
+                },
+                None => panic!("no metric {name}"),
+            }
+        };
+        assert_eq!(sample("sched.analyze").0, analysis.candidates);
+        let backend_calls = sample("sched.analyze.backend_calls").1;
+        assert_eq!(backend_calls, analysis.backend_calls);
+        assert_eq!(sample("eval.batch.genomes").1, genomes);
+        // Every resumed slice re-emits the preamble (the pre-flight mark,
+        // the opening of `dse.explore`) below the checkpoint's trace_seq;
+        // the fold must count it once, like the trace file.
+        assert_eq!(sample("lint.preflight").0, 1);
+        assert_eq!(sample("dse.explore.population").0, 1);
         reg.drain();
         for w in workers {
             w.join().unwrap();

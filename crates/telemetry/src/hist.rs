@@ -45,8 +45,9 @@ pub fn bucket_upper(i: usize) -> u64 {
 /// [`Histogram::snapshot`].
 #[derive(Debug)]
 pub struct Histogram {
+    /// Per-bucket counts; the total count is their sum, so `observe`
+    /// keeps no separate counter.
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     /// `u64::MAX` while empty — the identity of `min`.
     min: AtomicU64,
@@ -58,7 +59,6 @@ impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -75,12 +75,17 @@ impl Histogram {
     /// Records one observation.
     pub fn observe(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         // fetch_add wraps on overflow, matching the snapshot's wrapping
         // merge, so the concat/merge law holds even for pathological sums.
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // Min and max rarely move once warm: a plain load first skips two
+        // read-modify-writes per observation on the common path.
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// A point-in-time copy of the distribution.
@@ -91,7 +96,7 @@ impl Histogram {
         }
         HistogramSnapshot {
             buckets,
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().fold(0, |n: u64, &b| n.wrapping_add(b)),
             sum: self.sum.load(Ordering::Relaxed),
             min: self.min.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),

@@ -5,13 +5,17 @@
 //! deterministic JSON snapshots and Prometheus text exposition.
 //! Dependency-free (std only).
 //!
+//! The DSE stack writes no metric by hand: `mcmap_core::MetricsSink`
+//! folds its `mcmap-obs` events into a registry (`eval.batch`,
+//! `eval.batch.genomes`). The job server adds its own `serve.*` series.
+//!
 //! ## Determinism contract
 //!
 //! The crate extends `mcmap-obs`'s deterministic-vs-nondeterministic
 //! split to metrics: every instrument is registered with a [`Class`].
 //!
-//! * [`Class::Det`] — a deterministic function of the run (backend
-//!   calls, fixed-point iterations, batch counts). For a fixed
+//! * [`Class::Det`] — a deterministic function of the run (event counts
+//!   and the canonical fields of events). For a fixed
 //!   benchmark/seed/config, the canonical snapshot
 //!   ([`Registry::snapshot_canonical`]) is identical regardless of
 //!   `--threads` or cache capacity.
@@ -20,7 +24,8 @@
 //!   canonical snapshot; operational only.
 //!
 //! Metrics never feed back into search results or the obs event stream,
-//! so enabling a registry cannot perturb fronts or canonical traces.
+//! so folding events into a registry cannot perturb fronts or canonical
+//! traces.
 //!
 //! ## Histogram semantics
 //!
@@ -38,13 +43,13 @@
 //! use mcmap_telemetry::{Class, Registry};
 //!
 //! let reg = Registry::new();
-//! let batches = reg.counter("eval.batches", Class::Det);
-//! let latency = reg.histogram("eval.batch_wall_ns", Class::Nondet);
+//! let batches = reg.counter("eval.batch", Class::Det);
+//! let latency = reg.histogram("eval.batch.wall_ns", Class::Nondet);
 //! batches.inc();
 //! latency.observe(1_250);
 //! let snap = reg.snapshot();
-//! assert!(snap.to_json().contains("\"eval.batches\""));
-//! assert!(snap.to_prometheus().contains("mcmap_eval_batches_total 1"));
+//! assert!(snap.to_json().contains("\"eval.batch\""));
+//! assert!(snap.to_prometheus().contains("mcmap_eval_batch_total 1"));
 //! ```
 
 #![warn(missing_docs)]

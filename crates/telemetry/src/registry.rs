@@ -58,11 +58,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
@@ -74,7 +69,7 @@ impl Gauge {
 /// hence every rendering — deterministic.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MetricId {
-    /// Dotted metric name (`eval.batch_wall_ns`).
+    /// Dotted metric name (`eval.batch.wall_ns`).
     pub name: String,
     /// Label pairs, sorted by key.
     pub labels: Vec<(String, String)>,
@@ -101,30 +96,17 @@ enum Instrument {
     Histogram(Arc<Histogram>, Class),
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    metrics: Mutex<BTreeMap<MetricId, Instrument>>,
-}
-
-/// A cloneable handle to a metrics registry. The disabled default
-/// ([`Registry::default`]) hands out detached instruments that record
-/// into thin air, so instrumented code needs no enablement branches.
+/// A cloneable handle to a metrics registry. Clones share the same
+/// metric store.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    inner: Option<Arc<Inner>>,
+    metrics: Arc<Mutex<BTreeMap<MetricId, Instrument>>>,
 }
 
 impl Registry {
-    /// An enabled, empty registry. Clones share the same metric store.
+    /// An empty registry.
     pub fn new() -> Self {
-        Registry {
-            inner: Some(Arc::new(Inner::default())),
-        }
-    }
-
-    /// Whether this handle records anywhere.
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
+        Registry::default()
     }
 
     /// Registers (or retrieves) an unlabelled counter.
@@ -146,9 +128,8 @@ impl Registry {
         match self.instrument(name, labels, || {
             Instrument::Counter(Arc::new(Counter::default()), class)
         }) {
-            Some(Instrument::Counter(c, _)) => c,
-            Some(_) => panic!("metric {name:?} is already registered as a non-counter"),
-            None => Arc::new(Counter::default()),
+            Instrument::Counter(c, _) => c,
+            _ => panic!("metric {name:?} is already registered as a non-counter"),
         }
     }
 
@@ -158,21 +139,11 @@ impl Registry {
     ///
     /// Panics on an instrument-kind conflict.
     pub fn gauge(&self, name: &str, class: Class) -> Arc<Gauge> {
-        self.gauge_with(name, &[], class)
-    }
-
-    /// Registers (or retrieves) a labelled gauge.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an instrument-kind conflict.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)], class: Class) -> Arc<Gauge> {
-        match self.instrument(name, labels, || {
+        match self.instrument(name, &[], || {
             Instrument::Gauge(Arc::new(Gauge::default()), class)
         }) {
-            Some(Instrument::Gauge(g, _)) => g,
-            Some(_) => panic!("metric {name:?} is already registered as a non-gauge"),
-            None => Arc::new(Gauge::default()),
+            Instrument::Gauge(g, _) => g,
+            _ => panic!("metric {name:?} is already registered as a non-gauge"),
         }
     }
 
@@ -199,9 +170,8 @@ impl Registry {
         match self.instrument(name, labels, || {
             Instrument::Histogram(Arc::new(Histogram::default()), class)
         }) {
-            Some(Instrument::Histogram(h, _)) => h,
-            Some(_) => panic!("metric {name:?} is already registered as a non-histogram"),
-            None => Arc::new(Histogram::default()),
+            Instrument::Histogram(h, _) => h,
+            _ => panic!("metric {name:?} is already registered as a non-histogram"),
         }
     }
 
@@ -210,11 +180,10 @@ impl Registry {
         name: &str,
         labels: &[(&str, &str)],
         make: impl FnOnce() -> Instrument,
-    ) -> Option<Instrument> {
-        let inner = self.inner.as_ref()?;
+    ) -> Instrument {
         let id = MetricId::new(name, labels);
-        let mut metrics = inner.metrics.lock().expect("metrics registry poisoned");
-        Some(metrics.entry(id).or_insert_with(make).clone())
+        let mut metrics = self.metrics.lock().expect("metrics registry poisoned");
+        metrics.entry(id).or_insert_with(make).clone()
     }
 
     /// A point-in-time copy of every metric, sorted by
@@ -231,24 +200,22 @@ impl Registry {
     }
 
     fn snapshot_filtered(&self, keep: impl Fn(Class) -> bool) -> Snapshot {
+        let metrics = self.metrics.lock().expect("metrics registry poisoned");
         let mut out = Vec::new();
-        if let Some(inner) = &self.inner {
-            let metrics = inner.metrics.lock().expect("metrics registry poisoned");
-            for (id, instrument) in metrics.iter() {
-                let (class, value) = match instrument {
-                    Instrument::Counter(c, class) => (*class, SampleValue::Counter(c.get())),
-                    Instrument::Gauge(g, class) => (*class, SampleValue::Gauge(g.get())),
-                    Instrument::Histogram(h, class) => {
-                        (*class, SampleValue::Histogram(Box::new(h.snapshot())))
-                    }
-                };
-                if keep(class) {
-                    out.push(MetricSample {
-                        id: id.clone(),
-                        class,
-                        value,
-                    });
+        for (id, instrument) in metrics.iter() {
+            let (class, value) = match instrument {
+                Instrument::Counter(c, class) => (*class, SampleValue::Counter(c.get())),
+                Instrument::Gauge(g, class) => (*class, SampleValue::Gauge(g.get())),
+                Instrument::Histogram(h, class) => {
+                    (*class, SampleValue::Histogram(Box::new(h.snapshot())))
                 }
+            };
+            if keep(class) {
+                out.push(MetricSample {
+                    id: id.clone(),
+                    class,
+                    value,
+                });
             }
         }
         Snapshot { metrics: out }
@@ -325,16 +292,6 @@ mod tests {
         let canon = reg.snapshot_canonical();
         assert_eq!(canon.metrics.len(), 1);
         assert_eq!(canon.metrics[0].id.name, "det.calls");
-    }
-
-    #[test]
-    fn disabled_registry_hands_out_detached_instruments() {
-        let reg = Registry::default();
-        assert!(!reg.enabled());
-        let c = reg.counter("x", Class::Det);
-        c.inc();
-        assert_eq!(c.get(), 1, "the handle itself still works");
-        assert!(reg.snapshot().metrics.is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::registry::{SampleValue, Snapshot};
 
 /// The Prometheus metric-family name of a dotted mcmap metric name:
 /// `mcmap_` plus the name with every non-alphanumeric character mapped to
-/// `_` (`eval.batch_wall_ns` → `mcmap_eval_batch_wall_ns`).
+/// `_` (`eval.batch.wall_ns` → `mcmap_eval_batch_wall_ns`).
 pub fn prom_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 6);
     out.push_str("mcmap_");

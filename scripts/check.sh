@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints, rustdoc links, the whole test suite,
-# the evaluation engine's determinism suite, the server and validation-campaign
-# kill-and-resume smokes, and the eval-engine + fleet-scale + wcrt-analysis
+# the frozen perfbench crate graph, the evaluation engine's determinism
+# suite, the server and validation-campaign kill-and-resume smokes, and
+# the eval-engine + fleet-scale + wcrt-analysis
 # + obs-overhead (tracing and metrics) + serve-load + sim-validation benches
 # (which write the machine-readable results/BENCH_eval.json,
 # results/BENCH_scale.json, results/BENCH_sched.json,
@@ -27,6 +28,11 @@ fi
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 cargo test --workspace -q
+
+# Frozen crate graph: perfbench builds against the library crates by path
+# with its own committed lock file; `--locked` fails when a change would
+# rewrite perfbench/Cargo.lock (a crate or dependency edge added/removed).
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 # Thread-count / cache invariance of the DSE (bit-identical Pareto fronts).
 cargo test -q --test determinism

@@ -7,9 +7,9 @@
 //! itself bit-identical for any thread count or cache capacity.
 
 use mcmap::benchmarks::cruise;
-use mcmap::core::{explore, DseConfig, DseOutcome, ObjectiveMode};
+use mcmap::core::{explore, DseConfig, DseOutcome, MetricsSink, ObjectiveMode};
 use mcmap::ga::GaConfig;
-use mcmap::obs::{canonical_trace, Recorder};
+use mcmap::obs::{canonical_trace, Recorder, RecorderBuilder};
 use mcmap::resilience::fnv1a64;
 use mcmap::telemetry::Registry;
 use proptest::prelude::*;
@@ -19,21 +19,31 @@ fn outcome_with(threads: usize, cache_cap: usize, seed: u64) -> DseOutcome {
 }
 
 fn outcome_traced(threads: usize, cache_cap: usize, seed: u64, traced: bool) -> DseOutcome {
-    outcome_full(threads, cache_cap, seed, traced, Registry::default()).0
+    let obs = if traced {
+        Recorder::ring(1 << 18)
+    } else {
+        Recorder::default()
+    };
+    outcome_observed(threads, cache_cap, seed, obs)
 }
 
-/// The fully-knobbed exploration: worker threads, cache capacity, optional
-/// tracing, and an optional metrics registry (returned alongside so callers
-/// can snapshot it).
-fn outcome_full(
-    threads: usize,
-    cache_cap: usize,
-    seed: u64,
-    traced: bool,
-    telemetry: Registry,
-) -> (DseOutcome, Registry) {
+/// A traced seed-8 exploration whose events a `MetricsSink` also folds,
+/// with the canonical (deterministic) snapshot of that fold as JSON.
+fn outcome_metered(threads: usize, cache_cap: usize) -> (DseOutcome, String) {
+    let reg = Registry::new();
+    let obs = RecorderBuilder::new()
+        .ring(1 << 18)
+        .sink(Box::new(MetricsSink::new(reg.clone())))
+        .build();
+    let outcome = outcome_observed(threads, cache_cap, 8, obs);
+    (outcome, reg.snapshot_canonical().to_json())
+}
+
+/// The fully-knobbed exploration: worker threads, cache capacity, and the
+/// recorder observing it.
+fn outcome_observed(threads: usize, cache_cap: usize, seed: u64, obs: Recorder) -> DseOutcome {
     let b = cruise();
-    let outcome = explore(
+    explore(
         &b.apps,
         &b.arch,
         DseConfig {
@@ -49,16 +59,10 @@ fn outcome_full(
             policies: Some(b.policies.clone()),
             repair_iters: 40,
             cache_cap,
-            obs: if traced {
-                Recorder::ring(1 << 18)
-            } else {
-                Recorder::default()
-            },
-            telemetry: telemetry.clone(),
+            obs,
             ..DseConfig::default()
         },
-    );
-    (outcome, telemetry)
+    )
 }
 
 /// The canonicalized trace of an outcome (non-deterministic payload such as
@@ -156,65 +160,32 @@ fn canonical_trace_is_identical_for_any_cache_capacity() {
     );
 }
 
-/// The deterministic half of a metrics snapshot rendered as JSON — what
-/// must be invariant across thread counts.
-fn det_snapshot_of(reg: &Registry) -> String {
-    reg.snapshot_canonical().to_json()
-}
-
 #[test]
 fn canonical_trace_is_identical_with_telemetry_enabled_at_any_threads() {
-    // Metrics collection must be a read-only observer exactly like
-    // tracing: same front, same canonical trace, for any worker thread
-    // count.
-    let (serial, reg_serial) = outcome_full(1, 65_536, 8, true, Registry::new());
-    let (eight, reg_eight) = outcome_full(8, 65_536, 8, true, Registry::new());
-    let (two, reg_two) = outcome_full(2, 65_536, 8, true, Registry::new());
-
-    let untraced = outcome_with(1, 65_536, 8);
-    assert_eq!(
-        fingerprint(&serial),
-        fingerprint(&untraced),
-        "metrics collection changed the Pareto front"
-    );
-    assert_eq!(fingerprint(&serial), fingerprint(&eight));
-    assert_eq!(fingerprint(&serial), fingerprint(&two));
-
-    let reference = trace_of(&serial);
-    assert!(!reference.is_empty(), "traced run produced no events");
-    assert_eq!(
-        reference,
-        trace_of(&eight),
-        "metrics collection broke canonical-trace identity at 8 threads"
-    );
-    assert_eq!(
-        reference,
-        trace_of(&two),
-        "metrics collection broke canonical-trace identity at 2 threads"
-    );
-
-    // The deterministic metric classes themselves replay identically:
-    // counters like eval.genomes and sched.candidates, and the
-    // fixedpoint-iteration histogram, are functions of the run — not of
-    // the schedule that executed it.
-    let det = det_snapshot_of(&reg_serial);
+    // The metrics fold must be a read-only observer exactly like tracing:
+    // same front and canonical trace, and the deterministic series
+    // (`eval.batch`, `sched.analyze` and their canonical field histograms)
+    // replay identically for any thread count or cache capacity.
+    let front = fingerprint(&outcome_with(1, 65_536, 8));
+    let trace = trace_of(&outcome_traced(1, 65_536, 8, true));
+    let (_, det) = outcome_metered(1, 65_536);
     assert!(
-        det.contains("eval.genomes") && det.contains("sched.candidates"),
-        "canonical snapshot lost its deterministic instruments: {det}"
+        det.contains("\"sched.analyze.fixedpoint_iters\"")
+            && det.contains("\"eval.batch.genomes\""),
+        "canonical snapshot lost its deterministic series: {det}"
     );
-    assert_eq!(
-        det,
-        det_snapshot_of(&reg_eight),
-        "8 worker threads changed a deterministic metric"
-    );
-    assert_eq!(
-        det,
-        det_snapshot_of(&reg_two),
-        "2 worker threads changed a deterministic metric"
-    );
-    // And the nondet classes stayed out of the canonical snapshot.
-    assert!(!det.contains("batch_wall_ns"));
-    assert!(!det.contains("analysis_ns"));
+    assert!(!det.contains("wall_ns") && !det.contains("analysis_ns"));
+    for (threads, cache_cap) in [(1, 65_536), (2, 65_536), (8, 65_536), (2, 64), (1, 0)] {
+        let (outcome, other) = outcome_metered(threads, cache_cap);
+        let knobs = format!("{threads} threads, cache capacity {cache_cap}");
+        assert_eq!(
+            fingerprint(&outcome),
+            front,
+            "{knobs}: sink changed the front"
+        );
+        assert_eq!(trace_of(&outcome), trace, "{knobs}: sink changed the trace");
+        assert_eq!(other, det, "{knobs}: a deterministic metric moved");
+    }
 }
 
 /// A smoke-budget exploration of a generated fleet preset: the same
