@@ -14,11 +14,11 @@
 //! and the engine's determinism guarantee is exactly that thread count
 //! never changes results, only wall-clock. The *downside* IS asserted:
 //! a multi-threaded run of a small workload must never thrash: the
-//! persistent pool must absorb the dispatch, so the parallel leg stays
-//! within 5 % of serial (speedup ≥ 0.95×, min-of-5 walls to shed
-//! scheduler noise). The pool's helper count is recorded in the JSON so a
-//! ≈1.0× speedup is legible as "pool had no helpers", not "engine
-//! regressed".
+//! per-batch cost of spawning scoped helpers must stay small next to the
+//! batch, so the parallel leg stays within 5 % of serial (speedup ≥ 0.95×,
+//! min-of-5 walls to shed scheduler noise). The host's core count is
+//! recorded in the JSON so a ≈1.0× speedup is legible as "one core", not
+//! "engine regressed".
 //!
 //! Budget knobs: `MCMAP_POP` (default 24), `MCMAP_GENS` (default 6),
 //! `MCMAP_THREADS` (default 4) for the parallel leg.
@@ -103,7 +103,7 @@ fn bench_explore_macro(c: &mut Criterion) {
     let speedup = wall_1 / wall_n.max(1e-9);
     let hit_rate = parallel.eval_stats.hit_rate();
     // The small-batch regression gate: a multi-threaded run of a workload
-    // this small must cost no more than serial, because persistent-pool
+    // this small must cost no more than serial, because scoped-thread
     // dispatch is cheap enough not to matter. min-of-5 walls make the 5 %
     // tolerance about dispatch overhead, not scheduler noise.
     assert!(
@@ -120,15 +120,15 @@ fn bench_explore_macro(c: &mut Criterion) {
 
     let out_dir = std::env::var("MCMAP_BENCH_OUT")
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../results").to_string());
-    // Record the pool's helper count so a speedup near 1.0 is legible as
-    // "pool had no helpers", not "engine regressed".
+    // Record the core count so a speedup near 1.0 is legible as "one
+    // core", not "engine regressed".
     let json = format!(
         "{{\"benchmark\":\"dt-med\",\"population\":{pop},\"generations\":{gens},\
          \"threads\":{par},\"wall_secs_1\":{wall_1:.6},\"wall_secs_n\":{wall_n:.6},\
          \"speedup\":{speedup:.3},\"speedup_floor\":0.95,\
-         \"pool_capacity\":{},\"fronts_identical\":true,\
+         \"cores\":{},\"fronts_identical\":true,\
          \"serial\":{},\"parallel\":{}}}\n",
-        mcmap_eval::pool_capacity(),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         serial.eval_stats.to_json(),
         parallel.eval_stats.to_json()
     );

@@ -1,18 +1,20 @@
 //! `fleet_scale` — the parallel-evaluation payoff gate.
 //!
-//! Runs the same fleet exploration twice — serial dispatch (`threads = 1`)
-//! and parallel dispatch over the persistent pool — and demands:
+//! Runs the same fleet exploration with serial dispatch (`threads = 1`)
+//! and with parallel dispatch at `MCMAP_THREADS`, in five alternating
+//! pairs, and demands:
 //!
 //! 1. **bit-identical Pareto fronts** (always asserted: the thread budget
 //!    is a pure speed knob);
-//! 2. **>2× wall speedup** of parallel over serial — asserted whenever the
-//!    host can physically deliver it (persistent-pool capacity ≥ 4
-//!    participants). On smaller hosts the speedup is *reported, not
-//!    asserted* — the pool has no helpers there, "parallel" degrades to
-//!    the same inline loop as serial, and a measured ≈1.0× is the correct,
-//!    honest reading (the eval_engine bench takes the same stance). The
-//!    gate status is recorded in the JSON so CI on a many-core host
-//!    enforces the 2× bar while a laptop run stays green and legible.
+//! 2. **a wall speedup of at least 0.6 × min(threads, cores)** of parallel
+//!    over serial, asserted whenever that minimum is ≥ 2 (1.2× on a 2-core
+//!    host, 2.4× at 4 threads on 4 cores). The 0.6 factor leaves room for
+//!    the serial GA selection between batches and for batches that do not
+//!    divide evenly. On a single-core host no parallel speedup is
+//!    physically possible, so the speedup is *reported, not asserted*, and
+//!    the JSON records `speedup_gate_enforced: false`. The speedup is the
+//!    median of the five per-pair speedups, and the JSON's walls are each
+//!    leg's median.
 //!
 //! Writes `results/BENCH_scale.json` (override the directory with
 //! `MCMAP_BENCH_OUT`), including both legs' full `EvalStats` — with the
@@ -26,7 +28,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mcmap_bench::{env_u64, env_usize};
 use mcmap_benchmarks::{fleet, fleet_preset, Benchmark, FleetConfig};
 use mcmap_core::{explore, DseConfig, DseOutcome, ObjectiveMode};
-use mcmap_eval::pool_capacity;
 use mcmap_ga::GaConfig;
 use std::time::Instant;
 
@@ -55,6 +56,14 @@ fn dse_cfg(
     }
 }
 
+/// Alternating serial/parallel pairs behind the measured speedup.
+const REPS: usize = 5;
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 fn timed_explore(
     b: &Benchmark,
     preset: &FleetConfig,
@@ -80,18 +89,32 @@ fn bench_fleet_scale(c: &mut Criterion) {
     let pop = env_usize("MCMAP_POP", 8);
     let gens = env_usize("MCMAP_GENS", 2);
     let par = env_usize("MCMAP_THREADS", 4).max(2);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let b = fleet(&preset, seed);
     println!(
-        "fleet_scale: {} — {} tasks, {} apps, {} PEs (pool capacity {})",
+        "fleet_scale: {} — {} tasks, {} apps, {} PEs ({cores} cores)",
         b.name,
         b.apps.num_tasks(),
         b.apps.num_apps(),
         b.arch.num_processors(),
-        pool_capacity(),
     );
 
-    let (serial, wall_1) = timed_explore(&b, &preset, 1, pop, gens);
-    let (parallel, wall_n) = timed_explore(&b, &preset, par, pop, gens);
+    // Serial and parallel runs alternate in pairs, and the gate reads the
+    // median of the per-pair speedups: on a shared host the work a core
+    // gets done varies by tens of percent from one run to the next, and
+    // a pair sees the same phase of that noise on both legs.
+    let (mut walls_1, mut walls_n, mut speedups) = (Vec::new(), Vec::new(), Vec::new());
+    let mut legs = None;
+    for _ in 0..REPS {
+        let (serial, w1) = timed_explore(&b, &preset, 1, pop, gens);
+        let (parallel, wn) = timed_explore(&b, &preset, par, pop, gens);
+        walls_1.push(w1);
+        walls_n.push(wn);
+        speedups.push(w1 / wn.max(1e-9));
+        legs = Some((serial, parallel));
+    }
+    let (serial, parallel) = legs.expect("at least one rep");
+    let (wall_1, wall_n, speedup) = (median(walls_1), median(walls_n), median(speedups));
 
     assert_eq!(
         front_fingerprint(&serial),
@@ -100,17 +123,14 @@ fn bench_fleet_scale(c: &mut Criterion) {
     );
     assert_eq!(serial.eval_stats.genomes, parallel.eval_stats.genomes);
 
-    let speedup = wall_1 / wall_n.max(1e-9);
-    // The 2× bar needs ≥4 genuinely parallel participants (2 would cap the
-    // ideal speedup at 2.0 exactly); below that the hardware cannot express
-    // the property being gated.
-    let capacity = pool_capacity();
-    let gate_enforced = capacity >= 4;
+    let usable = par.min(cores);
+    let required = 0.6 * usable as f64;
+    let gate_enforced = usable >= 2;
     if gate_enforced {
         assert!(
-            speedup > 2.0,
-            "parallel evaluation must beat serial by >2x on {preset_name} \
-             (measured {speedup:.2}x at {par} threads, pool capacity {capacity})"
+            speedup >= required,
+            "parallel evaluation must beat serial by >= {required:.1}x on {preset_name} \
+             (measured {speedup:.2}x at {par} threads on {cores} cores)"
         );
     }
     let util: Vec<String> = parallel
@@ -123,9 +143,9 @@ fn bench_fleet_scale(c: &mut Criterion) {
         "fleet_scale/{preset_name}: {wall_1:.3} s serial, {wall_n:.3} s at {par} threads \
          (speedup x{speedup:.2}, gate {}, worker utilization [{}], fronts identical)",
         if gate_enforced {
-            "enforced"
+            format!("x{required:.1} enforced")
         } else {
-            "reported only: pool capacity < 4"
+            "reported only: one core".to_string()
         },
         util.join(", "),
     );
@@ -135,9 +155,9 @@ fn bench_fleet_scale(c: &mut Criterion) {
     let json = format!(
         "{{\"benchmark\":\"{preset_name}\",\"tasks\":{},\"apps\":{},\"pes\":{},\
          \"population\":{pop},\"generations\":{gens},\"threads\":{par},\
-         \"pool_capacity\":{capacity},\
+         \"cores\":{cores},\
          \"wall_secs_1\":{wall_1:.6},\"wall_secs_n\":{wall_n:.6},\
-         \"speedup\":{speedup:.3},\"speedup_required\":2.0,\
+         \"speedup\":{speedup:.3},\"speedup_required\":{required:.1},\
          \"speedup_gate_enforced\":{gate_enforced},\
          \"fronts_identical\":true,\
          \"serial\":{},\"parallel\":{}}}\n",

@@ -91,8 +91,8 @@ fn main() -> ExitCode {
     );
     println!("{}", "-".repeat(80));
 
-    // The four variants are independent, so they run on the evaluation
-    // worker pool; gathering preserves variant order, so the table is
+    // The four variants are independent, so they run through the
+    // evaluation parallel map; gathering preserves variant order, so the table is
     // identical for any `--threads`.
     let obs = knobs.recorder();
     let span = obs.span(

@@ -118,7 +118,7 @@ fn main() -> ExitCode {
     println!("Fig. 1 motivational example (one hyperperiod, 2 PEs)\n");
 
     // The three scenarios (b)/(c)/(d) are independent simulations, so they
-    // run on the evaluation worker pool; each builds its own fault script,
+    // run through the evaluation parallel map; each builds its own fault script,
     // and the gather preserves scenario order.
     let obs = knobs.recorder();
     let scenarios: [usize; 3] = [0, 1, 2];
@@ -151,7 +151,7 @@ fn main() -> ExitCode {
     span.end();
     // The (b)/(c)/(d) comparison needs all three traces, so a panicking
     // scenario ends the run — but with a labeled diagnostic and the
-    // telemetry flushed, not a torn worker pool.
+    // telemetry flushed, not a bare unwind.
     let mut runs = Vec::with_capacity(caught.len());
     for (label, outcome) in ["no-fault", "fault", "fault-drop"].iter().zip(caught) {
         match outcome {

@@ -50,7 +50,7 @@
 //! exit code 2, before running anything.
 //!
 //! `dse` runs the candidate-evaluation engine (`mcmap-eval`) underneath:
-//! `--threads` spreads each generation across a worker pool (0 = one per
+//! `--threads` spreads each generation across that many threads (0 = one per
 //! core; results are bit-identical for any thread count), `--cache-cap`
 //! bounds the memoization cache (0 disables it), and `--eval-stats`
 //! prints the engine's instrumentation (cache hit rate, per-phase nanos,

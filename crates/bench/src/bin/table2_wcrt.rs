@@ -110,7 +110,7 @@ fn main() -> ExitCode {
         .collect();
 
     // The three mappings are independent, so the four estimators run for
-    // each of them on the shared evaluation worker pool; the results are
+    // each of them through the evaluation parallel map; the results are
     // gathered in design order, keeping the table deterministic.
     let obs = knobs.recorder();
     let span = obs.span(

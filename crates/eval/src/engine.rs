@@ -1,4 +1,4 @@
-//! The evaluation engine: worker pool + memo cache + instrumentation.
+//! The evaluation engine: parallel map + memo cache + instrumentation.
 
 use crate::cache::{ShardedCache, CACHE_SHARDS};
 use crate::pool::parallel_map_caught_timed;

@@ -9,11 +9,12 @@
 //! *pure function* of the candidate, which buys two big levers:
 //!
 //! * **Batch parallelism** ([`parallel_map`], [`EvalEngine::evaluate_batch`])
-//!   — a population is spread across a `std::thread` worker pool. Workers
-//!   claim candidates through an atomic cursor (natural load balancing for
-//!   evaluations of very different cost) and results are gathered **by
-//!   index**, so the output is bit-identical regardless of the thread
-//!   count: `threads` is purely a speed knob. `evaluate_batch` is the
+//!   — a population is spread across the calling thread plus scoped
+//!   `std::thread` helpers. Participants claim candidates through an atomic
+//!   cursor (natural load balancing for evaluations of very different
+//!   cost) and results are gathered **by index**, so the output is
+//!   bit-identical regardless of the thread count: `threads` is purely a
+//!   speed knob. `evaluate_batch` is the
 //!   engine's one batch path: each candidate runs behind a panic-isolation
 //!   boundary with bounded retries, and a candidate that keeps panicking
 //!   comes back as a typed `EvalFailure` instead of unwinding the run.
@@ -61,7 +62,5 @@ mod stats;
 
 pub use cache::{CacheStats, ShardedCache, CACHE_SHARDS};
 pub use engine::{EvalContext, EvalEngine};
-pub use pool::{
-    parallel_map, parallel_map_caught, parallel_map_timed, pool_capacity, CaughtResult, WorkerLoad,
-};
+pub use pool::{parallel_map, parallel_map_caught, CaughtResult, WorkerLoad};
 pub use stats::EvalStats;

@@ -99,10 +99,11 @@ pub struct EvalStats {
     /// Wall-clock nanoseconds across all batches (caller-side).
     pub wall_nanos: u64,
     /// Cumulative per-participant dispatch ledger: entry `i` is what
-    /// participant `i` (0 = the submitting thread, 1.. = pool helpers)
-    /// spent inside batch claim loops and how many candidates it
-    /// completed. Timing observation — non-deterministic across runs, like
-    /// the phase nanos.
+    /// participant `i` (0 = the submitting thread, 1.. = the scoped helper
+    /// threads of each batch) spent inside batch claim loops and how many
+    /// candidates it completed. It has one entry per participant of the
+    /// widest batch so far. Timing observation — non-deterministic across
+    /// runs, like the phase nanos.
     pub worker_loads: Vec<WorkerLoad>,
 }
 

@@ -1,46 +1,30 @@
-//! Stress the persistent pool **with real helper threads**, regardless of
-//! host core count: every test forces `MCMAP_POOL_HELPERS` before first
-//! pool use, so the helper machinery (ticket claiming, quiesce protocol,
-//! nested-budget degradation) is exercised even on single-core CI runners
-//! where the default helper count is zero.
+//! Stress the parallel map with real helper threads. `threads = 4` runs
+//! min(4, cores) participants — the calling thread plus scoped helpers —
+//! so on any multi-core host these tests exercise cross-thread claiming,
+//! scatter and panic transport.
 
-use mcmap_eval::{parallel_map, parallel_map_caught, parallel_map_timed, pool_capacity};
+use mcmap_eval::{parallel_map, parallel_map_caught};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Each test calls this before touching the pool; the value is read once
-/// at pool initialization, so concurrently running tests all agree.
-fn force_helpers() {
-    std::env::set_var("MCMAP_POOL_HELPERS", "3");
-    assert_eq!(pool_capacity(), 4);
-}
-
 #[test]
-fn helpers_preserve_order_and_coverage_under_load() {
-    force_helpers();
+fn order_and_coverage_hold_over_many_rounds() {
     for round in 0..50u64 {
+        let calls = AtomicUsize::new(0);
         let items: Vec<u64> = (0..257).map(|i| i * 31 + round).collect();
         let expect: Vec<u64> = items.iter().map(|x| x ^ 0xA5A5).collect();
-        assert_eq!(parallel_map(&items, 4, |x| x ^ 0xA5A5), expect);
+        let out = parallel_map(&items, 4, |x| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            x ^ 0xA5A5
+        });
+        assert_eq!(out, expect);
+        assert_eq!(calls.load(Ordering::Relaxed), items.len(), "each item once");
     }
 }
 
 #[test]
-fn helpers_account_every_item_exactly_once() {
-    force_helpers();
-    let calls = AtomicUsize::new(0);
-    let items: Vec<u32> = (0..1000).collect();
-    let (out, loads) = parallel_map_timed(&items, 4, |x| {
-        calls.fetch_add(1, Ordering::Relaxed);
-        x + 1
-    });
-    assert_eq!(out.len(), 1000);
-    assert_eq!(calls.load(Ordering::Relaxed), 1000);
-    assert_eq!(loads.iter().map(|l| l.items).sum::<u64>(), 1000);
-}
-
-#[test]
-fn helper_panics_propagate_and_the_pool_survives() {
-    force_helpers();
+fn a_panic_is_resumed_on_the_caller_with_its_payload() {
+    // Item 40 lands on whichever participant claims it — the caller or a
+    // helper — and either way the caller sees the original message.
     for _ in 0..20 {
         let result = std::panic::catch_unwind(|| {
             parallel_map(&(0..64).collect::<Vec<u32>>(), 4, |x| {
@@ -48,25 +32,27 @@ fn helper_panics_propagate_and_the_pool_survives() {
                 *x
             })
         });
-        let payload = result.expect_err("panic must cross the pool");
-        let msg = payload.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("boom at 40"));
-        // The pool still answers cleanly after the unwind.
-        assert_eq!(parallel_map(&[1u8, 2, 3], 4, |x| x * 2), vec![2, 4, 6]);
+        let payload = result.expect_err("the panic must reach the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("assert! payload is a String");
+        assert!(msg.contains("boom at 40"), "got: {msg}");
     }
 }
 
 #[test]
-fn caught_map_with_helpers_isolates_failures_per_item() {
-    force_helpers();
+fn caught_map_isolates_failures_per_item() {
     let items: Vec<u32> = (0..200).collect();
     let out = parallel_map_caught(&items, 4, |x| {
         assert!(x % 13 != 5, "poisoned {x}");
         x * 3
     });
+    assert_eq!(out.len(), items.len());
     for (i, r) in out.iter().enumerate() {
         if i % 13 == 5 {
-            assert!(r.is_err());
+            let payload = r.as_ref().expect_err("poisoned items fail");
+            let msg = payload.downcast_ref::<String>().unwrap();
+            assert!(msg.contains(&format!("poisoned {i}")), "got: {msg}");
         } else {
             assert_eq!(*r.as_ref().unwrap(), i as u32 * 3);
         }
@@ -74,10 +60,7 @@ fn caught_map_with_helpers_isolates_failures_per_item() {
 }
 
 #[test]
-fn nested_maps_share_the_helper_budget_without_deadlock() {
-    force_helpers();
-    // Outer×inner fan-out much wider than the pool: inner maps degrade to
-    // (mostly) inline execution instead of deadlocking or oversubscribing.
+fn a_map_nested_inside_a_map_completes() {
     let outer: Vec<u64> = (0..24).collect();
     let result = parallel_map(&outer, 4, |&o| {
         let inner: Vec<u64> = (0..100).collect();
@@ -87,21 +70,4 @@ fn nested_maps_share_the_helper_budget_without_deadlock() {
     });
     let expect: Vec<u64> = outer.iter().map(|&o| o * 1000 * 100 + 4950).collect();
     assert_eq!(result, expect);
-}
-
-#[test]
-fn many_small_batches_reuse_the_pool() {
-    force_helpers();
-    // The regression this pool exists to fix: thousands of small batches
-    // must not pay a spawn/join each. This is a correctness smoke (the
-    // timing claim lives in the fleet_scale bench); it mainly proves the
-    // ticket queue drains cleanly under rapid-fire submission.
-    for round in 0..2000u64 {
-        let items = [round, round + 1, round + 2, round + 3];
-        let out = parallel_map(&items, 4, |x| x * 2);
-        assert_eq!(
-            out,
-            vec![round * 2, round * 2 + 2, round * 2 + 4, round * 2 + 6]
-        );
-    }
 }

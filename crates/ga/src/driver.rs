@@ -38,8 +38,9 @@ pub struct GaConfig {
     pub seed: u64,
     /// Selection scheme.
     pub selector: Selector,
-    /// Evaluation threads (1 = serial). Evaluations are independent (§4 of
-    /// the paper evaluates in parallel as well).
+    /// Evaluation threads, passed to [`Problem::evaluate_batch`] (1 =
+    /// serial). Evaluations are independent (§4 of the paper evaluates in
+    /// parallel as well).
     pub threads: usize,
     /// Observability handle. The default (disabled) recorder makes every
     /// emission a no-op; an enabled one receives one `ga.generation` span

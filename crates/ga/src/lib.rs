@@ -6,8 +6,8 @@
 //!
 //! * [`Problem`] — genotype construction, variation operators, evaluation;
 //! * [`optimize`] — the generational loop (binary-tournament mating,
-//!   crossover/mutation, environmental selection) with optional parallel
-//!   evaluation;
+//!   crossover/mutation, environmental selection) with a batch-evaluation
+//!   hook that a problem overrides to evaluate in parallel;
 //! * [`Selector::Spea2`] — strength-Pareto fitness with k-NN density and
 //!   truncation (the paper's configuration);
 //! * [`Selector::Nsga2`] — non-dominated sorting with crowding distance,

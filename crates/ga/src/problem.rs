@@ -81,31 +81,14 @@ pub trait Problem: Sync {
     ///
     /// This is the driver's batch hook: [`optimize`](crate::optimize) calls
     /// it once per generation with the configured thread count, so problems
-    /// can plug in their own evaluation engine (memoization, custom pools —
-    /// see `mcmap-eval`). Because evaluation is required to be a pure
-    /// function of the genotype, any override must keep the result
-    /// independent of `threads`; the default implementation spreads the
-    /// batch over scoped `std::thread` workers and gathers by index, which
-    /// guarantees exactly that.
+    /// can plug in their own evaluation engine (memoization, a parallel
+    /// map — see `mcmap-eval`). Because evaluation is required to be a
+    /// pure function of the genotype, any override must keep the result
+    /// independent of `threads`. The default implementation evaluates the
+    /// batch sequentially on the calling thread and ignores `threads`.
     fn evaluate_batch(&self, genotypes: &[Self::Genotype], threads: usize) -> Vec<Evaluation> {
-        if threads <= 1 || genotypes.len() < 2 {
-            return genotypes.iter().map(|g| self.evaluate(g)).collect();
-        }
-        let chunk = genotypes.len().div_ceil(threads);
-        let mut results: Vec<Option<Evaluation>> = vec![None; genotypes.len()];
-        std::thread::scope(|scope| {
-            for (slot_chunk, geno_chunk) in results.chunks_mut(chunk).zip(genotypes.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (slot, g) in slot_chunk.iter_mut().zip(geno_chunk) {
-                        *slot = Some(self.evaluate(g));
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|e| e.expect("every slot evaluated"))
-            .collect()
+        let _ = threads;
+        genotypes.iter().map(|g| self.evaluate(g)).collect()
     }
 
     /// Evaluates a whole population with a *designated parent* per genotype

@@ -11,7 +11,7 @@
 //!
 //! The campaign is deterministic end to end: profile `i` simulates with
 //! `seed + i` on every point, the work fans out on the `mcmap-eval`
-//! order-preserving pool (bit-identical summaries for any `threads`),
+//! order-preserving parallel map (bit-identical summaries for any `threads`),
 //! and progress checkpoints at fixed chunk boundaries through the
 //! `mcmap-resilience` sealed envelope, so a SIGTERM-interrupted campaign
 //! resumes into the exact summary the uninterrupted run would have
@@ -504,7 +504,7 @@ pub fn run_campaign(
         .collect();
 
     // One work item per (point, profile); outcome index `point` is
-    // implicit in input order, so the order-preserving pool's output
+    // implicit in input order, so the order-preserving map's output
     // merges deterministically whatever the thread count.
     struct Outcome {
         observed: Vec<Time>,

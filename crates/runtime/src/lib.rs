@@ -22,7 +22,7 @@
 //!   within the hardening coverage is simulated against every operating
 //!   point and the observed response times are checked against the
 //!   analyzed WCRT bounds; any excess is a structured [`Violation`].
-//!   Campaigns run on the `mcmap-eval` worker pool (bit-identical
+//!   Campaigns run on the `mcmap-eval` parallel map (bit-identical
 //!   summaries for any thread count), checkpoint at chunk boundaries via
 //!   the `mcmap-resilience` sealed-envelope machinery, and honor the
 //!   cooperative stop flag so a SIGTERM mid-campaign resumes exactly.

@@ -23,7 +23,6 @@
 
 use mcmap_hardening::{HTaskId, HardenedSystem};
 use mcmap_model::{Architecture, ExecBounds, Time};
-use std::sync::Mutex;
 
 use crate::{hyperperiod, Mapping, SchedBackend, SchedPolicy, TaskWindows};
 
@@ -33,23 +32,6 @@ const MAX_OUTER_ITERS: usize = 256;
 const MAX_RT_ITERS: usize = 4096;
 /// Divergence bound, in hyperperiods.
 const DIVERGENCE_HYPERPERIODS: u64 = 64;
-/// Upper bound on pooled scratch states: one per plausible concurrent
-/// caller; anything beyond that is dropped instead of hoarded.
-const MAX_POOLED_SCRATCH: usize = 16;
-
-/// Reusable iteration buffers of one worst-case fixed-point run.
-///
-/// The mixed-criticality analysis calls the backend once per transition
-/// scenario of every candidate, so the intermediate `latest-release` and
-/// best-case `min_finish` vectors are pooled on the analysis context and
-/// fully re-initialized per run instead of being re-allocated. (The
-/// `min_start`/`max_finish` vectors are the *output* and necessarily
-/// allocated fresh — they are moved into the returned [`TaskWindows`].)
-#[derive(Debug, Default)]
-struct ScratchState {
-    lr: Vec<Time>,
-    min_finish: Vec<Time>,
-}
 
 /// Holistic fixed-priority analysis of one hardened system under one
 /// mapping.
@@ -106,8 +88,6 @@ pub struct HolisticAnalysis<'a> {
     period: Vec<Time>,
     /// Divergence bound.
     limit: Time,
-    /// Pool of reusable iteration buffers (lock-per-run, not per-task).
-    scratch: Mutex<Vec<ScratchState>>,
 }
 
 impl<'a> HolisticAnalysis<'a> {
@@ -196,7 +176,6 @@ impl<'a> HolisticAnalysis<'a> {
             lp_blockers,
             period,
             limit,
-            scratch: Mutex::new(Vec::new()),
         }
     }
 
@@ -204,20 +183,12 @@ impl<'a> HolisticAnalysis<'a> {
         self.policies[self.mapping.proc_of(v).index()]
     }
 
-    /// Exact best-case pass: earliest release and earliest finish assuming
-    /// no interference and best-case execution everywhere. Writes into the
-    /// caller's buffers, which are fully re-initialized.
-    fn best_case_into(
-        &self,
-        bounds: &[ExecBounds],
-        er: &mut Vec<Time>,
-        min_finish: &mut Vec<Time>,
-    ) {
+    /// Exact best-case pass: the earliest release of every task, assuming
+    /// no interference and best-case execution everywhere.
+    fn earliest_releases(&self, bounds: &[ExecBounds]) -> Vec<Time> {
         let n = self.hsys.num_tasks();
-        er.clear();
-        er.resize(n, Time::ZERO);
-        min_finish.clear();
-        min_finish.resize(n, Time::ZERO);
+        let mut er = vec![Time::ZERO; n];
+        let mut min_finish = vec![Time::ZERO; n];
         for &v in self.hsys.topological_order() {
             let release = self.in_edges[v.index()]
                 .iter()
@@ -227,6 +198,7 @@ impl<'a> HolisticAnalysis<'a> {
             er[v.index()] = release;
             min_finish[v.index()] = release.saturating_add(bounds[v.index()].bcet);
         }
+        er
     }
 
     /// Busy-period response time of `v` (from its latest release), given the
@@ -288,39 +260,19 @@ impl<'a> HolisticAnalysis<'a> {
         }
     }
 
-    /// One full analysis run: pops a scratch state from the pool, iterates,
-    /// and returns the buffers for reuse.
+    /// One full analysis run: the worst-case fixed point, the classic
+    /// iteration from `lr = er, max_finish = 0`.
     fn run(&self, bounds: &[ExecBounds]) -> TaskWindows {
         assert_eq!(
             bounds.len(),
             self.hsys.num_tasks(),
             "one execution-bound entry per hardened task required"
         );
-        let mut scratch = self
-            .scratch
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        let windows = self.run_with(bounds, &mut scratch);
-        let mut pool = self.scratch.lock().expect("scratch pool poisoned");
-        if pool.len() < MAX_POOLED_SCRATCH {
-            pool.push(scratch);
-        }
-        windows
-    }
-
-    /// The worst-case fixed point: the classic iteration from
-    /// `lr = er, max_finish = 0`.
-    fn run_with(&self, bounds: &[ExecBounds], scratch: &mut ScratchState) -> TaskWindows {
         let n = self.hsys.num_tasks();
-        let ScratchState { lr, min_finish } = scratch;
-        let mut er = vec![Time::ZERO; n];
-        self.best_case_into(bounds, &mut er, min_finish);
+        let er = self.earliest_releases(bounds);
 
         let mut max_finish: Vec<Time> = vec![Time::ZERO; n];
-        lr.clear();
-        lr.extend_from_slice(&er);
+        let mut lr = er.clone();
 
         let mut converged = false;
         let mut diverged = false;
@@ -335,7 +287,7 @@ impl<'a> HolisticAnalysis<'a> {
                     .max()
                     .unwrap_or(Time::ZERO);
                 let release = release.max(lr[v.index()]);
-                let response = self.local_response(v, bounds, &er, lr);
+                let response = self.local_response(v, bounds, &er, &lr);
                 let finish = release.saturating_add(response);
                 if release > lr[v.index()] || finish > max_finish[v.index()] {
                     changed = true;
@@ -809,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_keeps_repeated_analyses_identical() {
+    fn repeated_analyses_of_one_context_are_identical() {
         let (hsys, arch, mapping, narrow, wide) = coupled_fixture();
         let analysis = HolisticAnalysis::new(
             &hsys,
@@ -820,7 +772,7 @@ mod tests {
         let first_narrow = analysis.analyze(&narrow);
         let first_wide = analysis.analyze(&wide);
         for _ in 0..5 {
-            // Alternate bound vectors so stale buffer contents would show.
+            // Alternate bound vectors: no run may depend on an earlier one.
             assert_eq!(analysis.analyze(&wide), first_wide);
             assert_eq!(analysis.analyze(&narrow), first_narrow);
         }

@@ -189,7 +189,7 @@ fn canonical_trace_is_identical_with_telemetry_enabled_at_any_threads() {
 }
 
 /// A smoke-budget exploration of a generated fleet preset: the same
-/// determinism contract must hold on the workloads the persistent pool
+/// determinism contract must hold on the workloads parallel evaluation
 /// was built for, including their deeper hardening spaces.
 fn fleet_outcome(threads: usize, seed: u64) -> DseOutcome {
     let preset = mcmap::benchmarks::fleet_small_config();
