@@ -78,9 +78,19 @@ where
     V: Send,
     F: Fn(&T) -> V + Sync,
 {
-    let threads = effective_threads(threads, items.len());
+    map_on(items, effective_threads(threads, items.len()), f)
+}
+
+/// The map itself on exactly `participants` threads (the caller plus
+/// `participants - 1` scoped helpers), with no clamping to cores or items.
+fn map_on<T, V, F>(items: &[T], participants: usize, f: F) -> (Vec<V>, Vec<WorkerLoad>)
+where
+    T: Sync,
+    V: Send,
+    F: Fn(&T) -> V + Sync,
+{
     let cursor = AtomicUsize::new(0);
-    let chunk = chunk_size(items.len(), threads);
+    let chunk = chunk_size(items.len(), participants);
     let claim = || {
         let t0 = Instant::now();
         let mut done = Vec::new();
@@ -103,7 +113,7 @@ where
     // helpers are joined; a helper's panic is resumed here by hand, so
     // both keep their original payload.
     let parts = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(claim)).collect();
+        let helpers: Vec<_> = (1..participants).map(|_| scope.spawn(claim)).collect();
         let mut parts = vec![claim()];
         for helper in helpers {
             let part = helper.join();
@@ -170,12 +180,15 @@ where
     V: Send,
     F: Fn(&T) -> V + Sync,
 {
+    parallel_map_timed(items, threads, catching(f))
+}
+
+/// Wraps `f` so that a panic becomes that item's `Err(payload)`.
+fn catching<T, V>(f: impl Fn(&T) -> V) -> impl Fn(&T) -> CaughtResult<V> {
     // AssertUnwindSafe: the worst a caught panic can leave behind is a
     // torn memo-cache insert, and the engine never caches failed items —
     // callers observe either a completed value or an Err, nothing partial.
-    parallel_map_timed(items, threads, |item: &T| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item)))
-    })
+    move |item| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item)))
 }
 
 /// Resolves the requested thread count: 0 = one per available core, and
@@ -196,6 +209,7 @@ fn effective_threads(requested: usize, items: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn empty_and_singleton_inputs() {
@@ -220,18 +234,128 @@ mod tests {
         assert_eq!(chunk_size(1 << 20, 2), 1024, "chunks stay bounded");
     }
 
+    // The tests below drive `map_on` with 4 participants, so spawning,
+    // cross-thread claiming, scatter and panic transport run with real
+    // helpers on every host, a single-core one included.
+
     #[test]
     fn ledger_lists_exactly_the_participants_that_ran() {
-        // One entry per participant that ran: at `threads = 4` that is
-        // min(4, cores), with no placeholder entries for the rest.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let items: Vec<u64> = (0..500).collect();
-        for threads in [1, 4] {
-            let (out, loads) = parallel_map_timed(&items, threads, |x| x + 1);
-            assert_eq!(out.len(), 500);
-            assert_eq!(loads.len(), threads.min(cores));
-            let total: u64 = loads.iter().map(|l| l.items).sum();
-            assert_eq!(total, 500, "the ledger accounts every item");
+        let (out, loads) = map_on(&items, 4, |x| x + 1);
+        assert_eq!(out, (1..501).collect::<Vec<u64>>());
+        assert_eq!(loads.len(), 4, "one entry per participant");
+        assert_eq!(loads.iter().map(|l| l.items).sum::<u64>(), 500);
+
+        // The public entry point lists the participants it actually ran,
+        // with no placeholder entries for the requested-but-clamped rest.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (_, loads) = parallel_map_timed(&items, 4, |x| x + 1);
+        assert_eq!(loads.len(), 4.min(cores));
+        assert_eq!(loads.iter().map(|l| l.items).sum::<u64>(), 500);
+    }
+
+    #[test]
+    fn order_and_coverage_hold_over_many_rounds() {
+        for round in 0..50u64 {
+            let calls = AtomicUsize::new(0);
+            let items: Vec<u64> = (0..257).map(|i| i * 31 + round).collect();
+            let expect: Vec<u64> = items.iter().map(|x| x ^ 0xA5A5).collect();
+            let (out, _) = map_on(&items, 4, |x| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                x ^ 0xA5A5
+            });
+            assert_eq!(out, expect);
+            assert_eq!(calls.load(Ordering::Relaxed), items.len(), "each item once");
         }
+    }
+
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+        payload
+            .downcast_ref::<String>()
+            .expect("a formatted panic carries a String")
+    }
+
+    #[test]
+    fn a_helper_panic_is_resumed_on_the_caller_with_its_payload() {
+        // The caller holds its first item until a helper has started one,
+        // so a helper is guaranteed to claim (and panic on) some item.
+        let caller = std::thread::current().id();
+        let helper_ran = AtomicBool::new(false);
+        let items: Vec<u32> = (0..64).collect();
+        let result = std::panic::catch_unwind(|| {
+            map_on(&items, 4, |x| {
+                if std::thread::current().id() == caller {
+                    while !helper_ran.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    *x
+                } else {
+                    helper_ran.store(true, Ordering::Release);
+                    panic!("boom in a helper at {x}");
+                }
+            })
+        });
+        let payload = result.expect_err("the helper's panic must reach the caller");
+        let msg = panic_message(payload.as_ref());
+        assert!(msg.contains("boom in a helper"), "got: {msg}");
+    }
+
+    #[test]
+    fn a_caller_panic_keeps_its_payload() {
+        // Helpers hold their first item until the caller has started one,
+        // so the caller is guaranteed to claim (and panic on) some item.
+        let caller = std::thread::current().id();
+        let caller_ran = AtomicBool::new(false);
+        let items: Vec<u32> = (0..64).collect();
+        let result = std::panic::catch_unwind(|| {
+            map_on(&items, 4, |x| {
+                if std::thread::current().id() == caller {
+                    caller_ran.store(true, Ordering::Release);
+                    panic!("boom in the caller at {x}");
+                }
+                while !caller_ran.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                *x
+            })
+        });
+        let payload = result.expect_err("the caller's panic must propagate");
+        let msg = panic_message(payload.as_ref());
+        assert!(msg.contains("boom in the caller"), "got: {msg}");
+    }
+
+    #[test]
+    fn caught_map_isolates_failures_per_item() {
+        let items: Vec<u32> = (0..200).collect();
+        let (out, loads) = map_on(
+            &items,
+            4,
+            catching(|x: &u32| {
+                assert!(x % 13 != 5, "poisoned {x}");
+                x * 3
+            }),
+        );
+        assert_eq!(loads.len(), 4);
+        assert_eq!(out.len(), items.len());
+        for (i, r) in out.iter().enumerate() {
+            if i % 13 == 5 {
+                let payload = r.as_ref().expect_err("poisoned items fail");
+                let msg = panic_message(payload.as_ref());
+                assert!(msg.contains(&format!("poisoned {i}")), "got: {msg}");
+            } else {
+                assert_eq!(*r.as_ref().unwrap(), i as u32 * 3);
+            }
+        }
+    }
+
+    #[test]
+    fn a_map_nested_inside_a_map_completes() {
+        let outer: Vec<u64> = (0..24).collect();
+        let (result, _) = map_on(&outer, 4, |&o| {
+            let inner: Vec<u64> = (0..100).collect();
+            map_on(&inner, 4, |&i| o * 1000 + i).0.iter().sum::<u64>()
+        });
+        let expect: Vec<u64> = outer.iter().map(|&o| o * 1000 * 100 + 4950).collect();
+        assert_eq!(result, expect);
     }
 }

@@ -642,6 +642,8 @@ mod tests {
         assert_eq!(xa, xb);
     }
 
+    /// `Tradeoff` uses the sequential default `evaluate_batch`, so this
+    /// checks only that the driver's own logic ignores `cfg.threads`.
     #[test]
     fn thread_count_does_not_change_results() {
         let base = GaConfig {

@@ -86,8 +86,7 @@ pub trait Problem: Sync {
     /// pure function of the genotype, any override must keep the result
     /// independent of `threads`. The default implementation evaluates the
     /// batch sequentially on the calling thread and ignores `threads`.
-    fn evaluate_batch(&self, genotypes: &[Self::Genotype], threads: usize) -> Vec<Evaluation> {
-        let _ = threads;
+    fn evaluate_batch(&self, genotypes: &[Self::Genotype], _threads: usize) -> Vec<Evaluation> {
         genotypes.iter().map(|g| self.evaluate(g)).collect()
     }
 

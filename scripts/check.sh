@@ -59,6 +59,10 @@ cargo bench -p mcmap-bench --bench eval_engine
 # at least 0.6 x min(threads, cores) asserted on hosts with >= 2 cores; emits
 # results/BENCH_scale.json. Smoke budget here — run the bench with its
 # defaults (fleet-med, pop 8 x gens 2) for the committed artifact.
+# The speedup floor is a timing gate: on a shared host it can fail while
+# steal time in /proc/stat is rising (other tenants taking the cores).
+# That is the known host-noise case — check steal and rerun; a failure
+# on a quiet host is a real scaling regression.
 MCMAP_FLEET=fleet-small MCMAP_POP=6 MCMAP_GENS=1 \
 MCMAP_BENCH_OUT="$(mktemp -d)" \
   cargo bench -p mcmap-bench --bench fleet_scale
