@@ -1,5 +1,9 @@
 //! Criterion bench for the Fig. 5 bi-objective exploration (power +
-//! service) on DT-med, plus the SPEA-II selection primitive itself.
+//! service) on DT-med, plus the SPEA-II selection primitive itself on two
+//! 192-member pools: `spea2_selection_192` (64 distinct points, all
+//! non-dominated) and `spea2_selection_dup_192` (the duplicate-heavy shape
+//! a GA pool takes at population 96: 147 non-dominated members over 6
+//! distinct points).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcmap_benchmarks::dt_med;
@@ -38,6 +42,27 @@ fn bench_pareto(c: &mut Criterion) {
         })
         .collect();
     group.bench_function("spea2_selection_192", |bench| {
+        bench.iter(|| environmental_selection(&pool, 96))
+    });
+
+    // The shape measured in dse-paper pools: 147 non-dominated members
+    // over 6 distinct points, and 45 dominated members, each distinct.
+    let front = |j: usize| {
+        let x = j as f64 / 5.0;
+        vec![x, 1.0 - x.sqrt()]
+    };
+    let pool: Vec<Individual<usize>> = (0..192)
+        .map(|i| {
+            let objectives = if i < 147 {
+                front(i % 6)
+            } else {
+                let lift = (i - 146) as f64 / 45.0;
+                front(i % 6).into_iter().map(|v| v + lift).collect()
+            };
+            Individual::new(i, Evaluation::feasible(objectives))
+        })
+        .collect();
+    group.bench_function("spea2_selection_dup_192", |bench| {
         bench.iter(|| environmental_selection(&pool, 96))
     });
     group.finish();

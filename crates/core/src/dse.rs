@@ -290,8 +290,11 @@ impl AuditSnapshot {
 /// All fields except `analysis_nanos` are deterministic for a fixed
 /// configuration (replayed from cached evaluation records on hits, so
 /// thread count and cache capacity never shift them); `analysis_nanos` is
-/// wall time and varies run to run. Like [`EvalStats`], this aggregate is not
-/// checkpointed: a resumed run reports the effort it actually performed.
+/// wall time and varies run to run. The effort fields are attributed, not
+/// performed: a hit counts its miss's backend calls, iterations and nanos
+/// again, so `analysis_nanos` can exceed the evaluation wall. Like
+/// [`EvalStats`], this aggregate is not checkpointed: a resumed run counts
+/// only the candidates it evaluated after the resume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AnalysisStats {
     /// Candidates whose Algorithm 1 analysis was accounted (cache hits
@@ -299,14 +302,16 @@ pub struct AnalysisStats {
     pub candidates: u64,
     /// Transition scenarios enumerated across all candidates.
     pub scenarios: u64,
-    /// Schedulability-backend invocations actually performed.
+    /// Schedulability-backend invocations attributed (cache hits replay the
+    /// miss's effort), so it can exceed the invocations this process ran.
     pub backend_calls: u64,
-    /// Fixed-point iterations summed over all backend runs.
+    /// Fixed-point iterations summed over all backend runs, attributed
+    /// (cache hits replay the miss's effort).
     pub fixedpoint_iters: u64,
     /// Distinct scenario bound-vectors skipped by dominance pruning.
     pub scenarios_pruned: u64,
-    /// Wall nanoseconds inside Algorithm 1 (fresh evaluations only —
-    /// cache hits replay the nanos their miss originally spent).
+    /// Wall nanoseconds inside Algorithm 1, attributed (cache hits replay
+    /// the miss's effort), so the sum can exceed the evaluation wall.
     pub analysis_nanos: u64,
     /// Always 0: every backend run is computed fresh. Kept so existing
     /// readers of this struct still build.
@@ -335,7 +340,9 @@ impl AnalysisStats {
             "analysis-stats: {} candidates, {} scenarios, {} backend calls\n\
              analysis-stats: fast path: {} scenarios pruned ({:.2} %), \
              {} fixed-point iters total\n\
-             analysis-stats: {} ns inside Algorithm 1\n",
+             analysis-stats: {} ns inside Algorithm 1\n\
+             analysis-stats: backend calls, fixed-point iters and ns are \
+             attributed (cache hits replay the miss's effort)\n",
             self.candidates,
             self.scenarios,
             self.backend_calls,
@@ -1771,6 +1778,7 @@ mod tests {
         let text = reference.analysis.render_text();
         assert!(text.contains("backend calls"));
         assert!(text.contains("scenarios pruned"));
+        assert!(text.contains("attributed (cache hits replay the miss's effort)"));
         let json = reference.analysis.to_json();
         let parsed = mcmap_obs::parse_json(&json).expect("analysis JSON parses");
         assert_eq!(

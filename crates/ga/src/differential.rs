@@ -182,21 +182,96 @@ fn pool_and_capacity() -> impl Strategy<Value = (Vec<Individual<usize>>, usize)>
         })
 }
 
+/// Largest pool of the duplicate-heavy shape.
+const DUP_POOL: usize = 200;
+/// Duplicate-heavy cases run. The full rebuild costs `O(m³ log m)` per
+/// case at these sizes: 24 cases take about 4 s in a debug build.
+const CASES: u32 = 24;
+
+/// The shape of a GA pool at the paper's population: 150–200 members over
+/// 2–8 objective vectors with 2 or 3 objectives. The vectors sit on the
+/// integer front `x + y = 6`, so two of them are often equidistant from a
+/// third and rows of different classes tie; one in four is lifted off the
+/// front, so it is dominated. Each vector draws the sign of its zeros, so
+/// `0.0`/`-0.0` pairs are distinct classes at distance 0. One member in
+/// six is infeasible at one of two shared penalty levels, and the capacity
+/// is within 10 of half the pool.
+fn duplicate_heavy_pool() -> impl Strategy<Value = (Vec<Individual<usize>>, usize)> {
+    (
+        2usize..=3,
+        150usize..=DUP_POOL,
+        0usize..=20,
+        2usize..=8,
+        // Per vector: position on the front, third objective, lift draw
+        // and zero sign.
+        prop::collection::vec((0u8..=6, 0u8..=1, 0u8..4, any::<bool>()), 8),
+        // Per member: vector, feasibility draw and penalty level.
+        prop::collection::vec((0usize..8, 0u8..6, 1u8..=2), DUP_POOL),
+    )
+        .prop_map(|(dims, n, offset, distinct, vectors, members)| {
+            let vectors: Vec<Vec<f64>> = vectors
+                .into_iter()
+                .take(distinct)
+                .map(|(x, z, lift, negative)| {
+                    let lift = f64::from(u8::from(lift == 0));
+                    let zero = if negative { -0.0 } else { 0.0 };
+                    [f64::from(x) + lift, f64::from(6 - x) + lift, f64::from(z)][..dims]
+                        .iter()
+                        .map(|&v| if v == 0.0 { zero } else { v })
+                        .collect()
+                })
+                .collect();
+            let pool = members
+                .into_iter()
+                .take(n)
+                .enumerate()
+                .map(|(id, (pick, feasible, level))| {
+                    let objectives = vectors[pick % distinct].clone();
+                    let eval = if feasible == 0 {
+                        Evaluation::infeasible(objectives, f64::from(level))
+                    } else {
+                        Evaluation::feasible(objectives)
+                    };
+                    Individual::new(id, eval)
+                })
+                .collect();
+            (pool, n / 2 + offset - 10)
+        })
+}
+
+/// Bit-equal fitness and raw fitness, and the same selected ids, as the
+/// full rebuild.
+fn assert_matches_full(pool: &[Individual<usize>], capacity: usize) -> Result<(), TestCaseError> {
+    let evals: Vec<Evaluation> = pool.iter().map(|i| i.eval.clone()).collect();
+    let (fast, full) = (spea2_fitness(&evals), spea2_fitness_full(&evals));
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(bits(&fast.fitness), bits(&full.fitness));
+    prop_assert_eq!(bits(&fast.raw), bits(&full.raw));
+
+    let ids = |s: Vec<Individual<usize>>| s.into_iter().map(|i| i.genotype).collect::<Vec<_>>();
+    prop_assert_eq!(
+        ids(environmental_selection(pool, capacity)),
+        ids(environmental_selection_full(pool, capacity))
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3000))]
 
     #[test]
     fn selection_matches_the_full_rebuild((pool, capacity) in pool_and_capacity()) {
-        let evals: Vec<Evaluation> = pool.iter().map(|i| i.eval.clone()).collect();
-        let (fast, full) = (spea2_fitness(&evals), spea2_fitness_full(&evals));
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&fast.fitness), bits(&full.fitness));
-        prop_assert_eq!(bits(&fast.raw), bits(&full.raw));
+        assert_matches_full(&pool, capacity)?;
+    }
+}
 
-        let ids = |s: Vec<Individual<usize>>| s.into_iter().map(|i| i.genotype).collect::<Vec<_>>();
-        prop_assert_eq!(
-            ids(environmental_selection(&pool, capacity)),
-            ids(environmental_selection_full(&pool, capacity))
-        );
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    #[test]
+    fn duplicate_heavy_selection_matches_the_full_rebuild(
+        (pool, capacity) in duplicate_heavy_pool()
+    ) {
+        assert_matches_full(&pool, capacity)?;
     }
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints, rustdoc links, the whole test suite
 # (the determinism, chaos and resume suites included), the frozen
-# perfbench crate graph, the CLI, server and validation-campaign
-# kill-and-resume smokes, and the eval-engine + fleet-scale + wcrt-analysis
-# + obs-overhead (tracing and metrics) + serve-load + sim-validation benches
+# perfbench crate graph and its smoke test, the CLI, server and
+# validation-campaign kill-and-resume smokes, and the eval-engine +
+# fleet-scale + wcrt-analysis + obs-overhead (tracing and metrics) +
+# serve-load + sim-validation benches
 # (which write the machine-readable results/BENCH_eval.json,
 # results/BENCH_scale.json, results/BENCH_sched.json,
 # results/BENCH_obs.json, results/BENCH_telemetry.json,
@@ -33,6 +34,11 @@ cargo test --workspace -q
 # with its own committed lock file; `--locked` fails when a change would
 # rewrite perfbench/Cargo.lock (a crate or dependency edge added/removed).
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
+# perfbench's own smoke test: every workload at its smoke budget, with the
+# benchmark's output checks (evaluation counts, front re-verification,
+# same-seed digests).
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 # Kill-and-resume smoke over the real CLI: start a checkpointed run,
 # SIGKILL it mid-flight, resume, and require the resumed front to match an
