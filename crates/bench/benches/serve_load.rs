@@ -27,7 +27,7 @@
 //! (default 0 = one per core), `MCMAP_SERVE_SLICE` (default 1 — the
 //! finest, most adversarial interleaving).
 
-use mcmap_bench::env_usize;
+use mcmap_bench::{env_usize, write_artifact};
 use mcmap_serve::{Client, JobSpec, ServeConfig};
 use std::time::Instant;
 
@@ -193,8 +193,6 @@ fn main() {
         hit_rate * 100.0
     );
 
-    let out_dir = std::env::var("MCMAP_BENCH_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../results").to_string());
     let json = format!(
         "{{\"benchmark\":\"cruise\",\"jobs\":{jobs},\"shared_jobs\":{shared},\
          \"population\":{pop},\"generations\":{gens},\"slice\":{slice},\
@@ -204,11 +202,7 @@ fn main() {
          \"cache_hit_rate\":{hit_rate:.6},\"failed_jobs\":0,\
          \"shared_fronts_identical\":true}}\n"
     );
-    std::fs::create_dir_all(&out_dir).expect("create results dir");
-    let path = format!("{out_dir}/BENCH_serve.json");
-    mcmap_resilience::atomic_write(std::path::Path::new(&path), json.as_bytes())
-        .expect("write BENCH_serve.json");
-    println!("serve_load/cruise: wrote {path}");
+    write_artifact("BENCH_serve.json", &json);
 
     control.shutdown().expect("shutdown");
     handle.thread.join().expect("accept loop");

@@ -25,7 +25,7 @@
 //! `MCMAP_SIMV_PROFILES` (default 1000), `MCMAP_SIMV_HYPERPERIODS`
 //! (default 200, mission length).
 
-use mcmap_bench::{env_u64, env_usize};
+use mcmap_bench::{env_u64, env_usize, write_artifact};
 use mcmap_benchmarks::cruise;
 use mcmap_core::{explore_checked, MappingProblem, Portfolio};
 use mcmap_ga::GaConfig;
@@ -168,8 +168,6 @@ fn main() {
         lat_max,
     );
 
-    let out_dir = std::env::var("MCMAP_BENCH_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../results").to_string());
     let json = format!(
         "{{\"benchmark\":\"cruise\",\"points\":{},\"profiles\":{},\"runs\":{runs},\
          \"wall_secs\":{wall:.6},\"runs_per_sec\":{runs_per_sec:.1},\"violations\":0,\
@@ -182,9 +180,5 @@ fn main() {
         summary.done,
         mission.transitions.len(),
     );
-    std::fs::create_dir_all(&out_dir).expect("create results dir");
-    let path = format!("{out_dir}/BENCH_sim.json");
-    mcmap_resilience::atomic_write(std::path::Path::new(&path), json.as_bytes())
-        .expect("write BENCH_sim.json");
-    println!("sim_validation/cruise: wrote {path}");
+    write_artifact("BENCH_sim.json", &json);
 }

@@ -18,12 +18,13 @@
 
 #![warn(missing_docs)]
 
+pub mod ab;
 pub mod flags;
 
 use flags::{number, report_format, text, Args, Arity::*, Flag};
 
 use mcmap_benchmarks::Benchmark;
-use mcmap_core::{repair_reliability, repair_structure, GenomeSpace};
+use mcmap_core::{repair_reliability, repair_structure, DseOutcome, GenomeSpace};
 use mcmap_hardening::{harden, HardenedSystem};
 use mcmap_model::AppId;
 use mcmap_sched::Mapping;
@@ -44,6 +45,58 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// The host's usable core count, recorded with every thread-dependent
+/// bench result so that a speedup near 1.0 reads as "one core", not as
+/// "engine regressed".
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The comparable fingerprint of an exploration: the full report list
+/// (feasible flag, objectives, dropped sets) in front order.
+pub fn front_fingerprint(o: &DseOutcome) -> String {
+    format!("{:?}", o.reports)
+}
+
+/// Times an exploration at `par` threads (leg 0) against one thread
+/// (leg 1) in [`ab`]'s alternating pairs, so the median ratio is the
+/// parallel speedup. Untimed runs of both legs first page in the code and
+/// are returned as `(serial, parallel)` for their engine stats; every run,
+/// timed or not, must reproduce the serial front bit for bit.
+pub fn serial_vs_parallel(
+    par: usize,
+    explore_at: impl Fn(usize) -> DseOutcome,
+) -> (DseOutcome, DseOutcome, ab::Measurement) {
+    let serial = explore_at(1);
+    let want = front_fingerprint(&serial);
+    let run = |threads| {
+        let outcome = explore_at(threads);
+        assert_eq!(
+            front_fingerprint(&outcome),
+            want,
+            "the Pareto front must be bit-identical for any thread count"
+        );
+        outcome
+    };
+    let parallel = run(par);
+    assert_eq!(serial.eval_stats.genomes, parallel.eval_stats.genomes);
+    let m = ab::measure(&mut [&mut || drop(run(par)), &mut || drop(run(1))]);
+    (serial, parallel, m)
+}
+
+/// Writes a bench artifact atomically into `MCMAP_BENCH_OUT` (default:
+/// the repository's `results/`), creating the directory, and prints the
+/// path it wrote.
+pub fn write_artifact(name: &str, json: &str) {
+    let dir = std::env::var("MCMAP_BENCH_OUT")
+        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../results").to_string());
+    std::fs::create_dir_all(&dir).expect("create results dir");
+    let path = std::path::Path::new(&dir).join(name);
+    mcmap_resilience::atomic_write(&path, json.as_bytes())
+        .unwrap_or_else(|e| panic!("write {name}: {e}"));
+    println!("wrote {}", path.display());
 }
 
 /// A concrete design (hardening + mapping + dropped set) of a benchmark,

@@ -56,31 +56,48 @@ scripts/smoke_serve.sh
 # resumed summary to match an uninterrupted run's byte-for-byte.
 scripts/smoke_validate.sh
 
+# The four timing gates below measure through mcmap_bench::ab: rounds of
+# legs in rotating order, each round re-run when hypervisor steal in
+# /proc/stat took more than a fixed share of it. A bench that runs out of
+# clean rounds prints "host too noisy"; cargo reports that as an ordinary
+# failure (exit 101), so it is named here as its own outcome. It still
+# fails the gate: a noisy host proves nothing either way.
+gated_bench() {
+    local log status=0
+    log=$(mktemp)
+    cargo bench -p mcmap-bench --bench "$1" 2>&1 | tee "$log" || status=$?
+    if [[ $status -ne 0 ]] && grep -q "host too noisy" "$log"; then
+        echo "check.sh: $1: HOST TOO NOISY (not a pass): too many rounds lost CPU time to steal" >&2
+        status=75
+    fi
+    rm -f "$log"
+    [[ $status -eq 0 ]] || exit "$status"
+}
+
 # Engine micro/macro bench; emits results/BENCH_eval.json and asserts the
 # small-batch no-thrash floor (parallel >= 0.95x serial on DT-med).
-cargo bench -p mcmap-bench --bench eval_engine
+gated_bench eval_engine
 
 # Fleet scaling gate: serial vs. parallel exploration of a generated
 # fleet workload with bit-identical fronts asserted, and a wall speedup of
 # at least 0.6 x min(threads, cores) asserted on hosts with >= 2 cores; emits
 # results/BENCH_scale.json. Smoke budget here — run the bench with its
 # defaults (fleet-med, pop 8 x gens 2) for the committed artifact.
-# The speedup floor is a timing gate: on a shared host it can fail while
-# steal time in /proc/stat is rising (other tenants taking the cores).
-# That is the known host-noise case — check steal and rerun; a failure
-# on a quiet host is a real scaling regression.
+# Co-tenant load that the guest does not see as steal can still slow the
+# parallel leg (DESIGN.md §20); the per-round walls and steal in the JSON
+# tell that case from a steal-heavy one.
 MCMAP_FLEET=fleet-small MCMAP_POP=6 MCMAP_GENS=1 \
 MCMAP_BENCH_OUT="$(mktemp -d)" \
-  cargo bench -p mcmap-bench --bench fleet_scale
+  gated_bench fleet_scale
 
 # Analysis fast-path gate (bit-identical windows, >= 1.5x over the cold
 # enumeration); emits results/BENCH_sched.json.
-cargo bench -p mcmap-bench --bench wcrt_analysis
+gated_bench wcrt_analysis
 
 # Tracing and metrics-collection overhead gates (budget 5 % each, against
 # one shared unobserved leg); emits results/BENCH_obs.json and
 # results/BENCH_telemetry.json.
-cargo bench -p mcmap-bench --bench obs_overhead
+gated_bench obs_overhead
 
 # Multi-tenant serve load gate (100 concurrent jobs, zero failures,
 # nonzero cross-job cache hits); emits results/BENCH_serve.json.
