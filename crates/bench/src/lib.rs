@@ -345,45 +345,26 @@ impl EvalKnobs {
             builder = builder.ring(1 << 20);
         }
         if let Some(path) = &self.trace {
-            let file = std::path::Path::new(path);
-            let attached = match self.resume_trace_seq() {
-                Some(trace_seq) => {
-                    match mcmap_core::salvage_trace(file, trace_seq) {
-                        Ok(cut) if cut.dropped > 0 || cut.torn_bytes > 0 => eprintln!(
+            let resume = self.resume.as_deref().map(std::path::Path::new);
+            builder = match mcmap_core::attach_trace(builder, std::path::Path::new(path), resume) {
+                Ok((builder, trace_seq, cut)) => {
+                    if cut.dropped > 0 || cut.torn_bytes > 0 {
+                        eprintln!(
                             "mcmap: salvaged trace {path}: kept {} event(s) up to seq \
                              {trace_seq}, dropped {} event(s) past the checkpoint and {} \
                              torn byte(s)",
                             cut.kept, cut.dropped, cut.torn_bytes
-                        ),
-                        Ok(_) => {}
-                        Err(err) => {
-                            eprintln!("mcmap: cannot salvage trace {path}: {err}");
-                            std::process::exit(2);
-                        }
+                        );
                     }
-                    builder.jsonl_append(file, trace_seq)
+                    builder
                 }
-                None => builder.jsonl(file),
-            };
-            builder = match attached {
-                Ok(b) => b,
                 Err(err) => {
-                    eprintln!("mcmap: cannot create trace file {path}: {err}");
+                    eprintln!("mcmap: cannot attach trace {path}: {err}");
                     std::process::exit(2);
                 }
             };
         }
         builder.build()
-    }
-
-    /// The checkpoint's trace high-water mark when this run resumes, or
-    /// `None` for a fresh run. An unreadable checkpoint also yields `None`
-    /// here — the exploration itself reports the typed error.
-    fn resume_trace_seq(&self) -> Option<u64> {
-        let resume = self.resume.as_ref()?;
-        mcmap_core::read_checkpoint_with_fallback(std::path::Path::new(resume))
-            .ok()
-            .map(|(ckpt, _)| ckpt.trace_seq)
     }
 
     /// Applies the knobs to an exploration config (threads, cache bound,

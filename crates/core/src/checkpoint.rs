@@ -8,22 +8,22 @@
 //!
 //! ## On-disk format
 //!
-//! The payload is a single JSON object wrapped in the `mcmap-resilience`
-//! envelope (version tag + length + FNV-1a checksum), written atomically
-//! with rotation: the previous good checkpoint survives as `<path>.bak`,
-//! so a crash mid-write (or a corrupted primary) falls back one
-//! generation instead of losing the run.
+//! The payload is a single JSON object persisted through
+//! [`write_sealed`] / [`read_sealed`] (the `mcmap-resilience` sealed
+//! document path, with its `.bak` fallback); this module owns only the
+//! encoder and decoder. All `f64` values are serialized as their IEEE-754
+//! bit patterns (`u64`), not as decimal text — decimal round-trips are
+//! approximate and would break the bit-identical resume contract.
 //!
-//! All `f64` values are serialized as their IEEE-754 bit patterns
-//! (`u64`), not as decimal text — decimal round-trips are approximate and
-//! would break the bit-identical resume contract.
+//! [`attach_trace`] prepares a run's JSONL trace for a fresh or resumed
+//! run from the same checkpoint.
 
 use std::path::Path;
 
 use mcmap_ga::{DriverState, Evaluation, GenerationStats, Individual};
-use mcmap_obs::{parse_json, push_json_str, Json};
+use mcmap_obs::{parse_json, push_json_str, push_json_u64s, Json, RecorderBuilder};
 use mcmap_resilience::{
-    atomic_write, atomic_write_rotating, backup_path, seal, unseal, ResilienceError,
+    atomic_write, read_sealed, seal, unseal_with, write_sealed, ResilienceError,
 };
 
 use crate::dse::AuditSnapshot;
@@ -72,15 +72,9 @@ impl DseCheckpoint {
     ///
     /// # Errors
     ///
-    /// Returns a corruption-class [`ResilienceError`] (truncated payload,
-    /// checksum mismatch, version mismatch, malformed JSON).
+    /// Returns a corruption-class [`ResilienceError`] (see [`unseal_with`]).
     pub fn from_bytes(path: &Path, bytes: &[u8]) -> Result<Self, ResilienceError> {
-        let payload = unseal(KIND, path, bytes)?;
-        let text = std::str::from_utf8(&payload).map_err(|_| ResilienceError::Malformed {
-            path: path.to_path_buf(),
-            detail: "payload is not valid UTF-8".into(),
-        })?;
-        decode(path, text)
+        unseal_with(KIND, path, bytes, decode)
     }
 }
 
@@ -92,44 +86,19 @@ impl DseCheckpoint {
 /// Returns [`ResilienceError::Io`] when staging, renaming, or syncing
 /// fails.
 pub fn write_checkpoint(path: &Path, ckpt: &DseCheckpoint) -> Result<(), ResilienceError> {
-    atomic_write_rotating(path, &ckpt.to_bytes())
+    write_sealed(path, KIND, &encode(ckpt))
 }
 
-/// Reads and validates the checkpoint at `path`.
+/// Reads the checkpoint at `path` with [`read_sealed`]'s `.bak` fallback.
+/// Returns the checkpoint and whether the backup was used.
 ///
 /// # Errors
 ///
-/// Returns [`ResilienceError::Io`] when the file cannot be read, or a
-/// corruption-class error when it fails envelope or schema validation.
-pub fn read_checkpoint(path: &Path) -> Result<DseCheckpoint, ResilienceError> {
-    let bytes = std::fs::read(path).map_err(|e| ResilienceError::io(path, "read", e))?;
-    DseCheckpoint::from_bytes(path, &bytes)
-}
-
-/// Reads the checkpoint at `path`, falling back to `<path>.bak` when the
-/// primary is corrupt (truncated write, bad checksum, wrong version).
-///
-/// Returns the checkpoint and whether the backup was used. A missing or
-/// unreadable primary is an I/O error, not corruption, and does not
-/// trigger the fallback.
-///
-/// # Errors
-///
-/// Propagates the primary's error when there is no usable backup.
+/// See [`read_sealed`].
 pub fn read_checkpoint_with_fallback(
     path: &Path,
 ) -> Result<(DseCheckpoint, bool), ResilienceError> {
-    match read_checkpoint(path) {
-        Ok(ckpt) => Ok((ckpt, false)),
-        Err(primary) if primary.is_corruption() => {
-            match read_checkpoint(&backup_path(path)) {
-                Ok(ckpt) => Ok((ckpt, true)),
-                // The primary's diagnosis is the interesting one.
-                Err(_) => Err(primary),
-            }
-        }
-        Err(e) => Err(e),
-    }
+    read_sealed(path, KIND, decode)
 }
 
 /// What [`salvage_trace`] kept and cut from a trace file.
@@ -179,23 +148,50 @@ pub fn salvage_trace(path: &Path, trace_seq: u64) -> Result<TraceSalvage, Resili
     })
 }
 
+/// Attaches a run's JSONL trace at `trace` to `builder`.
+///
+/// A fresh run creates (truncates) the file. A run resuming from the
+/// checkpoint at `resume` cuts the trace back to the checkpoint's
+/// `trace_seq` with [`salvage_trace`] and appends past that mark, so the
+/// re-emitted preamble is not written twice. A checkpoint that cannot be
+/// read counts as a fresh run here; the exploration reports its error.
+///
+/// Returns the builder, the mark the resumed run continues from (0 when
+/// fresh), and what the salvage cut.
+///
+/// # Errors
+///
+/// Returns the salvage's error, or [`ResilienceError::Io`] when the trace
+/// cannot be opened.
+pub fn attach_trace(
+    builder: RecorderBuilder,
+    trace: &Path,
+    resume: Option<&Path>,
+) -> Result<(RecorderBuilder, u64, TraceSalvage), ResilienceError> {
+    let open = |e| ResilienceError::io(trace, "open", e);
+    let trace_seq = resume
+        .and_then(|path| read_checkpoint_with_fallback(path).ok())
+        .map(|(ckpt, _)| ckpt.trace_seq);
+    match trace_seq {
+        Some(trace_seq) => {
+            let cut = salvage_trace(trace, trace_seq)?;
+            let builder = builder.jsonl_append(trace, trace_seq).map_err(open)?;
+            Ok((builder, trace_seq, cut))
+        }
+        None => Ok((
+            builder.jsonl(trace).map_err(open)?,
+            0,
+            TraceSalvage::default(),
+        )),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
 
-pub(crate) fn push_u64s(out: &mut String, values: impl IntoIterator<Item = u64>) {
-    out.push('[');
-    for (i, v) in values.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-}
-
 fn push_bits(out: &mut String, values: &[f64]) {
-    push_u64s(out, values.iter().map(|v| v.to_bits()));
+    push_json_u64s(out, values.iter().map(|v| v.to_bits()));
 }
 
 fn push_eval(out: &mut String, eval: &Evaluation) {
@@ -210,9 +206,9 @@ fn push_eval(out: &mut String, eval: &Evaluation) {
 
 pub(crate) fn push_genome(out: &mut String, genome: &Genome) {
     out.push_str("{\"alloc\":");
-    push_u64s(out, genome.alloc.iter().map(|&b| u64::from(b)));
+    push_json_u64s(out, genome.alloc.iter().map(|&b| u64::from(b)));
     out.push_str(",\"keep\":");
-    push_u64s(out, genome.keep.iter().map(|&b| u64::from(b)));
+    push_json_u64s(out, genome.keep.iter().map(|&b| u64::from(b)));
     out.push_str(",\"genes\":[");
     for (i, gene) in genome.genes.iter().enumerate() {
         if i > 0 {
@@ -230,7 +226,7 @@ pub(crate) fn push_genome(out: &mut String, genome: &Genome) {
             }
             GeneHardening::Active { replicas, voter } => {
                 out.push_str("[\"a\",");
-                push_u64s(out, replicas.iter().map(|p| p.index() as u64));
+                push_json_u64s(out, replicas.iter().map(|p| p.index() as u64));
                 out.push(',');
                 out.push_str(&voter.index().to_string());
                 out.push(']');
@@ -241,9 +237,9 @@ pub(crate) fn push_genome(out: &mut String, genome: &Genome) {
                 voter,
             } => {
                 out.push_str("[\"p\",");
-                push_u64s(out, actives.iter().map(|p| p.index() as u64));
+                push_json_u64s(out, actives.iter().map(|p| p.index() as u64));
                 out.push(',');
-                push_u64s(out, standbys.iter().map(|p| p.index() as u64));
+                push_json_u64s(out, standbys.iter().map(|p| p.index() as u64));
                 out.push(',');
                 out.push_str(&voter.index().to_string());
                 out.push(']');
@@ -266,10 +262,10 @@ fn encode(ckpt: &DseCheckpoint) -> String {
     out.push_str(",\"evaluations\":");
     out.push_str(&st.evaluations.to_string());
     out.push_str(",\"rng\":");
-    push_u64s(&mut out, st.rng_state);
+    push_json_u64s(&mut out, st.rng_state);
     out.push_str(",\"reference\":");
     match st.hv_reference {
-        Some((a, b)) => push_u64s(&mut out, [a.to_bits(), b.to_bits()]),
+        Some((a, b)) => push_json_u64s(&mut out, [a.to_bits(), b.to_bits()]),
         None => out.push_str("null"),
     }
     out.push_str(",\"archive\":[");
@@ -305,10 +301,21 @@ fn encode(ckpt: &DseCheckpoint) -> String {
         out.push_str(&row.front_size.to_string());
         out.push('}');
     }
-    out.push_str("],\"audit\":[");
+    out.push_str("],\"audit\":");
     let a = &ckpt.audit;
-    push_audit_fields(&mut out, a);
-    out.push(']');
+    push_json_u64s(
+        &mut out,
+        [
+            a.evaluated,
+            a.feasible,
+            a.audited,
+            a.rescued_by_dropping,
+            a.reexecutions,
+            a.active_replications,
+            a.passive_replications,
+        ]
+        .map(|v| v as u64),
+    );
     // Written only when present so pre-summary checkpoints (empty vec)
     // keep their exact byte stream through a decode/encode round trip.
     if !ckpt.config.is_empty() {
@@ -327,216 +334,155 @@ fn encode(ckpt: &DseCheckpoint) -> String {
     out
 }
 
-fn push_audit_fields(out: &mut String, a: &AuditSnapshot) {
-    let fields = [
-        a.evaluated,
-        a.feasible,
-        a.audited,
-        a.rescued_by_dropping,
-        a.reexecutions,
-        a.active_replications,
-        a.passive_replications,
-    ];
-    for (i, v) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-pub(crate) fn malformed(path: &Path, detail: impl Into<String>) -> ResilienceError {
-    ResilienceError::Malformed {
-        path: path.to_path_buf(),
-        detail: detail.into(),
-    }
+fn bits(words: Vec<u64>) -> Vec<f64> {
+    words.into_iter().map(f64::from_bits).collect()
 }
 
-pub(crate) fn get<'a>(path: &Path, obj: &'a Json, key: &str) -> Result<&'a Json, ResilienceError> {
-    obj.get(key)
-        .ok_or_else(|| malformed(path, format!("missing key `{key}`")))
-}
-
-pub(crate) fn as_u64(path: &Path, v: &Json, what: &str) -> Result<u64, ResilienceError> {
-    v.as_u64()
-        .ok_or_else(|| malformed(path, format!("{what}: expected unsigned integer")))
-}
-
-pub(crate) fn as_usize(path: &Path, v: &Json, what: &str) -> Result<usize, ResilienceError> {
-    Ok(as_u64(path, v, what)? as usize)
-}
-
-pub(crate) fn as_arr<'a>(
-    path: &Path,
-    v: &'a Json,
-    what: &str,
-) -> Result<&'a [Json], ResilienceError> {
-    match v {
-        Json::Arr(items) => Ok(items),
-        _ => Err(malformed(path, format!("{what}: expected array"))),
-    }
-}
-
-pub(crate) fn u64_list(path: &Path, v: &Json, what: &str) -> Result<Vec<u64>, ResilienceError> {
-    as_arr(path, v, what)?
-        .iter()
-        .map(|item| as_u64(path, item, what))
-        .collect()
-}
-
-fn bits_list(path: &Path, v: &Json, what: &str) -> Result<Vec<f64>, ResilienceError> {
-    Ok(u64_list(path, v, what)?
-        .into_iter()
-        .map(f64::from_bits)
-        .collect())
-}
-
-fn decode_eval(path: &Path, v: &Json) -> Result<Evaluation, ResilienceError> {
-    let objectives = bits_list(path, get(path, v, "objectives")?, "objectives")?;
-    let feasible = match get(path, v, "feasible")? {
-        Json::Bool(b) => *b,
-        _ => return Err(malformed(path, "feasible: expected bool")),
+fn decode_eval(v: &Json) -> Result<Evaluation, String> {
+    let Json::Bool(feasible) = v.member("feasible")? else {
+        return Err("`feasible`: expected bool".into());
     };
-    let penalty = f64::from_bits(as_u64(path, get(path, v, "penalty")?, "penalty")?);
     Ok(Evaluation {
-        objectives,
-        feasible,
-        penalty,
+        objectives: bits(v.u64_list_member("objectives")?),
+        feasible: *feasible,
+        penalty: f64::from_bits(v.u64_member("penalty")?),
     })
 }
 
-fn proc_list(path: &Path, v: &Json, what: &str) -> Result<Vec<ProcId>, ResilienceError> {
-    Ok(u64_list(path, v, what)?
-        .into_iter()
-        .map(|p| ProcId::new(p as usize))
-        .collect())
+fn uint(v: &Json, what: &str) -> Result<u64, String> {
+    v.as_u64()
+        .ok_or_else(|| format!("{what}: expected unsigned integer"))
 }
 
-pub(crate) fn decode_genome(path: &Path, v: &Json) -> Result<Genome, ResilienceError> {
-    let alloc = u64_list(path, get(path, v, "alloc")?, "alloc")?
-        .into_iter()
-        .map(|b| b != 0)
-        .collect();
-    let keep = u64_list(path, get(path, v, "keep")?, "keep")?
-        .into_iter()
-        .map(|b| b != 0)
-        .collect();
+fn proc_id(v: &Json, what: &str) -> Result<ProcId, String> {
+    Ok(ProcId::new(uint(v, what)? as usize))
+}
+
+fn proc_list(v: &Json, what: &str) -> Result<Vec<ProcId>, String> {
+    let list = v
+        .as_u64_list()
+        .ok_or_else(|| format!("{what}: expected array"))?;
+    Ok(list.into_iter().map(|p| ProcId::new(p as usize)).collect())
+}
+
+pub(crate) fn decode_genome(v: &Json) -> Result<Genome, String> {
+    let flags = |key| -> Result<Vec<bool>, String> {
+        Ok(v.u64_list_member(key)?
+            .into_iter()
+            .map(|b| b != 0)
+            .collect())
+    };
     let mut genes = Vec::new();
-    for gene in as_arr(path, get(path, v, "genes")?, "genes")? {
-        let parts = as_arr(path, gene, "gene")?;
-        if parts.len() != 2 {
-            return Err(malformed(path, "gene: expected [binding, hardening]"));
-        }
-        let binding = ProcId::new(as_usize(path, &parts[0], "binding")?);
-        let hard = as_arr(path, &parts[1], "hardening")?;
-        let tag = match hard.first() {
-            Some(Json::Str(s)) => s.as_str(),
-            _ => return Err(malformed(path, "hardening: missing tag")),
+    for gene in v.arr_member("genes")? {
+        let Some([binding, hard]) = gene.as_arr() else {
+            return Err("gene: expected [binding, hardening]".into());
         };
-        let hardening = match (tag, hard.len()) {
-            ("n", 1) => GeneHardening::None,
-            ("r", 2) => GeneHardening::Reexec(as_u64(path, &hard[1], "reexec k")? as u8),
-            ("a", 3) => GeneHardening::Active {
-                replicas: proc_list(path, &hard[1], "replicas")?,
-                voter: ProcId::new(as_usize(path, &hard[2], "voter")?),
+        let hardening = match hard.as_arr() {
+            Some([Json::Str(t)]) if t == "n" => GeneHardening::None,
+            Some([Json::Str(t), k]) if t == "r" => {
+                GeneHardening::Reexec(uint(k, "reexec k")? as u8)
+            }
+            Some([Json::Str(t), replicas, voter]) if t == "a" => GeneHardening::Active {
+                replicas: proc_list(replicas, "replicas")?,
+                voter: proc_id(voter, "voter")?,
             },
-            ("p", 4) => GeneHardening::Passive {
-                actives: proc_list(path, &hard[1], "actives")?,
-                standbys: proc_list(path, &hard[2], "standbys")?,
-                voter: ProcId::new(as_usize(path, &hard[3], "voter")?),
+            Some([Json::Str(t), actives, standbys, voter]) if t == "p" => GeneHardening::Passive {
+                actives: proc_list(actives, "actives")?,
+                standbys: proc_list(standbys, "standbys")?,
+                voter: proc_id(voter, "voter")?,
             },
-            _ => return Err(malformed(path, format!("hardening: unknown tag `{tag}`"))),
+            Some([Json::Str(t), ..]) => return Err(format!("hardening: unknown tag `{t}`")),
+            _ => return Err("hardening: missing tag".into()),
         };
-        genes.push(TaskGene { binding, hardening });
+        genes.push(TaskGene {
+            binding: proc_id(binding, "binding")?,
+            hardening,
+        });
     }
-    Ok(Genome { alloc, keep, genes })
+    Ok(Genome {
+        alloc: flags("alloc")?,
+        keep: flags("keep")?,
+        genes,
+    })
 }
 
-fn decode(path: &Path, text: &str) -> Result<DseCheckpoint, ResilienceError> {
-    let root = parse_json(text).map_err(|e| malformed(path, format!("invalid JSON: {e}")))?;
+fn decode(text: &str) -> Result<DseCheckpoint, String> {
+    let root = parse_json(text).map_err(|e| format!("invalid JSON: {e}"))?;
 
-    let rng_words = u64_list(path, get(path, &root, "rng")?, "rng")?;
-    let rng_state: [u64; 4] = rng_words
+    let rng_state: [u64; 4] = root
+        .u64_list_member("rng")?
         .try_into()
-        .map_err(|_| malformed(path, "rng: expected 4 words"))?;
+        .map_err(|_| "rng: expected 4 words")?;
 
-    let hv_reference = match get(path, &root, "reference")? {
+    let hv_reference = match root.member("reference")? {
         Json::Null => None,
-        v => {
-            let pair = u64_list(path, v, "reference")?;
-            if pair.len() != 2 {
-                return Err(malformed(path, "reference: expected 2 values"));
-            }
-            Some((f64::from_bits(pair[0]), f64::from_bits(pair[1])))
-        }
+        v => match v.as_u64_list().as_deref() {
+            Some(&[a, b]) => Some((f64::from_bits(a), f64::from_bits(b))),
+            _ => return Err("reference: expected 2 values".into()),
+        },
     };
 
     let mut archive = Vec::new();
-    for ind in as_arr(path, get(path, &root, "archive")?, "archive")? {
+    for ind in root.arr_member("archive")? {
         archive.push(Individual {
-            genotype: decode_genome(path, get(path, ind, "genome")?)?,
-            eval: decode_eval(path, get(path, ind, "eval")?)?,
+            genotype: decode_genome(ind.member("genome")?)?,
+            eval: decode_eval(ind.member("eval")?)?,
         });
     }
 
-    let mut prev_evals = Vec::new();
-    for eval in as_arr(path, get(path, &root, "prev_evals")?, "prev_evals")? {
-        prev_evals.push(decode_eval(path, eval)?);
-    }
+    let prev_evals = root
+        .arr_member("prev_evals")?
+        .iter()
+        .map(decode_eval)
+        .collect::<Result<_, _>>()?;
 
     let mut history = Vec::new();
-    for row in as_arr(path, get(path, &root, "history")?, "history")? {
+    for row in root.arr_member("history")? {
         history.push(GenerationStats {
-            generation: as_usize(path, get(path, row, "generation")?, "history generation")?,
-            best: bits_list(path, get(path, row, "best")?, "history best")?,
-            feasible: as_usize(path, get(path, row, "feasible")?, "history feasible")?,
-            front_size: as_usize(path, get(path, row, "front_size")?, "history front_size")?,
+            generation: row.u64_member("generation")? as usize,
+            best: bits(row.u64_list_member("best")?),
+            feasible: row.u64_member("feasible")? as usize,
+            front_size: row.u64_member("front_size")? as usize,
         });
     }
 
-    let audit_fields = u64_list(path, get(path, &root, "audit")?, "audit")?;
-    if audit_fields.len() != 7 {
-        return Err(malformed(path, "audit: expected 7 counters"));
-    }
-    let audit = AuditSnapshot {
-        evaluated: audit_fields[0] as usize,
-        feasible: audit_fields[1] as usize,
-        audited: audit_fields[2] as usize,
-        rescued_by_dropping: audit_fields[3] as usize,
-        reexecutions: audit_fields[4] as usize,
-        active_replications: audit_fields[5] as usize,
-        passive_replications: audit_fields[6] as usize,
+    let audit = match root.u64_list_member("audit")?[..] {
+        [evaluated, feasible, audited, rescued, reexecutions, active, passive] => AuditSnapshot {
+            evaluated: evaluated as usize,
+            feasible: feasible as usize,
+            audited: audited as usize,
+            rescued_by_dropping: rescued as usize,
+            reexecutions: reexecutions as usize,
+            active_replications: active as usize,
+            passive_replications: passive as usize,
+        },
+        _ => return Err("audit: expected 7 counters".into()),
     };
 
     // Optional: absent in checkpoints written before the summary existed.
-    let mut config = Vec::new();
-    if let Some(obj) = root.get("config") {
-        match obj {
-            Json::Obj(members) => {
-                for (k, v) in members {
-                    match v {
-                        Json::Str(s) => config.push((k.clone(), s.clone())),
-                        _ => return Err(malformed(path, "config: expected string values")),
-                    }
-                }
-            }
-            _ => return Err(malformed(path, "config: expected object")),
-        }
-    }
+    let config = match root.get("config") {
+        None => Vec::new(),
+        Some(Json::Obj(members)) => members
+            .iter()
+            .map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
+            .collect::<Option<_>>()
+            .ok_or("config: expected string values")?,
+        Some(_) => return Err("config: expected object".into()),
+    };
 
-    let generation = as_usize(path, get(path, &root, "generation")?, "generation")?;
+    let generation = root.u64_member("generation")? as usize;
     Ok(DseCheckpoint {
-        fingerprint: as_u64(path, get(path, &root, "fingerprint")?, "fingerprint")?,
+        fingerprint: root.u64_member("fingerprint")?,
         generation,
-        trace_seq: as_u64(path, get(path, &root, "trace_seq")?, "trace_seq")?,
+        trace_seq: root.u64_member("trace_seq")?,
         state: DriverState {
             generation,
             rng_state,
-            evaluations: as_usize(path, get(path, &root, "evaluations")?, "evaluations")?,
+            evaluations: root.u64_member("evaluations")? as usize,
             archive,
             history,
             hv_reference,
@@ -670,6 +616,14 @@ mod tests {
     }
 
     #[test]
+    fn sealed_format_is_pinned() {
+        // A format change that still round-trips would pass every other
+        // test here; this hash of the sealed sample catches it.
+        let bytes = sample().to_bytes();
+        assert_eq!(mcmap_resilience::fnv1a64(&bytes), 0x4dc4_3ef6_25a1_b6c9);
+    }
+
+    #[test]
     fn checkpoint_round_trips_bit_exactly() {
         assert_round_trips(&sample());
     }
@@ -720,7 +674,7 @@ mod tests {
         assert!(from_backup);
         assert_eq!(restored.generation, 3);
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(backup_path(&path)).ok();
+        std::fs::remove_file(mcmap_resilience::backup_path(&path)).ok();
     }
 
     #[test]
@@ -745,6 +699,44 @@ mod tests {
         assert_eq!(salvage_trace(&path, 2).unwrap().kept, 2);
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(salvage_trace(&path, 2).unwrap(), TraceSalvage::default());
+    }
+
+    #[test]
+    fn attach_trace_appends_past_the_checkpoint_or_starts_fresh() {
+        let dir = std::env::temp_dir().join(format!("mcmap_core_attach_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (trace, ckpt_path) = (dir.join("run.jsonl"), dir.join("run.ckpt"));
+        let line = |seq: u64| format!("{{\"seq\":{seq},\"kind\":\"mark\",\"name\":\"m\"}}\n");
+        std::fs::write(&trace, line(1) + &line(2) + &line(3)).unwrap();
+        let mut ckpt = sample();
+        ckpt.trace_seq = 2;
+        write_checkpoint(&ckpt_path, &ckpt).unwrap();
+        let seqs = |builder: RecorderBuilder, marks: usize| {
+            let rec = builder.build();
+            for _ in 0..marks {
+                rec.mark("m", &[]);
+            }
+            rec.flush();
+            let text = std::fs::read_to_string(&trace).unwrap();
+            let events = mcmap_obs::events_from_jsonl(&text).unwrap();
+            events.iter().map(|e| e.seq).collect::<Vec<_>>()
+        };
+
+        // Resumed: seq 3 is cut, the re-emitted 1 and 2 are suppressed.
+        let (builder, trace_seq, cut) =
+            attach_trace(RecorderBuilder::new(), &trace, Some(&ckpt_path)).unwrap();
+        assert_eq!((trace_seq, cut.kept, cut.dropped), (2, 2, 1));
+        assert_eq!(seqs(builder, 4), [1, 2, 3, 4]);
+
+        // Fresh, or a checkpoint that cannot be read: the file starts over.
+        let missing = dir.join("missing.ckpt");
+        for resume in [None, Some(missing.as_path())] {
+            let (builder, trace_seq, cut) =
+                attach_trace(RecorderBuilder::new(), &trace, resume).unwrap();
+            assert_eq!((trace_seq, cut), (0, TraceSalvage::default()));
+            assert_eq!(seqs(builder, 1), [1]);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub use analysis::{
     proposed_analysis, proposed_analysis_with, AnalysisOptions, McAnalysis,
 };
 pub use checkpoint::{
-    read_checkpoint, read_checkpoint_with_fallback, salvage_trace, write_checkpoint, DseCheckpoint,
+    attach_trace, read_checkpoint_with_fallback, salvage_trace, write_checkpoint, DseCheckpoint,
     TraceSalvage,
 };
 pub use dse::{

@@ -9,11 +9,11 @@
 //! bounds, the expected power and delivered service, and the set of
 //! applications the point degrades (drops in the critical mode).
 //!
-//! The on-disk format reuses the `mcmap-resilience` sealed envelope
-//! (version tag + length + FNV-1a checksum, atomic write with `.bak`
-//! rotation), with all `f64` values as IEEE-754 bit patterns and all
-//! [`Time`] values as raw ticks, so a portfolio round-trips
-//! bit-identically. A portfolio records the [`MappingProblem::context`]
+//! A portfolio is persisted through [`write_sealed`] / [`read_sealed`]
+//! (the `mcmap-resilience` sealed document path, with its `.bak`
+//! fallback); this module owns only the encoder and decoder, which write
+//! all `f64` values as IEEE-754 bit patterns and all [`Time`] values as
+//! raw ticks, so a portfolio round-trips bit-identically. A portfolio records the [`MappingProblem::context`]
 //! fingerprint it was extracted under; [`Portfolio::materialize`] refuses
 //! a problem with a different fingerprint, because genomes only decode to
 //! the same design under the same model, policies, and repair seed.
@@ -23,13 +23,11 @@ use std::path::Path;
 use mcmap_ga::Individual;
 use mcmap_hardening::{harden, HardenedSystem, TechniqueHistogram};
 use mcmap_model::{AppId, ProcId, Time};
-use mcmap_obs::parse_json;
-use mcmap_resilience::{atomic_write_rotating, backup_path, seal, unseal, ResilienceError};
+use mcmap_obs::{parse_json, push_json_u64s};
+use mcmap_resilience::{read_sealed, write_sealed, ResilienceError};
 use mcmap_sched::Mapping;
 
-use crate::checkpoint::{
-    as_arr, as_u64, as_usize, decode_genome, get, malformed, push_genome, push_u64s,
-};
+use crate::checkpoint::{decode_genome, push_genome};
 use crate::dse::MappingProblem;
 use crate::genome::Genome;
 
@@ -199,27 +197,27 @@ impl Portfolio {
         &self,
         problem: &MappingProblem<'_>,
     ) -> Result<Vec<MaterializedPoint>, ResilienceError> {
-        let path = Path::new("<portfolio>");
+        let malformed = |detail: String| ResilienceError::Malformed {
+            path: "<portfolio>".into(),
+            detail,
+        };
         if problem.context() != self.context {
-            return Err(malformed(
-                path,
-                format!(
-                    "context fingerprint mismatch: portfolio={:016x} problem={:016x} \
+            return Err(malformed(format!(
+                "context fingerprint mismatch: portfolio={:016x} problem={:016x} \
                      (extracted under a different model, policy set, or seed)",
-                    self.context,
-                    problem.context()
-                ),
-            ));
+                self.context,
+                problem.context()
+            )));
         }
         let mut out = Vec::with_capacity(self.points.len());
         for (i, point) in self.points.iter().enumerate() {
             let (plan, dropped, bindings) = problem.decode_repaired(&point.genome);
             let hsys = harden(problem.apps(), &plan, problem.arch())
-                .map_err(|e| malformed(path, format!("point {i}: hardening failed: {e}")))?;
+                .map_err(|e| malformed(format!("point {i}: hardening failed: {e}")))?;
             let placement = hsys.placement(&bindings);
             let histogram = plan.technique_histogram();
             let mapping = Mapping::new(&hsys, problem.arch(), placement)
-                .map_err(|e| malformed(path, format!("point {i}: invalid mapping: {e}")))?;
+                .map_err(|e| malformed(format!("point {i}: invalid mapping: {e}")))?;
             out.push(MaterializedPoint {
                 hsys,
                 mapping,
@@ -232,27 +230,6 @@ impl Portfolio {
         }
         Ok(out)
     }
-
-    /// Serializes to the sealed envelope byte stream.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        seal(KIND, encode(self).as_bytes())
-    }
-
-    /// Deserializes from sealed envelope bytes. `path` is used only for
-    /// error reporting.
-    ///
-    /// # Errors
-    ///
-    /// Returns a corruption-class [`ResilienceError`] (truncated payload,
-    /// checksum mismatch, version mismatch, malformed JSON).
-    pub fn from_bytes(path: &Path, bytes: &[u8]) -> Result<Self, ResilienceError> {
-        let payload = unseal(KIND, path, bytes)?;
-        let text = std::str::from_utf8(&payload).map_err(|_| ResilienceError::Malformed {
-            path: path.to_path_buf(),
-            detail: "payload is not valid UTF-8".into(),
-        })?;
-        decode(path, text)
-    }
 }
 
 /// Writes `portfolio` to `path` atomically, rotating any existing file to
@@ -263,29 +240,17 @@ impl Portfolio {
 /// Returns [`ResilienceError::Io`] when staging, renaming, or syncing
 /// fails.
 pub fn write_portfolio(path: &Path, portfolio: &Portfolio) -> Result<(), ResilienceError> {
-    atomic_write_rotating(path, &portfolio.to_bytes())
+    write_sealed(path, KIND, &encode(portfolio))
 }
 
-/// Reads the portfolio at `path`, falling back to `<path>.bak` when the
-/// primary is corrupt. Returns the portfolio and whether the backup was
-/// used.
+/// Reads the portfolio at `path` with [`read_sealed`]'s `.bak` fallback.
+/// Returns the portfolio and whether the backup was used.
 ///
 /// # Errors
 ///
-/// Propagates the primary's error when there is no usable backup.
+/// See [`read_sealed`].
 pub fn read_portfolio(path: &Path) -> Result<(Portfolio, bool), ResilienceError> {
-    let read = |p: &Path| -> Result<Portfolio, ResilienceError> {
-        let bytes = std::fs::read(p).map_err(|e| ResilienceError::io(p, "read", e))?;
-        Portfolio::from_bytes(p, &bytes)
-    };
-    match read(path) {
-        Ok(p) => Ok((p, false)),
-        Err(primary) if primary.is_corruption() => match read(&backup_path(path)) {
-            Ok(p) => Ok((p, true)),
-            Err(_) => Err(primary),
-        },
-        Err(e) => Err(e),
-    }
+    read_sealed(path, KIND, decode)
 }
 
 fn encode(p: &Portfolio) -> String {
@@ -304,38 +269,79 @@ fn encode(p: &Portfolio) -> String {
         out.push_str(",\"service\":");
         out.push_str(&point.service.to_bits().to_string());
         out.push_str(",\"dropped\":");
-        push_u64s(&mut out, point.dropped.iter().map(|a| a.index() as u64));
+        push_json_u64s(&mut out, point.dropped.iter().map(|a| a.index() as u64));
         out.push_str(",\"app_wcrt\":");
-        push_u64s(&mut out, point.app_wcrt.iter().map(|t| t.ticks()));
+        push_json_u64s(&mut out, point.app_wcrt.iter().map(|t| t.ticks()));
         out.push('}');
     }
     out.push_str("]}");
     out
 }
 
-fn decode(path: &Path, text: &str) -> Result<Portfolio, ResilienceError> {
-    let root = parse_json(text).map_err(|e| malformed(path, format!("invalid JSON: {e}")))?;
-    let context = as_u64(path, get(path, &root, "context")?, "context")?;
+fn decode(text: &str) -> Result<Portfolio, String> {
+    let root = parse_json(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let mut points = Vec::new();
-    for v in as_arr(path, get(path, &root, "points")?, "points")? {
-        let genome = decode_genome(path, get(path, v, "genome")?)?;
-        let power = f64::from_bits(as_u64(path, get(path, v, "power")?, "power")?);
-        let service = f64::from_bits(as_u64(path, get(path, v, "service")?, "service")?);
-        let dropped = as_arr(path, get(path, v, "dropped")?, "dropped")?
-            .iter()
-            .map(|a| Ok(AppId::new(as_usize(path, a, "dropped app")?)))
-            .collect::<Result<Vec<_>, ResilienceError>>()?;
-        let app_wcrt = as_arr(path, get(path, v, "app_wcrt")?, "app_wcrt")?
-            .iter()
-            .map(|t| Ok(Time::from_ticks(as_u64(path, t, "app_wcrt")?)))
-            .collect::<Result<Vec<_>, ResilienceError>>()?;
+    for v in root.arr_member("points")? {
         points.push(OperatingPoint {
-            genome,
-            power,
-            service,
-            dropped,
-            app_wcrt,
+            genome: decode_genome(v.member("genome")?)?,
+            power: f64::from_bits(v.u64_member("power")?),
+            service: f64::from_bits(v.u64_member("service")?),
+            dropped: v
+                .u64_list_member("dropped")?
+                .into_iter()
+                .map(|a| AppId::new(a as usize))
+                .collect(),
+            app_wcrt: v
+                .u64_list_member("app_wcrt")?
+                .into_iter()
+                .map(Time::from_ticks)
+                .collect(),
         });
     }
-    Ok(Portfolio { context, points })
+    Ok(Portfolio {
+        context: root.u64_member("context")?,
+        points,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::genome::{GeneHardening, TaskGene};
+
+    #[test]
+    fn sealed_format_is_pinned() {
+        // A format change that still round-trips would pass every other
+        // portfolio test; this hash of a sealed sample catches it.
+        let point = OperatingPoint {
+            genome: Genome {
+                alloc: vec![true, true],
+                keep: vec![false, true],
+                genes: vec![
+                    TaskGene {
+                        binding: ProcId::new(1),
+                        hardening: GeneHardening::Reexec(1),
+                    },
+                    TaskGene {
+                        binding: ProcId::new(0),
+                        hardening: GeneHardening::Active {
+                            replicas: vec![ProcId::new(0), ProcId::new(1)],
+                            voter: ProcId::new(1),
+                        },
+                    },
+                ],
+            },
+            power: 0.1 + 0.2,
+            service: 17.5,
+            dropped: vec![AppId::new(2)],
+            app_wcrt: vec![Time::from_ticks(120), Time::MAX],
+        };
+        let portfolio = Portfolio {
+            context: 0x0123_4567_89ab_cdef,
+            points: vec![point.clone(), point],
+        };
+        let bytes = mcmap_resilience::seal(KIND, encode(&portfolio).as_bytes());
+        assert_eq!(mcmap_resilience::fnv1a64(&bytes), 0xf1ab_4055_a048_fef3);
+        assert_eq!(decode(&encode(&portfolio)).unwrap(), portfolio);
+    }
 }

@@ -172,6 +172,19 @@ pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Writes `values` into `out` as a JSON array of integers (`[1,2,3]`),
+/// the list form of every sealed document this workspace persists.
+pub fn push_json_u64s(out: &mut String, values: impl IntoIterator<Item = u64>) {
+    out.push('[');
+    for (i, v) in values.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_u64(out, v);
+    }
+    out.push(']');
+}
+
 /// What an event marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
@@ -335,6 +348,14 @@ mod tests {
             ],
             nondet: vec![("wall_ns".into(), 123u64.into())],
         }
+    }
+
+    #[test]
+    fn u64_lists_render_as_json_arrays() {
+        let mut out = String::new();
+        push_json_u64s(&mut out, []);
+        push_json_u64s(&mut out, [0, 7, u64::MAX]);
+        assert_eq!(out, "[][0,7,18446744073709551615]");
     }
 
     #[test]

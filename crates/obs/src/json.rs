@@ -64,6 +64,50 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The value as an array's items.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The value as an array of `u64`s.
+    pub fn as_u64_list(&self) -> Option<Vec<u64>> {
+        self.as_arr()?.iter().map(Json::as_u64).collect()
+    }
+
+    /// Object member `key`, or an error naming it. This and the typed
+    /// `*_member` accessors are what sealed-document decoders chain with
+    /// `?`.
+    pub fn member(&self, key: &str) -> Result<&Json, String> {
+        self.get(key).ok_or_else(|| format!("missing key `{key}`"))
+    }
+
+    /// Member `key` as `u64`; the error names `key`.
+    pub fn u64_member(&self, key: &str) -> Result<u64, String> {
+        self.typed_member(key, Json::as_u64, "unsigned integer")
+    }
+
+    /// Member `key` as an array's items; the error names `key`.
+    pub fn arr_member(&self, key: &str) -> Result<&[Json], String> {
+        self.typed_member(key, Json::as_arr, "array")
+    }
+
+    /// Member `key` as an array of `u64`s; the error names `key`.
+    pub fn u64_list_member(&self, key: &str) -> Result<Vec<u64>, String> {
+        self.typed_member(key, Json::as_u64_list, "array of unsigned integers")
+    }
+
+    fn typed_member<'a, T>(
+        &'a self,
+        key: &str,
+        convert: fn(&'a Json) -> Option<T>,
+        expected: &str,
+    ) -> Result<T, String> {
+        convert(self.member(key)?).ok_or_else(|| format!("`{key}`: expected {expected}"))
+    }
 }
 
 /// Parses one JSON document.
@@ -382,6 +426,24 @@ mod tests {
         assert_eq!(items[1], Json::Num(2.5));
         assert_eq!(items[2], Json::Int(-3));
         assert_eq!(j.get("d"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn member_accessors_name_the_key_on_error() {
+        let j = parse_json(r#"{"n":7,"l":[1,2],"mixed":[1,"x"],"s":"x"}"#).unwrap();
+        assert_eq!(j.u64_member("n"), Ok(7));
+        assert_eq!(j.arr_member("l").map(<[Json]>::len), Ok(2));
+        assert_eq!(j.u64_list_member("l"), Ok(vec![1, 2]));
+        assert_eq!(j.member("gone").unwrap_err(), "missing key `gone`");
+        for err in [
+            j.u64_member("s").unwrap_err(),
+            j.arr_member("s").unwrap_err(),
+            j.u64_list_member("s").unwrap_err(),
+        ] {
+            assert!(err.contains("`s`"), "{err}");
+        }
+        assert!(j.u64_list_member("mixed").unwrap_err().contains("`mixed`"));
+        assert_eq!(Json::Null.member("n").unwrap_err(), "missing key `n`");
     }
 
     #[test]

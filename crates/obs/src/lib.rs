@@ -56,7 +56,7 @@ pub use analytics::{
     critical_paths, diff_traces, folded_stacks, query, CounterDelta, CriticalPath, PathStep,
     SpanDelta, TraceDiff, TraceQuery,
 };
-pub use event::{push_json_str, Event, EventKind, Key, Value};
+pub use event::{push_json_str, push_json_u64s, Event, EventKind, Key, Value};
 pub use json::{
     event_from_json, events_from_jsonl, events_from_jsonl_lossy, parse_json, Json, TraceRecovery,
 };

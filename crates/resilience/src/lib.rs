@@ -11,6 +11,11 @@
 //! * [`seal`] / [`unseal`] — a versioned, checksummed envelope so a
 //!   truncated or corrupted checkpoint is *detected* (typed
 //!   [`ResilienceError`]) instead of silently mis-parsed;
+//! * [`write_sealed`] / [`read_sealed`] — the one persistence path for
+//!   sealed JSON documents (DSE checkpoints, portfolios, campaign
+//!   checkpoints): rotating atomic write, unseal, UTF-8 check, decoder
+//!   errors as [`ResilienceError::Malformed`], and the primary → `.bak`
+//!   fallback on corruption ([`unseal_with`] is the in-memory half);
 //! * [`EvalFailure`] — the typed diagnostic a panicking candidate
 //!   evaluation degrades into (instead of unwinding a multi-hour run);
 //! * [`FaultPlan`] — a seeded, deterministic chaos plan injecting panics,
@@ -46,6 +51,7 @@ mod envelope;
 mod error;
 mod failure;
 mod fault;
+mod sealed;
 mod signal;
 
 pub use atomic::{atomic_write, atomic_write_rotating, backup_path};
@@ -53,4 +59,5 @@ pub use envelope::{fnv1a64, seal, unseal, ENVELOPE_VERSION};
 pub use error::ResilienceError;
 pub use failure::{panic_message, EvalFailure};
 pub use fault::FaultPlan;
+pub use sealed::{read_sealed, unseal_with, write_sealed};
 pub use signal::{install_stop_flag, request_stop, reset_stop_flag, stop_requested};

@@ -12,10 +12,11 @@
 //! The campaign is deterministic end to end: profile `i` simulates with
 //! `seed + i` on every point, the work fans out on the `mcmap-eval`
 //! order-preserving parallel map (bit-identical summaries for any `threads`),
-//! and progress checkpoints at fixed chunk boundaries through the
-//! `mcmap-resilience` sealed envelope, so a SIGTERM-interrupted campaign
-//! resumes into the exact summary the uninterrupted run would have
-//! produced.
+//! and progress checkpoints at fixed chunk boundaries through
+//! [`write_sealed`] / [`read_sealed`] (the `mcmap-resilience` sealed
+//! document path, with its `.bak` fallback), so a SIGTERM-interrupted
+//! campaign resumes into the exact summary the uninterrupted run would
+//! have produced.
 //!
 //! [`unsafe_instances`]: mcmap_sim::SimResult::unsafe_instances
 
@@ -25,8 +26,8 @@ use std::sync::Arc;
 
 use mcmap_core::MaterializedPoint;
 use mcmap_model::{AppId, Architecture, Time};
-use mcmap_obs::{parse_json, Json, Recorder, Value};
-use mcmap_resilience::{atomic_write_rotating, backup_path, seal, unseal, ResilienceError};
+use mcmap_obs::{parse_json, push_json_u64s, Json, Recorder, Value};
+use mcmap_resilience::{read_sealed, seal, unseal_with, write_sealed, ResilienceError};
 use mcmap_sched::SchedPolicy;
 use mcmap_sim::{ExecModel, RandomFaults, SimConfig, Simulator};
 
@@ -252,21 +253,11 @@ impl CampaignSummary {
                 Some(s) => out.push_str(&s.ticks().to_string()),
                 None => out.push_str("null"),
             }
-            out.push_str(",\"observed_max\":[");
-            for (j, t) in p.observed_max.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&t.ticks().to_string());
-            }
-            out.push_str("],\"bound\":[");
-            for (j, t) in p.bound.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&t.ticks().to_string());
-            }
-            out.push_str("]}");
+            out.push_str(",\"observed_max\":");
+            push_ticks(&mut out, &p.observed_max);
+            out.push_str(",\"bound\":");
+            push_ticks(&mut out, &p.bound);
+            out.push('}');
         }
         out.push_str("],\"violation_detail\":[");
         for (i, v) in self.violations.iter().enumerate() {
@@ -305,6 +296,19 @@ pub struct CampaignCheckpoint {
 impl CampaignCheckpoint {
     /// Serializes to the sealed envelope byte stream.
     pub fn to_bytes(&self) -> Vec<u8> {
+        seal(KIND, self.encode().as_bytes())
+    }
+
+    /// Deserializes from sealed envelope bytes (`path` for diagnostics).
+    ///
+    /// # Errors
+    ///
+    /// Returns a corruption-class [`ResilienceError`] (see [`unseal_with`]).
+    pub fn from_bytes(path: &Path, bytes: &[u8]) -> Result<Self, ResilienceError> {
+        unseal_with(KIND, path, bytes, Self::decode)
+    }
+
+    fn encode(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!(
             "\"fingerprint\":{},\"done\":{},\"points\":[",
@@ -315,125 +319,99 @@ impl CampaignCheckpoint {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"covered\":{},\"beyond\":{},\"faulty\":{},\"violations\":{},\"observed\":[",
+                "{{\"covered\":{},\"beyond\":{},\"faulty\":{},\"violations\":{},\"observed\":",
                 p.covered, p.beyond_coverage, p.faulty, p.violations
             ));
-            for (j, t) in p.observed_max.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&t.ticks().to_string());
-            }
-            out.push_str("],\"bound\":[");
-            for (j, t) in p.bound.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&t.ticks().to_string());
-            }
-            out.push_str("]}");
+            push_ticks(&mut out, &p.observed_max);
+            out.push_str(",\"bound\":");
+            push_ticks(&mut out, &p.bound);
+            out.push('}');
         }
         out.push_str("],\"violations\":[");
         for (i, v) in self.violations.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "[{},{},{},{},{}]",
-                v.point,
-                v.profile,
-                v.app.index(),
-                v.observed.ticks(),
-                v.bound.ticks()
-            ));
+            push_json_u64s(
+                &mut out,
+                [
+                    v.point as u64,
+                    v.profile,
+                    v.app.index() as u64,
+                    v.observed.ticks(),
+                    v.bound.ticks(),
+                ],
+            );
         }
         out.push_str("]}");
-        seal(KIND, out.as_bytes())
+        out
     }
 
-    /// Deserializes from sealed envelope bytes (`path` for diagnostics).
-    ///
-    /// # Errors
-    ///
-    /// Returns a corruption-class [`ResilienceError`] on envelope or
-    /// schema mismatch.
-    pub fn from_bytes(path: &Path, bytes: &[u8]) -> Result<Self, ResilienceError> {
-        let payload = unseal(KIND, path, bytes)?;
-        let text = std::str::from_utf8(&payload).map_err(|_| malformed(path, "not UTF-8"))?;
-        let root = parse_json(text).map_err(|e| malformed(path, format!("invalid JSON: {e}")))?;
-        let fingerprint = field_u64(path, &root, "fingerprint")?;
-        let done = field_u64(path, &root, "done")?;
+    fn decode(text: &str) -> Result<Self, String> {
+        let root = parse_json(text).map_err(|e| format!("invalid JSON: {e}"))?;
+        let ticks = |p: &Json, key| -> Result<Vec<Time>, String> {
+            Ok(p.u64_list_member(key)?
+                .into_iter()
+                .map(Time::from_ticks)
+                .collect())
+        };
         let mut points = Vec::new();
-        for p in field_arr(path, &root, "points")? {
+        for p in root.arr_member("points")? {
             points.push(PointValidation {
-                covered: field_u64(path, p, "covered")?,
-                beyond_coverage: field_u64(path, p, "beyond")?,
-                faulty: field_u64(path, p, "faulty")?,
-                violations: field_u64(path, p, "violations")?,
-                observed_max: time_list(path, p, "observed")?,
-                bound: time_list(path, p, "bound")?,
+                covered: p.u64_member("covered")?,
+                beyond_coverage: p.u64_member("beyond")?,
+                faulty: p.u64_member("faulty")?,
+                violations: p.u64_member("violations")?,
+                observed_max: ticks(p, "observed")?,
+                bound: ticks(p, "bound")?,
             });
         }
         let mut violations = Vec::new();
-        for v in field_arr(path, &root, "violations")? {
-            let row: Vec<u64> = match v {
-                Json::Arr(items) => items
-                    .iter()
-                    .map(|x| x.as_u64().ok_or_else(|| malformed(path, "violation row")))
-                    .collect::<Result<_, _>>()?,
-                _ => return Err(malformed(path, "violation: expected array")),
+        for v in root.arr_member("violations")? {
+            let Some(&[point, profile, app, observed, bound]) = v.as_u64_list().as_deref() else {
+                return Err("violation: expected 5 unsigned integers".into());
             };
-            if row.len() != 5 {
-                return Err(malformed(path, "violation: expected 5 fields"));
-            }
             violations.push(Violation {
-                point: row[0] as usize,
-                profile: row[1],
-                app: AppId::new(row[2] as usize),
-                observed: Time::from_ticks(row[3]),
-                bound: Time::from_ticks(row[4]),
+                point: point as usize,
+                profile,
+                app: AppId::new(app as usize),
+                observed: Time::from_ticks(observed),
+                bound: Time::from_ticks(bound),
             });
         }
         Ok(CampaignCheckpoint {
-            fingerprint,
-            done,
+            fingerprint: root.u64_member("fingerprint")?,
+            done: root.u64_member("done")?,
             points,
             violations,
         })
     }
 }
 
-/// Reads the campaign checkpoint at `path`, falling back to
-/// `<path>.bak` when the primary is corrupt. Returns the checkpoint and
-/// whether the backup was used.
+/// Reads the campaign checkpoint at `path` with [`read_sealed`]'s `.bak`
+/// fallback. Returns the checkpoint and whether the backup was used.
 ///
 /// # Errors
 ///
-/// Propagates the primary's error when there is no usable backup.
+/// See [`read_sealed`].
 pub fn read_campaign_checkpoint(
     path: &Path,
 ) -> Result<(CampaignCheckpoint, bool), ResilienceError> {
-    let read = |p: &Path| -> Result<CampaignCheckpoint, ResilienceError> {
-        let bytes = std::fs::read(p).map_err(|e| ResilienceError::io(p, "read", e))?;
-        CampaignCheckpoint::from_bytes(p, &bytes)
-    };
-    match read(path) {
-        Ok(c) => Ok((c, false)),
-        Err(primary) if primary.is_corruption() => match read(&backup_path(path)) {
-            Ok(c) => Ok((c, true)),
-            Err(_) => Err(primary),
-        },
-        Err(e) => Err(e),
-    }
+    read_sealed(path, KIND, CampaignCheckpoint::decode)
+}
+
+/// Writes `values` as a JSON array of raw ticks.
+fn push_ticks(out: &mut String, values: &[Time]) {
+    push_json_u64s(out, values.iter().map(|t| t.ticks()));
 }
 
 /// Runs (or resumes) a validation campaign over a materialized portfolio.
 ///
 /// # Errors
 ///
-/// Returns [`ResilienceError`] when checkpoint I/O fails or a resume is
-/// attempted against a checkpoint from a different campaign
-/// (fingerprint mismatch).
+/// Returns [`ResilienceError`] when checkpoint I/O fails, and
+/// [`ResilienceError::ConfigMismatch`] when a resume is attempted against
+/// a checkpoint from a different campaign (fingerprint mismatch).
 ///
 /// # Panics
 ///
@@ -466,20 +444,24 @@ pub fn run_campaign(
     let mut resumed_from = None;
 
     if cfg.resume {
-        let path = cfg.checkpoint.as_deref().ok_or_else(|| {
-            malformed(Path::new("<campaign>"), "--resume needs a checkpoint path")
-        })?;
+        let path = cfg
+            .checkpoint
+            .as_deref()
+            .ok_or_else(|| ResilienceError::Malformed {
+                path: "<campaign>".into(),
+                detail: "--resume needs a checkpoint path".into(),
+            })?;
         if path.exists() {
             let (ckpt, recovered) = read_campaign_checkpoint(path)?;
+            // A different portfolio, seed, boost, or profile count: a
+            // caller mistake, not corruption (no `.bak` fallback).
             if ckpt.fingerprint != fingerprint {
-                return Err(malformed(
-                    path,
-                    format!(
-                        "campaign fingerprint mismatch: checkpoint={:016x} current={:016x} \
-                         (different portfolio, seed, boost, or profile count)",
-                        ckpt.fingerprint, fingerprint
-                    ),
-                ));
+                return Err(ResilienceError::ConfigMismatch {
+                    path: path.to_path_buf(),
+                    expected: fingerprint,
+                    actual: ckpt.fingerprint,
+                    diff: vec![],
+                });
             }
             if recovered {
                 cfg.obs.mark("resilience.recover", &[]);
@@ -594,7 +576,7 @@ pub fn run_campaign(
                 points: acc.clone(),
                 violations: violations.clone(),
             };
-            atomic_write_rotating(path, &ckpt.to_bytes())?;
+            write_sealed(path, KIND, &ckpt.encode())?;
         }
     }
     drop(span);
@@ -639,33 +621,38 @@ fn campaign_fingerprint(points: &[MaterializedPoint], cfg: &CampaignConfig) -> u
     h.finish()
 }
 
-fn malformed(path: &Path, detail: impl Into<String>) -> ResilienceError {
-    ResilienceError::Malformed {
-        path: path.to_path_buf(),
-        detail: detail.into(),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sealed_format_is_pinned() {
+        // A format change that still round-trips would pass every other
+        // campaign test; this hash of a sealed sample catches it.
+        let point = PointValidation {
+            covered: 200,
+            beyond_coverage: 50,
+            faulty: 31,
+            observed_max: vec![Time::from_ticks(120), Time::ZERO],
+            bound: vec![Time::from_ticks(150), Time::MAX],
+            violations: 1,
+        };
+        let ckpt = CampaignCheckpoint {
+            fingerprint: 0xDEAD_BEEF_CAFE_F00D,
+            done: 250,
+            points: vec![point.clone(), point],
+            violations: vec![Violation {
+                point: 1,
+                profile: 17,
+                app: AppId::new(0),
+                observed: Time::from_ticks(160),
+                bound: Time::from_ticks(150),
+            }],
+        };
+        let bytes = ckpt.to_bytes();
+        assert_eq!(mcmap_resilience::fnv1a64(&bytes), 0xbd31_35d6_ee60_4484);
+        let back = CampaignCheckpoint::from_bytes(Path::new("test.ckpt"), &bytes).unwrap();
+        assert_eq!(back.points, ckpt.points);
+        assert_eq!(back.violations, ckpt.violations);
     }
-}
-
-fn field_u64(path: &Path, obj: &Json, key: &str) -> Result<u64, ResilienceError> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| malformed(path, format!("missing or non-integer `{key}`")))
-}
-
-fn field_arr<'a>(path: &Path, obj: &'a Json, key: &str) -> Result<&'a [Json], ResilienceError> {
-    match obj.get(key) {
-        Some(Json::Arr(items)) => Ok(items),
-        _ => Err(malformed(path, format!("missing or non-array `{key}`"))),
-    }
-}
-
-fn time_list(path: &Path, obj: &Json, key: &str) -> Result<Vec<Time>, ResilienceError> {
-    field_arr(path, obj, key)?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .map(Time::from_ticks)
-                .ok_or_else(|| malformed(path, format!("{key}: expected ticks")))
-        })
-        .collect()
 }

@@ -9,6 +9,7 @@ use mcmap_core::{
 };
 use mcmap_ga::GaConfig;
 use mcmap_model::{Criticality, Time};
+use mcmap_resilience::ResilienceError;
 use mcmap_runtime::{
     read_campaign_checkpoint, run_campaign, run_reaction, CampaignCheckpoint, CampaignConfig,
     PointValidation, ReactionConfig, RuntimeConfig, RuntimeEvent, RuntimeManager, Violation,
@@ -198,9 +199,11 @@ fn resume_refuses_foreign_checkpoint() {
     };
     let err = run_campaign(&points, &b.arch, &b.policies, &cfg).unwrap_err();
     assert!(
-        err.to_string().contains("fingerprint mismatch"),
+        matches!(err, ResilienceError::ConfigMismatch { .. }),
         "unexpected error: {err}"
     );
+    // A configuration mismatch is a caller mistake, not a damaged file.
+    assert!(!err.is_corruption(), "{err}");
 }
 
 #[test]

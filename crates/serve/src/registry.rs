@@ -14,8 +14,8 @@
 use crate::job::{front_to_json, status_doc, JobPaths, JobSpec, JobState, JobTotals};
 use crate::progress::{ProgressTap, TapSink};
 use mcmap_core::{
-    explore_checked, read_checkpoint_with_fallback, salvage_trace, CacheStats, DseConfig,
-    MetricsSink, ObjectiveMode, SharedEvalCache,
+    attach_trace, explore_checked, CacheStats, DseConfig, MetricsSink, ObjectiveMode,
+    SharedEvalCache,
 };
 use mcmap_ga::GaConfig;
 use mcmap_obs::{push_json_str, RecorderBuilder};
@@ -616,37 +616,25 @@ impl Registry {
         let ckpt = paths.checkpoint();
         let resume = ckpt.exists().then(|| ckpt.clone());
         let trace = paths.trace();
-        // The checkpoint's trace high-water mark bounds what the salvaged
-        // part-1 trace may keep; the resumed recorder's sinks then skip the
-        // re-emitted preamble below it, on disk and in the metrics fold.
-        let trace_seq = resume.as_ref().map_or(0, |path| {
-            read_checkpoint_with_fallback(path).map_or(0, |(c, _)| c.trace_seq)
-        });
-        let builder = RecorderBuilder::new()
-            .sink(Box::new(TapSink(tap)))
-            .sink(Box::new(
-                MetricsSink::new(self.metrics.clone()).skip_upto(trace_seq),
-            ));
-        let attached = if resume.is_some() {
-            if let Err(e) = salvage_trace(&trace, trace_seq) {
-                return (
-                    SliceVerdict::Failed(format!("cannot salvage trace {}: {e}", trace.display())),
-                    None,
-                );
-            }
-            builder.jsonl_append(&trace, trace_seq)
-        } else {
-            builder.jsonl(&trace)
-        };
-        let builder = match attached {
-            Ok(bld) => bld,
-            Err(e) => {
-                return (
-                    SliceVerdict::Failed(format!("cannot open trace {}: {e}", trace.display())),
-                    None,
-                );
-            }
-        };
+        // A resumed slice continues the trace past the checkpoint's
+        // high-water mark; the metrics fold skips the re-emitted preamble
+        // below that mark too.
+        let (builder, trace_seq) =
+            match attach_trace(RecorderBuilder::new(), &trace, resume.as_deref()) {
+                Ok((builder, trace_seq, _)) => (builder, trace_seq),
+                Err(e) => {
+                    return (
+                        SliceVerdict::Failed(format!(
+                            "cannot attach trace {}: {e}",
+                            trace.display()
+                        )),
+                        None,
+                    );
+                }
+            };
+        let builder = builder.sink(Box::new(TapSink(tap))).sink(Box::new(
+            MetricsSink::new(self.metrics.clone()).skip_upto(trace_seq),
+        ));
         let mut cfg = DseConfig {
             ga: GaConfig {
                 population: spec.population,

@@ -9,7 +9,10 @@
 #      different thread count, so the comparison also gates the
 #      campaign's thread invariance;
 #   3. (implicit) the portfolio round-trip itself: every run after the
-#      first reads the portfolio back from disk.
+#      first reads the portfolio back from disk;
+#   4. portfolio recovery: with the stored portfolio copied to
+#      `portfolio.bak` and the primary truncated, the baseline command
+#      must report the recovery and print the baseline's stdout.
 # The resumed run must print byte-identical stdout to the baseline:
 # the summary carries no trace of the interruption or the parallelism.
 #
@@ -73,3 +76,18 @@ diff "$TMP/baseline.out" "$TMP/resumed.out" \
     || { echo "smoke_validate: resumed summary differs from the uninterrupted run"; exit 1; }
 
 echo "smoke_validate: resumed campaign matches the baseline byte-for-byte"
+
+# Torn primary portfolio with a good `.bak` beside it (as a corrupted
+# or cut-short primary file leaves it): the read must fall back to the
+# backup, say so on stderr, and change nothing in the output.
+cp "$TMP/portfolio" "$TMP/portfolio.bak"
+truncate -s $(( $(stat -c %s "$TMP/portfolio") / 2 )) "$TMP/portfolio"
+"$CLI" validate cruise "$POP" "$GENS" --portfolio "$TMP/portfolio" \
+    --profiles "$PROFILES" > "$TMP/recovered.out" 2> "$TMP/recovered.err" \
+    || { echo "smoke_validate: run on a truncated portfolio failed:"; cat "$TMP/recovered.err"; exit 1; }
+grep -q "portfolio recovered from" "$TMP/recovered.err" \
+    || { echo "smoke_validate: truncated portfolio was not recovered from .bak"; exit 1; }
+diff "$TMP/baseline.out" "$TMP/recovered.out" \
+    || { echo "smoke_validate: recovered portfolio changed the summary"; exit 1; }
+
+echo "smoke_validate: portfolio recovered from .bak matches the baseline byte-for-byte"

@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 
 use mcmap::benchmarks::cruise;
 use mcmap::core::{
-    explore, read_checkpoint, write_checkpoint, DseConfig, DseOutcome, ObjectiveMode,
+    explore, write_checkpoint, DseCheckpoint, DseConfig, DseOutcome, ObjectiveMode,
     ResilienceConfig,
 };
 use mcmap::ga::GaConfig;
@@ -27,6 +27,13 @@ fn scratch(name: &str) -> PathBuf {
 fn cleanup(path: &Path) {
     let _ = std::fs::remove_file(path);
     let _ = std::fs::remove_file(mcmap::resilience::backup_path(path));
+}
+
+/// Decodes the primary checkpoint at `path` itself, with no `.bak`
+/// fallback: these tests expect every checkpoint they read to be intact.
+fn read_primary(path: &Path) -> DseCheckpoint {
+    let bytes = std::fs::read(path).expect("checkpoint written");
+    DseCheckpoint::from_bytes(path, &bytes).expect("checkpoint valid")
 }
 
 struct Run {
@@ -129,7 +136,7 @@ fn kill_at_every_generation_resumes_bit_identically() {
             "stopping before the budget is spent must be reported"
         );
 
-        let ckpt = read_checkpoint(&path).expect("part 1 left a valid checkpoint");
+        let ckpt = read_primary(&path);
         assert_eq!(ckpt.generation, k);
 
         let part2 = Run {
@@ -278,7 +285,7 @@ fn two_interleaved_jobs_match_their_solo_runs_at_every_slice_boundary() {
             if out.interrupted {
                 // Keep only what the slice's checkpoint vouches for — the
                 // same trim the server applies to the on-disk trace.
-                let ckpt = read_checkpoint(&paths[j]).expect("slice checkpoint");
+                let ckpt = read_primary(&paths[j]);
                 parts[j].push(
                     out.obs
                         .events()
@@ -348,7 +355,7 @@ proptest! {
         .go();
 
         let bytes = std::fs::read(&path).expect("checkpoint written");
-        let decoded = read_checkpoint(&path).expect("checkpoint valid");
+        let decoded = DseCheckpoint::from_bytes(&path, &bytes).expect("checkpoint valid");
         let reencoded = scratch(&format!("prop_{seed}_{kill}_reenc.ckpt"));
         cleanup(&reencoded);
         write_checkpoint(&reencoded, &decoded).expect("re-encode");
