@@ -111,6 +111,7 @@ use mcmap_core::{
 };
 use mcmap_ga::GaConfig;
 use mcmap_model::Time;
+use mcmap_resilience::ResilienceError;
 use mcmap_runtime::{run_campaign, CampaignConfig};
 use mcmap_sim::{monte_carlo, MonteCarloConfig, NoFaults, SimConfig, Simulator, Trace};
 use rand::rngs::StdRng;
@@ -580,12 +581,7 @@ fn cmd_dse(
     knobs: &EvalKnobs,
     validate: Option<u64>,
 ) -> ExitCode {
-    let mut cfg = explore_config(b, pop, gens);
-    // A fleet benchmark brings its own hardening-space depth.
-    if let Some(fleet) = mcmap_benchmarks::fleet_preset(key) {
-        cfg.max_reexec = fleet.max_reexec;
-        cfg.max_replicas = fleet.max_replicas;
-    }
+    let mut cfg = explore_config(b, key, pop, gens);
     knobs.apply(&mut cfg);
     mcmap_bench::hook_interrupts(&mut cfg);
     cfg.obs = knobs.recorder();
@@ -648,7 +644,7 @@ fn cmd_dse(
     }
     if let Some(profiles) = validate {
         println!();
-        let problem = MappingProblem::new(&b.apps, &b.arch, explore_config(b, pop, gens));
+        let problem = MappingProblem::new(&b.apps, &b.arch, explore_config(b, key, pop, gens));
         let portfolio = Portfolio::extract(&problem, &outcome.result.front);
         println!(
             "portfolio: {} operating point(s) (context {:016x})",
@@ -664,17 +660,18 @@ fn cmd_dse(
             threads: knobs.threads,
             ..CampaignConfig::default()
         };
-        return run_validation(b, key, pop, gens, &portfolio, &ccfg, false);
+        return run_validation(b, key, pop, gens, &portfolio, None, &ccfg, false);
     }
     ExitCode::SUCCESS
 }
 
-/// The `dse`-shaped exploration configuration shared by `dse`,
-/// `validate`, and `dse --validate`: the portfolio a campaign validates
-/// must be decoded under the exact configuration (seed included) that
-/// evaluated it.
-fn explore_config(b: &Benchmark, pop: usize, gens: usize) -> DseConfig {
-    DseConfig {
+/// The `dse`-shaped exploration configuration of benchmark `key`, shared
+/// by `dse`, `validate`, and `dse --validate`: the portfolio a campaign
+/// validates must be decoded under the exact configuration (seed and
+/// hardening depth included) that evaluated it. A fleet benchmark brings
+/// its own hardening-space depth.
+fn explore_config(b: &Benchmark, key: &str, pop: usize, gens: usize) -> DseConfig {
+    let mut cfg = DseConfig {
         ga: GaConfig {
             population: pop,
             generations: gens,
@@ -685,12 +682,18 @@ fn explore_config(b: &Benchmark, pop: usize, gens: usize) -> DseConfig {
         policies: Some(b.policies.clone()),
         repair_iters: 80,
         ..DseConfig::default()
+    };
+    if let Some(fleet) = mcmap_benchmarks::fleet_preset(key) {
+        cfg.max_reexec = fleet.max_reexec;
+        cfg.max_replicas = fleet.max_replicas;
     }
+    cfg
 }
 
-/// Extracts the portfolio, runs the Monte-Carlo campaign, prints the
-/// deterministic summary to stdout (runs/sec goes to stderr — wall time
-/// must not break summary byte-identity), and returns the exit code.
+/// Materializes the portfolio (read from `source` when given), runs the
+/// Monte-Carlo campaign, prints the deterministic summary to stdout
+/// (runs/sec goes to stderr — wall time must not break summary
+/// byte-identity), and returns the exit code.
 #[allow(clippy::too_many_arguments)]
 fn run_validation(
     b: &Benchmark,
@@ -698,13 +701,18 @@ fn run_validation(
     pop: usize,
     gens: usize,
     portfolio: &Portfolio,
+    source: Option<&str>,
     ccfg: &CampaignConfig,
     json: bool,
 ) -> ExitCode {
-    let problem = MappingProblem::new(&b.apps, &b.arch, explore_config(b, pop, gens));
+    let problem = MappingProblem::new(&b.apps, &b.arch, explore_config(b, key, pop, gens));
     let points = match portfolio.materialize(&problem) {
         Ok(p) => p,
-        Err(e) => {
+        Err(mut e) => {
+            // A foreign portfolio is named by the file it was read from.
+            if let (ResilienceError::ConfigMismatch { path, .. }, Some(source)) = (&mut e, source) {
+                *path = source.into();
+            }
             eprintln!("validate: {e}");
             return ExitCode::FAILURE;
         }
@@ -780,7 +788,7 @@ fn cmd_validate(b: &Benchmark, key: &str, pop: usize, gens: usize, args: &Args) 
             }
         },
         None => {
-            let mut cfg = explore_config(b, pop, gens);
+            let mut cfg = explore_config(b, key, pop, gens);
             cfg.resilience.stop = Some(stop.clone());
             let outcome = match explore_checked(&b.apps, &b.arch, cfg) {
                 Ok(o) => o,
@@ -793,7 +801,7 @@ fn cmd_validate(b: &Benchmark, key: &str, pop: usize, gens: usize, args: &Args) 
                 eprintln!("validate: interrupted during exploration; nothing to validate yet");
                 return ExitCode::from(mcmap_bench::INTERRUPTED_EXIT);
             }
-            let problem = MappingProblem::new(&b.apps, &b.arch, explore_config(b, pop, gens));
+            let problem = MappingProblem::new(&b.apps, &b.arch, explore_config(b, key, pop, gens));
             let portfolio = Portfolio::extract(&problem, &outcome.result.front);
             if let Some(path) = portfolio_path {
                 if let Err(e) = write_portfolio(std::path::Path::new(path), &portfolio) {
@@ -819,7 +827,8 @@ fn cmd_validate(b: &Benchmark, key: &str, pop: usize, gens: usize, args: &Args) 
         stop: Some(stop),
         ..CampaignConfig::default()
     };
-    run_validation(b, key, pop, gens, &portfolio, &ccfg, args.has("--json"))
+    let json = args.has("--json");
+    run_validation(b, key, pop, gens, &portfolio, stored, &ccfg, json)
 }
 
 fn cmd_obs(path: &str, json: bool) -> ExitCode {
@@ -959,9 +968,11 @@ fn cmd_obs_critical_path(path: &str, json: bool) -> ExitCode {
                 if j > 0 {
                     out.push(',');
                 }
+                out.push_str("{\"name\":");
+                mcmap_obs::push_json_str(&mut out, &s.name);
                 out.push_str(&format!(
-                    "{{\"name\":\"{}\",\"wall_ns\":{},\"self_ns\":{}}}",
-                    s.name, s.wall_ns, s.self_ns
+                    ",\"wall_ns\":{},\"self_ns\":{}}}",
+                    s.wall_ns, s.self_ns
                 ));
             }
             out.push_str("]}");
@@ -1158,4 +1169,29 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     run(&args).unwrap_or_else(|err| usage(&err))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_fleet_key_explores_and_validates_at_its_preset_depth() {
+        let key = "fleet-small";
+        let fleet = mcmap_benchmarks::fleet_preset(key).expect("a known preset");
+        let cfg = explore_config(&benchmark(key).expect("a known benchmark"), key, 8, 2);
+        assert_eq!(
+            (cfg.max_reexec, cfg.max_replicas),
+            (fleet.max_reexec, fleet.max_replicas)
+        );
+        // The paper benchmarks keep the default depth, which the preset's
+        // deeper space differs from.
+        let cruise = explore_config(&mcmap_benchmarks::cruise(), "cruise", 8, 2);
+        let default = DseConfig::default();
+        assert_eq!(
+            (cruise.max_reexec, cruise.max_replicas),
+            (default.max_reexec, default.max_replicas)
+        );
+        assert_ne!(cruise.max_reexec, cfg.max_reexec);
+    }
 }

@@ -331,7 +331,8 @@ impl EvalKnobs {
     /// between runs.
     ///
     /// Exits the process (code 2) when the trace file cannot be created —
-    /// silently dropping a requested trace would be worse.
+    /// silently dropping a requested trace would be worse — or when the
+    /// `--resume` checkpoint cannot be read, before the trace is touched.
     pub fn recorder(&self) -> mcmap_obs::Recorder {
         if !self.wants_obs() {
             return mcmap_obs::Recorder::default();

@@ -153,16 +153,17 @@ pub fn salvage_trace(path: &Path, trace_seq: u64) -> Result<TraceSalvage, Resili
 /// A fresh run creates (truncates) the file. A run resuming from the
 /// checkpoint at `resume` cuts the trace back to the checkpoint's
 /// `trace_seq` with [`salvage_trace`] and appends past that mark, so the
-/// re-emitted preamble is not written twice. A checkpoint that cannot be
-/// read counts as a fresh run here; the exploration reports its error.
+/// re-emitted preamble is not written twice.
 ///
 /// Returns the builder, the mark the resumed run continues from (0 when
 /// fresh), and what the salvage cut.
 ///
 /// # Errors
 ///
-/// Returns the salvage's error, or [`ResilienceError::Io`] when the trace
-/// cannot be opened.
+/// Returns the checkpoint read error of a resume before the trace is
+/// touched, so a failed resume leaves the previous run's trace as it was.
+/// Otherwise returns the salvage's error, or [`ResilienceError::Io`] when
+/// the trace cannot be opened.
 pub fn attach_trace(
     builder: RecorderBuilder,
     trace: &Path,
@@ -170,8 +171,8 @@ pub fn attach_trace(
 ) -> Result<(RecorderBuilder, u64, TraceSalvage), ResilienceError> {
     let open = |e| ResilienceError::io(trace, "open", e);
     let trace_seq = resume
-        .and_then(|path| read_checkpoint_with_fallback(path).ok())
-        .map(|(ckpt, _)| ckpt.trace_seq);
+        .map(|path| read_checkpoint_with_fallback(path).map(|(ckpt, _)| ckpt.trace_seq))
+        .transpose()?;
     match trace_seq {
         Some(trace_seq) => {
             let cut = salvage_trace(trace, trace_seq)?;
@@ -728,14 +729,18 @@ mod tests {
         assert_eq!((trace_seq, cut.kept, cut.dropped), (2, 2, 1));
         assert_eq!(seqs(builder, 4), [1, 2, 3, 4]);
 
-        // Fresh, or a checkpoint that cannot be read: the file starts over.
+        // A checkpoint that cannot be read: the error comes back and the
+        // trace keeps its bytes.
+        let before = std::fs::read(&trace).unwrap();
         let missing = dir.join("missing.ckpt");
-        for resume in [None, Some(missing.as_path())] {
-            let (builder, trace_seq, cut) =
-                attach_trace(RecorderBuilder::new(), &trace, resume).unwrap();
-            assert_eq!((trace_seq, cut), (0, TraceSalvage::default()));
-            assert_eq!(seqs(builder, 1), [1]);
-        }
+        let err = attach_trace(RecorderBuilder::new(), &trace, Some(&missing)).unwrap_err();
+        assert!(err.to_string().contains("missing.ckpt"), "{err}");
+        assert_eq!(std::fs::read(&trace).unwrap(), before);
+
+        // Fresh: the file starts over.
+        let (builder, trace_seq, cut) = attach_trace(RecorderBuilder::new(), &trace, None).unwrap();
+        assert_eq!((trace_seq, cut), (0, TraceSalvage::default()));
+        assert_eq!(seqs(builder, 1), [1]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -177,7 +177,7 @@ impl Default for DseConfig {
 /// inputs can collide on capacity but never on content.
 #[derive(Debug, Clone)]
 pub struct SharedEvalCache {
-    cache: Arc<ShardedCache<EvalRecord>>,
+    cache: Arc<ShardedCache<Arc<EvalRecord>>>,
 }
 
 impl SharedEvalCache {
@@ -407,7 +407,7 @@ pub struct MappingProblem<'a> {
     /// The cumulative audit and analysis-effort tallies, updated by
     /// [`MappingProblem::record_audit`] in submission order.
     tally: Mutex<(AuditSnapshot, AnalysisStats)>,
-    engine: EvalEngine<EvalRecord>,
+    engine: EvalEngine<Arc<EvalRecord>>,
     /// Batch coordinate for fault addressing: 0 = initial population,
     /// `g` = generation `g`'s offspring. Restored on resume.
     batch_index: AtomicU64,
@@ -415,18 +415,18 @@ pub struct MappingProblem<'a> {
     failures: Mutex<Vec<EvalFailure>>,
 }
 
-/// Everything one evaluation produces: the GA-facing [`Evaluation`]
-/// (objective vector + WCRT/schedulability verdict) plus the audit deltas
-/// that must be replayed per candidate, cache hit or not, so the audit
-/// counters stay deterministic and consistent with the driver's
-/// evaluation count.
-#[derive(Debug, Clone)]
+/// Everything one evaluation produces — the one memo-cached record per
+/// candidate: its [`DesignReport`] and penalty (from which the GA-facing
+/// [`Evaluation`] is derived), plus the audit deltas that must be replayed
+/// per candidate, cache hit or not, so the audit counters stay
+/// deterministic and consistent with the driver's evaluation count. The
+/// cache holds it behind an `Arc`, so a hit copies no report.
+#[derive(Debug)]
 struct EvalRecord {
-    eval: Evaluation,
+    report: DesignReport,
+    /// Constraint-violation penalty (0 when feasible).
+    penalty: f64,
     rescued: Option<bool>,
-    reexec: usize,
-    active: usize,
-    passive: usize,
     effort: AnalysisEffort,
     repair_codes: Vec<&'static str>,
     /// Wall nanoseconds spent inside Algorithm 1 for this candidate
@@ -601,20 +601,6 @@ struct Repaired {
     bindings: Vec<ProcId>,
 }
 
-struct Assessment {
-    dropped: Vec<AppId>,
-    power: f64,
-    lost: f64,
-    feasible: bool,
-    penalty: f64,
-    rescued: Option<bool>,
-    histogram: TechniqueHistogram,
-    app_wcrt: Vec<Time>,
-    effort: AnalysisEffort,
-    repair_codes: Vec<&'static str>,
-    analysis_nanos: u64,
-}
-
 impl<'a> MappingProblem<'a> {
     /// Builds the problem for one benchmark system.
     pub fn new(apps: &'a AppSet, arch: &'a Architecture, cfg: DseConfig) -> Self {
@@ -724,19 +710,18 @@ impl<'a> MappingProblem<'a> {
         &self.policies
     }
 
-    /// Produces a human-readable report for a genome (running the same
-    /// repair + evaluation pipeline, without touching the audit counters).
+    /// The design report of a genome, read from its memo-cached evaluation
+    /// record. On a cache miss (an unseen genome, an evicted record, or
+    /// `cache_cap: 0`) the genome runs through the same repair + evaluation
+    /// pipeline as the search, and the record is cached like any other.
+    /// Either way the report is the one the search evaluated. Reading a
+    /// report never touches the audit or analysis counters, but it does
+    /// count as a lookup in [`MappingProblem::eval_stats`].
     pub fn report(&self, genome: &Genome) -> DesignReport {
-        let a = self.assess(genome, false);
-        DesignReport {
-            power: a.power,
-            service: self.apps.total_service() - a.lost,
-            lost_service: a.lost,
-            dropped: a.dropped,
-            feasible: a.feasible,
-            app_wcrt: a.app_wcrt,
-            histogram: a.histogram,
-        }
+        let record = self
+            .engine
+            .evaluate_one(genome, |g| Arc::new(self.assess(g)));
+        record.report.clone()
     }
 
     /// The deterministic repair RNG of one genome, so that evaluation
@@ -783,7 +768,10 @@ impl<'a> MappingProblem<'a> {
         }
     }
 
-    fn assess(&self, genome: &Genome, audit: bool) -> Assessment {
+    /// The full (cacheable) evaluation of one genome: repair, harden, map,
+    /// Algorithm 1 (plus the no-dropping audit run when `cfg.audit` is on)
+    /// and the expected-power objective.
+    fn assess(&self, genome: &Genome) -> EvalRecord {
         let Repaired {
             genome: g,
             repair_codes,
@@ -792,31 +780,33 @@ impl<'a> MappingProblem<'a> {
             dropped,
             bindings,
         } = self.repair_and_decode(genome);
-        let histogram = plan.technique_histogram();
-
-        let degenerate = |penalty: f64| Assessment {
-            dropped: dropped.clone(),
-            power: f64::MAX / 1e6,
-            lost: lost_service(self.apps, &dropped),
-            feasible: false,
-            penalty,
+        let lost = lost_service(self.apps, &dropped);
+        // The record of a design that cannot be hardened or mapped; a
+        // mapped design fills in its analysis below.
+        let mut r = EvalRecord {
+            report: DesignReport {
+                power: f64::MAX / 1e6,
+                service: self.apps.total_service() - lost,
+                lost_service: lost,
+                dropped,
+                feasible: false,
+                app_wcrt: vec![Time::MAX; self.apps.num_apps()],
+                histogram: plan.technique_histogram(),
+            },
+            penalty: 1e9,
             rescued: None,
-            histogram,
-            app_wcrt: vec![Time::MAX; self.apps.num_apps()],
             effort: AnalysisEffort::default(),
-            repair_codes: repair_codes.clone(),
+            repair_codes,
             analysis_nanos: 0,
         };
-
-        let hsys = match harden(self.apps, &plan, self.arch) {
-            Ok(h) => h,
-            Err(_) => return degenerate(1e9),
+        let Ok(hsys) = harden(self.apps, &plan, self.arch) else {
+            return r;
         };
         let placement = hsys.placement(&bindings);
-        let mapping = match Mapping::new(&hsys, self.arch, placement) {
-            Ok(m) => m,
-            Err(_) => return degenerate(1e9),
+        let Ok(mapping) = Mapping::new(&hsys, self.arch, placement) else {
+            return r;
         };
+        let dropped = &r.report.dropped;
 
         let mut penalty = 0.0;
         if !rel_repaired {
@@ -834,11 +824,11 @@ impl<'a> MappingProblem<'a> {
             self.arch,
             &mapping,
             &self.policies,
-            &dropped,
+            dropped,
             self.cfg.analysis,
         );
-        let mut analysis_nanos = t_analysis.elapsed().as_nanos() as u64;
-        let mut effort = AnalysisEffort {
+        r.analysis_nanos = t_analysis.elapsed().as_nanos() as u64;
+        r.effort = AnalysisEffort {
             scenarios: mc.scenarios,
             backend_calls: mc.backend_calls,
             fixedpoint_iters: mc.fixedpoint_iters,
@@ -848,15 +838,15 @@ impl<'a> MappingProblem<'a> {
             class_critical: mc.class_critical,
             scenarios_pruned: mc.scenarios_pruned,
         };
-        let app_wcrt: Vec<Time> = self
+        r.report.app_wcrt = self
             .apps
             .app_ids()
-            .map(|a| mc.app_wcrt(&hsys, a, &dropped))
+            .map(|a| mc.app_wcrt(&hsys, a, dropped))
             .collect();
-        let schedulable = mc.schedulable(&hsys, &dropped);
+        let schedulable = mc.schedulable(&hsys, dropped);
         if !schedulable {
             for happ in hsys.apps() {
-                let wcrt = mc.app_wcrt(&hsys, happ.app, &dropped);
+                let wcrt = mc.app_wcrt(&hsys, happ.app, dropped);
                 let ratio = if wcrt == Time::MAX {
                     10.0
                 } else {
@@ -866,7 +856,7 @@ impl<'a> MappingProblem<'a> {
             }
         }
 
-        let rescued = if audit && !dropped.is_empty() {
+        if self.cfg.audit && !dropped.is_empty() {
             // The no-dropping audit re-analysis of the same hardened
             // system and mapping.
             let t_audit = std::time::Instant::now();
@@ -878,71 +868,42 @@ impl<'a> MappingProblem<'a> {
                 &[],
                 self.cfg.analysis,
             );
-            analysis_nanos += t_audit.elapsed().as_nanos() as u64;
+            r.analysis_nanos += t_audit.elapsed().as_nanos() as u64;
             // The no-dropping re-analysis is real backend effort; fold it
             // into the enumeration counters (classification counts stay
             // those of the protocol analysis).
-            effort.scenarios += mc0.scenarios;
-            effort.backend_calls += mc0.backend_calls;
-            effort.fixedpoint_iters += mc0.fixedpoint_iters;
-            effort.scenarios_pruned += mc0.scenarios_pruned;
+            r.effort.scenarios += mc0.scenarios;
+            r.effort.backend_calls += mc0.backend_calls;
+            r.effort.fixedpoint_iters += mc0.fixedpoint_iters;
+            r.effort.scenarios_pruned += mc0.scenarios_pruned;
             let feasible_without = mc0.schedulable(&hsys, &[]);
-            Some(schedulable && penalty == 0.0 && !feasible_without)
-        } else {
-            None
-        };
+            r.rescued = Some(schedulable && penalty == 0.0 && !feasible_without);
+        }
 
-        let power = expected_power(
+        r.report.power = expected_power(
             &hsys,
             self.arch,
             &mapping,
             &g.alloc,
-            &dropped,
+            dropped,
             self.cfg.critical_weight,
         );
-        let lost = lost_service(self.apps, &dropped);
-        let feasible = schedulable && penalty == 0.0;
-
-        Assessment {
-            dropped,
-            power,
-            lost,
-            feasible,
-            penalty,
-            rescued,
-            histogram,
-            app_wcrt,
-            effort,
-            repair_codes,
-            analysis_nanos,
-        }
+        r.report.feasible = schedulable && penalty == 0.0;
+        r.penalty = penalty;
+        r
     }
 
-    fn objectives(&self, a: &Assessment) -> Vec<f64> {
-        match self.cfg.objectives {
-            ObjectiveMode::Power => vec![a.power],
-            ObjectiveMode::PowerService => vec![a.power, a.lost],
-        }
-    }
-
-    /// The full (cacheable) evaluation of one genome.
-    fn assess_record(&self, g: &Genome) -> EvalRecord {
-        let a = self.assess(g, self.cfg.audit);
-        let objectives = self.objectives(&a);
-        let eval = if a.feasible {
+    /// The GA-facing verdict of one record: the objective vector, and the
+    /// penalty when the design violates a constraint.
+    fn evaluation(&self, r: &EvalRecord) -> Evaluation {
+        let objectives = match self.cfg.objectives {
+            ObjectiveMode::Power => vec![r.report.power],
+            ObjectiveMode::PowerService => vec![r.report.power, r.report.lost_service],
+        };
+        if r.report.feasible {
             Evaluation::feasible(objectives)
         } else {
-            Evaluation::infeasible(objectives, a.penalty.max(f64::MIN_POSITIVE))
-        };
-        EvalRecord {
-            eval,
-            rescued: a.rescued,
-            reexec: a.histogram.reexecution,
-            active: a.histogram.active,
-            passive: a.histogram.passive,
-            effort: a.effort,
-            repair_codes: a.repair_codes,
-            analysis_nanos: a.analysis_nanos,
+            Evaluation::infeasible(objectives, r.penalty.max(f64::MIN_POSITIVE))
         }
     }
 
@@ -955,14 +916,15 @@ impl<'a> MappingProblem<'a> {
         {
             let (audit, analysis) = &mut *self.tally();
             audit.evaluated += 1;
-            audit.feasible += usize::from(r.eval.feasible);
+            audit.feasible += usize::from(r.report.feasible);
             if let Some(rescued) = r.rescued {
                 audit.audited += 1;
                 audit.rescued_by_dropping += usize::from(rescued);
             }
-            audit.reexecutions += r.reexec;
-            audit.active_replications += r.active;
-            audit.passive_replications += r.passive;
+            let h = &r.report.histogram;
+            audit.reexecutions += h.reexecution;
+            audit.active_replications += h.active;
+            audit.passive_replications += h.passive;
             analysis.candidates += 1;
             analysis.scenarios += e.scenarios as u64;
             analysis.backend_calls += e.backend_calls as u64;
@@ -988,7 +950,7 @@ impl<'a> MappingProblem<'a> {
                     ("class_dropped", Value::from(e.class_dropped)),
                     ("class_transition", Value::from(e.class_transition)),
                     ("class_critical", Value::from(e.class_critical)),
-                    ("feasible", Value::from(r.eval.feasible)),
+                    ("feasible", Value::from(r.report.feasible)),
                 ],
                 &[("analysis_ns", Value::from(r.analysis_nanos))],
             );
@@ -1029,9 +991,9 @@ impl Problem for MappingProblem<'_> {
     }
 
     fn evaluate(&self, g: &Genome) -> Evaluation {
-        let record = self.engine.evaluate_one(g, |g| self.assess_record(g));
+        let record = self.engine.evaluate_one(g, |g| Arc::new(self.assess(g)));
         self.record_audit(&record);
-        record.eval
+        self.evaluation(&record)
     }
 
     /// Memoized, panic-isolated batch evaluation.
@@ -1059,7 +1021,7 @@ impl Problem for MappingProblem<'_> {
                     );
                 }
             },
-            |g, _| self.assess_record(g),
+            |g, _| Arc::new(self.assess(g)),
         );
         // Audit deltas are replayed sequentially in submission order, so
         // the snapshot is deterministic for any thread count.
@@ -1068,7 +1030,7 @@ impl Problem for MappingProblem<'_> {
             .map(|r| match r {
                 Ok(record) => {
                     self.record_audit(&record);
-                    record.eval
+                    self.evaluation(&record)
                 }
                 Err(failure) => {
                     // A candidate whose evaluation kept panicking degrades
@@ -1331,6 +1293,9 @@ pub fn explore_checked(
         obs.flush();
         return Err(DseError::Resilience(err));
     }
+    // The front reports read the cached records; the engine snapshot is
+    // taken first so it counts the search's evaluations only.
+    let eval_stats = problem.eval_stats();
     let reports: Vec<DesignReport> = result
         .front
         .iter()
@@ -1366,7 +1331,7 @@ pub fn explore_checked(
     obs.flush();
     Ok(DseOutcome {
         audit,
-        eval_stats: problem.eval_stats(),
+        eval_stats,
         analysis: problem.analysis_stats(),
         reports,
         failures: problem.failures(),
@@ -1914,6 +1879,55 @@ mod tests {
         assert!(rendered.contains("ga.seed"));
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(mcmap_resilience::backup_path(&path));
+    }
+
+    #[test]
+    fn reports_read_the_cached_record() {
+        let (apps, arch) = small_system();
+        let problem = MappingProblem::new(&apps, &arch, tiny_cfg());
+        let g = problem.space().random(&mut StdRng::seed_from_u64(29));
+        let eval = problem.evaluate(&g);
+        let report = problem.report(&g);
+        // A cache hit, not a second assessment, and no audit delta.
+        let stats = problem.eval_stats();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+        assert_eq!(problem.audit().evaluated, 1);
+        assert_eq!(report.feasible, eval.feasible);
+        assert_eq!(report.power.to_bits(), eval.objectives[0].to_bits());
+        // Uncached, the report is evaluated afresh to the same design.
+        let bare = MappingProblem::new(
+            &apps,
+            &arch,
+            DseConfig {
+                cache_cap: 0,
+                ..tiny_cfg()
+            },
+        );
+        assert_eq!(format!("{:?}", bare.report(&g)), format!("{report:?}"));
+        assert_eq!(bare.audit().evaluated, 0);
+    }
+
+    #[test]
+    fn front_reports_agree_with_and_without_the_cache() {
+        let (apps, arch) = small_system();
+        let cached = explore(&apps, &arch, tiny_cfg());
+        let bare = explore(
+            &apps,
+            &arch,
+            DseConfig {
+                cache_cap: 0,
+                ..tiny_cfg()
+            },
+        );
+        assert!(!cached.reports.is_empty());
+        assert_eq!(
+            format!("{:?}", cached.reports),
+            format!("{:?}", bare.reports)
+        );
+        // The engine snapshot is taken before the front lookups.
+        for s in [&cached.eval_stats, &bare.eval_stats] {
+            assert_eq!(s.cache_hits + s.cache_misses, s.genomes, "{s:?}");
+        }
     }
 
     #[test]

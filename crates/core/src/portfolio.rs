@@ -28,7 +28,7 @@ use mcmap_resilience::{read_sealed, write_sealed, ResilienceError};
 use mcmap_sched::Mapping;
 
 use crate::checkpoint::{decode_genome, push_genome};
-use crate::dse::MappingProblem;
+use crate::dse::{DesignReport, MappingProblem};
 use crate::genome::Genome;
 
 /// Envelope kind tag for portfolio files.
@@ -106,22 +106,15 @@ impl MaterializedPoint {
 }
 
 impl Portfolio {
-    /// Distills a Pareto front into a portfolio: re-reports every genome
-    /// through the problem's repair + analysis pipeline, keeps the
+    /// Distills a Pareto front into a portfolio: reads every genome's
+    /// design report through [`MappingProblem::report`] (the cached
+    /// evaluation record, or a fresh evaluation on a miss), keeps the
     /// feasible ones, prunes (power, lost-service) dominated points and
     /// exact duplicates, and orders the survivors into the degradation
     /// ladder (service descending, then power ascending, then genome
     /// order for full determinism).
     pub fn extract(problem: &MappingProblem<'_>, front: &[Individual<Genome>]) -> Portfolio {
-        struct Candidate {
-            genome: Genome,
-            power: f64,
-            service: f64,
-            lost: f64,
-            dropped: Vec<AppId>,
-            app_wcrt: Vec<Time>,
-        }
-        let mut cands: Vec<Candidate> = Vec::new();
+        let mut cands: Vec<(&Genome, DesignReport)> = Vec::new();
         for ind in front {
             let r = problem.report(&ind.genotype);
             if !r.feasible {
@@ -129,46 +122,36 @@ impl Portfolio {
             }
             // Exact duplicates (same phenotype reached by different
             // chromosomes) add nothing to the ladder.
-            if cands.iter().any(|c| {
+            if cands.iter().any(|(_, c)| {
                 c.power.to_bits() == r.power.to_bits()
                     && c.dropped == r.dropped
                     && c.app_wcrt == r.app_wcrt
             }) {
                 continue;
             }
-            cands.push(Candidate {
-                genome: ind.genotype.clone(),
-                power: r.power,
-                service: r.service,
-                lost: r.lost_service,
-                dropped: r.dropped,
-                app_wcrt: r.app_wcrt,
-            });
+            cands.push((&ind.genotype, r));
         }
         // Dominance pruning on (power, lost-service): a point stays only
         // if no other candidate is at least as good on both axes and
         // strictly better on one.
-        let keep: Vec<bool> = (0..cands.len())
-            .map(|i| {
-                !cands.iter().enumerate().any(|(j, c)| {
-                    j != i
-                        && c.power <= cands[i].power
-                        && c.lost <= cands[i].lost
-                        && (c.power < cands[i].power || c.lost < cands[i].lost)
-                })
+        let dominated = |a: &DesignReport| {
+            cands.iter().any(|(_, c)| {
+                c.power <= a.power
+                    && c.lost_service <= a.lost_service
+                    && (c.power < a.power || c.lost_service < a.lost_service)
             })
-            .collect();
+        };
+        let keep: Vec<bool> = cands.iter().map(|(_, r)| !dominated(r)).collect();
         let mut points: Vec<OperatingPoint> = cands
             .into_iter()
             .zip(keep)
-            .filter_map(|(c, k)| {
-                k.then_some(OperatingPoint {
-                    genome: c.genome,
-                    power: c.power,
-                    service: c.service,
-                    dropped: c.dropped,
-                    app_wcrt: c.app_wcrt,
-                })
+            .filter(|(_, k)| *k)
+            .map(|((genome, r), _)| OperatingPoint {
+                genome: genome.clone(),
+                power: r.power,
+                service: r.service,
+                dropped: r.dropped,
+                app_wcrt: r.app_wcrt,
             })
             .collect();
         points.sort_by(|a, b| {
@@ -188,27 +171,29 @@ impl Portfolio {
     ///
     /// # Errors
     ///
-    /// Returns a malformed-class [`ResilienceError`] when the problem's
-    /// context fingerprint differs from the one recorded at extraction,
-    /// or when a stored genome no longer decodes to a valid design (both
-    /// indicate the portfolio belongs to a different model or
-    /// configuration).
+    /// Returns [`ResilienceError::ConfigMismatch`] when the problem's
+    /// context fingerprint differs from the one recorded at extraction
+    /// (the portfolio belongs to a different model, policy set, or seed).
+    /// The error names the path `<portfolio>`; a caller that read the
+    /// portfolio from a file replaces it with the file's path. Returns a
+    /// malformed-class error when a stored genome no longer decodes to a
+    /// valid design.
     pub fn materialize(
         &self,
         problem: &MappingProblem<'_>,
     ) -> Result<Vec<MaterializedPoint>, ResilienceError> {
+        if problem.context() != self.context {
+            return Err(ResilienceError::ConfigMismatch {
+                path: "<portfolio>".into(),
+                expected: problem.context(),
+                actual: self.context,
+                diff: Vec::new(),
+            });
+        }
         let malformed = |detail: String| ResilienceError::Malformed {
             path: "<portfolio>".into(),
             detail,
         };
-        if problem.context() != self.context {
-            return Err(malformed(format!(
-                "context fingerprint mismatch: portfolio={:016x} problem={:016x} \
-                     (extracted under a different model, policy set, or seed)",
-                self.context,
-                problem.context()
-            )));
-        }
         let mut out = Vec::with_capacity(self.points.len());
         for (i, point) in self.points.iter().enumerate() {
             let (plan, dropped, bindings) = problem.decode_repaired(&point.genome);

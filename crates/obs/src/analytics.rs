@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::event::{Event, EventKind, Value};
+use crate::event::{push_json_str, Event, EventKind, Value};
 use crate::report::canonical_trace;
 
 /// A filter over a trace's events. Empty filters match everything; set
@@ -364,19 +364,24 @@ impl TraceDiff {
             if i > 0 {
                 s.push(',');
             }
-            let (mut a, mut b) = (String::new(), String::new());
-            Value::F64(d.a).write_json(&mut a);
-            Value::F64(d.b).write_json(&mut b);
-            s.push_str(&format!("{{\"key\":\"{}\",\"a\":{a},\"b\":{b}}}", d.key));
+            s.push_str("{\"key\":");
+            push_json_str(&mut s, &d.key);
+            s.push_str(",\"a\":");
+            Value::F64(d.a).write_json(&mut s);
+            s.push_str(",\"b\":");
+            Value::F64(d.b).write_json(&mut s);
+            s.push('}');
         }
         s.push_str("],\"spans\":[");
         for (i, d) in self.span_deltas.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
+            s.push_str("{\"name\":");
+            push_json_str(&mut s, &d.name);
             s.push_str(&format!(
-                "{{\"name\":\"{}\",\"count_a\":{},\"count_b\":{},\"wall_a\":{},\"wall_b\":{}}}",
-                d.name, d.count_a, d.count_b, d.wall_a, d.wall_b
+                ",\"count_a\":{},\"count_b\":{},\"wall_a\":{},\"wall_b\":{}}}",
+                d.count_a, d.count_b, d.wall_a, d.wall_b
             ));
         }
         s.push_str("]}");

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use crate::event::{Event, EventKind, Key, Value};
+use crate::event::{push_json_str, Event, EventKind, Key, Value};
 use crate::json::{events_from_jsonl, events_from_jsonl_lossy, TraceRecovery};
 
 /// Canonical rendering of a trace: one [`Event::canonical`] line per event,
@@ -314,9 +314,11 @@ impl TraceProfile {
             if i > 0 {
                 s.push(',');
             }
+            s.push_str("{\"name\":");
+            push_json_str(&mut s, &span.name);
             s.push_str(&format!(
-                "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"self_ns\":{}}}",
-                span.name, span.count, span.total_ns, span.self_ns
+                ",\"count\":{},\"total_ns\":{},\"self_ns\":{}}}",
+                span.count, span.total_ns, span.self_ns
             ));
         }
         s.push_str("],\"counters\":{");
@@ -324,9 +326,9 @@ impl TraceProfile {
             if i > 0 {
                 s.push(',');
             }
-            let mut v = String::new();
-            Value::F64(*value).write_json(&mut v);
-            s.push_str(&format!("\"{key}\":{v}"));
+            push_json_str(&mut s, key);
+            s.push(':');
+            Value::F64(*value).write_json(&mut s);
         }
         s.push_str("},\"generations\":");
         s.push_str(&self.generations_json());

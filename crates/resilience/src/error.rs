@@ -54,14 +54,15 @@ pub enum ResilienceError {
         /// What failed to parse.
         detail: String,
     },
-    /// A checkpoint was produced by a different problem/configuration and
-    /// must not seed this run (resuming it would silently change results).
+    /// A checkpoint or portfolio was produced by a different
+    /// problem/configuration and must not be used with this one (resuming
+    /// or materializing it would silently change results).
     ConfigMismatch {
-        /// The offending checkpoint.
+        /// The offending checkpoint or portfolio.
         path: PathBuf,
         /// Fingerprint of the current configuration.
         expected: u64,
-        /// Fingerprint recorded in the checkpoint.
+        /// Fingerprint recorded in the file.
         actual: u64,
         /// Human-readable per-field differences between the checkpoint's
         /// recorded configuration summary and the current one, each line
@@ -116,7 +117,7 @@ impl fmt::Display for ResilienceError {
             } => {
                 write!(
                     f,
-                    "{}: checkpoint belongs to a different run configuration \
+                    "{}: written for a different run configuration \
                      (expected fingerprint {expected:016x}, found {actual:016x})",
                     path.display()
                 )?;

@@ -91,8 +91,17 @@ fn materialize_refuses_foreign_context() {
     // fingerprint: the stored genomes would decode to different designs.
     let other = MappingProblem::new(&b.apps, &b.arch, dse_config(9));
     let err = portfolio.materialize(&other).unwrap_err();
+    // A caller mistake, not a damaged file.
+    let ResilienceError::ConfigMismatch {
+        expected, actual, ..
+    } = &err
+    else {
+        panic!("expected ConfigMismatch, got {err}");
+    };
+    assert_eq!((*expected, *actual), (other.context(), portfolio.context));
+    assert!(!err.is_corruption());
     assert!(
-        err.to_string().contains("context fingerprint mismatch"),
+        err.to_string().contains("different run configuration"),
         "unexpected error: {err}"
     );
 }

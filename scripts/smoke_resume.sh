@@ -9,6 +9,8 @@
 #      line), then resumed.
 # Both resumed runs must print the exact front the baseline printed, and
 # their stitched traces must parse cleanly with the same event count.
+# Last, a resume from a checkpoint that does not exist must exit nonzero
+# and leave the existing `--trace` file unchanged byte for byte.
 #
 # Race-proof by construction: if a signal lands after the run already
 # finished, the resume degenerates to a no-op replay of the final
@@ -74,7 +76,21 @@ interrupt_and_resume() {
     echo "smoke_resume: $tag: resumed run matches the baseline ($got trace events)"
 }
 
+# Resumes from a missing checkpoint onto a copy of the baseline trace.
+failed_resume() {
+    local trace="$TMP/failed.jsonl" code=0
+    cp "$TMP/baseline.jsonl" "$trace"
+    "$CLI" dse cruise "$POP" "$GENS" \
+        --resume "$TMP/no-such.ckpt" --trace "$trace" > /dev/null 2>&1 || code=$?
+    [[ "$code" != 0 ]] \
+        || { echo "smoke_resume: failed-resume: a missing checkpoint exited 0"; exit 1; }
+    [[ -f "$trace" ]] && cmp -s "$TMP/baseline.jsonl" "$trace" \
+        || { echo "smoke_resume: failed-resume: the trace did not survive unchanged"; exit 1; }
+    echo "smoke_resume: failed-resume: exit $code, trace unchanged"
+}
+
 run_baseline
 interrupt_and_resume TERM sigterm
 interrupt_and_resume KILL sigkill
+failed_resume
 echo "smoke_resume: all kill-and-resume smokes passed"

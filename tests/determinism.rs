@@ -311,6 +311,40 @@ fn golden_fronts_audits_and_traces_at_48x30() {
     }
 }
 
+/// Front reports read the memo-cached evaluation records; with the cache
+/// off every report is a fresh evaluation. On DT-med both give the same
+/// reports, and the engine counters cover the search's evaluations only.
+#[test]
+fn dt_med_front_reports_agree_with_and_without_the_cache() {
+    let b = mcmap::benchmarks::dt_med();
+    let run = |cache_cap| {
+        explore(
+            &b.apps,
+            &b.arch,
+            DseConfig {
+                ga: GaConfig {
+                    population: 16,
+                    generations: 6,
+                    seed: 8,
+                    threads: 2,
+                    ..GaConfig::default()
+                },
+                objectives: ObjectiveMode::PowerService,
+                policies: Some(b.policies.clone()),
+                repair_iters: 80,
+                cache_cap,
+                ..DseConfig::default()
+            },
+        )
+    };
+    let (cached, bare) = (run(65_536), run(0));
+    assert!(!cached.reports.is_empty());
+    assert_eq!(fingerprint(&cached), fingerprint(&bare));
+    for s in [&cached.eval_stats, &bare.eval_stats] {
+        assert_eq!(s.cache_hits + s.cache_misses, s.genomes, "{s:?}");
+    }
+}
+
 #[test]
 fn multi_generation_run_hits_the_cache() {
     let outcome = outcome_with(2, 65_536, 8);
