@@ -330,9 +330,10 @@ impl EvalKnobs {
     /// and sequence counter): rebuilding would truncate the trace file
     /// between runs.
     ///
-    /// Exits the process (code 2) when the trace file cannot be created —
-    /// silently dropping a requested trace would be worse — or when the
-    /// `--resume` checkpoint cannot be read, before the trace is touched.
+    /// Exits the process with code 2 when the trace file cannot be
+    /// created — silently dropping a requested trace would be worse — and
+    /// with code 1, as a run without `--trace` does, when the `--resume`
+    /// checkpoint cannot be read (before the trace is touched).
     pub fn recorder(&self) -> mcmap_obs::Recorder {
         if !self.wants_obs() {
             return mcmap_obs::Recorder::default();
@@ -358,6 +359,10 @@ impl EvalKnobs {
                         );
                     }
                     builder
+                }
+                Err(err) if resume.is_some_and(|r| err.path() == r) => {
+                    eprintln!("mcmap: checkpoint/resume failed: {err}");
+                    std::process::exit(1);
                 }
                 Err(err) => {
                     eprintln!("mcmap: cannot attach trace {path}: {err}");

@@ -1,6 +1,7 @@
 //! What `mcmap_cli` writes when things go sideways: the `obs --json`
-//! reports of a trace whose names need escaping, and the error of a
-//! validation against a portfolio written for another benchmark.
+//! reports of a trace whose names need escaping, the error of a
+//! validation against a portfolio written for another benchmark, and the
+//! exit codes of a resume from an unreadable checkpoint.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -88,5 +89,32 @@ fn validating_a_foreign_portfolio_names_the_file() {
         "{stderr}"
     );
     assert!(!stderr.contains("malformed"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_unreadable_resume_checkpoint_exits_1_with_or_without_a_trace() {
+    let dir = scratch("failed_resume");
+    let (missing, trace) = (dir.join("missing.ckpt"), dir.join("t.jsonl"));
+    std::fs::write(&trace, "kept\n").unwrap();
+    let resume = ["dse", "cruise", "6", "2", "--resume", path(&missing)];
+    for extra in [vec![], vec!["--trace", path(&trace)]] {
+        let out = cli(&[&resume[..], &extra].concat());
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains(&format!(
+                "checkpoint/resume failed: read {}",
+                path(&missing)
+            )),
+            "{extra:?}: {stderr}"
+        );
+    }
+    // The failed resume left the trace alone.
+    assert_eq!(std::fs::read_to_string(&trace).unwrap(), "kept\n");
+    // A trace that cannot be created stays a usage error.
+    let nowhere = dir.join("no-such-dir").join("t.jsonl");
+    let out = cli(&["dse", "cruise", "6", "2", "--trace", path(&nowhere)]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,19 +1,26 @@
 //! Differential tests of the incremental fast paths against test-only
 //! transcriptions of the full-recompute code they replaced: the reliability
 //! repair that decoded, hardened and re-checked the whole system before
-//! every escalation, and the scenario enumeration that classified every
-//! task from scratch for every trigger.
+//! every escalation, the scenario enumeration that classified every task
+//! from scratch for every trigger, and the holistic worst-case sweep that
+//! recomputed every task's busy window from its base in every sweep.
 
 use crate::analysis::{normal_state_bounds, proposed_analysis_with, AnalysisOptions, McAnalysis};
 use crate::repair::{repair_reliability, repair_structure, strengthen};
 use crate::{GeneHardening, Genome, GenomeSpace};
 use mcmap_benchmarks::Benchmark;
-use mcmap_hardening::{harden, placement_with_default, HTaskId, HardenedSystem, Reliability};
-use mcmap_model::{
-    AppId, AppSet, Architecture, Criticality, ExecBounds, ProcId, ProcKind, Processor, Task,
-    TaskGraph, Time,
+use mcmap_hardening::{
+    harden, placement_with_default, HTaskId, HardenedSystem, HardeningPlan, Reliability,
+    TaskHardening,
 };
-use mcmap_sched::{nominal_bounds, HolisticAnalysis, Mapping, SchedBackend, TaskWindows};
+use mcmap_model::{
+    AppId, AppSet, Architecture, Criticality, ExecBounds, Fabric, ProcId, ProcKind, Processor,
+    Task, TaskGraph, Time,
+};
+use mcmap_sched::{
+    hyperperiod, nominal_bounds, uniform_policies, HolisticAnalysis, Mapping, SchedBackend,
+    SchedPolicy, TaskWindows,
+};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::HashMap;
@@ -481,4 +488,511 @@ fn enumeration_matches_the_reference_for_every_knob() {
         "no converged but overloaded candidate was compared"
     );
     assert!(schedulable > 0, "no schedulable candidate was compared");
+}
+
+/// The holistic worst-case analysis as it was: every sweep recomputes
+/// every task, and every busy window iterates from its base. The
+/// interference lists come from an all-pairs reachability scan, as before
+/// the per-application bitsets.
+struct HolisticReference<'a> {
+    hsys: &'a HardenedSystem,
+    mapping: &'a Mapping,
+    policies: Vec<SchedPolicy>,
+    in_edges: Vec<Vec<(HTaskId, Time)>>,
+    hp_interferers: Vec<Vec<HTaskId>>,
+    lp_blockers: Vec<Vec<HTaskId>>,
+    period: Vec<Time>,
+    limit: Time,
+}
+
+impl<'a> HolisticReference<'a> {
+    fn new(
+        hsys: &'a HardenedSystem,
+        arch: &Architecture,
+        mapping: &'a Mapping,
+        policies: Vec<SchedPolicy>,
+    ) -> Self {
+        let n = hsys.num_tasks();
+        let mut in_edges = vec![Vec::new(); n];
+        for c in hsys.channels() {
+            let delay = if mapping.proc_of(c.src) == mapping.proc_of(c.dst) {
+                Time::ZERO
+            } else {
+                arch.fabric().transfer_time(c.bytes)
+            };
+            in_edges[c.dst.index()].push((c.src, delay));
+        }
+        let mut related = vec![vec![false; n]; n];
+        for &v in hsys.topological_order().iter().rev() {
+            for s in hsys.successors(v) {
+                related[v.index()][s.index()] = true;
+                let row_s = related[s.index()].clone();
+                for (r, t) in related[v.index()].iter_mut().zip(row_s) {
+                    *r |= t;
+                }
+            }
+        }
+        let mut hp_interferers = vec![Vec::new(); n];
+        let mut lp_blockers = vec![Vec::new(); n];
+        for v in hsys.task_ids() {
+            for w in hsys.task_ids() {
+                if w == v
+                    || mapping.proc_of(w) != mapping.proc_of(v)
+                    || related[v.index()][w.index()]
+                    || related[w.index()][v.index()]
+                {
+                    continue;
+                }
+                if mapping.outranks(w, v) {
+                    hp_interferers[v.index()].push(w);
+                } else {
+                    lp_blockers[v.index()].push(w);
+                }
+            }
+        }
+        HolisticReference {
+            hsys,
+            mapping,
+            policies,
+            in_edges,
+            hp_interferers,
+            lp_blockers,
+            period: hsys.task_ids().map(|v| hsys.app_of(v).period).collect(),
+            limit: hyperperiod(hsys).saturating_mul(64),
+        }
+    }
+
+    fn policy_of(&self, v: HTaskId) -> SchedPolicy {
+        self.policies[self.mapping.proc_of(v).index()]
+    }
+
+    fn earliest_releases(&self, bounds: &[ExecBounds]) -> Vec<Time> {
+        let n = self.hsys.num_tasks();
+        let mut er = vec![Time::ZERO; n];
+        let mut min_finish = vec![Time::ZERO; n];
+        for &v in self.hsys.topological_order() {
+            let release = self.in_edges[v.index()]
+                .iter()
+                .map(|&(src, delay)| min_finish[src.index()].saturating_add(delay))
+                .max()
+                .unwrap_or(Time::ZERO);
+            er[v.index()] = release;
+            min_finish[v.index()] = release.saturating_add(bounds[v.index()].bcet);
+        }
+        er
+    }
+
+    /// The blocking term of a non-preemptive task.
+    fn blocking(&self, v: HTaskId, bounds: &[ExecBounds]) -> Time {
+        self.lp_blockers[v.index()]
+            .iter()
+            .map(|&j| bounds[j.index()].wcet)
+            .max()
+            .unwrap_or(Time::ZERO)
+    }
+
+    /// One busy-window step of `v` at `w` (preemptive: the response;
+    /// non-preemptive: the start).
+    fn step(&self, v: HTaskId, bounds: &[ExecBounds], er: &[Time], lr: &[Time], w: Time) -> Time {
+        let preemptive = self.policy_of(v) == SchedPolicy::FixedPriorityPreemptive;
+        let mut total = if preemptive {
+            bounds[v.index()].wcet
+        } else {
+            self.blocking(v, bounds)
+        };
+        for &j in &self.hp_interferers[v.index()] {
+            let cj = bounds[j.index()].wcet;
+            if cj.is_zero() {
+                continue;
+            }
+            let ready = w.saturating_add(lr[j.index()].saturating_sub(er[j.index()]));
+            let releases = if preemptive {
+                ready.div_ceil(self.period[j.index()])
+            } else {
+                ready.ticks() / self.period[j.index()].ticks() + 1
+            };
+            total = total.saturating_add(cj.saturating_mul(releases));
+        }
+        total
+    }
+
+    fn local_response(&self, v: HTaskId, bounds: &[ExecBounds], er: &[Time], lr: &[Time]) -> Time {
+        let c = bounds[v.index()].wcet;
+        if c.is_zero() {
+            return Time::ZERO;
+        }
+        let (mut w, tail) = match self.policy_of(v) {
+            SchedPolicy::FixedPriorityPreemptive => (c, Time::ZERO),
+            SchedPolicy::FixedPriorityNonPreemptive => (self.blocking(v, bounds), c),
+        };
+        for _ in 0..4096 {
+            let total = self.step(v, bounds, er, lr, w);
+            if total == w || total > self.limit {
+                return total.saturating_add(tail);
+            }
+            w = total;
+        }
+        Time::MAX
+    }
+
+    fn run(&self, bounds: &[ExecBounds]) -> TaskWindows {
+        let n = self.hsys.num_tasks();
+        let er = self.earliest_releases(bounds);
+        let mut max_finish = vec![Time::ZERO; n];
+        let mut lr = er.clone();
+        let mut converged = false;
+        let mut diverged = false;
+        let mut outer_iters = 0usize;
+        for _ in 0..256 {
+            outer_iters += 1;
+            let mut changed = false;
+            for &v in self.hsys.topological_order() {
+                let release = self.in_edges[v.index()]
+                    .iter()
+                    .map(|&(src, delay)| max_finish[src.index()].saturating_add(delay))
+                    .max()
+                    .unwrap_or(Time::ZERO);
+                let release = release.max(lr[v.index()]);
+                let response = self.local_response(v, bounds, &er, &lr);
+                let finish = release.saturating_add(response);
+                if release > lr[v.index()] || finish > max_finish[v.index()] {
+                    changed = true;
+                }
+                lr[v.index()] = release.max(lr[v.index()]);
+                max_finish[v.index()] = finish.max(max_finish[v.index()]);
+            }
+            if max_finish.iter().any(|&f| f > self.limit) {
+                diverged = true;
+                break;
+            }
+            if !changed {
+                converged = true;
+                break;
+            }
+        }
+        if diverged {
+            for f in &mut max_finish {
+                if *f > self.limit {
+                    *f = Time::MAX;
+                }
+            }
+            converged = false;
+        }
+        TaskWindows {
+            min_start: er,
+            max_finish,
+            converged,
+            outer_iters,
+        }
+    }
+
+    /// Post-fixed-point certificate of converged windows: with each task's
+    /// latest release taken as the latest arrival its predecessors'
+    /// finishes imply (never below its earliest release), every task's
+    /// window `max_finish − release` must satisfy its busy-window inequality
+    /// under the jitters those releases imply. A task left stale by a
+    /// missed update fails it.
+    fn certify(&self, bounds: &[ExecBounds], w: &TaskWindows) {
+        let er = &w.min_start;
+        let lr: Vec<Time> = self
+            .hsys
+            .task_ids()
+            .map(|v| {
+                self.in_edges[v.index()]
+                    .iter()
+                    .map(|&(src, delay)| w.max_finish[src.index()] + delay)
+                    .fold(er[v.index()], Time::max)
+            })
+            .collect();
+        for v in self.hsys.task_ids() {
+            let window = w.max_finish[v.index()]
+                .ticks()
+                .checked_sub(lr[v.index()].ticks())
+                .map(Time::from_ticks)
+                .unwrap_or_else(|| panic!("task {v} finishes before its latest release"));
+            let c = bounds[v.index()].wcet;
+            if c.is_zero() {
+                continue;
+            }
+            let busy = match self.policy_of(v) {
+                SchedPolicy::FixedPriorityPreemptive => window,
+                SchedPolicy::FixedPriorityNonPreemptive => {
+                    assert!(window >= c, "task {v}'s window is shorter than its wcet");
+                    window - c
+                }
+            };
+            assert!(
+                self.step(v, bounds, er, &lr, busy) <= busy,
+                "task {v}'s window violates its busy-window inequality"
+            );
+        }
+    }
+}
+
+/// Outcomes of the holistic runs a test compared.
+#[derive(Debug, Default)]
+struct RunTally {
+    schedulable: usize,
+    overloaded: usize,
+    diverged: usize,
+}
+
+impl RunTally {
+    /// Runs the backend and the reference on `bounds`, asserts equal
+    /// windows, certifies converged ones, and counts the outcome.
+    fn check(
+        &mut self,
+        backend: &HolisticAnalysis,
+        reference: &HolisticReference,
+        bounds: &[ExecBounds],
+    ) -> TaskWindows {
+        let windows = backend.analyze(bounds);
+        assert_eq!(windows, reference.run(bounds));
+        if !windows.converged {
+            self.diverged += 1;
+        } else {
+            reference.certify(bounds, &windows);
+            if windows.all_deadlines_met(reference.hsys) {
+                self.schedulable += 1;
+            } else {
+                self.overloaded += 1;
+            }
+        }
+        windows
+    }
+
+    fn assert_all_seen(&self) {
+        assert!(self.schedulable > 0, "no schedulable run: {self:?}");
+        assert!(self.overloaded > 0, "no converged overloaded run: {self:?}");
+        assert!(self.diverged > 0, "no diverging run: {self:?}");
+    }
+}
+
+/// The three per-processor policy assignments the random systems run
+/// under: all preemptive, all non-preemptive, and alternating.
+fn policy_mixes(num_procs: usize) -> [Vec<SchedPolicy>; 3] {
+    use SchedPolicy::{FixedPriorityNonPreemptive as Np, FixedPriorityPreemptive as P};
+    [
+        uniform_policies(num_procs, P),
+        uniform_policies(num_procs, Np),
+        (0..num_procs)
+            .map(|p| if p % 2 == 0 { P } else { Np })
+            .collect(),
+    ]
+}
+
+/// The xorshift generator of the holistic backend's interference-list test.
+struct Xorshift(u64);
+
+impl Xorshift {
+    fn below(&mut self, m: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % m
+    }
+
+    fn proc(&mut self, num_procs: usize) -> ProcId {
+        ProcId::new(self.below(num_procs as u64) as usize)
+    }
+}
+
+/// A random hardened and mapped system: up to four applications of up to
+/// eight tasks with random channels, hardening, placement and (few,
+/// often tied) priority levels.
+fn random_system(rng: &mut Xorshift) -> (HardenedSystem, Architecture, Mapping) {
+    let num_procs = 1 + rng.below(4) as usize;
+    let arch = Architecture::builder()
+        .homogeneous(
+            num_procs,
+            Processor::new("p", ProcKind::new(0), 5.0, 20.0, 1e-7),
+        )
+        .fabric(Fabric::new(8))
+        .build()
+        .unwrap();
+    let graphs: Vec<TaskGraph> = (0..1 + rng.below(4))
+        .map(|a| {
+            let n = 1 + rng.below(8) as usize;
+            let period = [100, 200, 400][rng.below(3) as usize];
+            let mut b = TaskGraph::builder(format!("a{a}"), Time::from_ticks(period));
+            for t in 0..n {
+                let bcet = 1 + rng.below(8);
+                let wcet = bcet + rng.below(8);
+                b = b.task(
+                    Task::new(format!("t{t}"))
+                        .with_uniform_exec(
+                            1,
+                            ExecBounds::new(Time::from_ticks(bcet), Time::from_ticks(wcet)),
+                        )
+                        .with_voting_overhead(Time::from_ticks(1)),
+                );
+            }
+            for dst in 1..n {
+                for src in 0..dst {
+                    if rng.below(3) == 0 {
+                        b = b.channel(src, dst, rng.below(32));
+                    }
+                }
+            }
+            b.build().unwrap()
+        })
+        .collect();
+    let apps = AppSet::new(graphs).unwrap();
+    let mut plan = HardeningPlan::unhardened(&apps);
+    for flat in 0..apps.num_tasks() {
+        let h = match rng.below(4) {
+            0 => TaskHardening::reexecution(1 + rng.below(2) as u8),
+            1 => TaskHardening::active(
+                (0..1 + rng.below(2)).map(|_| rng.proc(num_procs)).collect(),
+                rng.proc(num_procs),
+            ),
+            2 => TaskHardening::passive(
+                vec![rng.proc(num_procs)],
+                vec![rng.proc(num_procs)],
+                rng.proc(num_procs),
+            ),
+            _ => TaskHardening::none(),
+        };
+        plan.set_by_flat_index(flat, h);
+    }
+    let hsys = harden(&apps, &plan, &arch).unwrap();
+    let placement = hsys
+        .tasks()
+        .map(|(_, t)| t.fixed_proc.unwrap_or_else(|| rng.proc(num_procs)))
+        .collect();
+    let priorities = (0..hsys.num_tasks()).map(|_| rng.below(4) as u32).collect();
+    let mapping = Mapping::new(&hsys, &arch, placement)
+        .unwrap()
+        .with_priorities(priorities);
+    (hsys, arch, mapping)
+}
+
+/// A victim (period 10⁶) under a hog of utilization 0.9999 on PE 0, whose
+/// release jitter grows over two sweeps (0, then 50, then 100 with
+/// `z_wcet` 1 000): the victim's cold busy window needs about its wcet plus
+/// the jitter in iterations, next to the 4 096-iteration cap and below the
+/// divergence bound.
+fn hog_system(victim_wcet: u64, z_wcet: u64) -> (HardenedSystem, Architecture, Mapping) {
+    let task = |name: &str, bcet: u64, wcet: u64| {
+        Task::new(name).with_uniform_exec(
+            1,
+            ExecBounds::new(Time::from_ticks(bcet), Time::from_ticks(wcet)),
+        )
+    };
+    let feeder = TaskGraph::builder("feeder", Time::from_ticks(1_000))
+        .task(task("z", 1, z_wcet))
+        .task(task("y", 50, 50))
+        .channel(0, 1, 0)
+        .build()
+        .unwrap();
+    let hog = TaskGraph::builder("hog", Time::from_ticks(10_000))
+        .task(task("x", 1, 1))
+        .task(task("h", 9_999, 9_999))
+        .channel(0, 1, 0)
+        .build()
+        .unwrap();
+    let victim = TaskGraph::builder("victim", Time::from_ticks(1_000_000))
+        .task(task("v", victim_wcet, victim_wcet))
+        .build()
+        .unwrap();
+    let apps = AppSet::new(vec![feeder, hog, victim]).unwrap();
+    let arch = Architecture::builder()
+        .homogeneous(3, Processor::new("p", ProcKind::new(0), 5.0, 20.0, 1e-7))
+        .build()
+        .unwrap();
+    let hsys = harden(&apps, &HardeningPlan::unhardened(&apps), &arch).unwrap();
+    let [p0, p1, p2] = [0, 1, 2].map(ProcId::new);
+    let mapping = Mapping::new(&hsys, &arch, vec![p2, p1, p1, p0, p0]).unwrap();
+    (hsys, arch, mapping)
+}
+
+#[test]
+fn holistic_sweep_matches_the_reference_on_random_systems() {
+    let mut rng = Xorshift(0x2545_f491_4f6c_dd1d);
+    let mut tally = RunTally::default();
+    for _ in 0..300 {
+        let (hsys, arch, mapping) = random_system(&mut rng);
+        let nominal = nominal_bounds(&hsys, &arch, &mapping);
+        let inflated: Vec<ExecBounds> = nominal
+            .iter()
+            .map(|b| ExecBounds::new(b.bcet, b.wcet * 3))
+            .collect();
+        for policies in policy_mixes(arch.num_processors()) {
+            let backend = HolisticAnalysis::new(&hsys, &arch, &mapping, policies.clone());
+            let reference = HolisticReference::new(&hsys, &arch, &mapping, policies);
+            for bounds in [&nominal, &inflated] {
+                tally.check(&backend, &reference, bounds);
+            }
+        }
+    }
+    tally.assert_all_seen();
+
+    // Next to the busy-window cap: cold, warm-accepted and warm-rejected
+    // windows, converged and saturated.
+    let mut capped = 0;
+    for victim_wcet in [3_950, 4_000, 4_050, 5_000] {
+        for z_wcet in [1, 1_000] {
+            let (hsys, arch, mapping) = hog_system(victim_wcet, z_wcet);
+            let nominal = nominal_bounds(&hsys, &arch, &mapping);
+            for policies in policy_mixes(3) {
+                let backend = HolisticAnalysis::new(&hsys, &arch, &mapping, policies.clone());
+                let reference = HolisticReference::new(&hsys, &arch, &mapping, policies);
+                let windows = tally.check(&backend, &reference, &nominal);
+                capped += usize::from(windows.max_finish[4] == Time::MAX);
+            }
+        }
+    }
+    assert!(capped >= 3, "{capped} runs reached the cap");
+}
+
+/// The holistic backend inside Algorithm 1, every run checked against the
+/// reference sweep.
+struct Checked<'a> {
+    backend: HolisticAnalysis<'a>,
+    reference: HolisticReference<'a>,
+    tally: std::cell::RefCell<RunTally>,
+}
+
+impl SchedBackend for Checked<'_> {
+    fn analyze(&self, bounds: &[ExecBounds]) -> TaskWindows {
+        self.tally
+            .borrow_mut()
+            .check(&self.backend, &self.reference, bounds)
+    }
+
+    fn num_tasks(&self) -> usize {
+        self.backend.num_tasks()
+    }
+}
+
+#[test]
+fn holistic_sweep_matches_the_reference_on_every_algorithm_1_run() {
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut total = RunTally::default();
+    for (b, space) in benchmarks() {
+        for mut g in genomes(&space, &mut rng, 1) {
+            let _ = repair_reliability(&mut g, &space, &b.apps, &b.arch, &mut rng, 80);
+            let (plan, decoded, bindings) = space.decode(&g);
+            let hsys = harden(&b.apps, &plan, &b.arch).expect("repaired genomes harden");
+            let placement = hsys.placement(&bindings);
+            let mapping = Mapping::new(&hsys, &b.arch, placement).expect("repaired genomes map");
+            let checked = Checked {
+                backend: HolisticAnalysis::new(&hsys, &b.arch, &mapping, b.policies.clone()),
+                reference: HolisticReference::new(&hsys, &b.arch, &mapping, b.policies.clone()),
+                tally: Default::default(),
+            };
+            let nominal = nominal_bounds(&hsys, &b.arch, &mapping);
+            for dropped in [decoded, vec![]] {
+                let opts = AnalysisOptions { prune: false };
+                proposed_analysis_with(
+                    &checked, &hsys, &b.arch, &mapping, &nominal, &dropped, opts,
+                );
+            }
+            let tally = checked.tally.into_inner();
+            total.schedulable += tally.schedulable;
+            total.overloaded += tally.overloaded;
+            total.diverged += tally.diverged;
+        }
+    }
+    total.assert_all_seen();
 }

@@ -149,6 +149,18 @@ impl ResilienceError {
         }
     }
 
+    /// The file the error names.
+    pub fn path(&self) -> &std::path::Path {
+        match self {
+            ResilienceError::Io { path, .. }
+            | ResilienceError::Truncated { path, .. }
+            | ResilienceError::ChecksumMismatch { path, .. }
+            | ResilienceError::VersionMismatch { path, .. }
+            | ResilienceError::Malformed { path, .. }
+            | ResilienceError::ConfigMismatch { path, .. } => path,
+        }
+    }
+
     /// Whether the error means "the file on disk is damaged" (truncated,
     /// corrupt, or unreadable as an envelope) — the class that checkpoint
     /// recovery falls back from, as opposed to caller mistakes like

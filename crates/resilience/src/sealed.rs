@@ -45,13 +45,16 @@ pub fn unseal_with<T>(
 
 /// Reads the `kind` document at `path`, falling back to `<path>.bak` when
 /// the primary is corrupt ([`ResilienceError::is_corruption`]: torn
-/// write, bad checksum, wrong version, undecodable payload). Returns the
-/// value and whether the backup was used. A missing or unreadable primary
-/// is an I/O error and does not trigger the fallback.
+/// write, bad checksum, wrong version, undecodable payload) or missing
+/// while the backup exists. A process killed between the two renames of
+/// [`atomic_write_rotating`] leaves exactly that: the previous version as
+/// `<path>.bak` and no primary. Returns the value and whether the backup
+/// was used. Any other unreadable primary is an I/O error and does not
+/// trigger the fallback.
 ///
 /// # Errors
 ///
-/// Returns the primary's error when it is not corruption or when the
+/// Returns the primary's error when it triggers no fallback or when the
 /// backup is unusable too.
 pub fn read_sealed<T>(
     path: &Path,
@@ -62,15 +65,22 @@ pub fn read_sealed<T>(
         let bytes = std::fs::read(p).map_err(|e| ResilienceError::io(p, "read", e))?;
         unseal_with(kind, p, &bytes, &decode)
     };
+    let backup = backup_path(path);
     match read(path) {
         Ok(value) => Ok((value, false)),
-        Err(primary) if primary.is_corruption() => match read(&backup_path(path)) {
-            Ok(value) => Ok((value, true)),
-            // The primary's diagnosis is the interesting one.
-            Err(_) => Err(primary),
-        },
+        Err(primary) if primary.is_corruption() || (is_not_found(&primary) && backup.exists()) => {
+            match read(&backup) {
+                Ok(value) => Ok((value, true)),
+                // The primary's diagnosis is the interesting one.
+                Err(_) => Err(primary),
+            }
+        }
         Err(e) => Err(e),
     }
+}
+
+fn is_not_found(err: &ResilienceError) -> bool {
+    matches!(err, ResilienceError::Io { source, .. } if source.kind() == std::io::ErrorKind::NotFound)
 }
 
 #[cfg(test)]
@@ -136,12 +146,21 @@ mod tests {
     }
 
     #[test]
-    fn missing_primary_is_io_without_fallback() {
+    fn missing_primary_falls_back_to_the_backup() {
+        // What a kill between the two renames of a rotating write leaves.
         let path = tmpdir("missing").join("doc");
-        std::fs::write(backup_path(&path), seal(KIND, b"n=1")).unwrap();
+        write_sealed(&path, KIND, "n=1").unwrap();
+        write_sealed(&path, KIND, "n=2").unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(read_sealed(&path, KIND, toy).unwrap(), (1, true));
+    }
+
+    #[test]
+    fn missing_primary_and_backup_is_io() {
+        let path = tmpdir("neither").join("doc");
         let err = read_sealed(&path, KIND, toy).unwrap_err();
         assert!(
-            matches!(err, ResilienceError::Io { op: "read", .. }),
+            matches!(&err, ResilienceError::Io { op: "read", path: named, .. } if *named == path),
             "{err:?}"
         );
     }

@@ -20,6 +20,22 @@
 //! earliest releases are fixed by the exact best-case pass first), so the
 //! iteration converges from below to the least fixed point, or is declared
 //! divergent once any finish time exceeds a generous bound (64 hyperperiods).
+//!
+//! The fixed point only skips work that cannot change its result, so its
+//! windows, `converged` and `outer_iters` are those of the plain iteration:
+//!
+//! * **Dirty sets** — a Gauss–Seidel sweep in topological order recomputes
+//!   only the tasks whose inputs grew since their last computation: a
+//!   finish that grows marks the task's successors, a latest release that
+//!   grows marks the same-processor tasks it outranks. A task marked behind
+//!   the sweep's position waits for the next sweep, as it would read the
+//!   new value only then in a sweep over all tasks.
+//! * **Warm-started busy windows** — within one run the interferers'
+//!   jitters only grow, so a task's busy window restarts from its previous
+//!   least fixed point, which lies below the new one. Two exact fallbacks
+//!   recompute the window from its base: when the carried bound on the
+//!   cold iteration count (old count plus warm steps) reaches the
+//!   iteration cap, and when a warm iterate passes the divergence bound.
 
 use mcmap_hardening::{HTaskId, HardenedSystem};
 use mcmap_model::{Architecture, ExecBounds, Time};
@@ -84,6 +100,8 @@ pub struct HolisticAnalysis<'a> {
     /// Same-processor lower-or-equal-priority tasks (for non-preemptive
     /// blocking).
     lp_blockers: Vec<Vec<HTaskId>>,
+    /// Tasks per processor, in ascending id order.
+    on_proc: Vec<Vec<HTaskId>>,
     /// Period of each task (the owning application's period).
     period: Vec<Time>,
     /// Divergence bound.
@@ -174,6 +192,7 @@ impl<'a> HolisticAnalysis<'a> {
             in_edges,
             hp_interferers,
             lp_blockers,
+            on_proc,
             period,
             limit,
         }
@@ -202,32 +221,37 @@ impl<'a> HolisticAnalysis<'a> {
     }
 
     /// Busy-period response time of `v` (from its latest release), given the
-    /// current latest-release estimates of the interferers.
-    fn local_response(&self, v: HTaskId, bounds: &[ExecBounds], er: &[Time], lr: &[Time]) -> Time {
+    /// current latest-release estimates of the interferers. `warm` is `v`'s
+    /// busy-window state from its previous computation in this run.
+    fn local_response(
+        &self,
+        v: HTaskId,
+        bounds: &[ExecBounds],
+        er: &[Time],
+        lr: &[Time],
+        warm: &mut Warm,
+    ) -> Time {
         let c = bounds[v.index()].wcet;
         if c.is_zero() {
             return Time::ZERO;
         }
+        let hp = &self.hp_interferers[v.index()];
+        let jitter = |j: HTaskId| lr[j.index()].saturating_sub(er[j.index()]);
         match self.policy_of(v) {
             SchedPolicy::FixedPriorityPreemptive => {
-                let mut w = c;
-                for _ in 0..MAX_RT_ITERS {
+                let step = |w: Time| {
                     let mut total = c;
-                    for &j in &self.hp_interferers[v.index()] {
+                    for &j in hp {
                         let cj = bounds[j.index()].wcet;
                         if cj.is_zero() {
                             continue;
                         }
-                        let jitter = lr[j.index()].saturating_sub(er[j.index()]);
-                        let releases = w.saturating_add(jitter).div_ceil(self.period[j.index()]);
+                        let releases = w.saturating_add(jitter(j)).div_ceil(self.period[j.index()]);
                         total = total.saturating_add(cj.saturating_mul(releases));
                     }
-                    if total == w || total > self.limit {
-                        return total;
-                    }
-                    w = total;
-                }
-                Time::MAX
+                    total
+                };
+                self.busy_window(c, warm, step).unwrap_or(Time::MAX)
             }
             SchedPolicy::FixedPriorityNonPreemptive => {
                 let blocking = self.lp_blockers[v.index()]
@@ -235,33 +259,93 @@ impl<'a> HolisticAnalysis<'a> {
                     .map(|&j| bounds[j.index()].wcet)
                     .max()
                     .unwrap_or(Time::ZERO);
-                let mut s = blocking;
-                for _ in 0..MAX_RT_ITERS {
+                let step = |s: Time| {
                     let mut total = blocking;
-                    for &j in &self.hp_interferers[v.index()] {
+                    for &j in hp {
                         let cj = bounds[j.index()].wcet;
                         if cj.is_zero() {
                             continue;
                         }
-                        let jitter = lr[j.index()].saturating_sub(er[j.index()]);
                         // Start-time equation: jobs released in [0, s] delay
                         // the start, hence ⌊(s + J)/T⌋ + 1 releases.
-                        let releases =
-                            (s.saturating_add(jitter).ticks() / self.period[j.index()].ticks()) + 1;
+                        let releases = (s.saturating_add(jitter(j)).ticks()
+                            / self.period[j.index()].ticks())
+                            + 1;
                         total = total.saturating_add(cj.saturating_mul(releases));
                     }
-                    if total == s || total > self.limit {
-                        return total.saturating_add(c);
-                    }
-                    s = total;
-                }
-                Time::MAX
+                    total
+                };
+                self.busy_window(blocking, warm, step)
+                    .map_or(Time::MAX, |s| s.saturating_add(c))
             }
         }
     }
 
+    /// The value the cold iteration of the monotone busy-window operator
+    /// `step` from `base` returns: its least fixed point, or its first
+    /// iterate above `limit`, or `None` when `MAX_RT_ITERS` iterations reach
+    /// neither.
+    ///
+    /// The iteration starts from `warm` when that is known to give the same
+    /// value. Within one run the interferers' jitters only grow, so `step`
+    /// only grows, and the previous least fixed point lies at or below the
+    /// new one: iterating from it climbs to the same point. The cold
+    /// iterates under the larger jitters dominate the old ones pointwise,
+    /// so the cold count to the new point is at most the old count plus the
+    /// warm steps. When that bound reaches the cap, or a warm iterate passes
+    /// `limit` (the cold iteration would return its own first iterate above
+    /// `limit`), the window is recomputed cold.
+    fn busy_window(
+        &self,
+        base: Time,
+        warm: &mut Warm,
+        step: impl Fn(Time) -> Time,
+    ) -> Option<Time> {
+        let budget = MAX_RT_ITERS.saturating_sub(warm.steps);
+        if let Iterate::Fixed(point, steps) = self.iterate(warm.point, budget, &step) {
+            *warm = Warm {
+                point,
+                steps: warm.steps + steps,
+            };
+            return Some(point);
+        }
+        match self.iterate(base, MAX_RT_ITERS, &step) {
+            Iterate::Fixed(point, steps) => {
+                *warm = Warm { point, steps };
+                Some(point)
+            }
+            Iterate::Above(total) => {
+                *warm = Warm::COLD;
+                Some(total)
+            }
+            Iterate::Exhausted => {
+                *warm = Warm::COLD;
+                None
+            }
+        }
+    }
+
+    /// At most `budget` iterations of `step` from `from`.
+    fn iterate(&self, from: Time, budget: usize, step: &impl Fn(Time) -> Time) -> Iterate {
+        let mut w = from;
+        for steps in 0..budget {
+            let total = step(w);
+            if total > self.limit {
+                return Iterate::Above(total);
+            }
+            if total == w {
+                return Iterate::Fixed(w, steps);
+            }
+            w = total;
+        }
+        Iterate::Exhausted
+    }
+
     /// One full analysis run: the worst-case fixed point, the classic
-    /// iteration from `lr = er, max_finish = 0`.
+    /// Gauss–Seidel iteration from `lr = er, max_finish = 0` in topological
+    /// order. Recomputing a task whose inputs did not grow would change
+    /// nothing, so a sweep over the dirty tasks ends in the state a sweep
+    /// over all tasks reaches.
     fn run(&self, bounds: &[ExecBounds]) -> TaskWindows {
         assert_eq!(
             bounds.len(),
@@ -273,45 +357,64 @@ impl<'a> HolisticAnalysis<'a> {
 
         let mut max_finish: Vec<Time> = vec![Time::ZERO; n];
         let mut lr = er.clone();
+        // A task's inputs are its predecessors' finishes and its
+        // interferers' releases. A task marked at an earlier position than
+        // the one being processed is picked up by the next sweep, which is
+        // when a sweep over all tasks would read the new value too.
+        let mut dirty = vec![true; n];
+        let mut warm = vec![Warm::COLD; n];
+        let mut over_limit = false;
 
         let mut converged = false;
-        let mut diverged = false;
         let mut outer_iters = 0usize;
         for _ in 0..MAX_OUTER_ITERS {
             outer_iters += 1;
             let mut changed = false;
             for &v in self.hsys.topological_order() {
-                let release = self.in_edges[v.index()]
+                let i = v.index();
+                if !std::mem::take(&mut dirty[i]) {
+                    continue;
+                }
+                let release = self.in_edges[i]
                     .iter()
                     .map(|&(src, delay)| max_finish[src.index()].saturating_add(delay))
                     .max()
-                    .unwrap_or(Time::ZERO);
-                let release = release.max(lr[v.index()]);
-                let response = self.local_response(v, bounds, &er, &lr);
+                    .unwrap_or(Time::ZERO)
+                    .max(lr[i]);
+                let response = self.local_response(v, bounds, &er, &lr, &mut warm[i]);
                 let finish = release.saturating_add(response);
-                if release > lr[v.index()] || finish > max_finish[v.index()] {
+                if release > lr[i] {
                     changed = true;
+                    lr[i] = release;
+                    // Superset of the tasks `v` interferes with.
+                    for &w in &self.on_proc[self.mapping.proc_of(v).index()] {
+                        if self.mapping.outranks(v, w) {
+                            dirty[w.index()] = true;
+                        }
+                    }
                 }
-                lr[v.index()] = release.max(lr[v.index()]);
-                max_finish[v.index()] = finish.max(max_finish[v.index()]);
+                if finish > max_finish[i] {
+                    changed = true;
+                    max_finish[i] = finish;
+                    over_limit |= finish > self.limit;
+                    for s in self.hsys.successors(v) {
+                        dirty[s.index()] = true;
+                    }
+                }
             }
-            if max_finish.iter().any(|&f| f > self.limit) {
-                diverged = true;
+            if over_limit {
+                // Diverged: saturate and bail out.
+                for f in &mut max_finish {
+                    if *f > self.limit {
+                        *f = Time::MAX;
+                    }
+                }
                 break;
             }
             if !changed {
                 converged = true;
                 break;
             }
-        }
-        if diverged {
-            // Diverged: saturate and bail out.
-            for f in &mut max_finish {
-                if *f > self.limit {
-                    *f = Time::MAX;
-                }
-            }
-            converged = false;
         }
 
         TaskWindows {
@@ -321,6 +424,32 @@ impl<'a> HolisticAnalysis<'a> {
             outer_iters,
         }
     }
+}
+
+/// A task's busy-window state within one run: its last least fixed point,
+/// and an upper bound on the iterations the cold iteration takes to reach
+/// it. [`Warm::COLD`] has no budget left, so the next window is cold.
+#[derive(Clone, Copy)]
+struct Warm {
+    point: Time,
+    steps: usize,
+}
+
+impl Warm {
+    const COLD: Warm = Warm {
+        point: Time::ZERO,
+        steps: MAX_RT_ITERS,
+    };
+}
+
+/// How an iteration of a busy-window operator ended.
+enum Iterate {
+    /// At a fixed point, after this many increasing steps.
+    Fixed(Time, usize),
+    /// At the first iterate above the divergence bound.
+    Above(Time),
+    /// Out of budget.
+    Exhausted,
 }
 
 /// Precedence reachability, one bit matrix per application: channels never
@@ -776,6 +905,81 @@ mod tests {
             assert_eq!(analysis.analyze(&wide), first_wide);
             assert_eq!(analysis.analyze(&narrow), first_narrow);
         }
+    }
+
+    /// A victim (period 10⁶, alone in its app) shares preemptive PE 0 with a
+    /// hog of utilization 0.9999 (wcet 9 999, period 10⁴). Each busy-window
+    /// iteration of the victim adds about one hog job, so its cold iteration
+    /// count is its wcet plus the hog's release jitter, and up to the
+    /// `MAX_RT_ITERS` cap its window stays below the divergence bound
+    /// (64 × 10⁶).
+    ///
+    /// The hog's producer `x` (PE 1) is preempted by `y`, whose producer `z`
+    /// (PE 2) runs 1 to `z_wcet` ticks. Topological order is victim, x, hog,
+    /// z, y, so the victim's windows see a hog jitter of 0, then 50 (`x`'s
+    /// spread), then 100 once `y`'s jitter has delayed `x` by one more `y`
+    /// job (only when `z_wcet` is 1 000). The last two are warm-started.
+    fn hog_system(victim_wcet: u64, z_wcet: u64) -> (HardenedSystem, TaskWindows) {
+        let feeder = TaskGraph::builder("feeder", Time::from_ticks(1_000))
+            .task(task("z", 1, z_wcet))
+            .task(task("y", 50, 50))
+            .channel(0, 1, 0)
+            .build()
+            .unwrap();
+        let hog = TaskGraph::builder("hog", Time::from_ticks(10_000))
+            .task(task("x", 1, 1))
+            .task(task("h", 9_999, 9_999))
+            .channel(0, 1, 0)
+            .build()
+            .unwrap();
+        let victim = TaskGraph::builder("victim", Time::from_ticks(1_000_000))
+            .task(task("v", victim_wcet, victim_wcet))
+            .build()
+            .unwrap();
+        let apps = AppSet::new(vec![feeder, hog, victim]).unwrap();
+        let [p0, p1, p2] = [0, 1, 2].map(ProcId::new);
+        analyze_system(
+            &apps,
+            &arch(3),
+            vec![p2, p1, p1, p0, p0],
+            SchedPolicy::FixedPriorityPreemptive,
+        )
+    }
+
+    const VICTIM: usize = 4;
+
+    #[test]
+    fn busy_window_cap_saturates_below_the_limit() {
+        // 3 950 iterations to 39.5 × 10⁶: below both the cap and the limit.
+        let (hsys, w) = hog_system(3_950, 1);
+        assert_eq!(hsys.topological_order()[0].index(), VICTIM);
+        assert!(w.converged);
+        assert_eq!(w.max_finish[VICTIM], Time::from_ticks(39_999_950));
+        // About 5 000 iterations, all below the limit: the cap saturates the
+        // window, and the run is not converged.
+        let (_, w) = hog_system(5_000, 1);
+        assert!(!w.converged);
+        assert_eq!(w.max_finish[VICTIM], Time::MAX);
+        assert_eq!(w.outer_iters, 1);
+    }
+
+    #[test]
+    fn warm_started_busy_windows_keep_the_cap() {
+        // 3 950 + 100 cold iterations: the second warm window is accepted
+        // on the carried bound 3 950 + 50 + 50.
+        let (_, w) = hog_system(3_950, 1_000);
+        assert!(w.converged);
+        assert_eq!(w.max_finish[VICTIM], Time::from_ticks(40_499_900));
+        // 4 000 + 50 cold iterations at jitter 50, 4 000 + 100 (over the
+        // cap) at jitter 100: the carried bound sends the third window back
+        // to the cold iteration, which saturates.
+        let (_, w) = hog_system(4_000, 1);
+        assert!(w.converged);
+        assert_eq!(w.max_finish[VICTIM], Time::from_ticks(40_499_950));
+        let (_, w) = hog_system(4_000, 1_000);
+        assert!(!w.converged);
+        assert_eq!(w.max_finish[VICTIM], Time::MAX);
+        assert_eq!(w.outer_iters, 3);
     }
 
     /// The construction the per-app bitsets replaced: an n×n reachability
