@@ -105,9 +105,9 @@ use mcmap_bench::flags::{self, number, text, Args, Arity::*, Flag, UsageError};
 use mcmap_bench::{sample_designs, EvalKnobs, SampleDesign};
 use mcmap_benchmarks::Benchmark;
 use mcmap_core::{
-    analyze, explore_checked, read_portfolio, repair_reliability, repair_structure,
-    write_portfolio, AnalysisStats, DseConfig, GenomeSpace, MappingProblem, ObjectiveMode,
-    Portfolio,
+    analyze, analyze_explained, explore_checked, read_portfolio, repair_reliability,
+    repair_structure, write_portfolio, AnalysisStats, DseConfig, GenomeSpace, MappingProblem,
+    ObjectiveMode, Portfolio,
 };
 use mcmap_ga::GaConfig;
 use mcmap_model::Time;
@@ -212,7 +212,13 @@ fn cmd_analyze(b: &Benchmark, seed: u64, json: bool) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let t_analysis = std::time::Instant::now();
-    let mc = analyze(&d.hsys, &b.arch, &d.mapping, &b.policies, &d.dropped);
+    // Only the text report names binding triggers.
+    let (mc, scenario_app_wcrt) = if json {
+        let mc = analyze(&d.hsys, &b.arch, &d.mapping, &b.policies, &d.dropped);
+        (mc, Vec::new())
+    } else {
+        analyze_explained(&d.hsys, &b.arch, &d.mapping, &b.policies, &d.dropped)
+    };
     let analysis_nanos = t_analysis.elapsed().as_nanos() as u64;
     if json {
         // One object per run, with the same `analysis` keys as the DSE's
@@ -274,7 +280,7 @@ fn cmd_analyze(b: &Benchmark, seed: u64, json: bool) -> ExitCode {
     for (id, app) in b.apps.apps() {
         let wcrt = mc.app_wcrt(&d.hsys, id, &d.dropped);
         let binding = mc
-            .binding_trigger(&d.hsys, id)
+            .binding_trigger(&d.hsys, &scenario_app_wcrt, id)
             .map(|t| format!("fault in {}", d.hsys.task(t).name))
             .unwrap_or_else(|| "fault-free".to_string());
         println!(

@@ -24,12 +24,14 @@ pub mod flags;
 use flags::{number, report_format, text, Args, Arity::*, Flag};
 
 use mcmap_benchmarks::Benchmark;
-use mcmap_core::{repair_reliability, repair_structure, DseOutcome, GenomeSpace};
+use mcmap_core::{repair_reliability, repair_structure, DseOutcome, GenomeSpace, Resume};
 use mcmap_hardening::{harden, HardenedSystem};
 use mcmap_model::AppId;
 use mcmap_sched::Mapping;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::PathBuf;
+use std::sync::OnceLock;
 
 /// Reads a `usize` experiment parameter from the environment.
 pub fn env_usize(name: &str, default: usize) -> usize {
@@ -209,6 +211,8 @@ pub struct EvalKnobs {
     pub checkpoint: Option<String>,
     /// When set, resume the exploration from this checkpoint.
     pub resume: Option<String>,
+    /// The `--resume` checkpoint, read once for the trace and the run.
+    resumed: OnceLock<Result<Resume, String>>,
     /// Retry budget for candidates whose evaluation panics (default 1).
     pub eval_retries: u32,
     /// Disables dominance pruning of scenario bound-vectors.
@@ -280,6 +284,7 @@ impl EvalKnobs {
             audit: report("--audit"),
             checkpoint: path("--checkpoint"),
             resume: path("--resume"),
+            resumed: OnceLock::new(),
             eval_retries: args.get("--eval-retries").unwrap_or(1),
             no_prune: args.has("--no-prune"),
             fleet: path("--fleet"),
@@ -347,8 +352,19 @@ impl EvalKnobs {
             builder = builder.ring(1 << 20);
         }
         if let Some(path) = &self.trace {
-            let resume = self.resume.as_deref().map(std::path::Path::new);
-            builder = match mcmap_core::attach_trace(builder, std::path::Path::new(path), resume) {
+            let mut resume = match self.resume_checkpoint() {
+                None => None,
+                Some(Ok(resume)) => Some(resume.clone()),
+                Some(Err(err)) => {
+                    eprintln!("mcmap: checkpoint/resume failed: {err}");
+                    std::process::exit(1);
+                }
+            };
+            builder = match mcmap_core::attach_trace(
+                builder,
+                std::path::Path::new(path),
+                resume.as_mut(),
+            ) {
                 Ok((builder, trace_seq, cut)) => {
                     if cut.dropped > 0 || cut.torn_bytes > 0 {
                         eprintln!(
@@ -360,10 +376,6 @@ impl EvalKnobs {
                     }
                     builder
                 }
-                Err(err) if resume.is_some_and(|r| err.path() == r) => {
-                    eprintln!("mcmap: checkpoint/resume failed: {err}");
-                    std::process::exit(1);
-                }
                 Err(err) => {
                     eprintln!("mcmap: cannot attach trace {path}: {err}");
                     std::process::exit(2);
@@ -371,6 +383,17 @@ impl EvalKnobs {
             };
         }
         builder.build()
+    }
+
+    /// The `--resume` checkpoint, read, unsealed and decoded on the first
+    /// call only: [`Self::recorder`] needs its trace mark and
+    /// [`Self::apply`] hands it to the exploration.
+    fn resume_checkpoint(&self) -> Option<&Result<Resume, String>> {
+        let path = self.resume.as_deref()?;
+        Some(
+            self.resumed
+                .get_or_init(|| Resume::read(PathBuf::from(path)).map_err(|e| e.to_string())),
+        )
     }
 
     /// Applies the knobs to an exploration config (threads, cache bound,
@@ -385,7 +408,12 @@ impl EvalKnobs {
             cfg.audit = true;
         }
         cfg.resilience.checkpoint = self.checkpoint.as_ref().map(std::path::PathBuf::from);
-        cfg.resilience.resume = self.resume.as_ref().map(std::path::PathBuf::from);
+        // An unreadable checkpoint is left to the exploration, which
+        // reports it.
+        cfg.resilience.resume = self.resume_checkpoint().map(|read| match read {
+            Ok(resume) => resume.clone(),
+            Err(_) => Resume::from(PathBuf::from(self.resume.as_deref().expect("set"))),
+        });
         cfg.resilience.eval_retries = self.eval_retries;
         cfg.analysis = mcmap_core::AnalysisOptions {
             prune: !self.no_prune,
@@ -665,6 +693,37 @@ mod tests {
         assert!(!cfg.audit, "no --audit flag, mode untouched");
         knobs(&["--audit"]).apply(&mut cfg);
         assert!(cfg.audit);
+    }
+
+    #[test]
+    fn a_resume_checkpoint_is_read_once_for_the_trace_and_the_run() {
+        let dir = std::env::temp_dir().join(format!("mcmap_bench_resume_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (ckpt, trace) = (dir.join("run.ckpt"), dir.join("run.jsonl"));
+        let b = mcmap_benchmarks::cruise();
+        let mut cfg = mcmap_core::DseConfig::default();
+        (cfg.ga.population, cfg.ga.generations) = (6, 1);
+        cfg.resilience.checkpoint = Some(ckpt.clone());
+        mcmap_core::explore(&b.apps, &b.arch, cfg);
+
+        let k = knobs(&[
+            "--resume",
+            ckpt.to_str().unwrap(),
+            "--trace",
+            trace.to_str().unwrap(),
+        ]);
+        let mut cfg = mcmap_core::DseConfig::default();
+        k.apply(&mut cfg);
+        // With the checkpoint gone, the trace still attaches past its mark
+        // and the run still resumes: both use what was read for `apply`.
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        assert!(k.recorder().enabled());
+        let Some(Resume::Read { checkpoint, .. }) = cfg.resilience.resume else {
+            panic!("the checkpoint was not handed on decoded");
+        };
+        assert_eq!(checkpoint.generation, 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

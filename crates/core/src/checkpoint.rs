@@ -16,9 +16,11 @@
 //! approximate and would break the bit-identical resume contract.
 //!
 //! [`attach_trace`] prepares a run's JSONL trace for a fresh or resumed
-//! run from the same checkpoint.
+//! run from the same checkpoint; a [`Resume`] reads that checkpoint once
+//! for the trace and the run alike.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use mcmap_ga::{DriverState, Evaluation, GenerationStats, Individual};
 use mcmap_obs::{parse_json, push_json_str, push_json_u64s, Json, RecorderBuilder};
@@ -101,6 +103,85 @@ pub fn read_checkpoint_with_fallback(
     read_sealed(path, KIND, decode)
 }
 
+/// The checkpoint a run resumes from.
+#[derive(Debug, Clone)]
+pub enum Resume {
+    /// Read, unseal and decode the checkpoint at this path (with the `.bak`
+    /// fallback of [`read_checkpoint_with_fallback`]) when it is first
+    /// needed.
+    Path(PathBuf),
+    /// A checkpoint already read by [`Resume::read`].
+    Read {
+        /// Where it was read from.
+        path: PathBuf,
+        /// The decoded checkpoint.
+        checkpoint: Arc<DseCheckpoint>,
+        /// Whether the primary was unreadable and its `.bak` was used.
+        from_backup: bool,
+    },
+}
+
+impl Resume {
+    /// Reads the checkpoint at `path`.
+    ///
+    /// # Errors
+    ///
+    /// See [`read_checkpoint_with_fallback`].
+    pub fn read(path: PathBuf) -> Result<Self, ResilienceError> {
+        let (checkpoint, from_backup) = read_checkpoint_with_fallback(&path)?;
+        Ok(Resume::Read {
+            path,
+            checkpoint: Arc::new(checkpoint),
+            from_backup,
+        })
+    }
+
+    /// The checkpoint's path.
+    pub fn path(&self) -> &Path {
+        match self {
+            Resume::Path(path) | Resume::Read { path, .. } => path,
+        }
+    }
+
+    /// The checkpoint, read in place the first time.
+    ///
+    /// # Errors
+    ///
+    /// See [`read_checkpoint_with_fallback`].
+    pub fn load(&mut self) -> Result<&DseCheckpoint, ResilienceError> {
+        if let Resume::Path(path) = self {
+            *self = Resume::read(std::mem::take(path))?;
+        }
+        match self {
+            Resume::Read { checkpoint, .. } => Ok(checkpoint),
+            Resume::Path(_) => unreachable!("read above"),
+        }
+    }
+
+    /// The checkpoint and whether its `.bak` was used, read now unless it
+    /// was read before.
+    ///
+    /// # Errors
+    ///
+    /// See [`read_checkpoint_with_fallback`].
+    pub fn into_checkpoint(self) -> Result<(DseCheckpoint, bool), ResilienceError> {
+        match self {
+            Resume::Path(path) => read_checkpoint_with_fallback(&path),
+            Resume::Read {
+                checkpoint,
+                from_backup,
+                ..
+            } => Ok((Arc::unwrap_or_clone(checkpoint), from_backup)),
+        }
+    }
+}
+
+impl From<PathBuf> for Resume {
+    fn from(path: PathBuf) -> Self {
+        Resume::Path(path)
+    }
+}
+
 /// What [`salvage_trace`] kept and cut from a trace file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceSalvage {
@@ -150,10 +231,11 @@ pub fn salvage_trace(path: &Path, trace_seq: u64) -> Result<TraceSalvage, Resili
 
 /// Attaches a run's JSONL trace at `trace` to `builder`.
 ///
-/// A fresh run creates (truncates) the file. A run resuming from the
-/// checkpoint at `resume` cuts the trace back to the checkpoint's
-/// `trace_seq` with [`salvage_trace`] and appends past that mark, so the
-/// re-emitted preamble is not written twice.
+/// A fresh run creates (truncates) the file. A run resuming from `resume`
+/// cuts the trace back to the checkpoint's `trace_seq` with
+/// [`salvage_trace`] and appends past that mark, so the re-emitted preamble
+/// is not written twice. A checkpoint not read yet is read in place, so the
+/// run handed the same `resume` does not read it again.
 ///
 /// Returns the builder, the mark the resumed run continues from (0 when
 /// fresh), and what the salvage cut.
@@ -167,11 +249,11 @@ pub fn salvage_trace(path: &Path, trace_seq: u64) -> Result<TraceSalvage, Resili
 pub fn attach_trace(
     builder: RecorderBuilder,
     trace: &Path,
-    resume: Option<&Path>,
+    resume: Option<&mut Resume>,
 ) -> Result<(RecorderBuilder, u64, TraceSalvage), ResilienceError> {
     let open = |e| ResilienceError::io(trace, "open", e);
     let trace_seq = resume
-        .map(|path| read_checkpoint_with_fallback(path).map(|(ckpt, _)| ckpt.trace_seq))
+        .map(|resume| resume.load().map(|ckpt| ckpt.trace_seq))
         .transpose()?;
     match trace_seq {
         Some(trace_seq) => {
@@ -723,17 +805,22 @@ mod tests {
             events.iter().map(|e| e.seq).collect::<Vec<_>>()
         };
 
-        // Resumed: seq 3 is cut, the re-emitted 1 and 2 are suppressed.
+        // Resumed: seq 3 is cut, the re-emitted 1 and 2 are suppressed, and
+        // the checkpoint is read in place for the run.
+        let mut resume = Resume::from(ckpt_path.clone());
         let (builder, trace_seq, cut) =
-            attach_trace(RecorderBuilder::new(), &trace, Some(&ckpt_path)).unwrap();
+            attach_trace(RecorderBuilder::new(), &trace, Some(&mut resume)).unwrap();
         assert_eq!((trace_seq, cut.kept, cut.dropped), (2, 2, 1));
         assert_eq!(seqs(builder, 4), [1, 2, 3, 4]);
+        std::fs::remove_file(&ckpt_path).unwrap();
+        let (read, from_backup) = resume.into_checkpoint().unwrap();
+        assert_eq!((read.to_bytes(), from_backup), (ckpt.to_bytes(), false));
 
         // A checkpoint that cannot be read: the error comes back and the
         // trace keeps its bytes.
         let before = std::fs::read(&trace).unwrap();
-        let missing = dir.join("missing.ckpt");
-        let err = attach_trace(RecorderBuilder::new(), &trace, Some(&missing)).unwrap_err();
+        let mut missing = Resume::from(dir.join("missing.ckpt"));
+        let err = attach_trace(RecorderBuilder::new(), &trace, Some(&mut missing)).unwrap_err();
         assert!(err.to_string().contains("missing.ckpt"), "{err}");
         assert_eq!(std::fs::read(&trace).unwrap(), before);
 

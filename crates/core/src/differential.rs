@@ -5,7 +5,10 @@
 //! from scratch for every trigger, and the holistic worst-case sweep that
 //! recomputed every task's busy window from its base in every sweep.
 
-use crate::analysis::{normal_state_bounds, proposed_analysis_with, AnalysisOptions, McAnalysis};
+use crate::analysis::{
+    normal_state_bounds, proposed_analysis_explained, proposed_analysis_with, AnalysisOptions,
+    McAnalysis, Recorded,
+};
 use crate::repair::{repair_reliability, repair_structure, strengthen};
 use crate::{GeneHardening, Genome, GenomeSpace};
 use mcmap_benchmarks::Benchmark;
@@ -99,79 +102,108 @@ fn dominates(a: &[ExecBounds], b: &[ExecBounds]) -> bool {
         .all(|(x, y)| x.bcet <= y.bcet && x.wcet >= y.wcet)
 }
 
+/// One system under analysis: the hardened system, its platform and
+/// mapping, the nominal bounds and the dropped applications.
+struct Analyzed<'a> {
+    hsys: &'a HardenedSystem,
+    arch: &'a Architecture,
+    mapping: &'a Mapping,
+    nominal: &'a [ExecBounds],
+    dropped: &'a [AppId],
+}
+
+/// One trigger's scenario bound vector as the enumeration classified it
+/// before threshold keys: every task from scratch.
+fn reference_scenario(
+    system: &Analyzed,
+    v: HTaskId,
+    normal: &TaskWindows,
+    normal_bounds: &[ExecBounds],
+    class_counts: &mut [usize; 4],
+) -> Vec<ExecBounds> {
+    let Analyzed {
+        hsys,
+        arch,
+        mapping,
+        nominal,
+        dropped,
+    } = *system;
+    let v_min_start = normal.min_start[v.index()];
+    let v_max_finish = normal.max_finish[v.index()];
+    let mut scenario = vec![ExecBounds::ZERO; hsys.num_tasks()];
+    let [class_normal, class_critical, class_dropped, class_transition] = class_counts;
+    for (w, wt) in hsys.tasks() {
+        if w == v {
+            let wcet = if dropped.contains(&wt.app) {
+                nominal[w.index()].wcet
+            } else {
+                critical_wcet(hsys, arch, mapping, v)
+            };
+            scenario[w.index()] = ExecBounds::new(
+                if wt.is_passive() || dropped.contains(&wt.app) {
+                    Time::ZERO
+                } else {
+                    nominal[w.index()].bcet
+                },
+                wcet,
+            );
+            *class_critical += 1;
+            continue;
+        }
+        if normal.max_finish[w.index()] < v_min_start {
+            scenario[w.index()] = normal_bounds[w.index()];
+            *class_normal += 1;
+        } else if dropped.contains(&wt.app) {
+            if normal.min_start[w.index()] > v_max_finish {
+                scenario[w.index()] = ExecBounds::ZERO;
+                *class_dropped += 1;
+            } else {
+                scenario[w.index()] = ExecBounds::new(Time::ZERO, nominal[w.index()].wcet);
+                *class_transition += 1;
+            }
+        } else {
+            *class_critical += 1;
+            let bcet = if wt.is_passive() {
+                Time::ZERO
+            } else {
+                nominal[w.index()].bcet
+            };
+            scenario[w.index()] = ExecBounds::new(bcet, critical_wcet(hsys, arch, mapping, w));
+        }
+    }
+    scenario
+}
+
 /// The scenario enumeration as it was: every task reclassified for every
-/// trigger, SipHash dedup, all-pairs dominance, per-scenario response
-/// times.
+/// trigger, SipHash dedup, all-pairs dominance, and per-scenario response
+/// times resolved for every distinct vector.
 fn proposed_analysis_reference<B: SchedBackend>(
     backend: &B,
-    hsys: &HardenedSystem,
-    arch: &Architecture,
-    mapping: &Mapping,
-    nominal: &[ExecBounds],
-    dropped: &[AppId],
+    system: &Analyzed,
     opts: AnalysisOptions,
-) -> McAnalysis {
+) -> (McAnalysis, Vec<(HTaskId, Vec<Time>)>) {
+    let (hsys, nominal) = (system.hsys, system.nominal);
     let n = hsys.num_tasks();
     let normal_bounds = normal_state_bounds(hsys, nominal);
     let normal = backend.analyze(&normal_bounds);
-    let (mut scenarios, mut class_normal, mut class_dropped) = (0, 0, 0);
-    let (mut class_transition, mut class_critical) = (0, 0);
+    let mut scenarios = 0;
+    // Normal, critical, dropped, transition.
+    let mut class_counts = [0; 4];
     let mut index_of: HashMap<Vec<ExecBounds>, usize> = HashMap::new();
     let mut distinct: Vec<Vec<ExecBounds>> = Vec::new();
     let mut scenario_vec: Vec<(HTaskId, usize)> = Vec::new();
-    let mut scratch = vec![ExecBounds::ZERO; n];
     for (v, vt) in hsys.tasks() {
         if !vt.is_trigger() {
             continue;
         }
         scenarios += 1;
-        let v_min_start = normal.min_start[v.index()];
-        let v_max_finish = normal.max_finish[v.index()];
-        for (w, wt) in hsys.tasks() {
-            if w == v {
-                let wcet = if dropped.contains(&wt.app) {
-                    nominal[w.index()].wcet
-                } else {
-                    critical_wcet(hsys, arch, mapping, v)
-                };
-                scratch[w.index()] = ExecBounds::new(
-                    if wt.is_passive() || dropped.contains(&wt.app) {
-                        Time::ZERO
-                    } else {
-                        nominal[w.index()].bcet
-                    },
-                    wcet,
-                );
-                class_critical += 1;
-                continue;
-            }
-            if normal.max_finish[w.index()] < v_min_start {
-                scratch[w.index()] = normal_bounds[w.index()];
-                class_normal += 1;
-            } else if dropped.contains(&wt.app) {
-                if normal.min_start[w.index()] > v_max_finish {
-                    scratch[w.index()] = ExecBounds::ZERO;
-                    class_dropped += 1;
-                } else {
-                    scratch[w.index()] = ExecBounds::new(Time::ZERO, nominal[w.index()].wcet);
-                    class_transition += 1;
-                }
-            } else {
-                class_critical += 1;
-                let bcet = if wt.is_passive() {
-                    Time::ZERO
-                } else {
-                    nominal[w.index()].bcet
-                };
-                scratch[w.index()] = ExecBounds::new(bcet, critical_wcet(hsys, arch, mapping, w));
-            }
-        }
-        let di = match index_of.get(scratch.as_slice()) {
+        let scenario = reference_scenario(system, v, &normal, &normal_bounds, &mut class_counts);
+        let di = match index_of.get(&scenario) {
             Some(&i) => i,
             None => {
                 let i = distinct.len();
-                distinct.push(scratch.clone());
-                index_of.insert(scratch.clone(), i);
+                distinct.push(scenario.clone());
+                index_of.insert(scenario, i);
                 i
             }
         };
@@ -221,19 +253,20 @@ fn proposed_analysis_reference<B: SchedBackend>(
             (v, wcrt)
         })
         .collect();
-    McAnalysis {
+    let [class_normal, class_critical, class_dropped, class_transition] = class_counts;
+    let mc = McAnalysis {
         normal,
         worst,
         scenarios,
         backend_calls: 1 + to_run.len(),
-        scenario_app_wcrt,
         class_normal,
         class_dropped,
         class_transition,
         class_critical,
         fixedpoint_iters,
         scenarios_pruned: m - to_run.len(),
-    }
+    };
+    (mc, scenario_app_wcrt)
 }
 
 /// Synth-1, DT-med, DT-large, Cruise and fleet-small, each with the
@@ -406,6 +439,123 @@ fn all_options() -> [AnalysisOptions; 2] {
     [false, true].map(|prune| AnalysisOptions { prune })
 }
 
+impl Analyzed<'_> {
+    /// Threshold keys of the triggers whose normal window is ordered, each
+    /// once with its vector by the full reclassification, and the vectors
+    /// of the triggers whose window is not.
+    #[allow(clippy::type_complexity)]
+    fn keyed_scenarios(
+        &self,
+        normal: &TaskWindows,
+    ) -> (Vec<((usize, usize), Vec<ExecBounds>)>, Vec<Vec<ExecBounds>>) {
+        let normal_bounds = normal_state_bounds(self.hsys, self.nominal);
+        let mut finishes = normal.max_finish.clone();
+        finishes.sort_unstable();
+        let mut dropped_starts: Vec<Time> = self
+            .hsys
+            .tasks()
+            .filter(|(_, t)| self.dropped.contains(&t.app))
+            .map(|(w, _)| normal.min_start[w.index()])
+            .collect();
+        dropped_starts.sort_unstable();
+        let (mut keyed, mut unkeyed) = (Vec::new(), Vec::new());
+        for (v, t) in self.hsys.tasks() {
+            if !t.is_trigger() {
+                continue;
+            }
+            let scenario = reference_scenario(self, v, normal, &normal_bounds, &mut [0; 4]);
+            let (start, finish) = normal.window(v);
+            if start > finish {
+                unkeyed.push(scenario);
+                continue;
+            }
+            let key = (
+                finishes.partition_point(|&f| f < start),
+                dropped_starts.partition_point(|&s| s <= finish),
+            );
+            if !keyed.iter().any(|(k, _)| *k == key) {
+                keyed.push((key, scenario));
+            }
+        }
+        (keyed, unkeyed)
+    }
+
+    /// The Algorithm 1 certificate of a pruned enumeration whose scenario
+    /// runs analyzed `runs`:
+    /// * every run vector is the vector of a key on the staircase (no other
+    ///   key has `a' ≤ a` and `b' ≥ b`), or of a trigger without a key;
+    /// * every distinct key whose vector did not run lies below a run key,
+    ///   or its vector is dominated by a run vector.
+    fn certify(&self, normal: &TaskWindows, runs: &[Vec<ExecBounds>]) {
+        let (keyed, unkeyed) = self.keyed_scenarios(normal);
+        // `x` lies below `y`: `x`'s vector dominates `y`'s.
+        let below = |x: (usize, usize), y: (usize, usize)| x != y && x.0 <= y.0 && x.1 >= y.1;
+        let on_staircase = |key| !keyed.iter().any(|&(k, _)| below(k, key));
+        for run in runs {
+            assert!(
+                keyed
+                    .iter()
+                    .any(|(k, bounds)| bounds == run && on_staircase(*k))
+                    || unkeyed.contains(run),
+                "a run vector has no key on the staircase"
+            );
+        }
+        let run_keys: Vec<(usize, usize)> = keyed
+            .iter()
+            .filter(|(_, bounds)| runs.contains(bounds))
+            .map(|&(k, _)| k)
+            .collect();
+        for (key, bounds) in &keyed {
+            assert!(
+                runs.contains(bounds)
+                    || run_keys.iter().any(|&r| below(r, *key))
+                    || runs.iter().any(|run| dominates(run, bounds)),
+                "key {key:?} lies below no run key and no run dominates its vector"
+            );
+        }
+    }
+
+    /// Algorithm 1 under `opts` equals the reference enumeration field by
+    /// field, diagnostics included; with pruning and `certify`, its runs
+    /// carry the certificate. Returns the analysis.
+    fn check<B: SchedBackend>(
+        &self,
+        backend: &B,
+        opts: AnalysisOptions,
+        certify: bool,
+        label: &str,
+    ) -> McAnalysis {
+        let Analyzed {
+            hsys,
+            arch,
+            mapping,
+            nominal,
+            dropped,
+        } = *self;
+        let reference = proposed_analysis_reference(backend, self, opts);
+        let recorded = Recorded {
+            backend,
+            runs: Default::default(),
+        };
+        let fast = proposed_analysis_with(&recorded, hsys, arch, mapping, nominal, dropped, opts);
+        assert_eq!(fast, reference.0, "{label}, {opts:?}");
+        let explained =
+            proposed_analysis_explained(backend, hsys, arch, mapping, nominal, dropped, opts);
+        assert_eq!(explained, reference, "{label}, {opts:?}, diagnostics");
+        if certify && opts.prune {
+            let runs: Vec<Vec<ExecBounds>> = recorded
+                .runs
+                .into_inner()
+                .into_iter()
+                .skip(1)
+                .map(|(bounds, _)| bounds)
+                .collect();
+            self.certify(&fast.normal, &runs);
+        }
+        fast
+    }
+}
+
 #[test]
 fn enumeration_matches_the_reference_for_every_knob() {
     let mut rng = StdRng::seed_from_u64(5);
@@ -426,52 +576,24 @@ fn enumeration_matches_the_reference_for_every_knob() {
                 b.policies.clone(),
             ));
             for dropped in [decoded, vec![]] {
+                let system = Analyzed {
+                    hsys: &hsys,
+                    arch: &b.arch,
+                    mapping: &mapping,
+                    nominal: &nominal,
+                    dropped: &dropped,
+                };
+                let label = format!("{} genome {i}", b.name);
+                let mut mc = None;
                 for opts in all_options() {
-                    let fast = proposed_analysis_with(
-                        &backend, &hsys, &b.arch, &mapping, &nominal, &dropped, opts,
-                    );
-                    let reference = proposed_analysis_reference(
-                        &backend, &hsys, &b.arch, &mapping, &nominal, &dropped, opts,
-                    );
-                    assert_eq!(fast, reference, "{} genome {i}, {opts:?}", b.name);
+                    mc = Some(system.check(&backend, opts, true, &label));
                     // Disordered windows multiply the distinct vectors, so
                     // only random genomes under pruning take this check.
-                    if i % 3 != 0 || !opts.prune {
-                        continue;
+                    if i % 3 == 0 && opts.prune {
+                        system.check(&disordered, opts, false, &format!("{label}, disordered"));
                     }
-                    let fast = proposed_analysis_with(
-                        &disordered,
-                        &hsys,
-                        &b.arch,
-                        &mapping,
-                        &nominal,
-                        &dropped,
-                        opts,
-                    );
-                    let reference = proposed_analysis_reference(
-                        &disordered,
-                        &hsys,
-                        &b.arch,
-                        &mapping,
-                        &nominal,
-                        &dropped,
-                        opts,
-                    );
-                    assert_eq!(
-                        fast, reference,
-                        "{} genome {i}, disordered, {opts:?}",
-                        b.name
-                    );
                 }
-                let mc = proposed_analysis_with(
-                    &backend,
-                    &hsys,
-                    &b.arch,
-                    &mapping,
-                    &nominal,
-                    &dropped,
-                    AnalysisOptions::default(),
-                );
+                let mc = mc.expect("the pruned analysis ran last");
                 if !mc.worst.converged {
                     diverged += 1;
                 } else if mc.schedulable(&hsys, &dropped) {
@@ -488,6 +610,57 @@ fn enumeration_matches_the_reference_for_every_knob() {
         "no converged but overloaded candidate was compared"
     );
     assert!(schedulable > 0, "no schedulable candidate was compared");
+
+    // Random systems: few priority levels and small execution times, so
+    // normal finishes and dropped starts tie, and rank keys with them.
+    let mut rng = Xorshift(0x5851_f42d_4c95_7f2d);
+    let (mut tied_finishes, mut tied_starts, mut shared_keys) = (0, 0, 0);
+    for k in 0..300 {
+        let (hsys, arch, mapping) = random_system(&mut rng);
+        let policies = policy_mixes(arch.num_processors())[k % 3].clone();
+        let backend = HolisticAnalysis::new(&hsys, &arch, &mapping, policies);
+        let nominal = nominal_bounds(&hsys, &arch, &mapping);
+        let num_apps = hsys.apps().len();
+        let mut some: Vec<AppId> = (0..num_apps)
+            .filter(|_| rng.below(2) == 0)
+            .map(AppId::new)
+            .collect();
+        if some.is_empty() {
+            some.push(AppId::new(rng.below(num_apps as u64) as usize));
+        }
+        for dropped in [some, vec![]] {
+            let system = Analyzed {
+                hsys: &hsys,
+                arch: &arch,
+                mapping: &mapping,
+                nominal: &nominal,
+                dropped: &dropped,
+            };
+            let mut normal = None;
+            for opts in all_options() {
+                let mc = system.check(&backend, opts, true, &format!("random system {k}"));
+                normal = Some(mc.normal);
+            }
+            let normal = normal.expect("analyzed");
+            let tied = |mut times: Vec<Time>| {
+                times.sort_unstable();
+                times.windows(2).any(|w| w[0] == w[1])
+            };
+            tied_finishes += usize::from(tied(normal.max_finish.clone()));
+            tied_starts += usize::from(tied(
+                hsys.tasks()
+                    .filter(|(_, t)| dropped.contains(&t.app))
+                    .map(|(w, _)| normal.min_start[w.index()])
+                    .collect(),
+            ));
+            let triggers = hsys.tasks().filter(|(_, t)| t.is_trigger()).count();
+            let (keyed, unkeyed) = system.keyed_scenarios(&normal);
+            shared_keys += usize::from(keyed.len() + unkeyed.len() < triggers);
+        }
+    }
+    assert!(tied_finishes > 0, "no system with tied normal finishes");
+    assert!(tied_starts > 0, "no system with tied dropped starts");
+    assert!(shared_keys > 0, "no system whose triggers share a key");
 }
 
 /// The holistic worst-case analysis as it was: every sweep recomputes

@@ -1,7 +1,7 @@
 //! Design-space exploration (§4 of the paper): the mapping problem as a
 //! multi-objective GA problem, plus the end-to-end [`explore`] driver.
 
-use crate::checkpoint::{read_checkpoint_with_fallback, write_checkpoint, DseCheckpoint};
+use crate::checkpoint::{write_checkpoint, DseCheckpoint, Resume};
 use crate::{
     analyze_with, expected_power, lost_service, repair_reliability, repair_structure_logged,
     AnalysisOptions, Genome, GenomeSpace,
@@ -47,9 +47,9 @@ pub struct ResilienceConfig {
     /// Write a checkpoint to this path after every completed generation
     /// (atomically, rotating the previous one to `<path>.bak`).
     pub checkpoint: Option<PathBuf>,
-    /// Resume from the checkpoint at this path (falling back to its
-    /// `.bak` when the primary is corrupt).
-    pub resume: Option<PathBuf>,
+    /// Resume from this checkpoint (falling back to its `.bak` when the
+    /// primary is corrupt or missing), read now unless it was read before.
+    pub resume: Option<Resume>,
     /// How many times a candidate whose evaluation panicked is retried
     /// before it is degraded to an infeasible placeholder (default 1).
     pub eval_retries: u32,
@@ -1189,21 +1189,21 @@ pub fn explore(apps: &AppSet, arch: &Architecture, cfg: DseConfig) -> DseOutcome
 pub fn explore_checked(
     apps: &AppSet,
     arch: &Architecture,
-    cfg: DseConfig,
+    mut cfg: DseConfig,
 ) -> Result<DseOutcome, DseError> {
     let obs = cfg.obs.clone();
     // Resume bookkeeping happens before any event is emitted: the resumed
     // process re-emits the deterministic trace preamble below (rebuilding
     // span parentage), then advances its sequence counter past the
     // checkpoint's high-water mark so part-2 events continue the stream.
-    let resumed = match &cfg.resilience.resume {
-        Some(path) => {
-            let (ckpt, from_backup) =
-                read_checkpoint_with_fallback(path).map_err(DseError::Resilience)?;
+    let resumed = match cfg.resilience.resume.take() {
+        Some(resume) => {
+            let path = resume.path().to_path_buf();
+            let (ckpt, from_backup) = resume.into_checkpoint().map_err(DseError::Resilience)?;
             let fingerprint = run_fingerprint(apps, arch, &cfg);
             if ckpt.fingerprint != fingerprint {
                 return Err(DseError::Resilience(ResilienceError::ConfigMismatch {
-                    path: path.clone(),
+                    path,
                     expected: ckpt.fingerprint,
                     actual: fingerprint,
                     diff: diff_config_summaries(&ckpt.config, &config_summary(apps, arch, &cfg)),
@@ -1793,7 +1793,7 @@ mod tests {
         loop {
             let mut cfg = tiny_cfg();
             cfg.resilience.checkpoint = Some(path.clone());
-            cfg.resilience.resume = resume.clone();
+            cfg.resilience.resume = resume.clone().map(Resume::from);
             cfg.resilience.stop_after_slice = Some(1);
             let out = explore(&apps, &arch, cfg);
             slices += 1;
@@ -1857,7 +1857,7 @@ mod tests {
         let mut resumed = tiny_cfg();
         resumed.ga.population = 24;
         resumed.ga.seed = 99;
-        resumed.resilience.resume = Some(path.clone());
+        resumed.resilience.resume = Some(path.clone().into());
         let err = explore_checked(&apps, &arch, resumed).expect_err("mismatch must refuse");
         let Some(ResilienceError::ConfigMismatch { diff, .. }) = err.resilience() else {
             panic!("expected ConfigMismatch, got {err}");

@@ -74,12 +74,13 @@ mod repair;
 mod sensitivity;
 
 pub use analysis::{
-    adhoc_analysis, analyze, analyze_naive, analyze_with, naive_analysis, normal_state_bounds,
-    proposed_analysis, proposed_analysis_with, AnalysisOptions, McAnalysis,
+    adhoc_analysis, analyze, analyze_explained, analyze_naive, analyze_with, naive_analysis,
+    normal_state_bounds, proposed_analysis, proposed_analysis_explained, proposed_analysis_with,
+    AnalysisOptions, McAnalysis,
 };
 pub use checkpoint::{
     attach_trace, read_checkpoint_with_fallback, salvage_trace, write_checkpoint, DseCheckpoint,
-    TraceSalvage,
+    Resume, TraceSalvage,
 };
 pub use dse::{
     explore, explore_checked, AnalysisStats, AuditSnapshot, DesignReport, DseConfig, DseError,

@@ -12,7 +12,7 @@
 //! * **drop-set what-ifs** — the effect of restoring one dropped
 //!   application.
 
-use crate::analysis::{analyze, McAnalysis};
+use crate::analysis::{analyze, analyze_explained, McAnalysis};
 use mcmap_hardening::{
     harden, HTaskId, HardenedSystem, HardeningPlan, Reliability, Replication, TaskHardening,
 };
@@ -101,7 +101,9 @@ impl<'a> Sensitivity<'a> {
     /// Returns `None` if the design does not instantiate (invalid plan or
     /// mapping).
     pub fn slack(&self) -> Option<Vec<AppSlack>> {
-        let (hsys, _, mc) = self.run(&self.plan)?;
+        let (hsys, mapping) = self.instantiate(&self.plan)?;
+        let (mc, scenario_app_wcrt) =
+            analyze_explained(&hsys, self.arch, &mapping, self.policies, &self.dropped);
         Some(
             self.apps
                 .app_ids()
@@ -113,7 +115,7 @@ impl<'a> Sensitivity<'a> {
                         wcrt,
                         deadline,
                         slack: deadline.saturating_sub(wcrt),
-                        binding_trigger: mc.binding_trigger(&hsys, app),
+                        binding_trigger: mc.binding_trigger(&hsys, &scenario_app_wcrt, app),
                     }
                 })
                 .collect(),

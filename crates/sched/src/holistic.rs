@@ -52,10 +52,11 @@ const DIVERGENCE_HYPERPERIODS: u64 = 64;
 /// Holistic fixed-priority analysis of one hardened system under one
 /// mapping.
 ///
-/// Construction precomputes the interference structure (per-processor task
-/// lists, channel latencies); [`SchedBackend::analyze`] can then be called
-/// many times with different execution-bound vectors, which is exactly the
-/// access pattern of the mixed-criticality analysis.
+/// Construction precomputes the interference structure (per-processor
+/// priority runs, one flat interferer list, channel latencies);
+/// [`SchedBackend::analyze`] can then be called many times with different
+/// execution-bound vectors, which is exactly the access pattern of the
+/// mixed-criticality analysis.
 ///
 /// # Examples
 ///
@@ -94,14 +95,23 @@ pub struct HolisticAnalysis<'a> {
     policies: Vec<SchedPolicy>,
     /// Incoming edges per task: `(source task, worst/best channel delay)`.
     in_edges: Vec<Vec<(HTaskId, Time)>>,
-    /// Same-processor tasks that can preempt/delay each task (higher
-    /// priority first). Derived once from the mapping.
-    hp_interferers: Vec<Vec<HTaskId>>,
-    /// Same-processor lower-or-equal-priority tasks (for non-preemptive
-    /// blocking).
-    lp_blockers: Vec<Vec<HTaskId>>,
-    /// Tasks per processor, in ascending id order.
-    on_proc: Vec<Vec<HTaskId>>,
+    /// Every processor's tasks in descending priority order
+    /// ([`Mapping::outranks`]: priority, then id), one processor after the
+    /// other. A task's interferers are the tasks before it in its
+    /// processor's run, its non-preemptive blockers the tasks after it,
+    /// both minus its precedence-related tasks.
+    by_rank: Vec<HTaskId>,
+    /// Per task: its position in `by_rank`.
+    rank: Vec<usize>,
+    /// Per processor: the start of its run in `by_rank`, plus the end.
+    proc_start: Vec<usize>,
+    /// The interferers of every task, each a filtered prefix of its run,
+    /// task after task: those of `v` are `hp[hp_start[v]..hp_start[v + 1]]`.
+    hp: Vec<HTaskId>,
+    hp_start: Vec<usize>,
+    /// Precedence reachability, which excludes related tasks from the
+    /// blockers.
+    related: AppReachability,
     /// Period of each task (the owning application's period).
     period: Vec<Time>,
     /// Divergence bound.
@@ -152,33 +162,30 @@ impl<'a> HolisticAnalysis<'a> {
         //
         // Channels stay inside one application and each application's
         // hardened tasks carry contiguous ids, so reachability is a per-app
-        // bitset, and only same-processor pairs are visited — in ascending
-        // id order, the order the interference lists are consumed in.
+        // bitset.
         let related = AppReachability::new(hsys);
-        let mut on_proc: Vec<Vec<HTaskId>> = vec![Vec::new(); policies.len()];
-        for v in hsys.task_ids() {
-            on_proc[mapping.proc_of(v).index()].push(v);
+        let mut by_rank: Vec<HTaskId> = hsys.task_ids().collect();
+        by_rank.sort_unstable_by_key(|&v| (mapping.proc_of(v), mapping.priority_of(v), v.index()));
+        let proc_start: Vec<usize> = (0..=policies.len())
+            .map(|p| by_rank.partition_point(|&v| mapping.proc_of(v).index() < p))
+            .collect();
+        let mut rank = vec![0; n];
+        for (r, v) in by_rank.iter().enumerate() {
+            rank[v.index()] = r;
         }
-        // Each list is collected in a reused buffer and stored at its exact
-        // length.
-        let mut hp_interferers: Vec<Vec<HTaskId>> = Vec::with_capacity(n);
-        let mut lp_blockers: Vec<Vec<HTaskId>> = Vec::with_capacity(n);
-        let (mut hp, mut lp) = (Vec::new(), Vec::new());
+        // One flat list of interferers, each task's a filtered prefix of its
+        // processor's run.
+        let mut hp_start = Vec::with_capacity(n + 1);
+        hp_start.push(0);
+        let mut hp = Vec::new();
         for v in hsys.task_ids() {
-            hp.clear();
-            lp.clear();
-            for &w in &on_proc[mapping.proc_of(v).index()] {
-                if w == v || related.reaches(v, w) || related.reaches(w, v) {
-                    continue;
-                }
-                if mapping.outranks(w, v) {
-                    hp.push(w);
-                } else {
-                    lp.push(w);
-                }
-            }
-            hp_interferers.push(hp.clone());
-            lp_blockers.push(lp.clone());
+            let start = proc_start[mapping.proc_of(v).index()];
+            hp.extend(
+                by_rank[start..rank[v.index()]]
+                    .iter()
+                    .filter(|&&j| !related.linked(v, j)),
+            );
+            hp_start.push(hp.len());
         }
 
         let period = hsys.tasks().map(|(id, _)| hsys.app_of(id).period).collect();
@@ -190,9 +197,12 @@ impl<'a> HolisticAnalysis<'a> {
             mapping,
             policies,
             in_edges,
-            hp_interferers,
-            lp_blockers,
-            on_proc,
+            by_rank,
+            rank,
+            proc_start,
+            hp,
+            hp_start,
+            related,
             period,
             limit,
         }
@@ -200,6 +210,28 @@ impl<'a> HolisticAnalysis<'a> {
 
     fn policy_of(&self, v: HTaskId) -> SchedPolicy {
         self.policies[self.mapping.proc_of(v).index()]
+    }
+
+    /// The same-processor tasks `v` outranks, in priority order.
+    fn outranked(&self, v: HTaskId) -> &[HTaskId] {
+        let end = self.proc_start[self.mapping.proc_of(v).index() + 1];
+        &self.by_rank[self.rank[v.index()] + 1..end]
+    }
+
+    /// The tasks that can preempt or delay `v`: the same-processor tasks
+    /// that outrank it and are not precedence-related to it.
+    fn interferers(&self, v: HTaskId) -> &[HTaskId] {
+        &self.hp[self.hp_start[v.index()]..self.hp_start[v.index() + 1]]
+    }
+
+    /// The tasks that can block `v` on a non-preemptive processor: the
+    /// same-processor tasks it outranks that are not precedence-related to
+    /// it.
+    fn blockers(&self, v: HTaskId) -> impl Iterator<Item = HTaskId> + '_ {
+        self.outranked(v)
+            .iter()
+            .copied()
+            .filter(move |&j| !self.related.linked(v, j))
     }
 
     /// Exact best-case pass: the earliest release of every task, assuming
@@ -235,8 +267,8 @@ impl<'a> HolisticAnalysis<'a> {
         if c.is_zero() {
             return Time::ZERO;
         }
-        let hp = &self.hp_interferers[v.index()];
         let jitter = |j: HTaskId| lr[j.index()].saturating_sub(er[j.index()]);
+        let hp = self.interferers(v);
         match self.policy_of(v) {
             SchedPolicy::FixedPriorityPreemptive => {
                 let step = |w: Time| {
@@ -254,9 +286,9 @@ impl<'a> HolisticAnalysis<'a> {
                 self.busy_window(c, warm, step).unwrap_or(Time::MAX)
             }
             SchedPolicy::FixedPriorityNonPreemptive => {
-                let blocking = self.lp_blockers[v.index()]
-                    .iter()
-                    .map(|&j| bounds[j.index()].wcet)
+                let blocking = self
+                    .blockers(v)
+                    .map(|j| bounds[j.index()].wcet)
                     .max()
                     .unwrap_or(Time::ZERO);
                 let step = |s: Time| {
@@ -387,10 +419,8 @@ impl<'a> HolisticAnalysis<'a> {
                     changed = true;
                     lr[i] = release;
                     // Superset of the tasks `v` interferes with.
-                    for &w in &self.on_proc[self.mapping.proc_of(v).index()] {
-                        if self.mapping.outranks(v, w) {
-                            dirty[w.index()] = true;
-                        }
+                    for w in self.outranked(v) {
+                        dirty[w.index()] = true;
                     }
                 }
                 if finish > max_finish[i] {
@@ -500,15 +530,16 @@ impl AppReachability {
         reach
     }
 
-    /// `true` when there is a directed path `a → … → b`.
-    fn reaches(&self, a: HTaskId, b: HTaskId) -> bool {
+    /// `true` when there is a directed path `a → … → b` or `b → … → a`.
+    fn linked(&self, a: HTaskId, b: HTaskId) -> bool {
         let app = self.app_of[a.index()];
         if self.app_of[b.index()] != app {
             return false;
         }
         let (start, words, offset) = self.apps[app];
         let (la, lb) = (a.index() - start, b.index() - start);
-        self.bits[offset + la * words + lb / 64] >> (lb % 64) & 1 == 1
+        let bit = |from: usize, to: usize| self.bits[offset + from * words + to / 64] >> (to % 64);
+        (bit(la, lb) | bit(lb, la)) & 1 == 1
     }
 }
 
@@ -1035,10 +1066,18 @@ mod tests {
         }
     }
 
+    /// Ascending id order, the order of [`all_pairs_lists`].
+    fn sorted(mut list: Vec<HTaskId>) -> Vec<HTaskId> {
+        list.sort_unstable();
+        list
+    }
+
+    /// The interferers, blockers and outranked tasks the construction's
+    /// priority runs yield per task equal the lists of the all-pairs scan.
     #[test]
     fn interference_lists_match_the_all_pairs_scan() {
         let mut rng = Xorshift(0x9e37_79b9_7f4a_7c15);
-        let mut replicated = 0;
+        let (mut replicated, mut ties) = (0, 0);
         for _ in 0..300 {
             let num_procs = 1 + rng.below(4) as usize;
             let arch = arch(num_procs);
@@ -1100,9 +1139,32 @@ mod tests {
                 uniform_policies(num_procs, SchedPolicy::FixedPriorityPreemptive),
             );
             let (hp, lp) = all_pairs_lists(&hsys, &mapping);
-            assert_eq!(analysis.hp_interferers, hp);
-            assert_eq!(analysis.lp_blockers, lp);
+            for v in hsys.task_ids() {
+                let interferers = analysis.interferers(v).to_vec();
+                let blockers: Vec<HTaskId> = analysis.blockers(v).collect();
+                // Both come in priority order, the order `outranks` ranks.
+                for list in [&interferers, &blockers, &analysis.outranked(v).to_vec()] {
+                    assert!(list.windows(2).all(|p| mapping.outranks(p[0], p[1])));
+                }
+                assert_eq!(sorted(interferers), hp[v.index()], "interferers of {v}");
+                assert_eq!(sorted(blockers), lp[v.index()], "blockers of {v}");
+                // The dirty marking's walk: every same-processor task `v`
+                // outranks, related or not.
+                let outranked: Vec<HTaskId> = hsys
+                    .task_ids()
+                    .filter(|&w| mapping.proc_of(w) == mapping.proc_of(v) && mapping.outranks(v, w))
+                    .collect();
+                assert_eq!(sorted(analysis.outranked(v).to_vec()), outranked);
+            }
+            ties += usize::from(hsys.task_ids().any(|v| {
+                hsys.task_ids().any(|w| {
+                    w != v
+                        && mapping.proc_of(w) == mapping.proc_of(v)
+                        && mapping.priority_of(w) == mapping.priority_of(v)
+                })
+            }));
         }
+        assert!(ties > 200, "priority ties must be common: {ties} of 300");
         assert!(
             replicated > 100,
             "the systems must exercise replicas and voters"

@@ -14,7 +14,7 @@
 use crate::job::{front_to_json, status_doc, JobPaths, JobSpec, JobState, JobTotals};
 use crate::progress::{ProgressTap, TapSink};
 use mcmap_core::{
-    attach_trace, explore_checked, CacheStats, DseConfig, MetricsSink, ObjectiveMode,
+    attach_trace, explore_checked, CacheStats, DseConfig, MetricsSink, ObjectiveMode, Resume,
     SharedEvalCache,
 };
 use mcmap_ga::GaConfig;
@@ -614,13 +614,14 @@ impl Registry {
         };
         let paths = JobPaths::new(&self.cfg.jobs_dir, id);
         let ckpt = paths.checkpoint();
-        let resume = ckpt.exists().then(|| ckpt.clone());
+        let mut resume = ckpt.exists().then(|| Resume::from(ckpt.clone()));
         let trace = paths.trace();
         // A resumed slice continues the trace past the checkpoint's
         // high-water mark; the metrics fold skips the re-emitted preamble
-        // below that mark too.
+        // below that mark too. The checkpoint is read here, once, for the
+        // slice too.
         let (builder, trace_seq) =
-            match attach_trace(RecorderBuilder::new(), &trace, resume.as_deref()) {
+            match attach_trace(RecorderBuilder::new(), &trace, resume.as_mut()) {
                 Ok((builder, trace_seq, _)) => (builder, trace_seq),
                 Err(e) => {
                     return (

@@ -216,7 +216,7 @@ fn truncated_checkpoint_falls_back_to_backup_and_resumes() {
         8,
         ResilienceConfig {
             checkpoint: Some(path.clone()),
-            resume: Some(path.clone()),
+            resume: Some(path.clone().into()),
             ..ResilienceConfig::default()
         },
     );

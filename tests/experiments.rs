@@ -3,7 +3,9 @@
 //! reduced budgets, so `cargo test` alone validates the reproduction.
 
 use mcmap::benchmarks::{all_benchmarks, cruise, dt_med};
-use mcmap::core::{adhoc_analysis, analyze, analyze_naive, explore, DseConfig, ObjectiveMode};
+use mcmap::core::{
+    adhoc_analysis, analyze, analyze_explained, analyze_naive, explore, DseConfig, ObjectiveMode,
+};
 use mcmap::ga::GaConfig;
 use mcmap::hardening::{harden, HardeningPlan, TaskHardening};
 use mcmap::model::{AppId, ProcId, Time};
@@ -71,16 +73,16 @@ fn table2_safety_orderings() {
 #[test]
 fn table2_attributes_the_binding_state() {
     let (b, hsys, mapping, dropped) = table2_design_m1();
-    let mc = analyze(&hsys, &b.arch, &mapping, &b.policies, &dropped);
+    let (mc, scenario_app_wcrt) =
+        analyze_explained(&hsys, &b.arch, &mapping, &b.policies, &dropped);
     assert_eq!(mc.scenarios, 2, "two re-executed heads → two scenarios");
     for app in b.apps.app_ids() {
         let normal = mc.normal.app_wcrt(&hsys, app);
-        match mc.binding_trigger(&hsys, app) {
+        match mc.binding_trigger(&hsys, &scenario_app_wcrt, app) {
             // A fault scenario binds: its response must strictly exceed the
             // fault-free one and match the merged worst case.
             Some(trigger) => {
-                let (_, wcrts) = mc
-                    .scenario_app_wcrt
+                let (_, wcrts) = scenario_app_wcrt
                     .iter()
                     .find(|(t, _)| *t == trigger)
                     .expect("trigger comes from the scenario list");
@@ -92,7 +94,7 @@ fn table2_attributes_the_binding_state() {
             // scenario the co-located nav pipeline is certainly dropped,
             // so the *fault-free* hyperperiod is the worst one.
             None => {
-                for (_, wcrts) in &mc.scenario_app_wcrt {
+                for (_, wcrts) in &scenario_app_wcrt {
                     assert!(wcrts[app.index()] <= normal);
                 }
                 assert_eq!(mc.worst.app_wcrt(&hsys, app), normal);
@@ -100,7 +102,10 @@ fn table2_attributes_the_binding_state() {
         }
     }
     // And specifically: speed-control is normal-bound in design M1.
-    assert_eq!(mc.binding_trigger(&hsys, AppId::new(0)), None);
+    assert_eq!(
+        mc.binding_trigger(&hsys, &scenario_app_wcrt, AppId::new(0)),
+        None
+    );
 }
 
 #[test]

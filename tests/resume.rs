@@ -146,7 +146,7 @@ fn kill_at_every_generation_resumes_bit_identically() {
             traced: true,
             resilience: ResilienceConfig {
                 checkpoint: Some(path.clone()),
-                resume: Some(path.clone()),
+                resume: Some(path.clone().into()),
                 ..ResilienceConfig::default()
             },
         }
@@ -207,7 +207,7 @@ fn resume_is_independent_of_threads_and_cache_capacity() {
         seed: 9,
         traced: false,
         resilience: ResilienceConfig {
-            resume: Some(path.clone()),
+            resume: Some(path.clone().into()),
             ..ResilienceConfig::default()
         },
     }
@@ -274,7 +274,7 @@ fn two_interleaved_jobs_match_their_solo_runs_at_every_slice_boundary() {
                 traced: true,
                 resilience: ResilienceConfig {
                     checkpoint: Some(paths[j].clone()),
-                    resume: paths[j].exists().then(|| paths[j].clone()),
+                    resume: paths[j].exists().then(|| paths[j].clone().into()),
                     stop_after_slice: Some(1),
                     ..ResilienceConfig::default()
                 },
@@ -376,7 +376,7 @@ proptest! {
             seed,
             traced: false,
             resilience: ResilienceConfig {
-                resume: Some(reencoded.clone()),
+                resume: Some(reencoded.clone().into()),
                 ..ResilienceConfig::default()
             },
         }
