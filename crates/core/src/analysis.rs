@@ -1020,6 +1020,79 @@ mod tests {
         assert!(!without.schedulable(&hsys, &[]));
     }
 
+    /// A fault in a *later* instance of a multi-rate trigger, after a
+    /// droppable application already ran normally. `v` (period 1000,
+    /// k = 1) shares PE 0 with the droppable `w` (period 2000, released by
+    /// `d` on PE 1 at 300) and the non-droppable `x` (period 2000, lowest
+    /// priority). `w` starts after `v`'s first-instance window [0, 102],
+    /// so the scenario of trigger `v` counts it certainly dropped. But
+    /// `v`'s second instance faults at 1102, after `w` ran at 300–600:
+    /// `x` pays both `w` and one re-execution of `v`, and no scenario
+    /// combines the two. The bound misses by one re-execution.
+    #[test]
+    #[ignore = "unsound: Classes::scenario compares dropped tasks only with the trigger's \
+                first-instance window; a fault in instance k of a shorter-period trigger \
+                (window shifted by k*T_v) after a dropped app ran normally is not covered"]
+    fn later_instance_fault_after_a_dropped_app_ran_is_bounded() {
+        use mcmap_sim::{ScriptedFaults, Simulator};
+        let graph = |name: &str, period: u64, crit: Criticality| {
+            TaskGraph::builder(name, Time::from_ticks(period)).criticality(crit)
+        };
+        let hard = Criticality::NonDroppable {
+            max_failure_rate: 1.0,
+        };
+        let a = graph("a", 1_000, hard)
+            .task(task("v", 100, 100))
+            .build()
+            .unwrap();
+        let dropped_app = graph("d", 2_000, Criticality::Droppable { service: 1.0 })
+            .task(task("d", 300, 300))
+            .task(task("w", 300, 300))
+            .channel(0, 1, 0)
+            .build()
+            .unwrap();
+        let b = graph("b", 2_000, hard)
+            .task(task("x", 800, 800))
+            .build()
+            .unwrap();
+        let apps = AppSet::new(vec![a, dropped_app, b]).unwrap();
+        let arch = arch(2);
+        let mut plan = HardeningPlan::unhardened(&apps);
+        plan.set_by_flat_index(0, TaskHardening::reexecution(1));
+        let hsys = harden(&apps, &plan, &arch).unwrap();
+        let (p0, p1) = (ProcId::new(0), ProcId::new(1));
+        let mapping = Mapping::new(&hsys, &arch, vec![p0, p1, p0, p0])
+            .unwrap()
+            .with_priorities(vec![0, 0, 1, 2]);
+        let policies = uniform_policies(2, SchedPolicy::FixedPriorityPreemptive);
+        let dropped = vec![AppId::new(1)];
+        let bound_with = |opts| {
+            analyze_with(&hsys, &arch, &mapping, &policies, &dropped, opts).app_wcrt(
+                &hsys,
+                AppId::new(2),
+                &dropped,
+            )
+        };
+        let bound = bound_with(AnalysisOptions::default());
+        assert_eq!(
+            bound,
+            bound_with(AnalysisOptions::reference()),
+            "not a pruning effect"
+        );
+
+        let sim = Simulator::new(&hsys, &arch, &mapping, policies);
+        let mut faults = ScriptedFaults::new().with_fault(HTaskId::new(0), 1, 0);
+        let r = sim.run(&SimConfig::worst_case(dropped), &mut faults);
+        assert_eq!(r.critical_entries, 1);
+        assert_eq!(r.dropped_instances[1], 0, "w ran before the fault");
+        assert!(
+            r.app_wcrt[2] <= bound,
+            "x observed {} > bound {}",
+            r.app_wcrt[2],
+            bound
+        );
+    }
+
     #[test]
     fn analysis_is_safe_against_the_simulator() {
         use mcmap_sim::{RandomFaults, Simulator};

@@ -480,9 +480,23 @@ pub fn run_campaign(
             ("profiles", Value::U64(cfg.profiles)),
         ],
     );
-    let sims: Vec<Simulator<'_>> = points
+    // Everything a run needs that depends only on the point is built
+    // once: the simulator, the fault model (reseeded per profile) and the
+    // simulation parameters.
+    let contexts: Vec<(Simulator<'_>, RandomFaults, SimConfig)> = points
         .iter()
-        .map(|p| Simulator::new(&p.hsys, arch, &p.mapping, policies.to_vec()))
+        .map(|p| {
+            (
+                Simulator::new(&p.hsys, arch, &p.mapping, policies.to_vec()),
+                RandomFaults::new(&p.hsys, arch, &p.mapping, cfg.seed).with_boost(cfg.boost),
+                SimConfig {
+                    exec_model: ExecModel::WorstCase,
+                    hyperperiods: cfg.hyperperiods,
+                    dropped: p.dropped.clone(),
+                    start_critical: false,
+                },
+            )
+        })
         .collect();
 
     // One work item per (point, profile); outcome index `point` is
@@ -511,16 +525,8 @@ pub fn run_campaign(
             .collect();
         let outcomes = mcmap_eval::parallel_map(&items, cfg.threads, |&(p, i)| {
             let point = &points[p];
-            let sim_cfg = SimConfig {
-                exec_model: ExecModel::WorstCase,
-                hyperperiods: cfg.hyperperiods,
-                dropped: point.dropped.clone(),
-                start_critical: false,
-            };
-            let mut faults =
-                RandomFaults::new(&point.hsys, arch, &point.mapping, cfg.seed.wrapping_add(i))
-                    .with_boost(cfg.boost);
-            let r = sims[p].run(&sim_cfg, &mut faults);
+            let (sim, faults, sim_cfg) = &contexts[p];
+            let r = sim.run(sim_cfg, &mut faults.reseeded(cfg.seed.wrapping_add(i)));
             let covered = r.unsafe_instances.iter().sum::<u64>() == 0;
             let mut viols = Vec::new();
             if covered {

@@ -3,8 +3,8 @@
 use mcmap_core::MaterializedPoint;
 use mcmap_model::{AppId, Architecture, Criticality, ProcId, Time};
 use mcmap_obs::{Recorder, Value};
-use mcmap_sched::SchedPolicy;
-use mcmap_sim::{ExecModel, RandomFaults, SimConfig, Simulator};
+use mcmap_sched::{hyperperiod, SchedPolicy};
+use mcmap_sim::{RandomFaults, SimConfig, Simulator};
 
 /// An event the runtime reacts to, one per hyperperiod boundary. The
 /// first two are produced by the simulator itself (critical-state entries
@@ -368,12 +368,19 @@ pub fn run_reaction(
     obs: Recorder,
 ) -> ReactionReport {
     let mut manager = RuntimeManager::new(points, cfg.runtime).with_recorder(obs);
-    let hp = points[0]
-        .hsys
-        .apps()
+    let hp = hyperperiod(&points[0].hsys);
+    // One simulator and one fault model per point, built once; each
+    // hyperperiod reseeds the current point's model.
+    let contexts: Vec<(Simulator<'_>, RandomFaults)> = points
         .iter()
-        .map(|a| a.period)
-        .fold(Time::from_ticks(1), mcmap_model::lcm_time);
+        .map(|p| {
+            (
+                Simulator::new(&p.hsys, arch, &p.mapping, policies.to_vec()),
+                RandomFaults::new(&p.hsys, arch, &p.mapping, cfg.seed).with_boost(cfg.boost),
+            )
+        })
+        .collect();
+    let mut sim_cfg = SimConfig::worst_case(Vec::new());
     let mut report = ReactionReport {
         transitions: Vec::new(),
         switch_latency: Vec::new(),
@@ -393,17 +400,9 @@ pub fn run_reaction(
             }
         }
         let point = manager.current_point();
-        let sim = Simulator::new(&point.hsys, arch, &point.mapping, policies.to_vec());
-        let sim_cfg = SimConfig {
-            exec_model: ExecModel::WorstCase,
-            hyperperiods: 1,
-            dropped: manager.dropped_now(),
-            start_critical: false,
-        };
-        let mut faults =
-            RandomFaults::new(&point.hsys, arch, &point.mapping, cfg.seed.wrapping_add(h))
-                .with_boost(cfg.boost);
-        let (r, trace) = sim.run_traced(&sim_cfg, &mut faults);
+        let (sim, faults) = &contexts[manager.current()];
+        sim_cfg.dropped = manager.dropped_now();
+        let (r, trace) = sim.run_traced(&sim_cfg, &mut faults.reseeded(cfg.seed.wrapping_add(h)));
 
         // Bound check: only runs within the hardening coverage carry the
         // analysis promise, and only non-dropped applications have one.

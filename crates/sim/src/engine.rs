@@ -17,12 +17,34 @@
 //!   `T_d` releases no further work: jobs that have not started are
 //!   discarded and new releases are suppressed until the hyperperiod
 //!   boundary restores the normal state.
+//!
+//! # Event order
+//!
+//! Events pop in `(time, class, seq)` order: hyperperiod boundaries
+//! (class 0) before tentative completions (class 1) before releases and
+//! message deliveries (class 2), ties broken by a sequence number that is
+//! unique within a run. Release `k` of a task carries the number an eager
+//! push of every release in task-major order would give it,
+//! `1 + offset(task) + k`, and every other event is numbered past all
+//! releases and boundaries. Releases are pushed lazily — a task's
+//! release `k + 1` when its release `k` pops, which is always earlier
+//! because periods are positive — so the heap holds about one release per
+//! task plus the events in flight, and the pop order is the eager one.
+//!
+//! # Per-point and per-thread state
+//!
+//! [`Simulator::new`] computes everything a run needs that depends only on
+//! the operating point (hyperperiod, jobs per hyperperiod, input counts,
+//! the job-index layout); a run only scales the layout by
+//! [`SimConfig::hyperperiods`]. The job table, the event heap and the ready
+//! queues are reused by every run on the same thread, so a run allocates
+//! only its [`SimResult`] (and its [`Trace`], when traced).
 
 use crate::{FaultModel, JobOutcome, JobRecord, Segment, Trace};
 use mcmap_hardening::{HTaskId, HardenedSystem};
 use mcmap_model::{AppId, Architecture, ExecBounds, Time};
 use mcmap_sched::{hyperperiod, nominal_bounds, Mapping, SchedPolicy};
-use std::cmp::Reverse;
+use std::cell::Cell;
 use std::collections::BinaryHeap;
 
 /// Which execution time each attempt consumes.
@@ -94,7 +116,7 @@ enum JobState {
     Dropped,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Job {
     state: JobState,
     inputs_missing: usize,
@@ -103,9 +125,13 @@ struct Job {
     remaining: Time,
     last_resume: Time,
     finish: Option<Time>,
+    /// The verdict of the job's last attempt, once it completed by
+    /// executing: its final value is faulty exactly when every attempt in
+    /// the budget was. `None` for an uninvoked standby, which never ran.
+    final_faulty: Option<bool>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct JobKey {
     task: usize,
     inst: u64,
@@ -131,6 +157,19 @@ struct PeState {
     gen: u64,
 }
 
+/// What a run needs to know about one task, fixed per operating point.
+#[derive(Debug, Clone, Copy)]
+struct TaskLayout {
+    period: Time,
+    /// Jobs released per hyperperiod.
+    jobs: u64,
+    /// Input channels: messages each job waits for.
+    inputs: usize,
+    /// First job index of the task in a one-hyperperiod run; a run over
+    /// `h` hyperperiods multiplies it (and `jobs`) by `h`.
+    offset: usize,
+}
+
 /// The discrete-event simulator for one hardened system under one mapping.
 #[derive(Debug)]
 pub struct Simulator<'a> {
@@ -139,6 +178,10 @@ pub struct Simulator<'a> {
     mapping: &'a Mapping,
     policies: Vec<SchedPolicy>,
     bounds: Vec<ExecBounds>,
+    hyper: Time,
+    layout: Vec<TaskLayout>,
+    /// Jobs released per hyperperiod over all tasks.
+    jobs_per_hyper: usize,
 }
 
 impl<'a> Simulator<'a> {
@@ -159,18 +202,38 @@ impl<'a> Simulator<'a> {
             "one policy per processor required"
         );
         let bounds = nominal_bounds(hsys, arch, mapping);
+        let hyper = hyperperiod(hsys);
+        let mut jobs_per_hyper = 0;
+        let layout = hsys
+            .task_ids()
+            .map(|id| {
+                let period = hsys.app_of(id).period;
+                let jobs = hyper.ticks() / period.ticks();
+                let offset = jobs_per_hyper;
+                jobs_per_hyper += jobs as usize;
+                TaskLayout {
+                    period,
+                    jobs,
+                    inputs: hsys.in_channels(id).count(),
+                    offset,
+                }
+            })
+            .collect();
         Simulator {
             hsys,
             arch,
             mapping,
             policies,
             bounds,
+            hyper,
+            layout,
+            jobs_per_hyper,
         }
     }
 
     /// Runs one simulation with the given fault model.
     pub fn run(&self, config: &SimConfig, faults: &mut dyn FaultModel) -> SimResult {
-        Run::new(self, config, faults, false).execute().0
+        self.execute(config, faults, false).0
     }
 
     /// Runs one simulation and records the full execution [`Trace`]
@@ -181,8 +244,25 @@ impl<'a> Simulator<'a> {
         config: &SimConfig,
         faults: &mut dyn FaultModel,
     ) -> (SimResult, Trace) {
-        let (result, trace) = Run::new(self, config, faults, true).execute();
+        let (result, trace) = self.execute(config, faults, true);
         (result, trace.expect("tracing was requested"))
+    }
+
+    /// The one engine behind [`Simulator::run`] and
+    /// [`Simulator::run_traced`]: borrows this thread's buffers for the
+    /// run and hands them back afterwards. A nested or panicking run just
+    /// starts from empty buffers.
+    fn execute(
+        &self,
+        config: &SimConfig,
+        faults: &mut dyn FaultModel,
+        traced: bool,
+    ) -> (SimResult, Option<Trace>) {
+        let mut run = Run::new(self, config, faults, BUFFERS.take(), traced);
+        run.execute();
+        let out = run.collect();
+        BUFFERS.set(run.into_buffers());
+        out
     }
 
     fn exec_time(&self, task: usize, model: ExecModel) -> Time {
@@ -200,21 +280,39 @@ impl<'a> Simulator<'a> {
     }
 }
 
+type EventQueue = BinaryHeap<Entry>;
+
+/// The storage of a run, kept per thread between runs so that a run
+/// allocates nothing but its result. Every field is reset by [`Run::new`].
+#[derive(Debug, Default)]
+struct Buffers {
+    jobs: Vec<Job>,
+    events: EventQueue,
+    pes: Vec<PeState>,
+    dirty: Vec<bool>,
+    dropped_app: Vec<bool>,
+    in_dropped_set: Vec<bool>,
+}
+
+thread_local! {
+    static BUFFERS: Cell<Buffers> = Cell::new(Buffers::default());
+}
+
 struct Run<'s, 'a> {
     sim: &'s Simulator<'a>,
     config: &'s SimConfig,
     faults: &'s mut dyn FaultModel,
+    /// Hyperperiods simulated (at least 1).
+    horizons: u64,
     jobs: Vec<Job>,
-    /// First job index of each task.
-    offsets: Vec<usize>,
-    /// Instances per task.
-    insts: Vec<u64>,
     pes: Vec<PeState>,
-    events: BinaryHeap<Reverse<(Time, u8, u64, EventBox)>>,
+    events: EventQueue,
     seq: u64,
     critical: bool,
     critical_entries: u64,
     dropped_app: Vec<bool>,
+    /// The configured dropped set `T_d` as a per-application mask.
+    in_dropped_set: Vec<bool>,
     /// PEs whose ready queues changed in the current event batch; the
     /// dispatcher runs once per PE after all same-timestamp events are
     /// handled so that simultaneous arrivals compete fairly.
@@ -223,26 +321,44 @@ struct Run<'s, 'a> {
     trace: Option<Trace>,
 }
 
-/// Wrapper giving `Event` a (trivial) total order for the heap; the unique
-/// `(time, class, seq)` prefix of the heap tuple always decides first, so
-/// two `EventBox`es never actually need distinguishing.
+/// A heap entry. The `(time, class, seq)` order key is packed into one
+/// integer — time in the high 64 bits, the 2-bit class above a 62-bit
+/// sequence number in the low ones — and compared reversed, so the
+/// max-heap pops the earliest event. Keys are unique within a run.
 #[derive(Debug, Clone, Copy)]
-struct EventBox(Event);
+struct Entry {
+    key: u128,
+    event: Event,
+}
 
-impl PartialEq for EventBox {
-    fn eq(&self, _other: &Self) -> bool {
-        true
+impl Entry {
+    fn new(t: Time, class: u8, seq: u64, event: Event) -> Self {
+        debug_assert!(class < 4 && seq < 1 << 62);
+        Entry {
+            key: u128::from(t.ticks()) << 64 | u128::from(class) << 62 | u128::from(seq),
+            event,
+        }
+    }
+
+    fn time(&self) -> Time {
+        Time::from_ticks((self.key >> 64) as u64)
     }
 }
-impl Eq for EventBox {}
-impl PartialOrd for EventBox {
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl Eq for Entry {}
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for EventBox {
-    fn cmp(&self, _other: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.key.cmp(&self.key)
     }
 }
 
@@ -251,110 +367,137 @@ impl<'s, 'a> Run<'s, 'a> {
         sim: &'s Simulator<'a>,
         config: &'s SimConfig,
         faults: &'s mut dyn FaultModel,
+        buffers: Buffers,
         traced: bool,
     ) -> Self {
-        let hyper = hyperperiod(sim.hsys);
+        let Buffers {
+            mut jobs,
+            mut events,
+            mut pes,
+            mut dirty,
+            mut dropped_app,
+            mut in_dropped_set,
+        } = buffers;
         let horizons = config.hyperperiods.max(1);
-        let n = sim.hsys.num_tasks();
+        let num_pes = sim.arch.num_processors();
+        let apps = sim.hsys.apps();
 
-        let mut offsets = Vec::with_capacity(n);
-        let mut insts = Vec::with_capacity(n);
-        let mut total = 0usize;
-        for id in sim.hsys.task_ids() {
-            let period = sim.hsys.app_of(id).period;
-            let count = (hyper.ticks() / period.ticks()) * horizons;
-            offsets.push(total);
-            insts.push(count);
-            total += count as usize;
+        jobs.clear();
+        for l in &sim.layout {
+            let job = Job {
+                state: JobState::Waiting,
+                inputs_missing: l.inputs,
+                released: false,
+                attempts: 0,
+                remaining: Time::ZERO,
+                last_resume: Time::ZERO,
+                finish: None,
+                final_faulty: None,
+            };
+            jobs.extend(std::iter::repeat_n(job, (l.jobs * horizons) as usize));
         }
-
-        let jobs = sim
-            .hsys
-            .task_ids()
-            .flat_map(|id| {
-                let inputs = sim.hsys.in_channels(id).count();
-                (0..insts[id.index()]).map(move |_| Job {
-                    state: JobState::Waiting,
-                    inputs_missing: inputs,
-                    released: false,
-                    attempts: 0,
-                    remaining: Time::ZERO,
-                    last_resume: Time::ZERO,
-                    finish: None,
-                })
-            })
-            .collect();
-
-        let mut run = Run {
-            sim,
-            config,
-            faults,
-            jobs,
-            offsets,
-            insts,
-            pes: (0..sim.arch.num_processors())
-                .map(|_| PeState::default())
-                .collect(),
-            events: BinaryHeap::new(),
-            seq: 0,
-            critical: false,
-            critical_entries: 0,
-            dropped_app: vec![false; sim.hsys.apps().len()],
-            dirty: vec![false; sim.arch.num_processors()],
-            trace: traced.then(Trace::default),
-        };
-        if config.start_critical {
-            run.critical = true;
-            for app in sim.hsys.apps() {
-                if config.dropped.contains(&app.app) {
-                    run.dropped_app[app.app.index()] = true;
-                }
-            }
+        events.clear();
+        pes.resize_with(num_pes, PeState::default);
+        pes.truncate(num_pes);
+        for pe in &mut pes {
+            pe.running = None;
+            pe.ready.clear();
+            pe.gen = 0;
         }
-        for app in sim.hsys.apps() {
-            if config.dropped.contains(&app.app) {
+        dirty.clear();
+        dirty.resize(num_pes, false);
+        in_dropped_set.clear();
+        in_dropped_set.extend(apps.iter().map(|a| config.dropped.contains(&a.app)));
+        dropped_app.clear();
+        dropped_app.resize(apps.len(), false);
+        for app in apps {
+            if in_dropped_set[app.app.index()] {
                 debug_assert!(
                     app.criticality.is_droppable(),
                     "only droppable applications may appear in the dropped set"
                 );
             }
         }
+        if config.start_critical {
+            dropped_app.copy_from_slice(&in_dropped_set);
+        }
 
-        // Seed events: releases and hyperperiod boundaries.
-        for id in sim.hsys.task_ids() {
-            let period = sim.hsys.app_of(id).period;
-            for inst in 0..run.insts[id.index()] {
-                let t = period * inst;
-                run.push(
-                    t,
-                    2,
-                    Event::Release {
-                        key: JobKey {
-                            task: id.index(),
-                            inst,
-                        },
-                    },
-                );
+        // Seed each task's first release and every hyperperiod boundary,
+        // numbered as if all releases had been pushed up front.
+        let releases = sim.jobs_per_hyper as u64 * horizons;
+        for (task, l) in sim.layout.iter().enumerate() {
+            if l.jobs > 0 {
+                let seq = 1 + l.offset as u64 * horizons;
+                let key = JobKey { task, inst: 0 };
+                events.push(Entry::new(Time::ZERO, 2, seq, Event::Release { key }));
             }
         }
         for m in 1..=horizons {
-            run.push(hyper * m, 0, Event::Boundary);
+            events.push(Entry::new(sim.hyper * m, 0, releases + m, Event::Boundary));
         }
-        run
+
+        Run {
+            sim,
+            config,
+            faults,
+            horizons,
+            jobs,
+            pes,
+            events,
+            seq: releases + horizons,
+            critical: config.start_critical,
+            critical_entries: 0,
+            dropped_app,
+            in_dropped_set,
+            dirty,
+            trace: traced.then(Trace::default),
+        }
+    }
+
+    /// Returns the run's storage for the next run on this thread.
+    fn into_buffers(self) -> Buffers {
+        Buffers {
+            jobs: self.jobs,
+            events: self.events,
+            pes: self.pes,
+            dirty: self.dirty,
+            dropped_app: self.dropped_app,
+            in_dropped_set: self.in_dropped_set,
+        }
     }
 
     fn push(&mut self, t: Time, class: u8, ev: Event) {
         self.seq += 1;
-        self.events
-            .push(Reverse((t, class, self.seq, EventBox(ev))));
+        self.events.push(Entry::new(t, class, self.seq, ev));
+    }
+
+    /// Pushes the release after `key`'s, if the run has one, with the
+    /// sequence number the eager seeding would have given it.
+    fn push_next_release(&mut self, key: JobKey) {
+        let l = self.sim.layout[key.task];
+        let inst = key.inst + 1;
+        if inst < l.jobs * self.horizons {
+            let seq = 1 + l.offset as u64 * self.horizons + inst;
+            let key = JobKey {
+                task: key.task,
+                inst,
+            };
+            self.events
+                .push(Entry::new(l.period * inst, 2, seq, Event::Release { key }));
+        }
+    }
+
+    fn index(&self, key: JobKey) -> usize {
+        self.sim.layout[key.task].offset * self.horizons as usize + key.inst as usize
     }
 
     fn job(&self, key: JobKey) -> &Job {
-        &self.jobs[self.offsets[key.task] + key.inst as usize]
+        &self.jobs[self.index(key)]
     }
 
     fn job_mut(&mut self, key: JobKey) -> &mut Job {
-        &mut self.jobs[self.offsets[key.task] + key.inst as usize]
+        let i = self.index(key);
+        &mut self.jobs[i]
     }
 
     fn app_of(&self, key: JobKey) -> AppId {
@@ -365,18 +508,16 @@ impl<'s, 'a> Run<'s, 'a> {
         self.dropped_app[app.index()]
     }
 
-    fn execute(mut self) -> (SimResult, Option<Trace>) {
-        while let Some(Reverse((t, _class, _seq, EventBox(ev)))) = self.events.pop() {
-            self.handle(ev, t);
+    fn execute(&mut self) {
+        while let Some(entry) = self.events.pop() {
+            let t = entry.time();
+            self.handle(entry.event, t);
             // Drain every event sharing this timestamp before dispatching,
             // so simultaneous arrivals compete by priority rather than by
             // event-queue order.
-            while let Some(Reverse((t2, _, _, _))) = self.events.peek() {
-                if *t2 != t {
-                    break;
-                }
-                let Reverse((_, _, _, EventBox(ev2))) = self.events.pop().expect("peeked");
-                self.handle(ev2, t);
+            while self.events.peek().is_some_and(|e| e.time() == t) {
+                let entry = self.events.pop().expect("peeked");
+                self.handle(entry.event, t);
             }
             for pe in 0..self.dirty.len() {
                 if self.dirty[pe] {
@@ -385,7 +526,6 @@ impl<'s, 'a> Run<'s, 'a> {
                 }
             }
         }
-        self.collect()
     }
 
     fn record_segment(&mut self, key: JobKey, end: Time) {
@@ -424,7 +564,10 @@ impl<'s, 'a> Run<'s, 'a> {
     fn handle(&mut self, ev: Event, t: Time) {
         match ev {
             Event::Boundary => self.on_boundary(),
-            Event::Release { key } => self.on_release(key, t),
+            Event::Release { key } => {
+                self.push_next_release(key);
+                self.on_release(key, t);
+            }
             Event::Message { key } => self.on_message(key, t),
             Event::Finish { pe, gen } => self.on_finish(pe, gen, t),
         }
@@ -463,6 +606,21 @@ impl<'s, 'a> Run<'s, 'a> {
         }
     }
 
+    /// The final value status of copy `task` in instance `inst`: the
+    /// verdict its completion recorded, or the fault model's answer for a
+    /// copy that has not executed to completion (same value: the model is
+    /// a pure function of the query).
+    fn final_faulty(&mut self, task: HTaskId, inst: u64) -> bool {
+        let key = JobKey {
+            task: task.index(),
+            inst,
+        };
+        match self.job(key).final_faulty {
+            Some(faulty) => faulty,
+            None => self.sim.copy_final_faulty(&mut *self.faults, task, inst),
+        }
+    }
+
     fn on_ready(&mut self, key: JobKey, t: Time) {
         let app = self.app_of(key);
         if self.critical && self.is_dropped_app(app) {
@@ -471,21 +629,21 @@ impl<'s, 'a> Run<'s, 'a> {
             return;
         }
         let task_id = HTaskId::new(key.task);
-        let task = self.sim.hsys.task(task_id);
+        let hsys = self.sim.hsys;
+        let task = hsys.task(task_id);
         if task.is_passive() {
             // A standby runs only when one of the always-on copies of its
             // origin delivered a faulty value.
-            let sim = self.sim;
-            let faults = &mut *self.faults;
-            let invoked = sim
-                .hsys
-                .copies_of(sim.hsys.flat_of(task_id))
-                .iter()
-                .filter(|&&c| !sim.hsys.task(c).is_passive())
-                .any(|&c| sim.copy_final_faulty(faults, c, key.inst));
+            let mut invoked = false;
+            for &c in hsys.copies_of(hsys.flat_of(task_id)) {
+                if !hsys.task(c).is_passive() && self.final_faulty(c, key.inst) {
+                    invoked = true;
+                    break;
+                }
+            }
             if !invoked {
                 // Not invoked: completes instantly with zero execution.
-                self.complete(key, t, true);
+                self.complete(key, t, true, None);
                 return;
             }
             // Invocation of a passive replica enters the critical state.
@@ -527,7 +685,7 @@ impl<'s, 'a> Run<'s, 'a> {
     fn complete_instantly(&mut self, key: JobKey, t: Time) {
         let task_id = HTaskId::new(key.task);
         let task = self.sim.hsys.task(task_id);
-        loop {
+        let faulty = loop {
             let attempt = self.job(key).attempts;
             let faulty = self.faults.faulty(task_id, key.inst, attempt);
             if faulty && attempt < task.reexec {
@@ -544,9 +702,9 @@ impl<'s, 'a> Run<'s, 'a> {
                 // Budget exhausted: the final fault is still detected.
                 self.enter_critical(t);
             }
-            break;
-        }
-        self.complete(key, t, false);
+            break faulty;
+        };
+        self.complete(key, t, false, Some(faulty));
     }
 
     fn enter_critical(&mut self, t: Time) {
@@ -558,28 +716,26 @@ impl<'s, 'a> Run<'s, 'a> {
         if let Some(trace) = &mut self.trace {
             trace.critical_entries.push(t);
         }
-        for app in self.sim.hsys.apps() {
-            if self.config.dropped.contains(&app.app) {
-                self.dropped_app[app.app.index()] = true;
-            }
+        for (d, &set) in self.dropped_app.iter_mut().zip(&self.in_dropped_set) {
+            *d |= set;
         }
-        // Discard queued (not started) jobs of dropped applications.
-        let drop_keys: Vec<(usize, JobKey)> = self
-            .pes
-            .iter()
-            .enumerate()
-            .flat_map(|(p, pe)| {
-                pe.ready
-                    .iter()
-                    .filter(|&&k| self.is_dropped_app(self.app_of(k)))
-                    .map(move |&k| (p, k))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (p, k) in drop_keys {
-            self.pes[p].ready.retain(|&q| q != k);
-            self.job_mut(k).state = JobState::Dropped;
-            self.record_job(k, t, JobOutcome::Dropped);
+        // Discard queued (not started) jobs of dropped applications, PE by
+        // PE in queue order.
+        for p in 0..self.pes.len() {
+            let mut ready = std::mem::take(&mut self.pes[p].ready);
+            let mut kept = 0;
+            for i in 0..ready.len() {
+                let k = ready[i];
+                if self.is_dropped_app(self.app_of(k)) {
+                    self.job_mut(k).state = JobState::Dropped;
+                    self.record_job(k, t, JobOutcome::Dropped);
+                } else {
+                    ready[kept] = k;
+                    kept += 1;
+                }
+            }
+            ready.truncate(kept);
+            self.pes[p].ready = ready;
         }
     }
 
@@ -597,8 +753,8 @@ impl<'s, 'a> Run<'s, 'a> {
         // Possibly preempt.
         if let Some(running) = self.pes[pe].running {
             if policy == SchedPolicy::FixedPriorityPreemptive {
-                if let Some(&best) = self.best_ready(pe) {
-                    if self.urgency(best) < self.urgency(running) {
+                if let Some(best) = self.best_ready(pe) {
+                    if self.urgency(self.pes[pe].ready[best]) < self.urgency(running) {
                         self.record_segment(running, now);
                         let elapsed = now.saturating_sub(self.job(running).last_resume);
                         let job = self.job_mut(running);
@@ -613,8 +769,8 @@ impl<'s, 'a> Run<'s, 'a> {
         }
         // Dispatch if idle.
         if self.pes[pe].running.is_none() {
-            if let Some(&best) = self.best_ready(pe) {
-                self.pes[pe].ready.retain(|&q| q != best);
+            if let Some(best) = self.best_ready(pe) {
+                let best = self.pes[pe].ready.remove(best);
                 self.pes[pe].running = Some(best);
                 {
                     let job = self.job_mut(best);
@@ -629,8 +785,10 @@ impl<'s, 'a> Run<'s, 'a> {
         }
     }
 
-    fn best_ready(&self, pe: usize) -> Option<&JobKey> {
-        self.pes[pe].ready.iter().min_by_key(|&&k| self.urgency(k))
+    /// Position of the most urgent job in `pe`'s ready queue.
+    fn best_ready(&self, pe: usize) -> Option<usize> {
+        let ready = &self.pes[pe].ready;
+        (0..ready.len()).min_by_key(|&i| self.urgency(ready[i]))
     }
 
     fn on_finish(&mut self, pe: usize, gen: u64, t: Time) {
@@ -672,78 +830,56 @@ impl<'s, 'a> Run<'s, 'a> {
             // Budget exhausted: the final fault is still detected.
             self.enter_critical(t);
         }
-        self.complete(key, t, false);
+        self.complete(key, t, false, Some(faulty));
         self.dirty[pe] = true;
     }
 
-    /// Marks a job done at time `t` and propagates its outputs.
-    /// `instant` skips fabric delays (used for uninvoked standbys, which
-    /// send nothing — their consumers simply stop waiting).
-    fn complete(&mut self, key: JobKey, t: Time, instant: bool) {
+    /// Marks a job done at time `t` with the verdict of its last attempt
+    /// and propagates its outputs. `instant` skips fabric delays (used for
+    /// uninvoked standbys, which send nothing — their consumers simply
+    /// stop waiting).
+    fn complete(&mut self, key: JobKey, t: Time, instant: bool, final_faulty: Option<bool>) {
         {
             let job = self.job_mut(key);
             job.state = JobState::Done;
             job.finish = Some(t);
+            job.final_faulty = final_faulty;
         }
         self.record_job(key, t, JobOutcome::Completed);
+        let sim = self.sim;
         let task_id = HTaskId::new(key.task);
-        let src_pe = self.sim.mapping.proc_of(task_id);
-        let outs: Vec<(HTaskId, u64)> = self
-            .sim
-            .hsys
-            .out_channels(task_id)
-            .map(|c| (c.dst, c.bytes))
-            .collect();
-        for (dst, bytes) in outs {
-            let delay = if instant || self.sim.mapping.proc_of(dst) == src_pe {
+        let src_pe = sim.mapping.proc_of(task_id);
+        for c in sim.hsys.out_channels(task_id) {
+            let delay = if instant || sim.mapping.proc_of(c.dst) == src_pe {
                 Time::ZERO
             } else {
-                self.sim.arch.fabric().transfer_time(bytes)
+                sim.arch.fabric().transfer_time(c.bytes)
             };
-            self.push(
-                t.saturating_add(delay),
-                2,
-                Event::Message {
-                    key: JobKey {
-                        task: dst.index(),
-                        inst: key.inst,
-                    },
-                },
-            );
+            let key = JobKey {
+                task: c.dst.index(),
+                inst: key.inst,
+            };
+            self.push(t.saturating_add(delay), 2, Event::Message { key });
         }
     }
 
-    fn collect(self) -> (SimResult, Option<Trace>) {
-        let Run {
-            sim,
-            faults,
-            jobs,
-            offsets,
-            insts,
-            critical_entries,
-            trace,
-            ..
-        } = self;
+    fn collect(&mut self) -> (SimResult, Option<Trace>) {
+        let sim = self.sim;
         let hsys = sim.hsys;
-        let job_of = |key: JobKey| -> &Job { &jobs[offsets[key.task] + key.inst as usize] };
+        let h = self.horizons;
 
-        let n = hsys.num_tasks();
-        let num_apps = hsys.apps().len();
-        let mut task_wcrt = vec![Time::ZERO; n];
-        for id in hsys.task_ids() {
-            let period = hsys.app_of(id).period;
-            for inst in 0..insts[id.index()] {
-                let key = JobKey {
-                    task: id.index(),
-                    inst,
-                };
-                if let Some(fin) = job_of(key).finish {
-                    let rel = fin.saturating_sub(period * inst);
-                    task_wcrt[id.index()] = task_wcrt[id.index()].max(rel);
+        let mut task_wcrt = vec![Time::ZERO; hsys.num_tasks()];
+        for (worst, l) in task_wcrt.iter_mut().zip(&sim.layout) {
+            let first = l.offset * h as usize;
+            let jobs = &self.jobs[first..first + (l.jobs * h) as usize];
+            for (inst, job) in (0u64..).zip(jobs) {
+                if let Some(fin) = job.finish {
+                    *worst = (*worst).max(fin.saturating_sub(l.period * inst));
                 }
             }
         }
 
+        let num_apps = hsys.apps().len();
         let mut app_wcrt = vec![Time::ZERO; num_apps];
         let mut dropped_instances = vec![0u64; num_apps];
         let mut completed_instances = vec![0u64; num_apps];
@@ -751,24 +887,21 @@ impl<'s, 'a> Run<'s, 'a> {
 
         for app in hsys.apps() {
             let ai = app.app.index();
-            let n_inst = app.members.first().map(|&m| insts[m.index()]).unwrap_or(0);
+            let n_inst = app
+                .members
+                .first()
+                .map(|&m| sim.layout[m.index()].jobs * h)
+                .unwrap_or(0);
             for inst in 0..n_inst {
-                let mut complete = true;
                 let mut latest = Time::ZERO;
-                for &m in &app.members {
-                    let key = JobKey {
+                let complete = app.members.iter().all(|&m| {
+                    let job = self.job(JobKey {
                         task: m.index(),
                         inst,
-                    };
-                    match job_of(key).state {
-                        JobState::Done => {
-                            latest = latest.max(job_of(key).finish.unwrap_or(Time::ZERO));
-                        }
-                        _ => {
-                            complete = false;
-                        }
-                    }
-                }
+                    });
+                    latest = latest.max(job.finish.unwrap_or(Time::ZERO));
+                    job.state == JobState::Done
+                });
                 if !complete {
                     dropped_instances[ai] += 1;
                     continue;
@@ -777,29 +910,24 @@ impl<'s, 'a> Run<'s, 'a> {
                 let release = app.period * inst;
                 app_wcrt[ai] = app_wcrt[ai].max(latest.saturating_sub(release));
 
-                // Post-masking value safety of this instance.
-                let mut unsafe_inst = false;
-                for flat in 0..hsys.num_original_tasks() {
+                // Post-masking value safety of this instance: an original
+                // task's output is corrupted when its only copy, or a
+                // strict majority of its copies, ended faulty.
+                for flat in hsys.flats_of_app(app.app) {
                     let copies = hsys.copies_of(flat);
-                    if copies.is_empty() || hsys.task(copies[0]).app != app.app {
-                        continue;
-                    }
+                    let bad = copies
+                        .iter()
+                        .filter(|&&c| self.final_faulty(c, inst))
+                        .count();
                     let faulty = if copies.len() == 1 {
-                        sim.copy_final_faulty(faults, copies[0], inst)
+                        bad == 1
                     } else {
-                        let bad = copies
-                            .iter()
-                            .filter(|&&c| sim.copy_final_faulty(faults, c, inst))
-                            .count();
                         bad * 2 > copies.len()
                     };
                     if faulty {
-                        unsafe_inst = true;
+                        unsafe_instances[ai] += 1;
                         break;
                     }
-                }
-                if unsafe_inst {
-                    unsafe_instances[ai] += 1;
                 }
             }
         }
@@ -811,9 +939,9 @@ impl<'s, 'a> Run<'s, 'a> {
                 dropped_instances,
                 completed_instances,
                 unsafe_instances,
-                critical_entries,
+                critical_entries: self.critical_entries,
             },
-            trace,
+            self.trace.take(),
         )
     }
 }

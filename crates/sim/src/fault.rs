@@ -4,8 +4,10 @@
 use mcmap_hardening::{HTaskId, HardenedSystem};
 use mcmap_model::{Architecture, ExecBounds, Time};
 use mcmap_sched::Mapping;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Decides whether a given execution attempt of a job is hit by a transient
 /// fault.
@@ -105,10 +107,18 @@ impl FaultModel for ScriptedFaults {
 /// with the same seed produce identical profiles, and — crucially — the
 /// profile does not depend on the *order* in which the simulator asks
 /// (runs that drop different job sets still face the same faults).
+///
+/// The per-task probabilities depend only on the operating point, so a
+/// campaign builds the model once per point and takes one
+/// [`RandomFaults::reseeded`] copy per profile; the copy shares the
+/// probabilities and allocates nothing.
 #[derive(Debug, Clone)]
 pub struct RandomFaults {
-    probs: Vec<f64>,
-    seed: u64,
+    probs: Arc<[f64]>,
+    /// The hash state after absorbing the seed; every query continues a
+    /// clone of it, which yields the same SipHash output as hashing the
+    /// seed afresh.
+    seeded: DefaultHasher,
     /// Multiplier applied to every fault probability (≥ 1 accelerates fault
     /// injection for worst-case hunting).
     boost: f64,
@@ -133,7 +143,7 @@ impl RandomFaults {
             .collect();
         RandomFaults {
             probs,
-            seed,
+            seeded: seeded_hasher(seed),
             boost: 1.0,
         }
     }
@@ -146,14 +156,30 @@ impl RandomFaults {
         self.boost = factor;
         self
     }
+
+    /// The same model (probabilities and boost) under another seed:
+    /// answers exactly as `RandomFaults::new(.., seed)` with the same boost
+    /// would, without recomputing the probabilities.
+    pub fn reseeded(&self, seed: u64) -> Self {
+        RandomFaults {
+            probs: Arc::clone(&self.probs),
+            seeded: seeded_hasher(seed),
+            boost: self.boost,
+        }
+    }
+}
+
+fn seeded_hasher(seed: u64) -> DefaultHasher {
+    let mut h = DefaultHasher::new();
+    seed.hash(&mut h);
+    h
 }
 
 impl FaultModel for RandomFaults {
     fn faulty(&mut self, task: HTaskId, instance: u64, attempt: u8) -> bool {
         let p = (self.probs[task.index()] * self.boost).clamp(0.0, 1.0);
         // Order-independent pseudo-random verdict.
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.seed.hash(&mut h);
+        let mut h = self.seeded.clone();
         task.index().hash(&mut h);
         instance.hash(&mut h);
         attempt.hash(&mut h);
@@ -357,6 +383,27 @@ mod fault_model_contract {
         };
         assert_eq!(table(9), table(9));
         assert_ne!(table(9), table(10), "distinct seeds must diverge");
+    }
+
+    /// A reseeded copy is the model `new` builds for that seed: same
+    /// verdict table, and the copy it was taken from is unaffected.
+    #[test]
+    fn reseeded_models_equal_fresh_ones() {
+        let (arch, hsys, mapping) = fixture();
+        let table = |m: &mut RandomFaults| -> Vec<bool> {
+            triples()
+                .iter()
+                .map(|&(t, i, a)| m.faulty(t, i, a))
+                .collect()
+        };
+        let mut base = RandomFaults::new(&hsys, &arch, &mapping, 9).with_boost(5.0);
+        let before = table(&mut base);
+        for seed in [0, 10, u64::MAX] {
+            let mut fresh = RandomFaults::new(&hsys, &arch, &mapping, seed).with_boost(5.0);
+            assert_eq!(table(&mut base.reseeded(seed)), table(&mut fresh));
+        }
+        assert_eq!(table(&mut base), before);
+        assert_contract(|| Box::new(base.reseeded(42)));
     }
 }
 

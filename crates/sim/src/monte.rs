@@ -141,10 +141,12 @@ pub fn monte_carlo(
         runs: cfg.runs,
         samples: vec![Vec::with_capacity(cfg.runs); hsys.apps().len()],
     };
+    let faults = RandomFaults::new(hsys, arch, mapping, cfg.seed).with_boost(cfg.boost);
     for i in 0..cfg.runs {
-        let mut faults = RandomFaults::new(hsys, arch, mapping, cfg.seed.wrapping_add(i as u64))
-            .with_boost(cfg.boost);
-        let r = sim.run(&cfg.sim, &mut faults);
+        let r = sim.run(
+            &cfg.sim,
+            &mut faults.reseeded(cfg.seed.wrapping_add(i as u64)),
+        );
         result.merge(&r);
     }
     for bucket in &mut result.samples {
