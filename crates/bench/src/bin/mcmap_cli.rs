@@ -118,19 +118,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
 
-fn benchmark(name: &str) -> Option<Benchmark> {
-    match name {
-        "cruise" => Some(mcmap_benchmarks::cruise()),
-        "dt-med" => Some(mcmap_benchmarks::dt_med()),
-        "dt-large" => Some(mcmap_benchmarks::dt_large()),
-        "synth1" => Some(mcmap_benchmarks::synth1(42)),
-        "synth2" => Some(mcmap_benchmarks::synth2(42)),
-        // The fleet presets are generated workloads; like synth1/2 they
-        // use a fixed seed here so every invocation sees the same system.
-        _ => mcmap_benchmarks::fleet_benchmark(name, 42),
-    }
-}
-
 /// Prints the usage error and the usage text; exit code 2.
 fn usage(err: &UsageError) -> ExitCode {
     eprintln!(
@@ -169,7 +156,7 @@ fn usage(err: &UsageError) -> ExitCode {
 /// A verb's first positional, resolved as a benchmark name.
 fn bench_arg(args: &Args) -> Result<(Benchmark, &str), UsageError> {
     let name = args.required(0, "<benchmark>")?;
-    match benchmark(name) {
+    match mcmap_benchmarks::by_name(name) {
         Some(b) => Ok((b, name)),
         None => Err(UsageError(format!("unknown benchmark {name:?}"))),
     }
@@ -183,17 +170,8 @@ fn sampled(b: &Benchmark, seed: u64) -> Option<SampleDesign> {
 }
 
 fn cmd_list() -> ExitCode {
-    for name in [
-        "cruise",
-        "dt-med",
-        "dt-large",
-        "synth1",
-        "synth2",
-        "fleet-small",
-        "fleet-med",
-        "fleet-large",
-    ] {
-        let b = benchmark(name).expect("known name");
+    for name in mcmap_benchmarks::NAMES {
+        let b = mcmap_benchmarks::by_name(name).expect("a listed name");
         println!(
             "{name:9} {:2} apps ({} critical), {:2} tasks, {} PEs, hyperperiod {}",
             b.apps.num_apps(),
@@ -528,8 +506,7 @@ fn cmd_interference(b: &Benchmark, args: &Args) -> ExitCode {
     let mut g = space.random(&mut rng);
     repair_structure(&mut g, &space, &mut rng);
     let _ = repair_reliability(&mut g, &space, &b.apps, &b.arch, &mut rng, 80);
-    let view = g.lint_view();
-    let Some(ig) = mcmap_lint::InterferenceGraph::build(&b.apps, &b.arch, &view) else {
+    let Some(ig) = mcmap_lint::InterferenceGraph::build(&b.apps, &b.arch, &g) else {
         eprintln!("lint: sampled genome does not fit the system (internal error)");
         return ExitCode::FAILURE;
     };
@@ -540,7 +517,7 @@ fn cmd_interference(b: &Benchmark, args: &Args) -> ExitCode {
     } else {
         println!("interference graph of a repaired sample (seed {seed}):\n");
         print!("{}", ig.render_text());
-        let report = mcmap_lint::Linter::new(&b.apps, &b.arch).lint_full(None, Some(&view));
+        let report = mcmap_lint::Linter::new(&b.apps, &b.arch).lint_full(None, Some(&g));
         let interference: Vec<_> = report
             .diagnostics()
             .iter()
@@ -1185,7 +1162,12 @@ mod tests {
     fn a_fleet_key_explores_and_validates_at_its_preset_depth() {
         let key = "fleet-small";
         let fleet = mcmap_benchmarks::fleet_preset(key).expect("a known preset");
-        let cfg = explore_config(&benchmark(key).expect("a known benchmark"), key, 8, 2);
+        let cfg = explore_config(
+            &mcmap_benchmarks::by_name(key).expect("a known benchmark"),
+            key,
+            8,
+            2,
+        );
         assert_eq!(
             (cfg.max_reexec, cfg.max_replicas),
             (fleet.max_reexec, fleet.max_replicas)

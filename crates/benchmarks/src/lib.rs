@@ -64,6 +64,32 @@ pub struct Benchmark {
     pub policies: Vec<SchedPolicy>,
 }
 
+/// Every name [`by_name`] resolves, in listing order.
+pub const NAMES: [&str; 8] = [
+    "cruise",
+    "dt-med",
+    "dt-large",
+    "synth1",
+    "synth2",
+    "fleet-small",
+    "fleet-med",
+    "fleet-large",
+];
+
+/// Resolves a benchmark by its command-line name: the paper's benchmarks,
+/// the synthetic presets and the fleet presets. The generated ones use
+/// seed 42, so every lookup of a name sees the same system.
+pub fn by_name(key: &str) -> Option<Benchmark> {
+    match key {
+        "cruise" => Some(cruise()),
+        "dt-med" => Some(dt_med()),
+        "dt-large" => Some(dt_large()),
+        "synth1" => Some(synth1(42)),
+        "synth2" => Some(synth2(42)),
+        _ => fleet_benchmark(key, 42),
+    }
+}
+
 /// All named benchmarks of the paper's evaluation, with the given seed for
 /// the synthetic ones.
 pub fn all_benchmarks(seed: u64) -> Vec<Benchmark> {

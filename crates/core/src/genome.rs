@@ -1,146 +1,15 @@
-//! The DSE chromosome (Fig. 4 of the paper).
+//! The DSE's sampling space over the chromosome (Fig. 4 of the paper):
+//! random and clustered sampling, crossover, mutation and decoding.
 //!
-//! A genotype consists of three sections:
-//!
-//! 1. **allocation** — one bit per processor (allocated or not);
-//! 2. **(non-)droppable selection** — one bit per droppable application:
-//!    set = the application is *kept* through critical mode, clear = it is
-//!    dropped when the system goes critical;
-//! 3. **binding/hardening** — per original task: the primary binding, the
-//!    hardening technique (re-execution degree, or active/passive replica
-//!    placements plus the voter placement).
+//! The chromosome types themselves ([`Genome`], [`TaskGene`],
+//! [`GeneHardening`]) are defined in `mcmap-hardening` and re-exported
+//! here, so the linter checks the same type the DSE evolves.
 
-use mcmap_hardening::{HardeningPlan, TaskHardening};
+use mcmap_hardening::HardeningPlan;
+pub use mcmap_hardening::{GeneHardening, Genome, TaskGene};
 use mcmap_model::{AppId, AppSet, Architecture, ProcId};
 use rand::seq::SliceRandom;
 use rand::RngCore;
-
-/// Hardening section of one task gene. Unlike [`TaskHardening`] this is a
-/// closed set of alternatives, mirroring the paper's per-task technique
-/// choice.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum GeneHardening {
-    /// No hardening.
-    None,
-    /// Re-execution with `k ≥ 1` retries.
-    Reexec(u8),
-    /// Active replication: extra copies on the given processors, voter
-    /// placement last.
-    Active {
-        /// Processors of the additional always-on copies.
-        replicas: Vec<ProcId>,
-        /// Voter placement.
-        voter: ProcId,
-    },
-    /// Passive replication: one extra always-on copy and standbys.
-    Passive {
-        /// Processors of the additional always-on copies.
-        actives: Vec<ProcId>,
-        /// Processors of the on-demand standbys.
-        standbys: Vec<ProcId>,
-        /// Voter placement.
-        voter: ProcId,
-    },
-}
-
-impl GeneHardening {
-    /// Converts to the hardening crate's per-task specification.
-    pub fn to_task_hardening(&self) -> TaskHardening {
-        match self {
-            GeneHardening::None => TaskHardening::none(),
-            GeneHardening::Reexec(k) => TaskHardening::reexecution(*k),
-            GeneHardening::Active { replicas, voter } => {
-                TaskHardening::active(replicas.clone(), *voter)
-            }
-            GeneHardening::Passive {
-                actives,
-                standbys,
-                voter,
-            } => TaskHardening::passive(actives.clone(), standbys.clone(), *voter),
-        }
-    }
-
-    /// Every processor referenced by this gene (replicas and voter).
-    pub fn referenced_procs(&self) -> Vec<ProcId> {
-        match self {
-            GeneHardening::None | GeneHardening::Reexec(_) => Vec::new(),
-            GeneHardening::Active { replicas, voter } => {
-                let mut v = replicas.clone();
-                v.push(*voter);
-                v
-            }
-            GeneHardening::Passive {
-                actives,
-                standbys,
-                voter,
-            } => {
-                let mut v = actives.clone();
-                v.extend_from_slice(standbys);
-                v.push(*voter);
-                v
-            }
-        }
-    }
-}
-
-/// One task's gene: binding plus hardening.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct TaskGene {
-    /// Processor of the primary copy.
-    pub binding: ProcId,
-    /// Hardening decision.
-    pub hardening: GeneHardening,
-}
-
-/// The complete chromosome.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Genome {
-    /// Allocation bit per processor.
-    pub alloc: Vec<bool>,
-    /// Keep bit per *droppable* application (aligned with
-    /// [`GenomeSpace::droppable_apps`]): clear = dropped in critical mode.
-    pub keep: Vec<bool>,
-    /// Per-original-task genes, in flat-index order.
-    pub genes: Vec<TaskGene>,
-}
-
-impl Genome {
-    /// Converts the chromosome into the crate-neutral view consumed by the
-    /// `mcmap-lint` genome-shape pass (`mcmap-lint` sits below this crate in
-    /// the dependency graph, so it cannot name [`Genome`] directly).
-    pub fn lint_view(&self) -> mcmap_lint::GenomeView {
-        mcmap_lint::GenomeView {
-            alloc: self.alloc.clone(),
-            keep: self.keep.clone(),
-            genes: self
-                .genes
-                .iter()
-                .map(|g| mcmap_lint::GeneView {
-                    binding: g.binding,
-                    hardening: match &g.hardening {
-                        GeneHardening::None => mcmap_lint::HardeningView::None,
-                        GeneHardening::Reexec(k) => mcmap_lint::HardeningView::Reexec(*k),
-                        GeneHardening::Active { replicas, voter } => {
-                            mcmap_lint::HardeningView::Active {
-                                replicas: replicas.clone(),
-                                voter: *voter,
-                            }
-                        }
-                        GeneHardening::Passive {
-                            actives,
-                            standbys,
-                            voter,
-                        } => mcmap_lint::HardeningView::Passive {
-                            actives: actives.clone(),
-                            standbys: standbys.clone(),
-                            voter: *voter,
-                        },
-                    },
-                })
-                .collect(),
-        }
-    }
-}
 
 /// The sampling space of chromosomes for one (application set, architecture)
 /// pair, plus the genetic operators over it.
@@ -512,26 +381,6 @@ mod tests {
             }
         }
         assert!(changed);
-    }
-
-    #[test]
-    fn hardening_conversion_round_trips() {
-        let g = GeneHardening::Active {
-            replicas: vec![ProcId::new(1)],
-            voter: ProcId::new(0),
-        };
-        let h = g.to_task_hardening();
-        assert!(h.replication.is_replicated());
-        assert_eq!(h.replication.active_copies(), 2);
-        assert_eq!(g.referenced_procs(), vec![ProcId::new(1), ProcId::new(0)]);
-        assert!(GeneHardening::None.referenced_procs().is_empty());
-        assert!(GeneHardening::Reexec(1).referenced_procs().is_empty());
-        let p = GeneHardening::Passive {
-            actives: vec![ProcId::new(1)],
-            standbys: vec![ProcId::new(2)],
-            voter: ProcId::new(3),
-        };
-        assert_eq!(p.referenced_procs().len(), 3);
     }
 
     #[test]

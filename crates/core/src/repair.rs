@@ -56,48 +56,19 @@ pub fn repair_structure_logged(
             fixed_binding = true;
         }
         // Replicas and voter.
-        let hardening = g.genes[flat].hardening.clone();
-        g.genes[flat].hardening = match hardening {
-            GeneHardening::None => GeneHardening::None,
-            GeneHardening::Reexec(k) => GeneHardening::Reexec(k),
-            GeneHardening::Active {
-                mut replicas,
-                mut voter,
-            } => {
-                for r in &mut replicas {
-                    if !is_valid(space, g, flat, *r) {
-                        *r = pick_valid(space, g, flat, rng);
-                        fixed_binding = true;
-                    }
-                }
-                if !g.alloc[voter.index()] {
-                    voter = pick_allocated(g, rng);
-                    fixed_voter = true;
-                }
-                GeneHardening::Active { replicas, voter }
+        let mut hardening = std::mem::replace(&mut g.genes[flat].hardening, GeneHardening::None);
+        let (bodies, voter) = hardening.placements_mut();
+        for r in bodies {
+            if !is_valid(space, g, flat, *r) {
+                *r = pick_valid(space, g, flat, rng);
+                fixed_binding = true;
             }
-            GeneHardening::Passive {
-                mut actives,
-                mut standbys,
-                mut voter,
-            } => {
-                for r in actives.iter_mut().chain(standbys.iter_mut()) {
-                    if !is_valid(space, g, flat, *r) {
-                        *r = pick_valid(space, g, flat, rng);
-                        fixed_binding = true;
-                    }
-                }
-                if !g.alloc[voter.index()] {
-                    voter = pick_allocated(g, rng);
-                    fixed_voter = true;
-                }
-                GeneHardening::Passive {
-                    actives,
-                    standbys,
-                    voter,
-                }
-            }
-        };
+        }
+        if let Some(voter) = voter.filter(|v| !g.alloc[v.index()]) {
+            *voter = pick_allocated(g, rng);
+            fixed_voter = true;
+        }
+        g.genes[flat].hardening = hardening;
     }
 
     let mut codes = Vec::new();
@@ -292,14 +263,7 @@ fn gene_failure_prob(
 ) -> f64 {
     let task = apps.task(apps.task_refs()[flat]);
     let gene = &g.genes[flat];
-    let (k, actives, standbys): (u8, &[ProcId], &[ProcId]) = match &gene.hardening {
-        GeneHardening::None => (0, &[], &[]),
-        GeneHardening::Reexec(k) => (*k, &[], &[]),
-        GeneHardening::Active { replicas, .. } => (0, replicas, &[]),
-        GeneHardening::Passive {
-            actives, standbys, ..
-        } => (0, actives, standbys),
-    };
+    let k = gene.hardening.reexecutions();
     let copy = |p: ProcId| {
         let proc = arch.processor(p);
         let b = copy_nominal_bounds(task, proc.kind, k)
@@ -308,7 +272,7 @@ fn gene_failure_prob(
     };
     probs.clear();
     probs.push(copy(gene.binding));
-    probs.extend(actives.iter().chain(standbys).map(|&p| copy(p)));
+    probs.extend(gene.hardening.bodies().map(copy));
     majority_failure_prob(probs)
 }
 
@@ -423,11 +387,10 @@ mod tests {
         let mut g = space.random(&mut rng);
         g.alloc = vec![false; 4];
         g.genes[0].binding = ProcId::new(3);
-        let view = g.lint_view();
         let linter = mcmap_lint::Linter::new(&apps, &arch);
-        assert!(linter.lint_genome(&view).has_errors());
+        assert!(linter.lint_genome(&g).has_errors());
         repair_structure(&mut g, &space, &mut rng);
-        let report = linter.lint_genome(&g.lint_view());
+        let report = linter.lint_genome(&g);
         assert!(
             !report.has_errors(),
             "post-repair genome must lint clean: {}",

@@ -56,12 +56,14 @@
 #![warn(missing_debug_implementations)]
 
 mod dot;
+mod genome;
 mod htask;
 mod reliability;
 mod spec;
 mod transform;
 
 pub use dot::hardened_to_dot;
+pub use genome::{GeneHardening, Genome, TaskGene};
 pub use htask::{HApp, HChannel, HTask, HTaskId, Role};
 pub use reliability::{
     copy_failure_prob, majority_failure_prob, placement_respects_fixed, placement_with_default,

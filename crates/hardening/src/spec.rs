@@ -73,6 +73,25 @@ impl Replication {
             Replication::Active { voter, .. } | Replication::Passive { voter, .. } => Some(*voter),
         }
     }
+
+    /// Processors of the extra always-on copies and of the standbys (both
+    /// empty when the task is not replicated).
+    pub fn replica_procs(&self) -> (&[ProcId], &[ProcId]) {
+        match self {
+            Replication::None => (&[], &[]),
+            Replication::Active { replicas, .. } => (replicas, &[]),
+            Replication::Passive {
+                actives, standbys, ..
+            } => (actives, standbys),
+        }
+    }
+
+    /// Processors of the extra copies, primary excluded: the always-on
+    /// copies first, then the standbys.
+    pub fn bodies(&self) -> impl Iterator<Item = ProcId> + '_ {
+        let (actives, standbys) = self.replica_procs();
+        actives.iter().chain(standbys).copied()
+    }
 }
 
 /// The complete hardening decision for one task.
@@ -313,6 +332,11 @@ mod tests {
         assert_eq!(pas.standby_copies(), 1);
         assert_eq!(pas.voter(), Some(ProcId::new(0)));
         assert_eq!(Replication::None.voter(), None);
+        assert_eq!(
+            pas.bodies().collect::<Vec<_>>(),
+            vec![ProcId::new(1), ProcId::new(2)]
+        );
+        assert_eq!(Replication::None.bodies().count(), 0);
     }
 
     #[test]

@@ -334,17 +334,7 @@ pub fn harden(
             members.push(primary);
             copies[flat].push(primary);
 
-            let (actives, standbys, voter_proc) = match &h.replication {
-                Replication::None => (Vec::new(), Vec::new(), None),
-                Replication::Active { replicas, voter } => {
-                    (replicas.clone(), Vec::new(), Some(*voter))
-                }
-                Replication::Passive {
-                    actives,
-                    standbys,
-                    voter,
-                } => (actives.clone(), standbys.clone(), Some(*voter)),
-            };
+            let (actives, standbys) = h.replication.replica_procs();
 
             for (i, &proc) in actives.iter().enumerate() {
                 let id = push_task(
@@ -380,7 +370,7 @@ pub fn harden(
                 members.push(id);
                 copies[flat].push(id);
             }
-            if let Some(vp) = voter_proc {
+            if let Some(vp) = h.replication.voter() {
                 let ve = orig.voting_overhead;
                 let voter_exec = vec![Some(ExecBounds::exact(ve)); arch.num_kinds().max(1)];
                 let id = push_task(

@@ -1,6 +1,6 @@
 //! Static interference/dependence analysis over a mapped candidate.
 //!
-//! Given a chromosome ([`GenomeView`]) for a system, this pass builds the
+//! Given a chromosome ([`Genome`]) for a system, this pass builds the
 //! **interference graph**: one node per application, one edge per pair of
 //! applications that place work on a shared processor (primary bindings,
 //! replicas, standbys, and voters all count — a preempted voter delays the
@@ -19,7 +19,7 @@
 //! `mcmap_cli lint --interference`.
 
 use crate::diag::{Diagnostic, EntityRef, LintReport};
-use crate::genome::{GenomeView, HardeningView};
+use mcmap_hardening::{GeneHardening, Genome};
 use mcmap_model::{AppId, AppSet, Architecture, ProcId};
 
 /// Name of the lint pass that surfaces interference diagnostics.
@@ -52,7 +52,7 @@ impl InterferenceGraph {
     /// Returns `None` when the genome's shape does not match the system
     /// (wrong gene, keep, or alloc count) — the genome-shape pass reports
     /// that as MC0109.
-    pub fn build(apps: &AppSet, arch: &Architecture, genome: &GenomeView) -> Option<Self> {
+    pub fn build(apps: &AppSet, arch: &Architecture, genome: &Genome) -> Option<Self> {
         let num_apps = apps.num_apps();
         let num_procs = arch.num_processors();
         let droppable: Vec<bool> = apps
@@ -73,7 +73,7 @@ impl InterferenceGraph {
             let a = apps.task_refs()[flat].app.index();
             placement[a].push(gene.binding);
             placement[a].extend(gene.hardening.referenced_procs());
-            if gene.hardening != HardeningView::None {
+            if gene.hardening != GeneHardening::None {
                 hardened[a] = true;
             }
         }
@@ -197,7 +197,7 @@ impl InterferenceGraph {
     ///   response times can no longer be reasoned about independently.
     /// * `MC0122` (hint): an application shares no processor with any
     ///   other — an interference-free island.
-    pub fn diagnose(&self, apps: &AppSet, genome: &GenomeView, r: &mut LintReport) {
+    pub fn diagnose(&self, apps: &AppSet, genome: &Genome, r: &mut LintReport) {
         let n = self.num_apps();
         // MC0120: the whole app set forms a clique (pairwise shared PEs).
         if n >= 3 {
@@ -223,7 +223,7 @@ impl InterferenceGraph {
         // MC0121: hardening on a critical task couples criticality levels.
         for (flat, gene) in genome.genes.iter().enumerate() {
             let tr = apps.task_refs()[flat];
-            if self.droppable[tr.app.index()] || gene.hardening == HardeningView::None {
+            if self.droppable[tr.app.index()] || gene.hardening == GeneHardening::None {
                 continue;
             }
             let mut procs = vec![gene.binding];
@@ -371,7 +371,7 @@ impl InterferenceGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::genome::GeneView;
+    use mcmap_hardening::TaskGene;
     use mcmap_model::{
         AppSet, Criticality, ExecBounds, ProcKind, Processor, Task, TaskGraph, Time,
     };
@@ -401,21 +401,21 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn gene(p: usize) -> GeneView {
-        GeneView {
+    fn gene(p: usize) -> TaskGene {
+        TaskGene {
             binding: ProcId::new(p),
-            hardening: HardeningView::None,
+            hardening: GeneHardening::None,
         }
     }
 
     /// Three single-task apps on 3 PEs; a0,a1 share p0; a2 alone on p2.
-    fn split_system() -> (AppSet, Architecture, GenomeView) {
+    fn split_system() -> (AppSet, Architecture, Genome) {
         let apps = AppSet::new_unvalidated(vec![
             app("a", 1, false),
             app("b", 1, true),
             app("c", 1, false),
         ]);
-        let g = GenomeView {
+        let g = Genome {
             alloc: vec![true; 3],
             keep: vec![true],
             genes: vec![gene(0), gene(0), gene(2)],
@@ -440,13 +440,13 @@ mod tests {
     fn hardening_procs_extend_the_placement() {
         let apps = AppSet::new_unvalidated(vec![app("a", 1, false), app("b", 1, false)]);
         let a = arch(3);
-        let g = GenomeView {
+        let g = Genome {
             alloc: vec![true; 3],
             keep: vec![],
             genes: vec![
-                GeneView {
+                TaskGene {
                     binding: ProcId::new(0),
-                    hardening: HardeningView::Active {
+                    hardening: GeneHardening::Active {
                         replicas: vec![ProcId::new(1)],
                         voter: ProcId::new(2),
                     },
@@ -492,7 +492,7 @@ mod tests {
             app("c", 1, false),
         ]);
         let a = arch(2);
-        let g = GenomeView {
+        let g = Genome {
             alloc: vec![true, true],
             keep: vec![],
             genes: vec![gene(0), gene(0), gene(0)],
@@ -509,13 +509,13 @@ mod tests {
     fn cross_criticality_hardening_diagnostic() {
         let apps = AppSet::new_unvalidated(vec![app("hi", 1, false), app("lo", 1, true)]);
         let a = arch(3);
-        let g = GenomeView {
+        let g = Genome {
             alloc: vec![true; 3],
             keep: vec![true],
             genes: vec![
-                GeneView {
+                TaskGene {
                     binding: ProcId::new(0),
-                    hardening: HardeningView::Reexec(1),
+                    hardening: GeneHardening::Reexec(1),
                 },
                 gene(0),
             ],
@@ -525,7 +525,7 @@ mod tests {
         ig.diagnose(&apps, &g, &mut r);
         assert!(r.has_code("MC0121"));
         // Moving the droppable app away removes the coupling.
-        let g2 = GenomeView {
+        let g2 = Genome {
             genes: vec![g.genes[0].clone(), gene(1)],
             ..g.clone()
         };

@@ -20,8 +20,9 @@
 //! ## Layering
 //!
 //! This crate depends only on `mcmap-model` and `mcmap-hardening`;
-//! `mcmap-core` builds its DSE pre-flight on top of it and converts its
-//! `Genome` type into the crate-neutral [`GenomeView`] for the genome pass.
+//! `mcmap-core` builds its DSE pre-flight on top of it. The genome and
+//! interference passes take the DSE chromosome itself,
+//! [`mcmap_hardening::Genome`], which `mcmap-core` re-exports.
 //!
 //! ## Example
 //!
@@ -51,13 +52,11 @@
 //! ```
 
 mod diag;
-mod genome;
 pub mod inject;
 mod interference;
 mod passes;
 
 pub use diag::{all_code_docs, code_doc, CodeDoc, Diagnostic, EntityRef, LintReport, Severity};
-pub use genome::{GeneView, GenomeView, HardeningView};
 pub use interference::InterferenceGraph;
 pub use mcmap_model::ModelError;
 pub use passes::{app_of_flat, kind_present, lint_system, Linter};

@@ -9,8 +9,7 @@
 //! every possible mapping, plus softer smells.
 
 use crate::diag::{Diagnostic, EntityRef, LintReport};
-use crate::genome::{GenomeView, HardeningView};
-use mcmap_hardening::{majority_failure_prob, HardeningPlan, Replication};
+use mcmap_hardening::{majority_failure_prob, Genome, HardeningPlan};
 use mcmap_model::{AppId, AppSet, Architecture, Criticality, ProcId, ProcKind, TaskGraph, TaskId};
 
 /// The static analyzer: borrows a system and produces a [`LintReport`].
@@ -75,17 +74,13 @@ impl<'a> Linter<'a> {
     }
 
     /// Runs the model passes plus the genome-shape pass over `genome`.
-    pub fn lint_genome(&self, genome: &GenomeView) -> LintReport {
+    pub fn lint_genome(&self, genome: &Genome) -> LintReport {
         self.lint_full(None, Some(genome))
     }
 
     /// Runs every pass, optionally including the hardening-spec and
     /// genome-shape passes. Diagnostics are sorted errors-first.
-    pub fn lint_full(
-        &self,
-        plan: Option<&HardeningPlan>,
-        genome: Option<&GenomeView>,
-    ) -> LintReport {
+    pub fn lint_full(&self, plan: Option<&HardeningPlan>, genome: Option<&Genome>) -> LintReport {
         let mut r = LintReport::new();
         let cyclic = self.pass_graph_structure(&mut r);
         self.pass_criticality(&mut r);
@@ -110,7 +105,7 @@ impl<'a> Linter<'a> {
     /// interference graph of the candidate and reports pathological
     /// coupling. Skipped silently on shape mismatch (the genome pass
     /// reports that as MC0109).
-    fn pass_interference(&self, r: &mut LintReport, genome: &GenomeView) {
+    fn pass_interference(&self, r: &mut LintReport, genome: &Genome) {
         if let Some(ig) =
             crate::interference::InterferenceGraph::build(self.apps, self.arch, genome)
         {
@@ -685,9 +680,8 @@ impl<'a> Linter<'a> {
         for (flat, h) in plan.iter() {
             let tr = self.apps.task_refs()[flat];
             let entity = EntityRef::task(tr.app, tr.task);
-            if u16::from(h.reexecutions) > u16::from(self.max_reexec)
-                || h.replication.active_copies() + h.replication.standby_copies()
-                    > 1 + usize::from(self.max_replicas)
+            if h.reexecutions > self.max_reexec
+                || h.replication.bodies().count() > usize::from(self.max_replicas)
             {
                 r.push(
                     Diagnostic::error(
@@ -703,31 +697,14 @@ impl<'a> Linter<'a> {
                     .with_suggestion("raise the limits or weaken the plan"),
                 );
             }
-            let refs: Vec<ProcId> = match &h.replication {
-                Replication::None => Vec::new(),
-                Replication::Active { replicas, voter } => {
-                    let mut v = replicas.clone();
-                    v.push(*voter);
-                    v
-                }
-                Replication::Passive {
-                    actives,
-                    standbys,
-                    voter,
-                } => {
-                    let mut v = actives.clone();
-                    v.extend_from_slice(standbys);
-                    v.push(*voter);
-                    v
-                }
-            };
-            for p in &refs {
+            let rep = &h.replication;
+            for p in rep.bodies().chain(rep.voter()) {
                 if p.index() >= procs {
                     r.push(
                         Diagnostic::error(
                             "MC0110",
                             PASS,
-                            entity.with_proc(*p),
+                            entity.with_proc(p),
                             format!(
                                 "hardening of task {tr} references processor {p} but the \
                                  platform has only {procs}"
@@ -738,17 +715,7 @@ impl<'a> Linter<'a> {
                 }
             }
             // Colocated replicas defeat the purpose of spatial redundancy.
-            let mut bodies: Vec<ProcId> = match &h.replication {
-                Replication::None => Vec::new(),
-                Replication::Active { replicas, .. } => replicas.clone(),
-                Replication::Passive {
-                    actives, standbys, ..
-                } => {
-                    let mut v = actives.clone();
-                    v.extend_from_slice(standbys);
-                    v
-                }
-            };
+            let mut bodies: Vec<ProcId> = rep.bodies().collect();
             bodies.sort_unstable_by_key(|p| p.index());
             let before = bodies.len();
             bodies.dedup();
@@ -787,7 +754,7 @@ impl<'a> Linter<'a> {
 
     // --- pass 10: genome shape (MC0106/109/110/111/112) -------------------
 
-    fn pass_genome(&self, r: &mut LintReport, g: &GenomeView) {
+    fn pass_genome(&self, r: &mut LintReport, g: &Genome) {
         const PASS: &str = "genome-shape";
         let procs = self.arch.num_processors();
         let droppable = self.apps.droppable_apps().count();
@@ -870,71 +837,60 @@ impl<'a> Linter<'a> {
                 }
             };
             check_body(r, "primary binding", gene.binding);
-            match &gene.hardening {
-                HardeningView::None => {}
-                HardeningView::Reexec(k) => {
-                    if *k > self.max_reexec {
-                        r.push(
-                            Diagnostic::error(
-                                "MC0112",
-                                PASS,
-                                entity,
-                                format!(
-                                    "task {tr} uses {k} re-executions but the space allows \
-                                     at most {}",
-                                    self.max_reexec
-                                ),
-                            )
-                            .with_suggestion("clamp the gene to the configured budget"),
-                        );
-                    }
-                }
-                h @ (HardeningView::Active { .. } | HardeningView::Passive { .. }) => {
-                    if h.extra_copies() > usize::from(self.max_replicas) {
-                        r.push(
-                            Diagnostic::error(
-                                "MC0112",
-                                PASS,
-                                entity,
-                                format!(
-                                    "task {tr} uses {} extra replicas but the space allows \
-                                     at most {}",
-                                    h.extra_copies(),
-                                    self.max_replicas
-                                ),
-                            )
-                            .with_suggestion("clamp the gene to the configured budget"),
-                        );
-                    }
-                    for p in h.referenced_procs() {
-                        if Some(p) == h.voter() {
-                            continue; // the voter is checked separately below
-                        }
-                        check_body(r, "replica", p);
-                    }
-                    if let Some(voter) = h.voter() {
-                        if !allocated(voter) {
-                            r.push(
-                                Diagnostic::error(
-                                    "MC0106",
-                                    PASS,
-                                    entity.with_proc(voter),
-                                    format!(
-                                        "voter of task {tr} sits on {} processor {voter}",
-                                        if voter.index() >= procs {
-                                            "nonexistent"
-                                        } else {
-                                            "unallocated"
-                                        }
-                                    ),
-                                )
-                                .with_suggestion(
-                                    "place the voter on an allocated processor (repair does this)",
-                                ),
-                            );
-                        }
-                    }
-                }
+            let h = &gene.hardening;
+            let k = h.reexecutions();
+            if k > self.max_reexec {
+                r.push(
+                    Diagnostic::error(
+                        "MC0112",
+                        PASS,
+                        entity,
+                        format!(
+                            "task {tr} uses {k} re-executions but the space allows at most {}",
+                            self.max_reexec
+                        ),
+                    )
+                    .with_suggestion("clamp the gene to the configured budget"),
+                );
+            }
+            let extra = h.bodies().count();
+            if extra > usize::from(self.max_replicas) {
+                r.push(
+                    Diagnostic::error(
+                        "MC0112",
+                        PASS,
+                        entity,
+                        format!(
+                            "task {tr} uses {extra} extra replicas but the space allows at \
+                             most {}",
+                            self.max_replicas
+                        ),
+                    )
+                    .with_suggestion("clamp the gene to the configured budget"),
+                );
+            }
+            for p in h.bodies() {
+                check_body(r, "replica", p);
+            }
+            if let Some(voter) = h.voter().filter(|&v| !allocated(v)) {
+                r.push(
+                    Diagnostic::error(
+                        "MC0106",
+                        PASS,
+                        entity.with_proc(voter),
+                        format!(
+                            "voter of task {tr} sits on {} processor {voter}",
+                            if voter.index() >= procs {
+                                "nonexistent"
+                            } else {
+                                "unallocated"
+                            }
+                        ),
+                    )
+                    .with_suggestion(
+                        "place the voter on an allocated processor (repair does this)",
+                    ),
+                );
             }
         }
     }
@@ -992,7 +948,7 @@ pub fn app_of_flat(apps: &AppSet, flat: usize) -> Option<AppId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::genome::GeneView;
+    use mcmap_hardening::{GeneHardening, TaskGene};
     use mcmap_model::{ExecBounds, Processor, Task, Time};
 
     fn arch(n: usize, rate: f64) -> Architecture {
@@ -1159,20 +1115,20 @@ mod tests {
     fn genome_pass_catches_everything() {
         let apps = simple_apps();
         let arch = arch(2, 1e-7);
-        let g = GenomeView {
+        let g = Genome {
             alloc: vec![true, false],
             keep: vec![],
             genes: vec![
-                GeneView {
+                TaskGene {
                     binding: ProcId::new(1), // unallocated
-                    hardening: HardeningView::Active {
+                    hardening: GeneHardening::Active {
                         replicas: vec![ProcId::new(5)], // out of range
                         voter: ProcId::new(1),          // unallocated voter
                     },
                 },
-                GeneView {
+                TaskGene {
                     binding: ProcId::new(0),
-                    hardening: HardeningView::Reexec(9), // over budget
+                    hardening: GeneHardening::Reexec(9), // over budget
                 },
             ],
         };
@@ -1190,7 +1146,7 @@ mod tests {
     fn genome_shape_mismatch_short_circuits() {
         let apps = simple_apps();
         let arch = arch(2, 1e-7);
-        let g = GenomeView {
+        let g = Genome {
             alloc: vec![true],
             keep: vec![true],
             genes: vec![],
@@ -1204,17 +1160,17 @@ mod tests {
     fn empty_genome_allocation_is_an_error() {
         let apps = simple_apps();
         let arch = arch(2, 1e-7);
-        let g = GenomeView {
+        let g = Genome {
             alloc: vec![false, false],
             keep: vec![],
             genes: vec![
-                GeneView {
+                TaskGene {
                     binding: ProcId::new(0),
-                    hardening: HardeningView::None,
+                    hardening: GeneHardening::None,
                 },
-                GeneView {
+                TaskGene {
                     binding: ProcId::new(0),
-                    hardening: HardeningView::None,
+                    hardening: GeneHardening::None,
                 },
             ],
         };

@@ -3,11 +3,8 @@
 //! counterexample that triggers it through the public API.
 
 use mcmap_benchmarks::{all_benchmarks, cruise, synth1, synth2};
-use mcmap_hardening::{HardeningPlan, TaskHardening};
-use mcmap_lint::{
-    inject, lint_system, GeneView, GenomeView, HardeningView, LintReport, Linter, Severity,
-    ALL_CODES,
-};
+use mcmap_hardening::{GeneHardening, Genome, HardeningPlan, TaskGene, TaskHardening};
+use mcmap_lint::{inject, lint_system, LintReport, Linter, Severity, ALL_CODES};
 use mcmap_model::{
     AppSet, Architecture, Criticality, ExecBounds, Fabric, ProcId, ProcKind, Processor, Task,
     TaskGraph, Time,
@@ -174,20 +171,20 @@ fn trigger(code: &str) -> LintReport {
                 .unwrap();
             lint_system(&one_app(g), &a2)
         }
-        "MC0106" => Linter::new(&base_apps(), &a2).lint_genome(&GenomeView {
+        "MC0106" => Linter::new(&base_apps(), &a2).lint_genome(&Genome {
             alloc: vec![true, false],
             keep: vec![],
             genes: vec![
-                GeneView {
+                TaskGene {
                     binding: ProcId::new(0),
-                    hardening: HardeningView::Active {
+                    hardening: GeneHardening::Active {
                         replicas: vec![ProcId::new(0)],
                         voter: ProcId::new(1), // unallocated voter
                     },
                 },
-                GeneView {
+                TaskGene {
                     binding: ProcId::new(0),
-                    hardening: HardeningView::None,
+                    hardening: GeneHardening::None,
                 },
             ],
         }),
@@ -219,17 +216,17 @@ fn trigger(code: &str) -> LintReport {
             );
             Linter::new(&base_apps(), &a2).lint_plan(&plan)
         }
-        "MC0111" => Linter::new(&base_apps(), &a2).lint_genome(&GenomeView {
+        "MC0111" => Linter::new(&base_apps(), &a2).lint_genome(&Genome {
             alloc: vec![false, false],
             keep: vec![],
             genes: vec![
-                GeneView {
+                TaskGene {
                     binding: ProcId::new(0),
-                    hardening: HardeningView::None,
+                    hardening: GeneHardening::None,
                 },
-                GeneView {
+                TaskGene {
                     binding: ProcId::new(1),
-                    hardening: HardeningView::None,
+                    hardening: GeneHardening::None,
                 },
             ],
         }),
@@ -258,7 +255,7 @@ fn trigger(code: &str) -> LintReport {
                 clean_app("y", false),
                 clean_app("z", false),
             ]);
-            Linter::new(&apps, &a2).lint_genome(&GenomeView {
+            Linter::new(&apps, &a2).lint_genome(&Genome {
                 alloc: vec![true, true],
                 keep: vec![],
                 genes: vec![bound(0), bound(0), bound(0)],
@@ -267,13 +264,13 @@ fn trigger(code: &str) -> LintReport {
         "MC0121" => {
             // A re-executed critical task sharing p0 with a droppable app.
             let apps = AppSet::new_unvalidated(vec![clean_app("hi", false), clean_app("lo", true)]);
-            Linter::new(&apps, &a2).lint_genome(&GenomeView {
+            Linter::new(&apps, &a2).lint_genome(&Genome {
                 alloc: vec![true, true],
                 keep: vec![true],
                 genes: vec![
-                    GeneView {
+                    TaskGene {
                         binding: ProcId::new(0),
-                        hardening: HardeningView::Reexec(1),
+                        hardening: GeneHardening::Reexec(1),
                     },
                     bound(0),
                 ],
@@ -282,7 +279,7 @@ fn trigger(code: &str) -> LintReport {
         "MC0122" => {
             // Two apps on disjoint PEs: each is an interference-free island.
             let apps = AppSet::new_unvalidated(vec![clean_app("x", false), clean_app("y", false)]);
-            Linter::new(&apps, &a2).lint_genome(&GenomeView {
+            Linter::new(&apps, &a2).lint_genome(&Genome {
                 alloc: vec![true, true],
                 keep: vec![],
                 genes: vec![bound(0), bound(1)],
@@ -310,10 +307,10 @@ fn clean_app(name: &str, droppable: bool) -> TaskGraph {
 }
 
 /// An unhardened gene bound to processor `p`.
-fn bound(p: usize) -> GeneView {
-    GeneView {
+fn bound(p: usize) -> TaskGene {
+    TaskGene {
         binding: ProcId::new(p),
-        hardening: HardeningView::None,
+        hardening: GeneHardening::None,
     }
 }
 
@@ -548,4 +545,34 @@ proptest! {
         prop_assert!(json.contains("\"warnings\":"));
         prop_assert!(json.contains("\"hints\":"));
     }
+}
+
+#[test]
+fn mc0110_replica_sharing_the_voter_processor_is_checked() {
+    // p1 is of a kind the tasks have no profile for; the replica shares
+    // the voter's processor, so only a per-body check can see it.
+    let hetero = Architecture::builder()
+        .processor(Processor::new("p0", ProcKind::new(0), 5.0, 20.0, 1e-7))
+        .processor(Processor::new("p1", ProcKind::new(1), 5.0, 20.0, 1e-7))
+        .build()
+        .unwrap();
+    let report = Linter::new(&base_apps(), &hetero).lint_genome(&Genome {
+        alloc: vec![true, true],
+        keep: vec![],
+        genes: vec![
+            TaskGene {
+                binding: ProcId::new(0),
+                hardening: GeneHardening::Active {
+                    replicas: vec![ProcId::new(1)],
+                    voter: ProcId::new(1),
+                },
+            },
+            bound(0),
+        ],
+    });
+    assert!(
+        report.has_code("MC0110"),
+        "replica on the voter's kind-incompatible processor was not flagged:\n{}",
+        report.render_text()
+    );
 }

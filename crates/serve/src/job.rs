@@ -17,19 +17,21 @@
 //! [`mcmap_resilience::atomic_write`] so a crash can never leave a torn
 //! document behind.
 
-use mcmap_core::{AnalysisStats, DesignReport, EvalStats};
+use mcmap_benchmarks::Benchmark;
+use mcmap_core::{AnalysisStats, DesignReport, DseConfig, EvalStats, ObjectiveMode};
+use mcmap_ga::GaConfig;
 use mcmap_obs::{push_json_str, Json};
 use std::path::{Path, PathBuf};
 
 /// What one tenant asked the server to explore. The assembled
-/// [`DseConfig`](mcmap_core::DseConfig) mirrors the CLI's `dse` command
-/// (bi-objective power/service, the benchmark's own policies, repair
-/// budget 80), so a served job's front is directly comparable to a batch
-/// run of the same budget and seed.
+/// [`DseConfig`] ([`JobSpec::dse_config`]) mirrors the CLI's `dse`
+/// command (bi-objective power/service, the benchmark's own policies,
+/// repair budget 80, a fleet preset's hardening depth), so a served job's
+/// front is directly comparable to a batch run of the same budget and
+/// seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
-    /// Built-in benchmark name (`cruise`, `dt-med`, `dt-large`, `synth1`,
-    /// `synth2`).
+    /// Built-in benchmark name, one of [`mcmap_benchmarks::NAMES`].
     pub benchmark: String,
     /// GA population size.
     pub population: usize,
@@ -84,16 +86,33 @@ impl JobSpec {
         })
     }
 
-    /// Resolves the spec's benchmark, mirroring the CLI's name table.
-    pub fn resolve(&self) -> Option<mcmap_benchmarks::Benchmark> {
-        match self.benchmark.as_str() {
-            "cruise" => Some(mcmap_benchmarks::cruise()),
-            "dt-med" => Some(mcmap_benchmarks::dt_med()),
-            "dt-large" => Some(mcmap_benchmarks::dt_large()),
-            "synth1" => Some(mcmap_benchmarks::synth1(42)),
-            "synth2" => Some(mcmap_benchmarks::synth2(42)),
-            _ => None,
+    /// Resolves the spec's benchmark through the CLI's name table,
+    /// [`mcmap_benchmarks::by_name`].
+    pub fn resolve(&self) -> Option<Benchmark> {
+        mcmap_benchmarks::by_name(&self.benchmark)
+    }
+
+    /// The exploration configuration of one slice over `b`, the resolved
+    /// benchmark, with `threads` evaluation threads.
+    pub fn dse_config(&self, b: &Benchmark, threads: usize) -> DseConfig {
+        let mut cfg = DseConfig {
+            ga: GaConfig {
+                population: self.population,
+                generations: self.generations,
+                seed: self.seed,
+                threads,
+                ..GaConfig::default()
+            },
+            objectives: ObjectiveMode::PowerService,
+            policies: Some(b.policies.clone()),
+            repair_iters: 80,
+            ..DseConfig::default()
+        };
+        if let Some(fleet) = mcmap_benchmarks::fleet_preset(&self.benchmark) {
+            cfg.max_reexec = fleet.max_reexec;
+            cfg.max_replicas = fleet.max_replicas;
         }
+        cfg
     }
 }
 
@@ -321,6 +340,28 @@ mod tests {
         let back = JobSpec::from_json(&parse_json(&spec.to_json()).unwrap()).unwrap();
         assert_eq!(back, spec);
         assert!(back.resolve().is_some());
+    }
+
+    #[test]
+    fn fleet_spec_resolves_with_the_preset_depth() {
+        let spec = JobSpec {
+            benchmark: "fleet-small".into(),
+            population: 4,
+            generations: 1,
+            seed: 8,
+        };
+        let b = spec.resolve().expect("fleet presets are served");
+        let cfg = spec.dse_config(&b, 1);
+        let preset = mcmap_benchmarks::fleet_small_config();
+        assert_eq!(
+            (cfg.max_reexec, cfg.max_replicas),
+            (preset.max_reexec, preset.max_replicas)
+        );
+        let default = DseConfig::default();
+        assert_ne!(
+            (cfg.max_reexec, cfg.max_replicas),
+            (default.max_reexec, default.max_replicas)
+        );
     }
 
     #[test]

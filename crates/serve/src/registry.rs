@@ -13,11 +13,7 @@
 
 use crate::job::{front_to_json, status_doc, JobPaths, JobSpec, JobState, JobTotals};
 use crate::progress::{ProgressTap, TapSink};
-use mcmap_core::{
-    attach_trace, explore_checked, CacheStats, DseConfig, MetricsSink, ObjectiveMode, Resume,
-    SharedEvalCache,
-};
-use mcmap_ga::GaConfig;
+use mcmap_core::{attach_trace, explore_checked, CacheStats, MetricsSink, Resume, SharedEvalCache};
 use mcmap_obs::{push_json_str, RecorderBuilder};
 use mcmap_resilience::atomic_write;
 use mcmap_telemetry::{Class, Counter, Gauge, Histogram, Registry as MetricsRegistry};
@@ -636,21 +632,9 @@ impl Registry {
         let builder = builder.sink(Box::new(TapSink(tap))).sink(Box::new(
             MetricsSink::new(self.metrics.clone()).skip_upto(trace_seq),
         ));
-        let mut cfg = DseConfig {
-            ga: GaConfig {
-                population: spec.population,
-                generations: spec.generations,
-                seed: spec.seed,
-                threads: self.cfg.job_threads,
-                ..GaConfig::default()
-            },
-            objectives: ObjectiveMode::PowerService,
-            policies: Some(b.policies.clone()),
-            repair_iters: 80,
-            shared_cache: Some(self.shared.clone()),
-            obs: builder.build(),
-            ..DseConfig::default()
-        };
+        let mut cfg = spec.dse_config(&b, self.cfg.job_threads);
+        cfg.shared_cache = Some(self.shared.clone());
+        cfg.obs = builder.build();
         cfg.resilience.checkpoint = Some(ckpt);
         cfg.resilience.resume = resume;
         cfg.resilience.stop = Some(stop);

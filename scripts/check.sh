@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, lints, rustdoc links, the whole test suite
-# (the determinism, chaos and resume suites included), the frozen
-# perfbench crate graph and its smoke test, the CLI, server and
+# Full local gate: formatting, lints, rustdoc links, the frozen perfbench
+# crate graph, the whole test suite (the determinism, chaos and resume
+# suites included), perfbench's smoke test, the CLI, server and
 # validation-campaign kill-and-resume smokes, and the eval-engine +
 # fleet-scale + wcrt-analysis + obs-overhead (tracing and metrics) +
 # serve-load + sim-validation benches
@@ -28,12 +28,14 @@ fi
 # cannot keep pointing at a deleted item.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-cargo test --workspace -q
-
 # Frozen crate graph: perfbench builds against the library crates by path
 # with its own committed lock file; `--locked` fails when a change would
 # rewrite perfbench/Cargo.lock (a crate or dependency edge added/removed).
+# It runs before the workspace tests so a broken crate graph or a broken
+# re-export that perfbench imports fails in seconds.
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
+cargo test --workspace -q
 
 # perfbench's own smoke test: every workload at its smoke budget, with the
 # benchmark's output checks (evaluation counts, front re-verification,
