@@ -28,9 +28,9 @@
 use mcmap_bench::{env_u64, env_usize, write_artifact};
 use mcmap_benchmarks::cruise;
 use mcmap_core::{explore_checked, MappingProblem, Portfolio};
-use mcmap_ga::GaConfig;
 use mcmap_model::Time;
 use mcmap_runtime::{run_campaign, run_reaction, CampaignConfig, ReactionConfig};
+use mcmap_serve::JobSpec;
 use std::time::Instant;
 
 fn main() {
@@ -41,20 +41,16 @@ fn main() {
     let boost = 1e3;
 
     let b = cruise();
-    let make_cfg = || mcmap_core::DseConfig {
-        ga: GaConfig {
-            population: pop,
-            generations: gens,
-            seed: 8,
-            ..GaConfig::default()
-        },
-        objectives: mcmap_core::ObjectiveMode::PowerService,
-        policies: Some(b.policies.clone()),
-        repair_iters: 80,
-        ..mcmap_core::DseConfig::default()
+    // `mcmap_cli validate cruise <pop> <gens>`'s exploration.
+    let spec = JobSpec {
+        benchmark: "cruise".into(),
+        population: pop,
+        generations: gens,
+        seed: 8,
     };
-    let outcome = explore_checked(&b.apps, &b.arch, make_cfg()).expect("explore cruise");
-    let problem = MappingProblem::new(&b.apps, &b.arch, make_cfg());
+    let outcome =
+        explore_checked(&b.apps, &b.arch, spec.dse_config(&b, 1)).expect("explore cruise");
+    let problem = MappingProblem::new(&b.apps, &b.arch, spec.dse_config(&b, 1));
     let portfolio = Portfolio::extract(&problem, &outcome.result.front);
     assert!(
         !portfolio.points.is_empty(),

@@ -52,7 +52,7 @@ fn mapping_for(b: &mcmap_benchmarks::Benchmark, hsys: &HardenedSystem) -> Mappin
 
 fn main() -> ExitCode {
     let b = cruise();
-    let knobs = EvalKnobs::parse();
+    let knobs = EvalKnobs::parse(&EvalKnobs::flags(EvalKnobs::worklist));
     let dropped: Vec<AppId> = b.apps.droppable_apps().collect();
 
     // Replicas of critical app i live on the *other* big core and a little

@@ -27,7 +27,7 @@ fn t(name: &str, wcet: u64) -> Task {
 }
 
 fn main() -> ExitCode {
-    let knobs = EvalKnobs::parse();
+    let knobs = EvalKnobs::parse(&EvalKnobs::flags(EvalKnobs::worklist));
     let arch = Architecture::builder()
         .homogeneous(2, Processor::new("pe", ProcKind::new(0), 5.0, 20.0, 1e-6))
         .fabric(Fabric::new(1 << 20))

@@ -7,32 +7,24 @@
 //! maximum service).
 
 use mcmap_bench::{env_u64, env_usize, hook_interrupts, EvalKnobs, INTERRUPTED_EXIT};
-use mcmap_benchmarks::dt_med;
-use mcmap_core::{explore, DseConfig, ObjectiveMode};
-use mcmap_ga::GaConfig;
+use mcmap_core::explore;
+use mcmap_serve::JobSpec;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let pop = env_usize("MCMAP_POP", 60);
     let gens = env_usize("MCMAP_GENS", 200);
     let seed = env_u64("MCMAP_SEED", 8);
-    let knobs = EvalKnobs::parse();
+    let knobs = EvalKnobs::parse(EvalKnobs::FLAGS);
 
-    let b = knobs.fleet_or(seed, dt_med());
-    let mut cfg = DseConfig {
-        ga: GaConfig {
-            population: pop,
-            generations: gens,
-            seed,
-            ..GaConfig::default()
-        },
-        objectives: ObjectiveMode::PowerService,
-        allow_dropping: true,
-        audit: false,
-        policies: Some(b.policies.clone()),
-        repair_iters: 80,
-        ..DseConfig::default()
+    let spec = JobSpec {
+        benchmark: knobs.fleet.clone().unwrap_or_else(|| "dt-med".into()),
+        population: pop,
+        generations: gens,
+        seed,
     };
+    let b = spec.resolve().expect("a named benchmark");
+    let mut cfg = spec.dse_config(&b, knobs.threads);
     knobs.apply(&mut cfg);
     hook_interrupts(&mut cfg);
     cfg.obs = knobs.recorder();

@@ -7,13 +7,7 @@
 //! mcmap_cli simulate <benchmark> [runs]      # Monte-Carlo vs. the bound
 //! mcmap_cli gantt    <benchmark> [seed]      # ASCII schedule of one hyperperiod
 //! mcmap_cli dot      <benchmark>             # GraphViz of the application set
-//! mcmap_cli dse      <benchmark> [pop gens] [--threads N] [--cache-cap N]
-//!                                [--eval-stats [json]] [--trace <path.jsonl>]
-//!                                [--obs-summary [json]] [--gen-stats [json]]
-//!                                [--audit [json]] [--checkpoint <path>]
-//!                                [--resume <path>] [--eval-retries N]
-//!                                [--no-prune] [--validate [N]]
-//!                                                         # power/service exploration
+//! mcmap_cli dse      <benchmark> [pop gens] [dse flags…]  # power/service exploration
 //! mcmap_cli validate <benchmark> [pop gens] [--profiles N] [--seed N]
 //!                                [--boost F] [--threads N] [--json]
 //!                                [--portfolio <path>] [--checkpoint <path>]
@@ -41,8 +35,12 @@
 //! the generated fleet presets `fleet-small` / `fleet-med` / `fleet-large`
 //! (500–5000-task layered-DAG sets on 16–64-PE interference-aware
 //! platforms; a fleet name also deepens the explored hardening space to
-//! the preset's re-execution/replica bounds). The experiment binaries
-//! accept the same presets through `--fleet <preset>`.
+//! the preset's re-execution/replica bounds). `fig5_pareto` and
+//! `sec52_dropping` accept the same presets through `--fleet <preset>`.
+//!
+//! `dse` and `validate` describe their run as a `mcmap_serve::JobSpec`
+//! (GA seed 8) and explore its one recipe, `JobSpec::dse_config`, as a
+//! served job does.
 //!
 //! Every verb parses its flags through the one table-driven parser of
 //! `mcmap_bench::flags`, and answers a usage error — an unknown flag, a
@@ -106,13 +104,12 @@ use mcmap_bench::{sample_designs, EvalKnobs, SampleDesign};
 use mcmap_benchmarks::Benchmark;
 use mcmap_core::{
     analyze, analyze_explained, explore_checked, read_portfolio, repair_reliability,
-    repair_structure, write_portfolio, AnalysisStats, DseConfig, GenomeSpace, MappingProblem,
-    ObjectiveMode, Portfolio,
+    repair_structure, write_portfolio, AnalysisStats, GenomeSpace, MappingProblem, Portfolio,
 };
-use mcmap_ga::GaConfig;
 use mcmap_model::Time;
 use mcmap_resilience::ResilienceError;
 use mcmap_runtime::{run_campaign, CampaignConfig};
+use mcmap_serve::JobSpec;
 use mcmap_sim::{monte_carlo, MonteCarloConfig, NoFaults, SimConfig, Simulator, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -125,10 +122,7 @@ fn usage(err: &UsageError) -> ExitCode {
          usage: mcmap_cli <list|analyze|simulate|gantt|dot|dse|validate|lint|obs|serve|client> [args…]\n\
          benchmarks: cruise, dt-med, dt-large, synth1, synth2,\n\
          \u{20}           fleet-small, fleet-med, fleet-large\n\
-         dse flags:  --threads <n>, --cache-cap <n>, --eval-stats [json],\n\
-         \u{20}           --trace <path.jsonl>, --obs-summary [json], --gen-stats [json],\n\
-         \u{20}           --audit [json], --checkpoint <path>, --resume <path>,\n\
-         \u{20}           --eval-retries <n>, --no-prune, --validate [n]\n\
+         dse flags:  {dse}\n\
          analyze:    mcmap_cli analyze <benchmark> [seed] [--json]\n\
          simulate:   mcmap_cli simulate <benchmark> [runs]\n\
          gantt:      mcmap_cli gantt <benchmark> [seed]\n\
@@ -148,7 +142,8 @@ fn usage(err: &UsageError) -> ExitCode {
          \u{20}           [--workers <n>] [--slice <n>] [--cache-cap <n>] [--job-threads <n>]\n\
          client:     mcmap_cli client <addr> submit <benchmark> [pop gens] [--seed <n>]\n\
          \u{20}           | <status|cancel|resume|front|stream|wait> <id> | list | shutdown\n\
-         \u{20}           | stats [--json] | status <id> [--json] | metrics [--prometheus]"
+         \u{20}           | stats [--json] | status <id> [--json] | metrics [--prometheus]",
+        dse = flags::synopsis(&mcmap_bench::dse_flags(), "            "),
     );
     ExitCode::from(2)
 }
@@ -160,6 +155,20 @@ fn bench_arg(args: &Args) -> Result<(Benchmark, &str), UsageError> {
         Some(b) => Ok((b, name)),
         None => Err(UsageError(format!("unknown benchmark {name:?}"))),
     }
+}
+
+/// The exploration `<benchmark> [pop gens]` names, as the job the server
+/// would run for it (GA seed 8; `budget` is the default population and
+/// generation count), with its benchmark.
+fn exploration(args: &Args, budget: usize) -> Result<(Benchmark, JobSpec), UsageError> {
+    let (b, key) = bench_arg(args)?;
+    let spec = JobSpec {
+        benchmark: key.to_string(),
+        population: args.positional(1, budget)?,
+        generations: args.positional(2, budget)?,
+        seed: 8,
+    };
+    Ok((b, spec))
 }
 
 /// `--json`, the switch several verbs share.
@@ -418,7 +427,7 @@ fn cmd_client(tail: &[String]) -> Result<ExitCode, UsageError> {
     // Each verb's flags, and its positionals: none, a job id, or a
     // benchmark with an optional `pop gens` budget.
     let (table, max): (&[Flag], usize) = match verb {
-        "submit" => (&[("--seed", Value(number::<u64>))], 3),
+        "submit" => (&[("--seed", Value("n", number::<u64>))], 3),
         "status" => (&[JSON], 1),
         "stats" => (&[JSON], 0),
         "metrics" => (&[("--prometheus", Switch)], 0),
@@ -556,15 +565,8 @@ fn cmd_lint(b: &Benchmark, args: &Args) -> ExitCode {
     }
 }
 
-fn cmd_dse(
-    b: &Benchmark,
-    key: &str,
-    pop: usize,
-    gens: usize,
-    knobs: &EvalKnobs,
-    validate: Option<u64>,
-) -> ExitCode {
-    let mut cfg = explore_config(b, key, pop, gens);
+fn cmd_dse(b: &Benchmark, spec: &JobSpec, knobs: &EvalKnobs, validate: Option<u64>) -> ExitCode {
+    let mut cfg = spec.dse_config(b, knobs.threads);
     knobs.apply(&mut cfg);
     mcmap_bench::hook_interrupts(&mut cfg);
     cfg.obs = knobs.recorder();
@@ -617,6 +619,7 @@ fn cmd_dse(
             .history
             .last()
             .map_or(0, |row| row.generation);
+        let (key, pop, gens) = (&spec.benchmark, spec.population, spec.generations);
         println!("\ninterrupted after generation {done} of {gens}; the results above are partial.");
         if let Some(path) = &knobs.checkpoint {
             println!(
@@ -627,7 +630,10 @@ fn cmd_dse(
     }
     if let Some(profiles) = validate {
         println!();
-        let problem = MappingProblem::new(&b.apps, &b.arch, explore_config(b, key, pop, gens));
+        // One problem serves extraction and materialization: both decode
+        // under the recipe (not the knobs), so `--audit` leaves the
+        // portfolio's context alone.
+        let problem = MappingProblem::new(&b.apps, &b.arch, spec.dse_config(b, knobs.threads));
         let portfolio = Portfolio::extract(&problem, &outcome.result.front);
         println!(
             "portfolio: {} operating point(s) (context {:016x})",
@@ -643,53 +649,25 @@ fn cmd_dse(
             threads: knobs.threads,
             ..CampaignConfig::default()
         };
-        return run_validation(b, key, pop, gens, &portfolio, None, &ccfg, false);
+        return run_validation(spec, &problem, &portfolio, None, &ccfg, false);
     }
     ExitCode::SUCCESS
 }
 
-/// The `dse`-shaped exploration configuration of benchmark `key`, shared
-/// by `dse`, `validate`, and `dse --validate`: the portfolio a campaign
-/// validates must be decoded under the exact configuration (seed and
-/// hardening depth included) that evaluated it. A fleet benchmark brings
-/// its own hardening-space depth.
-fn explore_config(b: &Benchmark, key: &str, pop: usize, gens: usize) -> DseConfig {
-    let mut cfg = DseConfig {
-        ga: GaConfig {
-            population: pop,
-            generations: gens,
-            seed: 8,
-            ..GaConfig::default()
-        },
-        objectives: ObjectiveMode::PowerService,
-        policies: Some(b.policies.clone()),
-        repair_iters: 80,
-        ..DseConfig::default()
-    };
-    if let Some(fleet) = mcmap_benchmarks::fleet_preset(key) {
-        cfg.max_reexec = fleet.max_reexec;
-        cfg.max_replicas = fleet.max_replicas;
-    }
-    cfg
-}
-
-/// Materializes the portfolio (read from `source` when given), runs the
-/// Monte-Carlo campaign, prints the deterministic summary to stdout
-/// (runs/sec goes to stderr — wall time must not break summary
-/// byte-identity), and returns the exit code.
-#[allow(clippy::too_many_arguments)]
+/// Materializes the portfolio (read from `source` when given) under
+/// `problem`, the exploration of `spec`, runs the Monte-Carlo campaign,
+/// prints the deterministic summary to stdout (runs/sec goes to stderr —
+/// wall time must not break summary byte-identity), and returns the exit
+/// code.
 fn run_validation(
-    b: &Benchmark,
-    key: &str,
-    pop: usize,
-    gens: usize,
+    spec: &JobSpec,
+    problem: &MappingProblem<'_>,
     portfolio: &Portfolio,
     source: Option<&str>,
     ccfg: &CampaignConfig,
     json: bool,
 ) -> ExitCode {
-    let problem = MappingProblem::new(&b.apps, &b.arch, explore_config(b, key, pop, gens));
-    let points = match portfolio.materialize(&problem) {
+    let points = match portfolio.materialize(problem) {
         Ok(p) => p,
         Err(mut e) => {
             // A foreign portfolio is named by the file it was read from.
@@ -705,7 +683,7 @@ fn run_validation(
         return ExitCode::FAILURE;
     }
     let started = std::time::Instant::now();
-    let summary = match run_campaign(&points, &b.arch, &b.policies, ccfg) {
+    let summary = match run_campaign(&points, problem.arch(), problem.policies(), ccfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("validate: {e}");
@@ -733,8 +711,8 @@ fn run_validation(
         if let Some(path) = ccfg.checkpoint.as_ref().and_then(|p| p.to_str()) {
             eprintln!(
                 "interrupted after {} of {} profiles; resume with: \
-                 mcmap_cli validate {key} {pop} {gens} --checkpoint {path} --resume",
-                summary.done, summary.profiles
+                 mcmap_cli validate {} {} {} --checkpoint {path} --resume",
+                summary.done, summary.profiles, spec.benchmark, spec.population, spec.generations
             );
         }
         return ExitCode::from(mcmap_bench::INTERRUPTED_EXIT);
@@ -749,9 +727,12 @@ fn run_validation(
     ExitCode::SUCCESS
 }
 
-fn cmd_validate(b: &Benchmark, key: &str, pop: usize, gens: usize, args: &Args) -> ExitCode {
+fn cmd_validate(b: &Benchmark, spec: &JobSpec, args: &Args) -> ExitCode {
     let portfolio_path = args.value("--portfolio");
     let stop = mcmap_resilience::install_stop_flag();
+    // One problem serves extraction and materialization; the exploration
+    // runs on one thread (`--threads` sizes the campaign).
+    let problem = MappingProblem::new(&b.apps, &b.arch, spec.dse_config(b, 1));
 
     // The portfolio: loaded from --portfolio when the file exists,
     // otherwise extracted from a fresh (deterministic, seed-8)
@@ -771,7 +752,7 @@ fn cmd_validate(b: &Benchmark, key: &str, pop: usize, gens: usize, args: &Args) 
             }
         },
         None => {
-            let mut cfg = explore_config(b, key, pop, gens);
+            let mut cfg = spec.dse_config(b, 1);
             cfg.resilience.stop = Some(stop.clone());
             let outcome = match explore_checked(&b.apps, &b.arch, cfg) {
                 Ok(o) => o,
@@ -784,7 +765,6 @@ fn cmd_validate(b: &Benchmark, key: &str, pop: usize, gens: usize, args: &Args) 
                 eprintln!("validate: interrupted during exploration; nothing to validate yet");
                 return ExitCode::from(mcmap_bench::INTERRUPTED_EXIT);
             }
-            let problem = MappingProblem::new(&b.apps, &b.arch, explore_config(b, key, pop, gens));
             let portfolio = Portfolio::extract(&problem, &outcome.result.front);
             if let Some(path) = portfolio_path {
                 if let Err(e) = write_portfolio(std::path::Path::new(path), &portfolio) {
@@ -811,7 +791,7 @@ fn cmd_validate(b: &Benchmark, key: &str, pop: usize, gens: usize, args: &Args) 
         ..CampaignConfig::default()
     };
     let json = args.has("--json");
-    run_validation(b, key, pop, gens, &portfolio, stored, &ccfg, json)
+    run_validation(spec, &problem, &portfolio, stored, &ccfg, json)
 }
 
 fn cmd_obs(path: &str, json: bool) -> ExitCode {
@@ -1049,41 +1029,41 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         }
         "dse" => {
             let args = flags::parse(tail, &mcmap_bench::dse_flags(), 3)?;
-            let (b, key) = bench_arg(&args)?;
-            let (pop, gens) = (args.positional(1, 40)?, args.positional(2, 40)?);
+            let (b, spec) = exploration(&args, 40)?;
             let validate = args
                 .has("--validate")
                 .then(|| args.get("--validate").unwrap_or(256));
-            cmd_dse(&b, key, pop, gens, &EvalKnobs::from_flags(&args), validate)
+            cmd_dse(&b, &spec, &EvalKnobs::from_flags(&args), validate)
         }
         "validate" => {
             let table = [
-                ("--profiles", Value(number::<u64>)),
-                ("--seed", Value(number::<u64>)),
-                ("--boost", Value(number::<f64>)),
-                ("--threads", Value(number::<usize>)),
+                ("--profiles", Value("n", number::<u64>)),
+                ("--seed", Value("n", number::<u64>)),
+                ("--boost", Value("f", number::<f64>)),
+                ("--threads", Value("n", number::<usize>)),
                 JSON,
-                ("--portfolio", Value(text)),
-                ("--checkpoint", Value(text)),
+                ("--portfolio", Value("path", text)),
+                ("--checkpoint", Value("path", text)),
                 ("--resume", Switch),
             ];
             let args = flags::parse(tail, &table, 3)?;
-            let (b, key) = bench_arg(&args)?;
-            let (pop, gens) = (args.positional(1, 24)?, args.positional(2, 24)?);
-            cmd_validate(&b, key, pop, gens, &args)
+            let (b, spec) = exploration(&args, 24)?;
+            cmd_validate(&b, &spec, &args)
         }
         "lint" => {
             let table = [
                 JSON,
                 (
                     "--inject",
-                    Value(|v| matches!(v, "cycle" | "relbound" | "inverted")),
+                    Value("cycle|relbound|inverted", |v| {
+                        matches!(v, "cycle" | "relbound" | "inverted")
+                    }),
                 ),
-                ("--interference", Optional(number::<u64>)),
+                ("--interference", Optional("seed", number::<u64>)),
                 ("--dot", Switch),
                 // `--explain [MCxxxx]` documents one code (or lists them
                 // all), no benchmark involved.
-                ("--explain", Optional(text)),
+                ("--explain", Optional("MCxxxx", text)),
             ];
             let args = flags::parse(tail, &table, 1)?;
             match args.value("--explain") {
@@ -1099,13 +1079,13 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
             match tail.first().map(String::as_str) {
                 Some("query") => {
                     let table = [
-                        ("--name", Value(text)),
+                        ("--name", Value("s", text)),
                         (
                             "--kind",
-                            Value(|v| mcmap_obs::EventKind::parse(v).is_some()),
+                            Value("kind", |v| mcmap_obs::EventKind::parse(v).is_some()),
                         ),
-                        ("--field", Value(text)),
-                        ("--generation", Value(number::<u64>)),
+                        ("--field", Value("k[=v]", text)),
+                        ("--generation", Value("n", number::<u64>)),
                         JSON,
                     ];
                     let args = flags::parse(rest, &table, 1)?;
@@ -1132,15 +1112,15 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         }
         "serve" => {
             let table = [
-                ("--addr", Value(text)),
-                ("--jobs-dir", Value(text)),
-                ("--workers", Value(number::<usize>)),
+                ("--addr", Value("host:port", text)),
+                ("--jobs-dir", Value("dir", text)),
+                ("--workers", Value("n", number::<usize>)),
                 (
                     "--slice",
-                    Value(|v| v.parse::<usize>().is_ok_and(|n| n > 0)),
+                    Value("n", |v| v.parse::<usize>().is_ok_and(|n| n > 0)),
                 ),
-                ("--cache-cap", Value(number::<usize>)),
-                ("--job-threads", Value(number::<usize>)),
+                ("--cache-cap", Value("n", number::<usize>)),
+                ("--job-threads", Value("n", number::<usize>)),
             ];
             cmd_serve(&flags::parse(tail, &table, 0)?)
         }
@@ -1160,22 +1140,23 @@ mod tests {
 
     #[test]
     fn a_fleet_key_explores_and_validates_at_its_preset_depth() {
-        let key = "fleet-small";
-        let fleet = mcmap_benchmarks::fleet_preset(key).expect("a known preset");
-        let cfg = explore_config(
-            &mcmap_benchmarks::by_name(key).expect("a known benchmark"),
-            key,
-            8,
-            2,
-        );
+        let explored = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            let (b, spec) = exploration(&flags::parse(&args, &[], 3).unwrap(), 24).unwrap();
+            (spec.seed, spec.dse_config(&b, 1))
+        };
+        let (seed, cfg) = explored("fleet-small 8 2");
+        let fleet = mcmap_benchmarks::fleet_small_config();
+        assert_eq!((seed, cfg.ga.population, cfg.ga.generations), (8, 8, 2));
         assert_eq!(
             (cfg.max_reexec, cfg.max_replicas),
             (fleet.max_reexec, fleet.max_replicas)
         );
         // The paper benchmarks keep the default depth, which the preset's
         // deeper space differs from.
-        let cruise = explore_config(&mcmap_benchmarks::cruise(), "cruise", 8, 2);
-        let default = DseConfig::default();
+        let (_, cruise) = explored("cruise");
+        let default = mcmap_core::DseConfig::default();
+        assert_eq!((cruise.ga.population, cruise.ga.generations), (24, 24));
         assert_eq!(
             (cruise.max_reexec, cruise.max_replicas),
             (default.max_reexec, default.max_replicas)

@@ -13,18 +13,26 @@
 //! generations, seed `MCMAP_SEED` (default 8); the paper used 100 × 5000.
 
 use mcmap_bench::{env_u64, env_usize, hook_interrupts, EvalKnobs, INTERRUPTED_EXIT};
-use mcmap_benchmarks::all_benchmarks;
 use mcmap_core::{explore, DseConfig, ObjectiveMode};
-use mcmap_ga::GaConfig;
 use mcmap_resilience::stop_requested;
+use mcmap_serve::JobSpec;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let pop = env_usize("MCMAP_POP", 60);
     let gens = env_usize("MCMAP_GENS", 150);
     let seed = env_u64("MCMAP_SEED", 8);
-    let knobs = EvalKnobs::parse();
+    // The sweep's explorations (two per benchmark) would all write one
+    // checkpoint path, so it takes no `--checkpoint`/`--resume`.
+    let knobs = EvalKnobs::parse(&EvalKnobs::flags(|flag| {
+        !matches!(flag, "--checkpoint" | "--resume")
+    }));
     let obs = knobs.recorder();
+    let interrupted = |what: &str| {
+        println!("\n(interrupted{what})");
+        knobs.report_obs("sec52", &obs);
+        ExitCode::from(INTERRUPTED_EXIT)
+    };
 
     println!("Section 5.2: effect of task dropping (budget {pop}x{gens}, seed {seed})\n");
     println!(
@@ -34,22 +42,21 @@ fn main() -> ExitCode {
     println!("{}", "-".repeat(70));
 
     // `--fleet <preset>` narrows the sweep to that one generated workload.
-    let benchmarks = match knobs.fleet_config() {
-        Some(cfg) => vec![mcmap_benchmarks::fleet(&cfg, 42)],
-        None => all_benchmarks(42),
+    let names = match knobs.fleet.as_deref() {
+        Some(preset) => vec![preset],
+        None => vec!["synth1", "synth2", "dt-med", "dt-large", "cruise"],
     };
-    for b in benchmarks {
+    for name in names {
+        let spec = JobSpec {
+            benchmark: name.into(),
+            population: pop,
+            generations: gens,
+            seed,
+        };
+        let b = spec.resolve().expect("a named benchmark");
         let mut base = DseConfig {
-            ga: GaConfig {
-                population: pop,
-                generations: gens,
-                seed,
-                ..GaConfig::default()
-            },
             objectives: ObjectiveMode::Power,
-            policies: Some(b.policies.clone()),
-            repair_iters: 80,
-            ..DseConfig::default()
+            ..spec.dse_config(&b, knobs.threads)
         };
         knobs.apply(&mut base);
         hook_interrupts(&mut base);
@@ -65,9 +72,7 @@ fn main() -> ExitCode {
             },
         );
         if with.interrupted {
-            println!("\n(interrupted mid-benchmark — rows above are complete)");
-            knobs.report_obs("sec52", &obs);
-            return ExitCode::from(INTERRUPTED_EXIT);
+            return interrupted(" mid-benchmark — rows above are complete");
         }
         let without = explore(
             &b.apps,
@@ -79,9 +84,7 @@ fn main() -> ExitCode {
             },
         );
         if without.interrupted {
-            println!("\n(interrupted mid-benchmark — rows above are complete)");
-            knobs.report_obs("sec52", &obs);
-            return ExitCode::from(INTERRUPTED_EXIT);
+            return interrupted(" mid-benchmark — rows above are complete");
         }
         knobs.report(&format!("{}/with-dropping", b.name), &with.eval_stats);
         knobs.report(&format!("{}/no-dropping", b.name), &without.eval_stats);
@@ -103,9 +106,7 @@ fn main() -> ExitCode {
             with.audit.reexecution_share() * 100.0,
         );
         if stop_requested() {
-            println!("\n(interrupted — rows above are complete, remaining benchmarks skipped)");
-            knobs.report_obs("sec52", &obs);
-            return ExitCode::from(INTERRUPTED_EXIT);
+            return interrupted(" — rows above are complete, remaining benchmarks skipped");
         }
     }
     println!("\nrescue% = explored candidates infeasible without dropping but feasible with their");

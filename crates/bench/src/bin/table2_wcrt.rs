@@ -63,7 +63,7 @@ fn main() -> ExitCode {
     let b = cruise();
     let seed = env_u64("MCMAP_SEED", 11);
     let sim_runs = env_usize("MCMAP_SIM_RUNS", 2_000);
-    let knobs = EvalKnobs::parse();
+    let knobs = EvalKnobs::parse(&EvalKnobs::flags(EvalKnobs::worklist));
 
     // Flat indices: speed-control 0–4 (wheel, switch, est, law, throttle),
     // brake-monitor 5–7 (pedal, logic, act), nav 8–11 (gps, map, route,

@@ -7,21 +7,23 @@
 //! from a fixed set. Anything else — an unknown flag, a missing or
 //! malformed value, one positional too many — is a [`UsageError`] naming
 //! the offending token, which every entry point answers with its usage
-//! text and exit code 2 before any work runs.
+//! text and exit code 2 before any work runs. [`synopsis`] renders a table
+//! back into that usage text, so the two cannot drift apart.
 
 use std::fmt;
 use std::str::FromStr;
 
-/// What follows a flag on the command line.
+/// What follows a flag on the command line. A value carries the name the
+/// usage text shows for it (`n` renders as `--threads <n>`).
 #[derive(Debug, Clone, Copy)]
 pub enum Arity {
     /// Nothing: the flag is a switch.
     Switch,
     /// A required value, which the predicate must accept.
-    Value(fn(&str) -> bool),
+    Value(&'static str, fn(&str) -> bool),
     /// An optional value: the next token is the flag's value when the
     /// predicate accepts it, and an argument of its own otherwise.
-    Optional(fn(&str) -> bool),
+    Optional(&'static str, fn(&str) -> bool),
 }
 
 /// One row of a flag table: the flag as typed, `--` included, and what
@@ -139,14 +141,14 @@ pub fn parse(args: &[String], table: &[Flag], max_positionals: usize) -> Result<
         let next = tokens.peek().filter(|v| !v.starts_with("--"));
         let value = match arity {
             Arity::Switch => None,
-            Arity::Value(accepts) => match next {
+            Arity::Value(_, accepts) => match next {
                 None => return Err(UsageError(format!("{token} needs a value"))),
                 Some(v) if !accepts(v) => {
                     return Err(UsageError(format!("malformed value {v:?} for {token}")))
                 }
                 Some(_) => tokens.next().cloned(),
             },
-            Arity::Optional(accepts) => match next {
+            Arity::Optional(_, accepts) => match next {
                 Some(v) if accepts(v) => tokens.next().cloned(),
                 _ => None,
             },
@@ -156,6 +158,29 @@ pub fn parse(args: &[String], table: &[Flag], max_positionals: usize) -> Result<
     Ok(out)
 }
 
+/// Renders `table` as usage text: one `[--flag <value>]` item per row, in
+/// table order, wrapped before column 80 with every continuation line
+/// starting with `indent`.
+pub fn synopsis(table: &[Flag], indent: &str) -> String {
+    let mut lines = vec![String::new()];
+    for (name, arity) in table {
+        let item = match arity {
+            Arity::Switch => format!("[{name}]"),
+            Arity::Value(meta, _) => format!("[{name} <{meta}>]"),
+            Arity::Optional(meta, _) => format!("[{name} [{meta}]]"),
+        };
+        let line = lines.last_mut().expect("a line");
+        if line.is_empty() {
+            *line = item;
+        } else if indent.len() + line.len() + 1 + item.len() > 80 {
+            lines.push(item);
+        } else {
+            *line += &format!(" {item}");
+        }
+    }
+    lines.join(&format!("\n{indent}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,9 +188,9 @@ mod tests {
 
     const TABLE: &[Flag] = &[
         ("--json", Switch),
-        ("--threads", Value(number::<usize>)),
-        ("--trace", Value(text)),
-        ("--eval-stats", Optional(report_format)),
+        ("--threads", Value("n", number::<usize>)),
+        ("--trace", Value("path.jsonl", text)),
+        ("--eval-stats", Optional("json", report_format)),
     ];
 
     fn parsed(args: &str) -> Result<Args, String> {
@@ -205,5 +230,20 @@ mod tests {
             Err(UsageError("malformed argument \"x\"".into()))
         );
         assert_eq!(a.required(1, "<b>"), Err(UsageError("missing <b>".into())));
+    }
+
+    #[test]
+    fn the_synopsis_renders_every_row_and_wraps() {
+        assert_eq!(
+            synopsis(TABLE, "  "),
+            "[--json] [--threads <n>] [--trace <path.jsonl>] [--eval-stats [json]]"
+        );
+        let wide: Vec<Flag> = TABLE.iter().cycle().take(8).copied().collect();
+        let text = synopsis(&wide, "  ");
+        assert!(text.lines().count() > 1, "{text}");
+        for line in text.lines().skip(1) {
+            assert!(line.starts_with("  [") && line.len() <= 80, "{line:?}");
+        }
+        assert_eq!(text.matches("[--").count(), 8);
     }
 }

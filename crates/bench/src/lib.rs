@@ -172,13 +172,11 @@ pub enum StatsFormat {
     Json,
 }
 
-/// The shared evaluation-engine and observability knobs of every experiment
-/// binary: `--threads N`, `--cache-cap N`, `--eval-stats [json]`, `--trace
-/// <path.jsonl>`, `--obs-summary [json]`, `--gen-stats [json]`, `--audit
-/// [json]`, `--checkpoint <path>`, `--resume <path>`, `--eval-retries N`,
-/// the analysis knob `--no-prune`, and the workload override `--fleet
-/// <preset>` — the rows of [`EvalKnobs::FLAGS`]. A report flag also takes
-/// `text`, and `off` or `0` to turn the report off again.
+/// The evaluation-engine, observability, resilience and workload knobs of
+/// the experiment binaries and `mcmap_cli dse`, one per row of
+/// [`EvalKnobs::FLAGS`]; each front-end accepts only the rows it honors
+/// ([`EvalKnobs::flags`]). A report flag (`--eval-stats [json]` and its
+/// siblings) also takes `text`, and `off` or `0` to turn the report off.
 ///
 /// `threads == 0` (the default) means one worker per available core —
 /// results are bit-identical for any thread count, so this is purely a
@@ -217,55 +215,79 @@ pub struct EvalKnobs {
     pub eval_retries: u32,
     /// Disables dominance pruning of scenario bound-vectors.
     pub no_prune: bool,
-    /// When set, swap the experiment's benchmark for a generated fleet
-    /// preset (`fleet-small`, `fleet-med` or `fleet-large`) — the
+    /// When set, the generated fleet preset (`fleet-small`, `fleet-med` or
+    /// `fleet-large`, resolved through [`mcmap_benchmarks::by_name`]) the
+    /// experiment explores in place of its paper benchmark — the
     /// 500–5000-task workloads the parallel evaluation path is sized
-    /// against.
+    /// against. Its [`JobSpec`](mcmap_serve::JobSpec) brings the preset's
+    /// hardening depth.
     pub fleet: Option<String>,
 }
 
 impl EvalKnobs {
-    /// The knobs' flag table: every flag an experiment binary accepts, and
-    /// (less `--fleet`) the base of `mcmap_cli dse`'s table.
+    /// Every knob's row. `fig5_pareto` accepts them all; the other
+    /// front-ends take the subset [`Self::flags`] selects.
     pub const FLAGS: &'static [Flag] = &[
-        ("--threads", Value(number::<usize>)),
-        ("--cache-cap", Value(number::<usize>)),
-        ("--eval-stats", Optional(report_format)),
-        ("--trace", Value(text)),
-        ("--obs-summary", Optional(report_format)),
-        ("--gen-stats", Optional(report_format)),
-        ("--audit", Optional(report_format)),
-        ("--checkpoint", Value(text)),
-        ("--resume", Value(text)),
-        ("--eval-retries", Value(number::<u32>)),
+        ("--threads", Value("n", number::<usize>)),
+        ("--cache-cap", Value("n", number::<usize>)),
+        ("--eval-stats", Optional("json", report_format)),
+        ("--trace", Value("path.jsonl", text)),
+        ("--obs-summary", Optional("json", report_format)),
+        ("--gen-stats", Optional("json", report_format)),
+        ("--audit", Optional("json", report_format)),
+        ("--checkpoint", Value("path", text)),
+        ("--resume", Value("path", text)),
+        ("--eval-retries", Value("n", number::<u32>)),
         ("--no-prune", Switch),
-        ("--fleet", Value(text)),
+        (
+            "--fleet",
+            Value("fleet-small|fleet-med|fleet-large", fleet_preset),
+        ),
     ];
 
-    /// Reads the knobs from the process arguments. A usage error — an
-    /// unknown flag, a missing or malformed value, any positional — prints
-    /// the usage line and exits with code 2 before anything runs.
-    pub fn parse() -> Self {
+    /// The rows of [`Self::FLAGS`] whose flag `keep` admits, in table order.
+    pub fn flags(keep: impl Fn(&str) -> bool) -> Vec<Flag> {
+        Self::FLAGS
+            .iter()
+            .copied()
+            .filter(|(name, _)| keep(name))
+            .collect()
+    }
+
+    /// Whether a binary that runs a fixed work list and no GA
+    /// (`table2_wcrt`, `fig1_motivation`, `ablation_hardening`) honors
+    /// `flag`: it spreads its items over `--threads`, reports their wall
+    /// time under `--eval-stats`, and traces them with `--trace` and
+    /// `--obs-summary`.
+    pub fn worklist(flag: &str) -> bool {
+        matches!(
+            flag,
+            "--threads" | "--eval-stats" | "--trace" | "--obs-summary"
+        )
+    }
+
+    /// Reads the knobs from the process arguments, parsed against `table`
+    /// (rows of [`Self::FLAGS`]). A usage error — a flag outside the
+    /// table, a missing or malformed value, any positional — prints the
+    /// usage line rendered from `table` and exits with code 2 before
+    /// anything runs.
+    pub fn parse(table: &[Flag]) -> Self {
         let mut argv = std::env::args();
         let bin = argv.next().unwrap_or_default();
         let args: Vec<String> = argv.collect();
-        match flags::parse(&args, Self::FLAGS, 0) {
+        match flags::parse(&args, table, 0) {
             Ok(parsed) => Self::from_flags(&parsed),
             Err(err) => {
-                eprintln!(
-                    "{bin}: {err}\n\
-                     usage: {bin} [--threads <n>] [--cache-cap <n>] [--eval-stats [json]]\n\
-                     \u{20}      [--trace <path.jsonl>] [--obs-summary [json]] [--gen-stats [json]]\n\
-                     \u{20}      [--audit [json]] [--checkpoint <path>] [--resume <path>]\n\
-                     \u{20}      [--eval-retries <n>] [--no-prune] [--fleet <preset>]"
-                );
+                let synopsis = flags::synopsis(table, "       ");
+                eprintln!("{bin}: {err}\nusage: {bin} {synopsis}");
                 std::process::exit(2);
             }
         }
     }
 
-    /// Reads the knobs from a command line parsed against (a table
-    /// containing) [`Self::FLAGS`]; an absent flag keeps its default.
+    /// Reads the knobs from a command line parsed against rows of
+    /// [`Self::FLAGS`]; an absent flag, or one the table left out, keeps
+    /// its default.
     pub fn from_flags(args: &Args) -> Self {
         let report = |name: &str| match args.value(name) {
             _ if !args.has(name) => None,
@@ -288,35 +310,6 @@ impl EvalKnobs {
             eval_retries: args.get("--eval-retries").unwrap_or(1),
             no_prune: args.has("--no-prune"),
             fleet: path("--fleet"),
-        }
-    }
-
-    /// Resolves the `--fleet` knob into its preset configuration, or
-    /// `None` when the knob is unset. Exits the process (code 2) on an
-    /// unknown preset name — silently running the wrong workload would be
-    /// worse.
-    pub fn fleet_config(&self) -> Option<mcmap_benchmarks::FleetConfig> {
-        let name = self.fleet.as_deref()?;
-        match mcmap_benchmarks::fleet_preset(name) {
-            Some(cfg) => Some(cfg),
-            None => {
-                eprintln!(
-                    "mcmap: unknown fleet preset {name:?} \
-                     (known: fleet-small, fleet-med, fleet-large)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Swaps `fallback` for the generated `--fleet` benchmark when the
-    /// knob is set. Experiment binaries call this right after picking
-    /// their paper benchmark, so every DSE-driven experiment can run at
-    /// fleet scale without new plumbing.
-    pub fn fleet_or(&self, seed: u64, fallback: Benchmark) -> Benchmark {
-        match self.fleet_config() {
-            Some(cfg) => mcmap_benchmarks::fleet(&cfg, seed),
-            None => fallback,
         }
     }
 
@@ -397,7 +390,7 @@ impl EvalKnobs {
     }
 
     /// Applies the knobs to an exploration config (threads, cache bound,
-    /// audit mode). The observability recorder is installed separately —
+    /// audit mode, checkpointing, retries, pruning). The observability recorder is installed separately —
     /// build it once with [`Self::recorder`] and clone it into
     /// `cfg.obs` — because rebuilding it per config would truncate the
     /// trace file between runs.
@@ -418,12 +411,6 @@ impl EvalKnobs {
         cfg.analysis = mcmap_core::AnalysisOptions {
             prune: !self.no_prune,
         };
-        // A fleet run also deepens the hardening space to the preset's
-        // bounds — that is part of what makes the workload fleet-scale.
-        if let Some(fleet) = self.fleet_config() {
-            cfg.max_reexec = fleet.max_reexec;
-            cfg.max_replicas = fleet.max_replicas;
-        }
     }
 
     /// Prints one engine snapshot in the requested format (no-op when
@@ -538,15 +525,17 @@ fn print_snapshot(
     }
 }
 
+/// Admits the name of a generated fleet preset.
+fn fleet_preset(v: &str) -> bool {
+    mcmap_benchmarks::fleet_preset(v).is_some()
+}
+
 /// `mcmap_cli dse`'s flag table: [`EvalKnobs::FLAGS`] plus `--validate
 /// [n]`, less `--fleet` (`dse` takes a fleet preset as its benchmark).
 pub fn dse_flags() -> Vec<Flag> {
-    EvalKnobs::FLAGS
-        .iter()
-        .copied()
-        .filter(|(name, _)| *name != "--fleet")
-        .chain([("--validate", Optional(number::<u64>))])
-        .collect()
+    let mut table = EvalKnobs::flags(|name| name != "--fleet");
+    table.push(("--validate", Optional("n", number::<u64>)));
+    table
 }
 
 /// Installs the process-wide SIGINT/SIGTERM stop flag and wires it into an
@@ -727,26 +716,47 @@ mod tests {
     }
 
     #[test]
-    fn fleet_knob_swaps_the_benchmark_and_deepens_hardening() {
+    fn fleet_knob_resolves_by_name_and_takes_the_recipe_depth() {
         let k = knobs(&["--fleet", "fleet-small"]);
-        assert_eq!(k.fleet.as_deref(), Some("fleet-small"));
-        let b = k.fleet_or(7, mcmap_benchmarks::cruise());
-        assert!(b.name.starts_with("fleet-small"), "got {}", b.name);
+        let spec = mcmap_serve::JobSpec {
+            benchmark: k.fleet.clone().expect("the knob is set"),
+            population: 8,
+            generations: 2,
+            seed: 8,
+        };
+        let b = spec.resolve().expect("a fleet preset");
+        let named = mcmap_benchmarks::by_name("fleet-small").expect("a known benchmark");
+        assert_eq!(b.name, named.name);
+        assert_eq!(b.apps.num_tasks(), named.apps.num_tasks());
         assert_eq!(b.arch.num_processors(), 16);
-        let mut cfg = mcmap_core::DseConfig::default();
+        let mut cfg = spec.dse_config(&b, 1);
         k.apply(&mut cfg);
         let preset = mcmap_benchmarks::fleet_small_config();
-        assert_eq!(cfg.max_reexec, preset.max_reexec);
-        assert_eq!(cfg.max_replicas, preset.max_replicas);
+        assert_eq!(
+            (cfg.max_reexec, cfg.max_replicas),
+            (preset.max_reexec, preset.max_replicas)
+        );
 
-        // Unset knob: the fallback benchmark and config pass through.
-        let k = knobs(&[]);
-        assert_eq!(k.fleet, None);
-        assert_eq!(k.fleet_or(7, mcmap_benchmarks::cruise()).name, "Cruise");
-        let mut cfg = mcmap_core::DseConfig::default();
-        let (reexec, replicas) = (cfg.max_reexec, cfg.max_replicas);
-        k.apply(&mut cfg);
-        assert_eq!((cfg.max_reexec, cfg.max_replicas), (reexec, replicas));
+        // Only the three presets are accepted.
+        for name in ["cruise", "fleet-huge"] {
+            let args = ["--fleet".to_string(), name.to_string()];
+            assert!(flags::parse(&args, EvalKnobs::FLAGS, 0).is_err(), "{name}");
+        }
+        assert_eq!(knobs(&[]).fleet, None);
+    }
+
+    #[test]
+    fn front_ends_take_only_the_knobs_they_honor() {
+        let worklist = EvalKnobs::flags(EvalKnobs::worklist);
+        let names: Vec<&str> = worklist.iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names,
+            ["--threads", "--eval-stats", "--trace", "--obs-summary"]
+        );
+        let k = EvalKnobs::from_flags(&parsed(&worklist, &["--threads", "3"]));
+        assert_eq!((k.threads, k.cache_cap, k.checkpoint), (3, 65_536, None));
+        let args = ["--gen-stats".to_string()];
+        assert!(flags::parse(&args, &worklist, 0).is_err());
     }
 
     #[test]

@@ -49,7 +49,7 @@ const CASES: &[(&str, &str)] = &[
     ("nonsense", "\"nonsense\""),
 ];
 
-/// The experiment binaries share `EvalKnobs`' table and take no
+/// The experiment binaries parse rows of `EvalKnobs`' table and take no
 /// positionals.
 const EXPERIMENTS: &[&str] = &[
     env!("CARGO_BIN_EXE_table2_wcrt"),
@@ -74,6 +74,25 @@ fn check(bin: &str, args: &str, names: &str) {
     assert!(out.stdout.is_empty(), "{args:?} must not run anything");
 }
 
+/// The binaries that run a fixed work list and no GA.
+const WORKLISTS: &[&str] = &[
+    env!("CARGO_BIN_EXE_table2_wcrt"),
+    env!("CARGO_BIN_EXE_fig1_motivation"),
+    env!("CARGO_BIN_EXE_ablation_hardening"),
+];
+
+/// The knobs a work-list binary has no use for, each with a valid value.
+const WORKLIST_DROPPED: &[&str] = &[
+    "--cache-cap 0",
+    "--gen-stats",
+    "--audit",
+    "--checkpoint c",
+    "--resume c",
+    "--eval-retries 1",
+    "--no-prune",
+    "--fleet fleet-small",
+];
+
 #[test]
 fn every_entry_point_rejects_usage_errors_with_exit_2() {
     for (args, names) in CASES {
@@ -85,4 +104,48 @@ fn every_entry_point_rejects_usage_errors_with_exit_2() {
         check(bin, "--eval-retries -1", "--eval-retries");
         check(bin, "extra", "\"extra\"");
     }
+}
+
+#[test]
+fn each_binary_rejects_the_knobs_it_does_not_honor() {
+    for bin in WORKLISTS {
+        for args in WORKLIST_DROPPED {
+            check(bin, args, args.split(' ').next().expect("a flag"));
+        }
+    }
+    // The sweep's explorations would share one checkpoint path.
+    let sec52 = env!("CARGO_BIN_EXE_sec52_dropping");
+    check(sec52, "--checkpoint c", "--checkpoint");
+    check(sec52, "--resume c", "--resume");
+    // `--fleet` names one of the three generated presets.
+    for bin in [sec52, env!("CARGO_BIN_EXE_fig5_pareto")] {
+        check(bin, "--fleet cruise", "--fleet");
+        check(bin, "--fleet fleet-huge", "--fleet");
+    }
+}
+
+#[test]
+fn usage_lines_list_exactly_the_table() {
+    let usage = |bin: &str| {
+        let out = Command::new(bin)
+            .arg("--bogus")
+            .output()
+            .expect("binary runs");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    for bin in WORKLISTS {
+        let text = usage(bin);
+        assert!(text.contains("[--obs-summary [json]]"), "{text}");
+        assert!(!text.contains("--gen-stats"), "{text}");
+    }
+    let text = usage(env!("CARGO_BIN_EXE_sec52_dropping"));
+    assert!(
+        text.contains("[--no-prune]") && !text.contains("--checkpoint"),
+        "{text}"
+    );
+    let text = usage(env!("CARGO_BIN_EXE_mcmap_cli"));
+    assert!(
+        text.contains("[--validate [n]]") && !text.contains("--fleet"),
+        "{text}"
+    );
 }

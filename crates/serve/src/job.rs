@@ -23,12 +23,11 @@ use mcmap_ga::GaConfig;
 use mcmap_obs::{push_json_str, Json};
 use std::path::{Path, PathBuf};
 
-/// What one tenant asked the server to explore. The assembled
-/// [`DseConfig`] ([`JobSpec::dse_config`]) mirrors the CLI's `dse`
-/// command (bi-objective power/service, the benchmark's own policies,
-/// repair budget 80, a fleet preset's hardening depth), so a served job's
-/// front is directly comparable to a batch run of the same budget and
-/// seed.
+/// One exploration of a named benchmark: what a tenant asks the server to
+/// run, and how `mcmap_cli dse`/`validate` and the `fig5_pareto` and
+/// `sec52_dropping` experiments describe their runs. [`JobSpec::dse_config`]
+/// is the one recipe all of them explore with, so a served job's front is
+/// the batch run's front at the same budget and seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// Built-in benchmark name, one of [`mcmap_benchmarks::NAMES`].
@@ -92,8 +91,11 @@ impl JobSpec {
         mcmap_benchmarks::by_name(&self.benchmark)
     }
 
-    /// The exploration configuration of one slice over `b`, the resolved
-    /// benchmark, with `threads` evaluation threads.
+    /// The exploration recipe over `b`, the resolved benchmark, with
+    /// `threads` evaluation threads: bi-objective power/service, the
+    /// benchmark's own policies, repair budget 80, and a fleet preset's
+    /// hardening depth. A front-end overrides fields of the result (the
+    /// objectives, the dropping switch, its knobs), never rebuilds it.
     pub fn dse_config(&self, b: &Benchmark, threads: usize) -> DseConfig {
         let mut cfg = DseConfig {
             ga: GaConfig {
@@ -362,6 +364,32 @@ mod tests {
             (cfg.max_reexec, cfg.max_replicas),
             (default.max_reexec, default.max_replicas)
         );
+    }
+
+    /// The recipe's evaluation context, pinned: stored portfolios carry it,
+    /// and the perfbench harness keeps a frozen copy of the recipe, so a
+    /// drift must fail here rather than split the benchmark from the CLI.
+    #[test]
+    fn the_recipe_context_is_pinned() {
+        for (name, (population, generations), context) in [
+            ("cruise", (48, 30), 0xac97_1137_5a8c_4425),
+            ("fleet-small", (32, 10), 0x44c9_d483_dcad_49d3),
+        ] {
+            let spec = JobSpec {
+                benchmark: name.into(),
+                population,
+                generations,
+                seed: 8,
+            };
+            let b = spec.resolve().expect("a named benchmark");
+            let problem = mcmap_core::MappingProblem::new(&b.apps, &b.arch, spec.dse_config(&b, 1));
+            assert_eq!(
+                problem.context(),
+                context,
+                "{name}: {:#018x}",
+                problem.context()
+            );
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use mcmap::core::{explore, DseConfig, DseOutcome, MetricsSink, ObjectiveMode};
 use mcmap::ga::GaConfig;
 use mcmap::obs::{canonical_trace, Recorder, RecorderBuilder};
 use mcmap::resilience::fnv1a64;
+use mcmap::serve::JobSpec;
 use mcmap::telemetry::Registry;
 use proptest::prelude::*;
 
@@ -236,35 +237,27 @@ fn fleet_front_is_identical_for_any_thread_count() {
     assert_eq!(serial.audit.evaluated, two.audit.evaluated);
 }
 
-/// The `mcmap_cli dse <bench> <pop> <gens> --audit` exploration (seed 8,
-/// power × lost-service objectives, 80 repair iterations, hardening depth
-/// `(max_reexec, max_replicas)`), traced into a ring.
+/// The `mcmap_cli dse <bench> <pop> <gens> --threads 2 --audit`
+/// exploration of `b`: the served-job recipe (`JobSpec::dse_config`, seed
+/// 8, which brings a fleet preset's hardening depth) with the audit on,
+/// traced into a ring.
 fn golden_outcome(
+    name: &str,
     b: &mcmap::benchmarks::Benchmark,
     (population, generations): (usize, usize),
-    (max_reexec, max_replicas): (u8, u8),
 ) -> DseOutcome {
-    explore(
-        &b.apps,
-        &b.arch,
-        DseConfig {
-            ga: GaConfig {
-                population,
-                generations,
-                seed: 8,
-                threads: 2,
-                ..GaConfig::default()
-            },
-            objectives: ObjectiveMode::PowerService,
-            policies: Some(b.policies.clone()),
-            repair_iters: 80,
-            max_reexec,
-            max_replicas,
-            audit: true,
-            obs: Recorder::ring(1 << 18),
-            ..DseConfig::default()
-        },
-    )
+    let spec = JobSpec {
+        benchmark: name.into(),
+        population,
+        generations,
+        seed: 8,
+    };
+    let cfg = DseConfig {
+        audit: true,
+        obs: Recorder::ring(1 << 18),
+        ..spec.dse_config(b, 2)
+    };
+    explore(&b.apps, &b.arch, cfg)
 }
 
 /// Pinned results of DT-med and Cruise at 48×30, and of a fleet-small
@@ -276,30 +269,27 @@ fn golden_outcome(
 #[test]
 fn golden_fronts_audits_and_traces_at_48x30() {
     let preset = mcmap::benchmarks::fleet_small_config();
-    for (name, b, budget, depth, expected) in [
+    for (name, b, budget, expected) in [
         (
             "dt-med",
             mcmap::benchmarks::dt_med(),
             (48, 30),
-            (2, 2),
             [0x2ed2cb51def1d4a2, 0xd7d7bfa516dd9e1a, 0x3356cb82845e3f50],
         ),
         (
             "cruise",
             cruise(),
             (48, 30),
-            (2, 2),
             [0xd7ffedf161daa45d, 0xeef7b66b28aa8295, 0xda7ffc30a1cad472],
         ),
         (
             "fleet-small",
             mcmap::benchmarks::fleet(&preset, 7),
             (12, 3),
-            (preset.max_reexec, preset.max_replicas),
             [0xdcd82eb61b5d09ad, 0xa305384e7ab69f06, 0x5ec6dc653b613ba0],
         ),
     ] {
-        let o = golden_outcome(&b, budget, depth);
+        let o = golden_outcome(name, &b, budget);
         assert_eq!(o.obs.dropped_events(), 0, "{name}: trace ring overflowed");
         let [front, audit, trace] = [fingerprint(&o), format!("{:?}", o.audit), trace_of(&o)]
             .map(|s| fnv1a64(s.as_bytes()));
