@@ -268,7 +268,7 @@ fn cmd_analyze(b: &Benchmark, seed: u64, json: bool) -> ExitCode {
         let wcrt = mc.app_wcrt(&d.hsys, id, &d.dropped);
         let binding = mc
             .binding_trigger(&d.hsys, &scenario_app_wcrt, id)
-            .map(|t| format!("fault in {}", d.hsys.task(t).name))
+            .map(|t| format!("fault in {}", d.hsys.task(t).name(&b.apps)))
             .unwrap_or_else(|| "fault-free".to_string());
         println!(
             "{:16} {:>9} {:>9} {:>9}  {}",
@@ -335,7 +335,7 @@ fn cmd_gantt(b: &Benchmark, seed: u64) -> ExitCode {
     };
     let sim = Simulator::new(&d.hsys, &b.arch, &d.mapping, b.policies.clone());
     let (_, trace) = sim.run_traced(&SimConfig::default(), &mut NoFaults);
-    let names = Trace::name_table(&d.hsys, d.mapping.placement());
+    let names = Trace::name_table(&d.hsys, &b.apps, d.mapping.placement());
     let horizon = Time::from_ticks(b.apps.hyperperiod().ticks().min(20_000));
     print!("{}", trace.render_gantt(&names, horizon, 100));
     println!("\n(one fault-free hyperperiod, horizon {horizon}, 100 columns)");

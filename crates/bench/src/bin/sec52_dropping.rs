@@ -23,9 +23,10 @@ fn main() -> ExitCode {
     let gens = env_usize("MCMAP_GENS", 150);
     let seed = env_u64("MCMAP_SEED", 8);
     // The sweep's explorations (two per benchmark) would all write one
-    // checkpoint path, so it takes no `--checkpoint`/`--resume`.
+    // checkpoint path and interleave their rows in one generation table,
+    // so it takes no `--checkpoint`/`--resume`/`--gen-stats`.
     let knobs = EvalKnobs::parse(&EvalKnobs::flags(|flag| {
-        !matches!(flag, "--checkpoint" | "--resume")
+        !matches!(flag, "--checkpoint" | "--resume" | "--gen-stats")
     }));
     let obs = knobs.recorder();
     let interrupted = |what: &str| {

@@ -488,23 +488,25 @@ impl EvalKnobs {
     /// a fixed item list rather than a GA population (no-op when
     /// `--eval-stats` was not requested).
     pub fn report_wall(&self, label: &str, items: usize, wall: std::time::Duration) {
+        if let Some(line) = self.wall_line(label, items, wall) {
+            println!("{line}");
+        }
+    }
+
+    /// The [`report_wall`](Self::report_wall) line. It names the worker
+    /// count the pool resolves for `items`, not the `--threads` knob.
+    fn wall_line(&self, label: &str, items: usize, wall: std::time::Duration) -> Option<String> {
         let secs = wall.as_secs_f64();
         let rate = if secs > 0.0 { items as f64 / secs } else { 0.0 };
-        match self.eval_stats {
-            None => {}
-            Some(StatsFormat::Text) => {
-                println!(
-                    "\n[{label}] {items} items in {secs:.3} s ({rate:.2} items/s, threads = {})",
-                    self.threads
-                );
-            }
-            Some(StatsFormat::Json) => {
-                println!(
-                    "{{\"label\":\"{label}\",\"items\":{items},\"wall_secs\":{secs:.6},\
-                     \"items_per_sec\":{rate:.3},\"threads\":{}}}",
-                    self.threads
-                );
-            }
+        let threads = mcmap_eval::effective_threads(self.threads, items);
+        match self.eval_stats? {
+            StatsFormat::Text => Some(format!(
+                "\n[{label}] {items} items in {secs:.3} s ({rate:.2} items/s, threads = {threads})"
+            )),
+            StatsFormat::Json => Some(format!(
+                "{{\"label\":\"{label}\",\"items\":{items},\"wall_secs\":{secs:.6},\
+                 \"items_per_sec\":{rate:.3},\"threads\":{threads}}}"
+            )),
         }
     }
 }
@@ -757,6 +759,24 @@ mod tests {
         assert_eq!((k.threads, k.cache_cap, k.checkpoint), (3, 65_536, None));
         let args = ["--gen-stats".to_string()];
         assert!(flags::parse(&args, &worklist, 0).is_err());
+    }
+
+    #[test]
+    fn wall_line_reports_the_resolved_worker_count() {
+        let wall = std::time::Duration::from_secs(1);
+        let k = knobs(&["--threads", "0", "--eval-stats", "json"]);
+        for items in [1, 2, 3, 1000] {
+            let line = k.wall_line("w", items, wall).expect("requested");
+            let threads = cores().min(items);
+            assert!(
+                line.ends_with(&format!("\"threads\":{threads}}}")),
+                "{line}"
+            );
+        }
+        let k = knobs(&["--threads", "0", "--eval-stats"]);
+        let line = k.wall_line("w", 1, wall).expect("requested");
+        assert!(line.ends_with("threads = 1)"), "{line}");
+        assert_eq!(knobs(&["--threads", "0"]).wall_line("w", 1, wall), None);
     }
 
     #[test]

@@ -113,10 +113,12 @@ fn each_binary_rejects_the_knobs_it_does_not_honor() {
             check(bin, args, args.split(' ').next().expect("a flag"));
         }
     }
-    // The sweep's explorations would share one checkpoint path.
+    // The sweep's explorations would share one checkpoint path and one
+    // generation table.
     let sec52 = env!("CARGO_BIN_EXE_sec52_dropping");
     check(sec52, "--checkpoint c", "--checkpoint");
     check(sec52, "--resume c", "--resume");
+    check(sec52, "--gen-stats", "--gen-stats");
     // `--fleet` names one of the three generated presets.
     for bin in [sec52, env!("CARGO_BIN_EXE_fig5_pareto")] {
         check(bin, "--fleet cruise", "--fleet");

@@ -1,8 +1,8 @@
 //! Mixed-criticality, fault-tolerance-aware WCRT analysis.
 //!
 //! This module is the heart of the reproduction: Algorithm 1 of the paper
-//! ([`proposed_analysis`]) together with the two static comparison points of
-//! §5.1, [`naive_analysis`] and [`adhoc_analysis`].
+//! ([`proposed_analysis_with`]) together with the two static comparison
+//! points of §5.1, [`naive_analysis`] and [`adhoc_analysis`].
 //!
 //! All three are *wrappers* over a pluggable [`SchedBackend`]; the proposed
 //! analysis enumerates the possible normal→critical state transitions and
@@ -226,28 +226,8 @@ fn critical_wcet(
 ///
 /// Returns the per-task maximum over the normal state and all transitions.
 ///
-/// Runs with the default [`AnalysisOptions`] (the fast path); see
-/// [`proposed_analysis_with`] to pick different knobs.
-pub fn proposed_analysis<B: SchedBackend + ?Sized>(
-    backend: &B,
-    hsys: &HardenedSystem,
-    arch: &Architecture,
-    mapping: &Mapping,
-    nominal: &[ExecBounds],
-    dropped: &[AppId],
-) -> McAnalysis {
-    proposed_analysis_with(
-        backend,
-        hsys,
-        arch,
-        mapping,
-        nominal,
-        dropped,
-        AnalysisOptions::default(),
-    )
-}
-
-/// [`proposed_analysis`] with explicit fast-path knobs.
+/// `opts` picks the fast-path knobs; [`analyze`] runs this with the
+/// holistic backend and the default [`AnalysisOptions`].
 ///
 /// The enumeration runs in three deterministic stages (`DESIGN.md` §15):
 /// (1) key every trigger by the ranks of its two thresholds and take each
@@ -747,8 +727,8 @@ pub fn adhoc_analysis(
     sim.run(&cfg, &mut faults).app_wcrt
 }
 
-/// Convenience wrapper running [`proposed_analysis`] with the library's
-/// holistic backend.
+/// Convenience wrapper running [`proposed_analysis_with`] with the
+/// library's holistic backend and the default [`AnalysisOptions`].
 pub fn analyze(
     hsys: &HardenedSystem,
     arch: &Architecture,

@@ -46,10 +46,7 @@ fn repair_reliability_full(
         let mut placement = placement_with_default(&hsys, ProcId::new(0));
         for (id, t) in hsys.tasks() {
             if t.fixed_proc.is_none() {
-                let flat = (0..hsys.num_original_tasks())
-                    .find(|&f| hsys.task(hsys.copies_of(f)[0]).origin == t.origin)
-                    .expect("primary has an origin");
-                placement[id.index()] = bindings[flat];
+                placement[id.index()] = bindings[hsys.flat_of(id)];
             }
         }
         let rel = Reliability::new(&hsys, arch);

@@ -3,7 +3,7 @@
 //! The core of the reproduction of *Kang et al., "Static Mapping of
 //! Mixed-Critical Applications for Fault-Tolerant MPSoCs", DAC 2014*:
 //!
-//! * [`proposed_analysis`] — **Algorithm 1**, the mixed-criticality
+//! * [`proposed_analysis_with`] — **Algorithm 1**, the mixed-criticality
 //!   fault-tolerance-aware WCRT analysis that enumerates normal→critical
 //!   state transitions over any [`SchedBackend`](mcmap_sched::SchedBackend);
 //! * [`naive_analysis`] / [`adhoc_analysis`] — the §5.1 comparison points;
@@ -75,8 +75,8 @@ mod sensitivity;
 
 pub use analysis::{
     adhoc_analysis, analyze, analyze_explained, analyze_naive, analyze_with, naive_analysis,
-    normal_state_bounds, proposed_analysis, proposed_analysis_explained, proposed_analysis_with,
-    AnalysisOptions, McAnalysis,
+    normal_state_bounds, proposed_analysis_explained, proposed_analysis_with, AnalysisOptions,
+    McAnalysis,
 };
 pub use checkpoint::{
     attach_trace, read_checkpoint_with_fallback, salvage_trace, write_checkpoint, DseCheckpoint,

@@ -62,5 +62,5 @@ mod stats;
 
 pub use cache::{CacheStats, ShardedCache, CACHE_SHARDS};
 pub use engine::{EvalContext, EvalEngine};
-pub use pool::{parallel_map, parallel_map_caught, CaughtResult, WorkerLoad};
+pub use pool::{effective_threads, parallel_map, parallel_map_caught, CaughtResult, WorkerLoad};
 pub use stats::EvalStats;

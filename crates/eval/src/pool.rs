@@ -195,7 +195,9 @@ fn catching<T, V>(f: impl Fn(&T) -> V) -> impl Fn(&T) -> CaughtResult<V> {
 /// never more participants than cores or items. A participant beyond the
 /// core count only time-slices with the others, and the batch then waits
 /// for whichever of them was preempted holding the last items.
-fn effective_threads(requested: usize, items: usize) -> usize {
+///
+/// [`parallel_map`] runs `items` on exactly this many participants.
+pub fn effective_threads(requested: usize, items: usize) -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     let t = if requested == 0 {

@@ -2,9 +2,10 @@
 
 use crate::{HardenedSystem, Role};
 use core::fmt::Write;
+use mcmap_model::AppSet;
 
-/// Renders the hardened system `T'` as a GraphViz digraph: replicas are
-/// shaded, standbys dashed, voters drawn as diamonds.
+/// Renders the hardened system `T'`, hardened from `apps`, as a GraphViz
+/// digraph: replicas are shaded, standbys dashed, voters drawn as diamonds.
 ///
 /// # Examples
 ///
@@ -22,12 +23,12 @@ use core::fmt::Write;
 /// #     .build()?;
 /// # let apps = AppSet::new(vec![g])?;
 /// # let hsys = harden(&apps, &HardeningPlan::unhardened(&apps), &arch)?;
-/// let dot = hardened_to_dot(&hsys);
+/// let dot = hardened_to_dot(&hsys, &apps);
 /// assert!(dot.starts_with("digraph"));
 /// # Ok(())
 /// # }
 /// ```
-pub fn hardened_to_dot(hsys: &HardenedSystem) -> String {
+pub fn hardened_to_dot(hsys: &HardenedSystem, apps: &AppSet) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "digraph hardened {{");
     for (id, t) in hsys.tasks() {
@@ -45,7 +46,7 @@ pub fn hardened_to_dot(hsys: &HardenedSystem) -> String {
         let _ = writeln!(
             out,
             "  \"{id}\" [label=\"{}{annot}\", shape={shape}, style={style}];",
-            t.name
+            t.name(apps)
         );
     }
     for c in hsys.channels() {
@@ -87,7 +88,7 @@ mod tests {
         );
         plan.set_by_flat_index(1, TaskHardening::reexecution(2));
         let hsys = harden(&apps, &plan, &arch).unwrap();
-        let dot = hardened_to_dot(&hsys);
+        let dot = hardened_to_dot(&hsys, &apps);
         assert!(dot.contains("shape=diamond")); // voter
         assert!(dot.contains("style=filled")); // active replica
         assert!(dot.contains("style=dashed")); // standby

@@ -7,7 +7,8 @@
 //! be reported against the original model.
 
 use core::fmt;
-use mcmap_model::{AppId, Criticality, ExecBounds, ProcId, ProcKind, TaskRef, Time};
+use mcmap_model::{AppId, AppSet, Criticality, ExecBounds, ProcId, ProcKind, TaskRef, Time};
+use std::sync::Arc;
 
 /// Index of a task in a [`HardenedSystem`](crate::HardenedSystem).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -80,8 +81,6 @@ impl fmt::Display for Role {
 /// A task of the hardened system.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HTask {
-    /// Derived name, e.g. `"fft#active1"`.
-    pub name: String,
     /// The application this task belongs to.
     pub app: AppId,
     /// The original task this hardened task derives from (for a voter, the
@@ -91,18 +90,34 @@ pub struct HTask {
     pub role: Role,
     /// Maximum number of re-executions `k` (Eq. 1); 0 for voters.
     pub reexec: u8,
-    /// Detection overhead `dt` of the original task (already folded into the
-    /// nominal bounds when `reexec > 0`, kept for reporting).
-    pub detect_overhead: Time,
     /// Placement fixed by the hardening plan (replicas, voters); `None` for
     /// primaries, whose placement is a free mapping decision.
     pub fixed_proc: Option<ProcId>,
     /// Nominal execution bounds per processor kind (detection overhead
-    /// included when re-execution hardened; `[ve, ve]` for voters).
-    pub(crate) exec: Vec<Option<ExecBounds>>,
+    /// included when re-execution hardened; `[ve, ve]` for voters), one
+    /// table shared by all copies of an original task.
+    pub(crate) exec: Arc<[Option<ExecBounds>]>,
 }
 
 impl HTask {
+    /// The display name, derived from the original task's name and the
+    /// role: `fft`, `fft#active0`, `fft#passive0` or `fft#voter`.
+    ///
+    /// `apps` is the set the system was hardened from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `apps` has no task at [`origin`](Self::origin).
+    pub fn name(&self, apps: &AppSet) -> String {
+        let orig = &apps.task(self.origin).name;
+        match self.role {
+            Role::Primary => orig.clone(),
+            Role::ActiveReplica(i) => format!("{orig}#active{i}"),
+            Role::PassiveReplica(i) => format!("{orig}#passive{i}"),
+            Role::Voter => format!("{orig}#voter"),
+        }
+    }
+
     /// Nominal (fault-free) execution bounds on a processor kind, or `None`
     /// if the task cannot run on that kind. For a re-execution-hardened task
     /// this is `[bcet + dt, wcet + dt]` — detection runs on every execution.
@@ -162,16 +177,12 @@ pub struct HChannel {
 pub struct HApp {
     /// The original application id.
     pub app: AppId,
-    /// The application name.
-    pub name: String,
     /// Invocation period.
     pub period: Time,
     /// Relative deadline (≤ period).
     pub deadline: Time,
     /// Criticality annotation (copied from the model).
     pub criticality: Criticality,
-    /// Hardened tasks belonging to this application.
-    pub members: Vec<HTaskId>,
 }
 
 #[cfg(test)]
@@ -181,14 +192,12 @@ mod tests {
 
     fn htask(reexec: u8, role: Role, bounds: ExecBounds) -> HTask {
         HTask {
-            name: "t".into(),
             app: AppId::new(0),
             origin: TaskRef::new(AppId::new(0), TaskId::new(0)),
             role,
             reexec,
-            detect_overhead: Time::from_ticks(2),
             fixed_proc: None,
-            exec: vec![Some(bounds)],
+            exec: Arc::new([Some(bounds)]),
         }
     }
 

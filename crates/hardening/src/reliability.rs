@@ -99,13 +99,12 @@ impl<'a> Reliability<'a> {
     /// faulty value. Returns 0 for tasks without standbys.
     pub fn activation_probability(&self, flat: usize, placement: &[ProcId]) -> f64 {
         let copies = self.hsys.copies_of(flat);
-        if !copies.iter().any(|&c| self.hsys.task(c).role.is_passive()) {
+        if !copies.clone().any(|c| self.hsys.task(c).role.is_passive()) {
             return 0.0;
         }
         let p_all_ok: f64 = copies
-            .iter()
-            .filter(|&&c| !self.hsys.task(c).role.is_passive())
-            .map(|&c| 1.0 - self.single_run_fault_prob(c, placement[c.index()]))
+            .filter(|&c| !self.hsys.task(c).role.is_passive())
+            .map(|c| 1.0 - self.single_run_fault_prob(c, placement[c.index()]))
             .product();
         1.0 - p_all_ok
     }
@@ -114,16 +113,12 @@ impl<'a> Reliability<'a> {
     /// majority-vote failure over all copies (or the single copy's
     /// post-re-execution failure probability).
     pub fn task_failure_prob(&self, flat: usize, placement: &[ProcId]) -> f64 {
-        let copies = self.hsys.copies_of(flat);
-        debug_assert!(!copies.is_empty());
+        let mut copies = self.hsys.copies_of(flat);
+        let prob = |c: HTaskId| self.copy_failure_prob(c, placement[c.index()]);
         if copies.len() == 1 {
-            return self.copy_failure_prob(copies[0], placement[copies[0].index()]);
+            return prob(copies.next().expect("a block starts with its primary"));
         }
-        let probs: Vec<f64> = copies
-            .iter()
-            .map(|&c| self.copy_failure_prob(c, placement[c.index()]))
-            .collect();
-        majority_failure_prob(&probs)
+        majority_failure_prob(&copies.map(prob).collect::<Vec<f64>>())
     }
 
     /// Probability that one released instance of `app` executes unsafely:

@@ -17,6 +17,7 @@ use crate::{HApp, HChannel, HTask, HTaskId, HardeningPlan, Replication, Role};
 use core::fmt;
 use mcmap_model::{AppId, AppSet, Architecture, ExecBounds, ProcId, ProcKind, Task, TaskRef, Time};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Error produced while applying a hardening plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,6 +93,11 @@ impl std::error::Error for HardenError {}
 /// The transformed application set `T'`: every original task expanded into
 /// its copies (plus voter), with rewritten channels.
 ///
+/// Each original task's hardened tasks form one block of consecutive ids —
+/// the primary, the active replicas, the standbys, then the voter — and the
+/// blocks follow the [`AppSet`] flat order, so each application's tasks
+/// form one block too.
+///
 /// Built by [`harden`]; consumed by the scheduling analysis, the simulator,
 /// and the reliability checks.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,10 +111,9 @@ pub struct HardenedSystem {
     succs: Vec<Vec<usize>>,
     /// Topological order over all tasks (apps are independent components).
     topo: Vec<HTaskId>,
-    /// Hardened copies (primary, actives, passives) per original flat index.
-    copies: Vec<Vec<HTaskId>>,
-    /// Voter per original flat index, if the task is replicated.
-    voters: Vec<Option<HTaskId>>,
+    /// The first id of each original task's block, by flat index, plus the
+    /// end of the last block.
+    blocks: Vec<usize>,
     /// Flat indices of each application's original tasks (contiguous in
     /// the [`AppSet`] flat order), per [`AppId`].
     app_flats: Vec<Range<usize>>,
@@ -152,9 +157,15 @@ impl HardenedSystem {
         self.channels.iter()
     }
 
+    /// Indices of the channels feeding `id`, in [`channels`](Self::channels)
+    /// order.
+    pub fn in_channel_ids(&self, id: HTaskId) -> &[usize] {
+        &self.preds[id.index()]
+    }
+
     /// Channels feeding `id`.
     pub fn in_channels(&self, id: HTaskId) -> impl Iterator<Item = &HChannel> {
-        self.preds[id.index()].iter().map(|&c| &self.channels[c])
+        self.in_channel_ids(id).iter().map(|&c| &self.channels[c])
     }
 
     /// Channels produced by `id`.
@@ -188,20 +199,38 @@ impl HardenedSystem {
         &self.apps[self.tasks[id.index()].app.index()]
     }
 
-    /// All hardened copies (primary, active, passive — not the voter) of an
-    /// original task, given its flat index in the original set.
-    pub fn copies_of(&self, flat_index: usize) -> &[HTaskId] {
-        &self.copies[flat_index]
+    /// The ids of `app`'s hardened tasks, as [`HTaskId::index`] values:
+    /// one contiguous range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `app` is out of range.
+    pub fn app_task_range(&self, app: AppId) -> Range<usize> {
+        let flats = &self.app_flats[app.index()];
+        self.blocks[flats.start]..self.blocks[flats.end]
     }
 
-    /// The voter of an original task (by flat index), if replicated.
+    /// All hardened copies (primary, active, passive — not the voter) of an
+    /// original task, given its flat index in the original set, in that
+    /// order.
+    pub fn copies_of(&self, flat_index: usize) -> impl ExactSizeIterator<Item = HTaskId> + Clone {
+        let end = self.blocks[flat_index + 1] - usize::from(self.voter_of(flat_index).is_some());
+        (self.blocks[flat_index]..end).map(HTaskId::new)
+    }
+
+    /// The voter of an original task (by flat index), if replicated: the
+    /// last task of its block.
     pub fn voter_of(&self, flat_index: usize) -> Option<HTaskId> {
-        self.voters[flat_index]
+        let last = self.blocks[flat_index + 1] - 1;
+        self.tasks[last]
+            .role
+            .is_voter()
+            .then_some(HTaskId::new(last))
     }
 
     /// Total number of original tasks this system was derived from.
     pub fn num_original_tasks(&self) -> usize {
-        self.copies.len()
+        self.blocks.len() - 1
     }
 
     /// The flat index (in the original application set) of the given origin
@@ -298,114 +327,87 @@ pub fn harden(
         });
     }
 
-    let num_orig = apps.num_tasks();
     let mut tasks: Vec<HTask> = Vec::new();
-    let mut channels: Vec<HChannel> = Vec::new();
-    let mut copies: Vec<Vec<HTaskId>> = vec![Vec::new(); num_orig];
-    let mut voters: Vec<Option<HTaskId>> = vec![None; num_orig];
-    let mut happs: Vec<HApp> = Vec::with_capacity(apps.num_apps());
+    let mut blocks = Vec::with_capacity(apps.num_tasks() + 1);
+    // Consecutive voters with one voting overhead share one table.
+    let mut voter_exec: Arc<[Option<ExecBounds>]> = Arc::new([]);
 
-    // Pass 1: create tasks.
+    // Pass 1: create tasks, block after block in flat order.
     for (app_id, app) in apps.apps() {
-        let mut members = Vec::new();
         for (task_id, orig) in app.tasks() {
             let r = TaskRef::new(app_id, task_id);
-            let flat = apps.flat_index(r);
-            let h = plan.by_flat_index(flat);
+            let h = plan.by_flat_index(apps.flat_index(r));
             validate_entry(r, orig, h, arch)?;
+            blocks.push(tasks.len());
 
             let k = h.reexecutions;
             let exec = nominal_exec_table(orig, k);
-
-            // Primary copy.
-            let primary = push_task(
-                &mut tasks,
-                HTask {
-                    name: orig.name.clone(),
+            let (actives, standbys) = h.replication.replica_procs();
+            let copies = std::iter::once((Role::Primary, None))
+                .chain(
+                    (0..)
+                        .zip(actives)
+                        .map(|(i, &p)| (Role::ActiveReplica(i), Some(p))),
+                )
+                .chain(
+                    (0..)
+                        .zip(standbys)
+                        .map(|(i, &p)| (Role::PassiveReplica(i), Some(p))),
+                );
+            for (role, fixed_proc) in copies {
+                tasks.push(HTask {
                     app: app_id,
                     origin: r,
-                    role: Role::Primary,
+                    role,
                     reexec: k,
-                    detect_overhead: orig.detect_overhead,
-                    fixed_proc: None,
+                    fixed_proc,
                     exec: exec.clone(),
-                },
-            );
-            members.push(primary);
-            copies[flat].push(primary);
-
-            let (actives, standbys) = h.replication.replica_procs();
-
-            for (i, &proc) in actives.iter().enumerate() {
-                let id = push_task(
-                    &mut tasks,
-                    HTask {
-                        name: format!("{}#active{}", orig.name, i),
-                        app: app_id,
-                        origin: r,
-                        role: Role::ActiveReplica(i as u8),
-                        reexec: k,
-                        detect_overhead: orig.detect_overhead,
-                        fixed_proc: Some(proc),
-                        exec: exec.clone(),
-                    },
-                );
-                members.push(id);
-                copies[flat].push(id);
-            }
-            for (i, &proc) in standbys.iter().enumerate() {
-                let id = push_task(
-                    &mut tasks,
-                    HTask {
-                        name: format!("{}#passive{}", orig.name, i),
-                        app: app_id,
-                        origin: r,
-                        role: Role::PassiveReplica(i as u8),
-                        reexec: k,
-                        detect_overhead: orig.detect_overhead,
-                        fixed_proc: Some(proc),
-                        exec: exec.clone(),
-                    },
-                );
-                members.push(id);
-                copies[flat].push(id);
+                });
             }
             if let Some(vp) = h.replication.voter() {
-                let ve = orig.voting_overhead;
-                let voter_exec = vec![Some(ExecBounds::exact(ve)); arch.num_kinds().max(1)];
-                let id = push_task(
-                    &mut tasks,
-                    HTask {
-                        name: format!("{}#voter", orig.name),
-                        app: app_id,
-                        origin: r,
-                        role: Role::Voter,
-                        reexec: 0,
-                        detect_overhead: Time::ZERO,
-                        fixed_proc: Some(vp),
-                        exec: voter_exec,
-                    },
-                );
-                members.push(id);
-                voters[flat] = Some(id);
+                let ve = Some(ExecBounds::exact(orig.voting_overhead));
+                if voter_exec.first() != Some(&ve) {
+                    voter_exec = vec![ve; arch.num_kinds().max(1)].into();
+                }
+                tasks.push(HTask {
+                    app: app_id,
+                    origin: r,
+                    role: Role::Voter,
+                    reexec: 0,
+                    fixed_proc: Some(vp),
+                    exec: voter_exec.clone(),
+                });
             }
         }
-        happs.push(HApp {
-            app: app_id,
-            name: app.name().to_string(),
-            period: app.period(),
-            deadline: app.deadline(),
-            criticality: app.criticality(),
-            members,
-        });
     }
+    blocks.push(tasks.len());
+
+    let mut sys = HardenedSystem {
+        apps: apps
+            .apps()
+            .map(|(app_id, app)| HApp {
+                app: app_id,
+                period: app.period(),
+                deadline: app.deadline(),
+                criticality: app.criticality(),
+            })
+            .collect(),
+        tasks,
+        channels: Vec::new(),
+        preds: Vec::new(),
+        succs: Vec::new(),
+        topo: Vec::new(),
+        blocks,
+        app_flats: apps.app_ids().map(|a| apps.flats_of_app(a)).collect(),
+    };
 
     // Pass 2: wire channels.
+    let mut channels = Vec::new();
     for (app_id, app) in apps.apps() {
+        let flat = |task| apps.flat_index(TaskRef::new(app_id, task));
         // Voter fan-in per replicated task.
-        for (task_id, orig) in app.tasks() {
-            let flat = apps.flat_index(TaskRef::new(app_id, task_id));
-            if let Some(voter) = voters[flat] {
+        for (task_id, _) in app.tasks() {
+            if let Some(voter) = sys.voter_of(flat(task_id)) {
                 let vote_bytes = app
                     .out_channels(task_id)
                     .iter()
@@ -413,72 +415,51 @@ pub fn harden(
                     .max()
                     .unwrap_or(0)
                     .max(1);
-                let _ = orig;
-                for &copy in &copies[flat] {
-                    channels.push(HChannel {
-                        src: copy,
-                        dst: voter,
-                        bytes: vote_bytes,
-                    });
-                }
+                channels.extend(sys.copies_of(flat(task_id)).map(|copy| HChannel {
+                    src: copy,
+                    dst: voter,
+                    bytes: vote_bytes,
+                }));
             }
         }
         // Original data channels: producer endpoint is the voter (if
         // replicated) or the single copy; consumer endpoints are all copies.
         for (_, ch) in app.channels() {
-            let src_flat = apps.flat_index(TaskRef::new(app_id, ch.src));
-            let dst_flat = apps.flat_index(TaskRef::new(app_id, ch.dst));
-            let producer = voters[src_flat].unwrap_or(copies[src_flat][0]);
-            for &consumer in &copies[dst_flat] {
-                channels.push(HChannel {
-                    src: producer,
-                    dst: consumer,
-                    bytes: ch.bytes,
-                });
-            }
+            let src_flat = flat(ch.src);
+            let producer = sys
+                .voter_of(src_flat)
+                .unwrap_or(HTaskId::new(sys.blocks[src_flat]));
+            channels.extend(sys.copies_of(flat(ch.dst)).map(|consumer| HChannel {
+                src: producer,
+                dst: consumer,
+                bytes: ch.bytes,
+            }));
         }
     }
 
     // Derived adjacency.
-    let n = tasks.len();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let n = sys.tasks.len();
+    sys.preds = vec![Vec::new(); n];
+    sys.succs = vec![Vec::new(); n];
     for (i, c) in channels.iter().enumerate() {
-        succs[c.src.index()].push(i);
-        preds[c.dst.index()].push(i);
+        sys.succs[c.src.index()].push(i);
+        sys.preds[c.dst.index()].push(i);
     }
-
-    let topo = topological_order(n, &channels);
-    debug_assert_eq!(topo.len(), n, "hardening must preserve acyclicity");
-
-    Ok(HardenedSystem {
-        apps: happs,
-        tasks,
-        channels,
-        preds,
-        succs,
-        topo,
-        copies,
-        voters,
-        app_flats: apps.app_ids().map(|a| apps.flats_of_app(a)).collect(),
-    })
-}
-
-fn push_task(tasks: &mut Vec<HTask>, t: HTask) -> HTaskId {
-    let id = HTaskId::new(tasks.len());
-    tasks.push(t);
-    id
+    sys.channels = channels;
+    sys.topo = sys.topological_sort();
+    debug_assert_eq!(sys.topo.len(), n, "hardening must preserve acyclicity");
+    Ok(sys)
 }
 
 /// Nominal execution table of a copy, per processor kind.
-fn nominal_exec_table(orig: &Task, k: u8) -> Vec<Option<ExecBounds>> {
-    orig.supported_kinds().fold(Vec::new(), |mut table, kind| {
-        if table.len() <= kind.index() {
-            table.resize(kind.index() + 1, None);
-        }
-        table[kind.index()] = copy_nominal_bounds(orig, kind, k);
-        table
-    })
+fn nominal_exec_table(orig: &Task, k: u8) -> Arc<[Option<ExecBounds>]> {
+    let kinds = orig
+        .supported_kinds()
+        .last()
+        .map_or(0, |kind| kind.index() + 1);
+    (0..kinds)
+        .map(|i| copy_nominal_bounds(orig, ProcKind::new(i as u16), k))
+        .collect()
 }
 
 /// Nominal execution bounds of one hardened copy of `orig` with `k`
@@ -556,25 +537,25 @@ pub fn validate_entry(
     }
 }
 
-fn topological_order(n: usize, channels: &[HChannel]) -> Vec<HTaskId> {
-    let mut indeg = vec![0usize; n];
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for c in channels {
-        indeg[c.dst.index()] += 1;
-        adj[c.src.index()].push(c.dst.index());
-    }
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(u) = queue.pop() {
-        order.push(HTaskId::new(u));
-        for &v in &adj[u] {
-            indeg[v] -= 1;
-            if indeg[v] == 0 {
-                queue.push(v);
+impl HardenedSystem {
+    /// Kahn's algorithm over the channel adjacency.
+    fn topological_sort(&self) -> Vec<HTaskId> {
+        let n = self.tasks.len();
+        let mut indeg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
+        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(u) = queue.pop() {
+            order.push(HTaskId::new(u));
+            for &c in &self.succs[u] {
+                let v = self.channels[c].dst.index();
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    queue.push(v);
+                }
             }
         }
+        order
     }
-    order
 }
 
 #[cfg(test)]
@@ -636,11 +617,7 @@ mod tests {
         let mut plan = HardeningPlan::unhardened(&apps);
         plan.set_by_flat_index(1, TaskHardening::reexecution(1));
         let h = harden(&apps, &plan, &arch(2)).unwrap();
-        let v1 = h
-            .tasks()
-            .find(|(_, t)| t.name == "v1")
-            .map(|(id, _)| id)
-            .unwrap();
+        let v1 = h.copies_of(1).next().unwrap();
         let b = h.task(v1).nominal_bounds(ProcKind::new(0)).unwrap();
         // bcet+dt = 7, wcet+dt = 13.
         assert_eq!(
@@ -679,14 +656,10 @@ mod tests {
         // Channels: 3 copy→voter + 1 voter→v1 = 4.
         assert_eq!(h.num_channels(), 4);
         // v1's only predecessor is the voter.
-        let v1 = h.tasks().find(|(_, t)| t.name == "v1").unwrap().0;
+        let v1 = h.copies_of(1).next().unwrap();
         assert_eq!(h.predecessors(v1).collect::<Vec<_>>(), vec![voter]);
         // Replicas have fixed placements, the primary does not.
-        let roles: Vec<_> = h
-            .copies_of(0)
-            .iter()
-            .map(|&c| h.task(c).fixed_proc)
-            .collect();
+        let roles: Vec<_> = h.copies_of(0).map(|c| h.task(c).fixed_proc).collect();
         assert_eq!(
             roles,
             vec![None, Some(ProcId::new(1)), Some(ProcId::new(2))]
@@ -727,7 +700,7 @@ mod tests {
         let h = harden(&apps, &plan, &arch(2)).unwrap();
         // v0 + 2 copies of v1 + voter = 4 tasks.
         assert_eq!(h.num_tasks(), 4);
-        let v0 = h.tasks().find(|(_, t)| t.name == "v0").unwrap().0;
+        let v0 = h.copies_of(0).next().unwrap();
         // v0 sends to both copies of v1.
         assert_eq!(h.successors(v0).count(), 2);
     }
@@ -748,6 +721,54 @@ mod tests {
         for c in h.channels() {
             assert!(pos(c.src) < pos(c.dst));
         }
+    }
+
+    #[test]
+    fn names_and_layout_follow_the_roles() {
+        // v0 passively replicated, v1 actively triplicated: every role.
+        let apps = producer_consumer();
+        let mut plan = HardeningPlan::unhardened(&apps);
+        plan.set_by_flat_index(
+            0,
+            TaskHardening::passive(vec![ProcId::new(1)], vec![ProcId::new(2)], ProcId::new(0)),
+        );
+        plan.set_by_flat_index(
+            1,
+            TaskHardening::active(vec![ProcId::new(1), ProcId::new(2)], ProcId::new(0)),
+        );
+        let h = harden(&apps, &plan, &arch(3)).unwrap();
+        let names: Vec<String> = h.tasks().map(|(_, t)| t.name(&apps)).collect();
+        assert_eq!(
+            names,
+            [
+                "v0",
+                "v0#active0",
+                "v0#passive0",
+                "v0#voter",
+                "v1",
+                "v1#active0",
+                "v1#active1",
+                "v1#voter"
+            ]
+        );
+        assert_eq!(
+            h.copies_of(0).map(HTaskId::index).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
+        assert_eq!(h.voter_of(0), Some(HTaskId::new(3)));
+        assert_eq!(
+            h.copies_of(1).map(HTaskId::index).collect::<Vec<_>>(),
+            [4, 5, 6]
+        );
+        assert_eq!(h.voter_of(1), Some(HTaskId::new(7)));
+        assert_eq!(h.app_task_range(AppId::new(0)), 0..8);
+        // Copies share one execution table; each voter runs for its
+        // task's voting overhead.
+        let exec = |i| &h.task(HTaskId::new(i)).exec;
+        assert!(Arc::ptr_eq(exec(0), exec(2)) && Arc::ptr_eq(exec(4), exec(6)));
+        let voter_wcet = |i| h.task(HTaskId::new(i)).nominal_bounds(ProcKind::new(0));
+        assert_eq!(voter_wcet(3), Some(ExecBounds::exact(Time::from_ticks(2))));
+        assert_eq!(voter_wcet(7), Some(ExecBounds::exact(Time::ZERO)));
     }
 
     #[test]
@@ -828,10 +849,9 @@ mod tests {
         let plan = HardeningPlan::unhardened(&apps);
         let h = harden(&apps, &plan, &arch(2)).unwrap();
         let happ = &h.apps()[0];
-        assert_eq!(happ.name, "pc");
         assert_eq!(happ.period, Time::from_ticks(100));
-        assert_eq!(happ.members.len(), 2);
-        assert_eq!(h.app_of(HTaskId::new(1)).name, "pc");
+        assert_eq!(h.app_task_range(AppId::new(0)), 0..2);
+        assert_eq!(h.app_of(HTaskId::new(1)).app, AppId::new(0));
     }
 
     #[test]
@@ -860,7 +880,7 @@ mod tests {
         );
         let h = harden(&apps, &plan, &arch(2)).unwrap();
         let origin = TaskRef::new(mcmap_model::AppId::new(0), TaskId::new(0));
-        for &c in h.copies_of(0) {
+        for c in h.copies_of(0) {
             assert_eq!(h.task(c).origin, origin);
         }
         assert_eq!(h.task(h.voter_of(0).unwrap()).origin, origin);

@@ -5,8 +5,8 @@ use mcmap_hardening::{
     TaskHardening,
 };
 use mcmap_model::{
-    AppSet, Architecture, Criticality, ExecBounds, ProcId, ProcKind, Processor, Task, TaskGraph,
-    Time,
+    AppId, AppSet, Architecture, Criticality, ExecBounds, ProcId, ProcKind, Processor, Task,
+    TaskGraph, Time,
 };
 use proptest::prelude::*;
 
@@ -91,18 +91,18 @@ proptest! {
         // Every copy of task i carries the original's origin; every voter
         // collects from every copy of its origin.
         for flat in 0..n {
-            let copies = hsys.copies_of(flat);
+            let copies: Vec<_> = hsys.copies_of(flat).collect();
             prop_assert!(!copies.is_empty());
             if let Some(voter) = hsys.voter_of(flat) {
                 prop_assert_eq!(hsys.task(voter).role, Role::Voter);
                 let mut feeders: Vec<_> = hsys.predecessors(voter).collect();
                 feeders.sort();
-                let mut expected: Vec<_> = copies.to_vec();
+                let mut expected = copies.clone();
                 expected.sort();
                 prop_assert_eq!(feeders, expected);
             }
             // Eq. (1): critical wcet = nominal wcet × (k + 1).
-            for &c in copies {
+            for &c in &copies {
                 let t = hsys.task(c);
                 let b = t.nominal_bounds(ProcKind::new(0)).expect("kind 0");
                 prop_assert_eq!(
@@ -110,6 +110,37 @@ proptest! {
                     b.wcet * (t.reexec as u64 + 1)
                 );
                 prop_assert!(b.bcet <= b.wcet);
+            }
+        }
+
+        // Layout: each original task's hardened ids form one block, the
+        // blocks in flat order; a block holds the primary, the actives,
+        // the standbys, then the voter.
+        let mut next = 0;
+        for flat in 0..n {
+            let block: Vec<_> = hsys.copies_of(flat).chain(hsys.voter_of(flat)).collect();
+            let ids: Vec<usize> = block.iter().map(|id| id.index()).collect();
+            prop_assert_eq!(ids, (next..next + block.len()).collect::<Vec<_>>());
+            next += block.len();
+            let r = &plan.by_flat_index(flat).replication;
+            let mut roles = vec![Role::Primary];
+            roles.extend((0..r.active_copies() - 1).map(|i| Role::ActiveReplica(i as u8)));
+            roles.extend((0..r.standby_copies()).map(|i| Role::PassiveReplica(i as u8)));
+            roles.extend(r.is_replicated().then_some(Role::Voter));
+            let got: Vec<Role> = block.iter().map(|&id| hsys.task(id).role).collect();
+            prop_assert_eq!(got, roles);
+        }
+        prop_assert_eq!(next, hsys.num_tasks());
+        prop_assert_eq!(hsys.app_task_range(AppId::new(0)), 0..hsys.num_tasks());
+
+        // `copies_of`/`voter_of` agree with each task's origin and role.
+        for (id, t) in hsys.tasks() {
+            let flat = hsys.flat_of_origin(t.origin).expect("origin in the set");
+            prop_assert_eq!(hsys.flat_of(id), flat);
+            if t.role.is_voter() {
+                prop_assert_eq!(hsys.voter_of(flat), Some(id));
+            } else {
+                prop_assert!(hsys.copies_of(flat).any(|c| c == id));
             }
         }
     }

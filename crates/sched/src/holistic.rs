@@ -39,6 +39,7 @@
 
 use mcmap_hardening::{HTaskId, HardenedSystem};
 use mcmap_model::{Architecture, ExecBounds, Time};
+use std::ops::Range;
 
 use crate::{hyperperiod, Mapping, SchedBackend, SchedPolicy, TaskWindows};
 
@@ -93,8 +94,12 @@ pub struct HolisticAnalysis<'a> {
     hsys: &'a HardenedSystem,
     mapping: &'a Mapping,
     policies: Vec<SchedPolicy>,
-    /// Incoming edges per task: `(source task, worst/best channel delay)`.
-    in_edges: Vec<Vec<(HTaskId, Time)>>,
+    /// Per channel of the system, by channel index: its source task and
+    /// its transfer delay (zero between tasks on one processor). The source
+    /// repeats the system's channel so that an in-edge reads one entry:
+    /// reading it through the channel list made Algorithm 1's backend runs
+    /// about 3 % slower on DT-med designs (2-vCPU host).
+    arrival: Vec<(HTaskId, Time)>,
     /// Every processor's tasks in descending priority order
     /// ([`Mapping::outranks`]: priority, then id), one processor after the
     /// other. A task's interferers are the tasks before it in its
@@ -139,15 +144,17 @@ impl<'a> HolisticAnalysis<'a> {
         let n = hsys.num_tasks();
         let fabric = arch.fabric();
 
-        let mut in_edges: Vec<Vec<(HTaskId, Time)>> = vec![Vec::new(); n];
-        for c in hsys.channels() {
-            let delay = if mapping.proc_of(c.src) == mapping.proc_of(c.dst) {
-                Time::ZERO
-            } else {
-                fabric.transfer_time(c.bytes)
-            };
-            in_edges[c.dst.index()].push((c.src, delay));
-        }
+        let arrival = hsys
+            .channels()
+            .map(|c| {
+                let delay = if mapping.proc_of(c.src) == mapping.proc_of(c.dst) {
+                    Time::ZERO
+                } else {
+                    fabric.transfer_time(c.bytes)
+                };
+                (c.src, delay)
+            })
+            .collect();
 
         // Precedence refinement: a same-application ancestor of `v` always
         // completes before `v` releases (same instance), and its next
@@ -162,7 +169,7 @@ impl<'a> HolisticAnalysis<'a> {
         //
         // Channels stay inside one application and each application's
         // hardened tasks carry contiguous ids, so reachability is a per-app
-        // bitset.
+        // bit matrix over the system's app ranges.
         let related = AppReachability::new(hsys);
         let mut by_rank: Vec<HTaskId> = hsys.task_ids().collect();
         by_rank.sort_unstable_by_key(|&v| (mapping.proc_of(v), mapping.priority_of(v), v.index()));
@@ -180,10 +187,11 @@ impl<'a> HolisticAnalysis<'a> {
         let mut hp = Vec::new();
         for v in hsys.task_ids() {
             let start = proc_start[mapping.proc_of(v).index()];
+            let linked = related.linked_to(hsys, v);
             hp.extend(
                 by_rank[start..rank[v.index()]]
                     .iter()
-                    .filter(|&&j| !related.linked(v, j)),
+                    .filter(|&&j| !linked(j)),
             );
             hp_start.push(hp.len());
         }
@@ -196,7 +204,7 @@ impl<'a> HolisticAnalysis<'a> {
             hsys,
             mapping,
             policies,
-            in_edges,
+            arrival,
             by_rank,
             rank,
             proc_start,
@@ -206,6 +214,20 @@ impl<'a> HolisticAnalysis<'a> {
             period,
             limit,
         }
+    }
+
+    /// The latest arrival at `v` of its inputs, given its predecessors'
+    /// `finish` times: each plus its channel's delay.
+    fn latest_arrival(&self, v: HTaskId, finish: &[Time]) -> Time {
+        self.hsys
+            .in_channel_ids(v)
+            .iter()
+            .map(|&c| {
+                let (src, delay) = self.arrival[c];
+                finish[src.index()].saturating_add(delay)
+            })
+            .max()
+            .unwrap_or(Time::ZERO)
     }
 
     fn policy_of(&self, v: HTaskId) -> SchedPolicy {
@@ -228,10 +250,11 @@ impl<'a> HolisticAnalysis<'a> {
     /// same-processor tasks it outranks that are not precedence-related to
     /// it.
     fn blockers(&self, v: HTaskId) -> impl Iterator<Item = HTaskId> + '_ {
+        let linked = self.related.linked_to(self.hsys, v);
         self.outranked(v)
             .iter()
             .copied()
-            .filter(move |&j| !self.related.linked(v, j))
+            .filter(move |&j| !linked(j))
     }
 
     /// Exact best-case pass: the earliest release of every task, assuming
@@ -241,11 +264,7 @@ impl<'a> HolisticAnalysis<'a> {
         let mut er = vec![Time::ZERO; n];
         let mut min_finish = vec![Time::ZERO; n];
         for &v in self.hsys.topological_order() {
-            let release = self.in_edges[v.index()]
-                .iter()
-                .map(|&(src, delay)| min_finish[src.index()].saturating_add(delay))
-                .max()
-                .unwrap_or(Time::ZERO);
+            let release = self.latest_arrival(v, &min_finish);
             er[v.index()] = release;
             min_finish[v.index()] = release.saturating_add(bounds[v.index()].bcet);
         }
@@ -407,12 +426,7 @@ impl<'a> HolisticAnalysis<'a> {
                 if !std::mem::take(&mut dirty[i]) {
                     continue;
                 }
-                let release = self.in_edges[i]
-                    .iter()
-                    .map(|&(src, delay)| max_finish[src.index()].saturating_add(delay))
-                    .max()
-                    .unwrap_or(Time::ZERO)
-                    .max(lr[i]);
+                let release = self.latest_arrival(v, &max_finish).max(lr[i]);
                 let response = self.local_response(v, bounds, &er, &lr, &mut warm[i]);
                 let finish = release.saturating_add(response);
                 if release > lr[i] {
@@ -486,11 +500,10 @@ enum Iterate {
 /// cross applications, so tasks of different applications are unrelated.
 #[derive(Debug)]
 struct AppReachability {
-    /// Application index per hardened task.
-    app_of: Vec<usize>,
-    /// Per application: first hardened task id, row width in 64-bit words,
-    /// and the offset of its matrix in `bits`.
-    apps: Vec<(usize, usize, usize)>,
+    /// Per application: its hardened task ids
+    /// ([`HardenedSystem::app_task_range`]), row width in 64-bit words, and
+    /// the offset of its matrix in `bits`.
+    apps: Vec<(Range<usize>, usize, usize)>,
     bits: Vec<u64>,
 }
 
@@ -499,24 +512,17 @@ impl AppReachability {
         let mut apps = Vec::with_capacity(hsys.apps().len());
         let mut bits = Vec::new();
         for happ in hsys.apps() {
-            let start = happ.members.first().map_or(0, |id| id.index());
-            debug_assert!(
-                happ.members
-                    .iter()
-                    .enumerate()
-                    .all(|(i, id)| id.index() == start + i),
-                "an application's hardened tasks have contiguous ids"
-            );
-            let words = happ.members.len().div_ceil(64);
-            apps.push((start, words, bits.len()));
-            bits.resize(bits.len() + happ.members.len() * words, 0);
+            let ids = hsys.app_task_range(happ.app);
+            let (words, offset) = (ids.len().div_ceil(64), bits.len());
+            bits.resize(offset + ids.len() * words, 0);
+            apps.push((ids, words, offset));
         }
-        let app_of = hsys.tasks().map(|(_, t)| t.app.index()).collect();
-        let mut reach = AppReachability { app_of, apps, bits };
+        let mut reach = AppReachability { apps, bits };
         // Reverse topological order: a task reaches its successors and
         // everything they reach.
         for &v in hsys.topological_order().iter().rev() {
-            let (start, words, offset) = reach.apps[reach.app_of[v.index()]];
+            let (ids, words, offset) = &reach.apps[hsys.task(v).app.index()];
+            let (start, words, offset) = (ids.start, *words, *offset);
             let row_v = offset + (v.index() - start) * words;
             for s in hsys.successors(v) {
                 let local = s.index() - start;
@@ -530,16 +536,19 @@ impl AppReachability {
         reach
     }
 
-    /// `true` when there is a directed path `a → … → b` or `b → … → a`.
-    fn linked(&self, a: HTaskId, b: HTaskId) -> bool {
-        let app = self.app_of[a.index()];
-        if self.app_of[b.index()] != app {
-            return false;
+    /// The test whether `b` is linked to `a`: whether there is a directed
+    /// path `a → … → b` or `b → … → a`.
+    fn linked_to(&self, hsys: &HardenedSystem, a: HTaskId) -> impl Fn(HTaskId) -> bool + '_ {
+        let (ids, words, offset) = &self.apps[hsys.task(a).app.index()];
+        let la = a.index() - ids.start;
+        let bit =
+            move |from: usize, to: usize| self.bits[offset + from * words + to / 64] >> (to % 64);
+        move |b: HTaskId| {
+            ids.contains(&b.index()) && {
+                let lb = b.index() - ids.start;
+                (bit(la, lb) | bit(lb, la)) & 1 == 1
+            }
         }
-        let (start, words, offset) = self.apps[app];
-        let (la, lb) = (a.index() - start, b.index() - start);
-        let bit = |from: usize, to: usize| self.bits[offset + from * words + to / 64] >> (to % 64);
-        (bit(la, lb) | bit(lb, la)) & 1 == 1
     }
 }
 
@@ -821,7 +830,7 @@ mod tests {
             .map(|(_, t)| t.fixed_proc.unwrap_or(ProcId::new(0)))
             .collect();
         let mut placement = placement;
-        let b_id = hsys.tasks().find(|(_, t)| t.name == "b").unwrap().0;
+        let b_id = hsys.copies_of(1).next().unwrap();
         placement[b_id.index()] = ProcId::new(1);
         let mapping = Mapping::new(&hsys, &arch, placement).unwrap();
         let analysis = HolisticAnalysis::new(

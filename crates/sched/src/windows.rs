@@ -40,10 +40,9 @@ impl TaskWindows {
     /// Worst-case response time of an application: the latest completion of
     /// any of its member tasks, measured from the application release.
     pub fn app_wcrt(&self, hsys: &HardenedSystem, app: AppId) -> Time {
-        hsys.apps()[app.index()]
-            .members
+        self.max_finish[hsys.app_task_range(app)]
             .iter()
-            .map(|&id| self.max_finish[id.index()])
+            .copied()
             .max()
             .unwrap_or(Time::ZERO)
     }

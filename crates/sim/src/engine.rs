@@ -635,7 +635,7 @@ impl<'s, 'a> Run<'s, 'a> {
             // A standby runs only when one of the always-on copies of its
             // origin delivered a faulty value.
             let mut invoked = false;
-            for &c in hsys.copies_of(hsys.flat_of(task_id)) {
+            for c in hsys.copies_of(hsys.flat_of(task_id)) {
                 if !hsys.task(c).is_passive() && self.final_faulty(c, key.inst) {
                     invoked = true;
                     break;
@@ -887,18 +887,14 @@ impl<'s, 'a> Run<'s, 'a> {
 
         for app in hsys.apps() {
             let ai = app.app.index();
-            let n_inst = app
-                .members
+            let members = hsys.app_task_range(app.app);
+            let n_inst = sim.layout[members.clone()]
                 .first()
-                .map(|&m| sim.layout[m.index()].jobs * h)
-                .unwrap_or(0);
+                .map_or(0, |l| l.jobs * h);
             for inst in 0..n_inst {
                 let mut latest = Time::ZERO;
-                let complete = app.members.iter().all(|&m| {
-                    let job = self.job(JobKey {
-                        task: m.index(),
-                        inst,
-                    });
+                let complete = members.clone().all(|task| {
+                    let job = self.job(JobKey { task, inst });
                     latest = latest.max(job.finish.unwrap_or(Time::ZERO));
                     job.state == JobState::Done
                 });
@@ -916,8 +912,8 @@ impl<'s, 'a> Run<'s, 'a> {
                 for flat in hsys.flats_of_app(app.app) {
                     let copies = hsys.copies_of(flat);
                     let bad = copies
-                        .iter()
-                        .filter(|&&c| self.final_faulty(c, inst))
+                        .clone()
+                        .filter(|&c| self.final_faulty(c, inst))
                         .count();
                     let faulty = if copies.len() == 1 {
                         bad == 1
@@ -1403,7 +1399,7 @@ mod trace_tests {
     };
     use mcmap_sched::uniform_policies;
 
-    fn fixture() -> (Architecture, HardenedSystem, Mapping) {
+    fn fixture() -> (AppSet, Architecture, HardenedSystem, Mapping) {
         let arch = Architecture::builder()
             .homogeneous(1, Processor::new("p", ProcKind::new(0), 5.0, 20.0, 1e-7))
             .build()
@@ -1429,12 +1425,12 @@ mod trace_tests {
         plan.set_by_flat_index(0, TaskHardening::reexecution(1));
         let hsys = harden(&apps, &plan, &arch).unwrap();
         let mapping = Mapping::new(&hsys, &arch, vec![ProcId::new(0); 2]).unwrap();
-        (arch, hsys, mapping)
+        (apps, arch, hsys, mapping)
     }
 
     #[test]
     fn traced_run_matches_untraced_result() {
-        let (arch, hsys, mapping) = fixture();
+        let (_, arch, hsys, mapping) = fixture();
         let sim = Simulator::new(
             &hsys,
             &arch,
@@ -1461,7 +1457,7 @@ mod trace_tests {
 
     #[test]
     fn trace_captures_reexecution_and_drop() {
-        let (arch, hsys, mapping) = fixture();
+        let (apps, arch, hsys, mapping) = fixture();
         let sim = Simulator::new(
             &hsys,
             &arch,
@@ -1491,7 +1487,7 @@ mod trace_tests {
             .iter()
             .any(|j| j.task == HTaskId::new(1) && j.outcome == JobOutcome::Dropped));
         // The Gantt renders without panicking and shows the fast task.
-        let names = Trace::name_table(&hsys, mapping.placement());
+        let names = Trace::name_table(&hsys, &apps, mapping.placement());
         let gantt = trace.render_gantt(&names, Time::from_ticks(100), 40);
         assert!(gantt.contains('f'));
         assert!(gantt.contains('!'));

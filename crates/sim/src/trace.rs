@@ -7,7 +7,7 @@
 
 use core::fmt;
 use mcmap_hardening::{HTaskId, HardenedSystem};
-use mcmap_model::{ProcId, Time};
+use mcmap_model::{AppSet, ProcId, Time};
 
 /// One contiguous execution segment of a job on a processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,14 +146,16 @@ impl Trace {
         out
     }
 
-    /// Convenience: name table derived from a hardened system and mapping
-    /// placements, for [`Trace::render_gantt`].
+    /// Convenience: name table derived from a hardened system, the set it
+    /// was hardened from, and mapping placements, for
+    /// [`Trace::render_gantt`].
     pub fn name_table(
         hsys: &HardenedSystem,
+        apps: &AppSet,
         placement: &[ProcId],
     ) -> Vec<(HTaskId, String, ProcId)> {
         hsys.tasks()
-            .map(|(id, t)| (id, t.name.clone(), placement[id.index()]))
+            .map(|(id, t)| (id, t.name(apps), placement[id.index()]))
             .collect()
     }
 }

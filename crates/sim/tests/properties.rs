@@ -122,7 +122,7 @@ proptest! {
             prop_assert!(
                 r.app_wcrt[happ.app.index()] <= w.app_wcrt(&hsys, happ.app),
                 "app {}: simulated {} > analyzed {}",
-                happ.name,
+                happ.app,
                 r.app_wcrt[happ.app.index()],
                 w.app_wcrt(&hsys, happ.app)
             );
@@ -171,7 +171,7 @@ proptest! {
                 prop_assert!(
                     drop.app_wcrt[happ.app.index()] <= keep.app_wcrt[happ.app.index()],
                     "dropping must not delay critical app {}",
-                    happ.name
+                    happ.app
                 );
             }
         }

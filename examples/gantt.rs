@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let policies = uniform_policies(2, SchedPolicy::FixedPriorityPreemptive);
     let sim = Simulator::new(&hsys, &arch, &mapping, policies);
 
-    let names = Trace::name_table(&hsys, mapping.placement());
+    let names = Trace::name_table(&hsys, &apps, mapping.placement());
     let horizon = Time::from_ticks(200);
     let width = 72;
 
@@ -84,6 +84,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", trace.render_gantt(&names, horizon, width));
 
     println!("\nGraphViz of the hardened system (pipe into `dot -Tpng`):\n");
-    print!("{}", hardened_to_dot(&hsys));
+    print!("{}", hardened_to_dot(&hsys, &apps));
     Ok(())
 }
