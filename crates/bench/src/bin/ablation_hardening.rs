@@ -40,10 +40,10 @@ fn mapping_for(b: &mcmap_benchmarks::Benchmark, hsys: &HardenedSystem) -> Mappin
             if let Some(p) = t.fixed_proc {
                 return p;
             }
-            match t.app.index() {
-                0 | 1 => ProcId::new(t.app.index()), // critical apps on big cores
-                2 => ProcId::new(2),                 // nav alone on little0
-                _ => ProcId::new(3),                 // infotainment + diagnostics on little1
+            match t.origin.app.index() {
+                0 | 1 => ProcId::new(t.origin.app.index()), // critical apps on big cores
+                2 => ProcId::new(2),                        // nav alone on little0
+                _ => ProcId::new(3),                        // infotainment + diagnostics on little1
             }
         })
         .collect();

@@ -491,7 +491,7 @@ impl<'a> Classes<'a> {
     ) -> Self {
         let is_dropped: Vec<bool> = hsys
             .tasks()
-            .map(|(_, t)| dropped.contains(&t.app))
+            .map(|(_, t)| dropped.contains(&t.origin.app))
             .collect();
         let hot = hsys
             .tasks()
@@ -688,7 +688,7 @@ pub fn naive_analysis<B: SchedBackend + ?Sized>(
     let bounds: Vec<ExecBounds> = hsys
         .tasks()
         .map(|(w, wt)| {
-            if dropped.contains(&wt.app) {
+            if dropped.contains(&wt.origin.app) {
                 ExecBounds::new(Time::ZERO, nominal[w.index()].wcet)
             } else {
                 let bcet = if wt.is_passive() {

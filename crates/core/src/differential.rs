@@ -131,13 +131,13 @@ fn reference_scenario(
     let [class_normal, class_critical, class_dropped, class_transition] = class_counts;
     for (w, wt) in hsys.tasks() {
         if w == v {
-            let wcet = if dropped.contains(&wt.app) {
+            let wcet = if dropped.contains(&wt.origin.app) {
                 nominal[w.index()].wcet
             } else {
                 critical_wcet(hsys, arch, mapping, v)
             };
             scenario[w.index()] = ExecBounds::new(
-                if wt.is_passive() || dropped.contains(&wt.app) {
+                if wt.is_passive() || dropped.contains(&wt.origin.app) {
                     Time::ZERO
                 } else {
                     nominal[w.index()].bcet
@@ -150,7 +150,7 @@ fn reference_scenario(
         if normal.max_finish[w.index()] < v_min_start {
             scenario[w.index()] = normal_bounds[w.index()];
             *class_normal += 1;
-        } else if dropped.contains(&wt.app) {
+        } else if dropped.contains(&wt.origin.app) {
             if normal.min_start[w.index()] > v_max_finish {
                 scenario[w.index()] = ExecBounds::ZERO;
                 *class_dropped += 1;
@@ -451,7 +451,7 @@ impl Analyzed<'_> {
         let mut dropped_starts: Vec<Time> = self
             .hsys
             .tasks()
-            .filter(|(_, t)| self.dropped.contains(&t.app))
+            .filter(|(_, t)| self.dropped.contains(&t.origin.app))
             .map(|(w, _)| normal.min_start[w.index()])
             .collect();
         dropped_starts.sort_unstable();
@@ -646,7 +646,7 @@ fn enumeration_matches_the_reference_for_every_knob() {
             tied_finishes += usize::from(tied(normal.max_finish.clone()));
             tied_starts += usize::from(tied(
                 hsys.tasks()
-                    .filter(|(_, t)| dropped.contains(&t.app))
+                    .filter(|(_, t)| dropped.contains(&t.origin.app))
                     .map(|(w, _)| normal.min_start[w.index()])
                     .collect(),
             ));

@@ -56,7 +56,7 @@ pub fn expected_power(
             Role::Primary | Role::ActiveReplica(_) => rel.expected_executions(id, proc) * wcet,
         };
         // In the critical mode the dropped applications release nothing.
-        let mode_weight = if dropped.contains(&t.app) {
+        let mode_weight = if dropped.contains(&t.origin.app) {
             1.0 - w
         } else {
             1.0

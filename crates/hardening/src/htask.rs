@@ -81,10 +81,9 @@ impl fmt::Display for Role {
 /// A task of the hardened system.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HTask {
-    /// The application this task belongs to.
-    pub app: AppId,
     /// The original task this hardened task derives from (for a voter, the
-    /// replicated task it votes for).
+    /// replicated task it votes for); `origin.app` is the application the
+    /// task belongs to.
     pub origin: TaskRef,
     /// Role relative to the original task.
     pub role: Role,
@@ -192,7 +191,6 @@ mod tests {
 
     fn htask(reexec: u8, role: Role, bounds: ExecBounds) -> HTask {
         HTask {
-            app: AppId::new(0),
             origin: TaskRef::new(AppId::new(0), TaskId::new(0)),
             role,
             reexec,

@@ -196,7 +196,7 @@ impl HardenedSystem {
 
     /// The application metadata for the app owning `id`.
     pub fn app_of(&self, id: HTaskId) -> &HApp {
-        &self.apps[self.tasks[id.index()].app.index()]
+        &self.apps[self.tasks[id.index()].origin.app.index()]
     }
 
     /// The ids of `app`'s hardened tasks, as [`HTaskId::index`] values:
@@ -356,7 +356,6 @@ pub fn harden(
                 );
             for (role, fixed_proc) in copies {
                 tasks.push(HTask {
-                    app: app_id,
                     origin: r,
                     role,
                     reexec: k,
@@ -370,7 +369,6 @@ pub fn harden(
                     voter_exec = vec![ve; arch.num_kinds().max(1)].into();
                 }
                 tasks.push(HTask {
-                    app: app_id,
                     origin: r,
                     role: Role::Voter,
                     reexec: 0,

@@ -29,7 +29,7 @@ use mcmap_model::{AppId, Architecture, Time};
 use mcmap_obs::{parse_json, push_json_u64s, Json, Recorder, Value};
 use mcmap_resilience::{read_sealed, seal, unseal_with, write_sealed, ResilienceError};
 use mcmap_sched::SchedPolicy;
-use mcmap_sim::{ExecModel, RandomFaults, SimConfig, Simulator};
+use mcmap_sim::{ExecModel, RandomFaults, SimConfig, SimResult, Simulator, TrajectoryMemo};
 
 /// Envelope kind tag for campaign checkpoints.
 const KIND: &str = "sim-campaign";
@@ -424,6 +424,58 @@ pub fn run_campaign(
     policies: &[SchedPolicy],
     cfg: &CampaignConfig,
 ) -> Result<CampaignSummary, ResilienceError> {
+    run_campaign_with(points, arch, policies, cfg, TrajectoryMemo::new)
+}
+
+/// Everything a run needs that depends only on its point, built once per
+/// campaign: the simulator, the fault model (reseeded per profile), the
+/// simulation parameters and the trajectory memo.
+struct PointContext<'a> {
+    sim: Simulator<'a>,
+    faults: RandomFaults,
+    sim_cfg: SimConfig,
+    memo: TrajectoryMemo<Arc<Outcome>>,
+}
+
+/// What the campaign keeps of one run: the memoized outcome of a fault
+/// trajectory on one point.
+struct Outcome {
+    observed: Vec<Time>,
+    faulty: bool,
+    covered: bool,
+    violations: Vec<(usize, Time, Time)>,
+}
+
+impl Outcome {
+    fn of(point: &MaterializedPoint, r: SimResult) -> Outcome {
+        let covered = r.unsafe_instances.iter().sum::<u64>() == 0;
+        let mut violations = Vec::new();
+        if covered {
+            for (a, (&observed, &bound)) in r.app_wcrt.iter().zip(&point.app_wcrt).enumerate() {
+                if bound != Time::MAX && !point.dropped.contains(&AppId::new(a)) && observed > bound
+                {
+                    violations.push((a, observed, bound));
+                }
+            }
+        }
+        Outcome {
+            observed: r.app_wcrt,
+            faulty: r.critical_entries > 0,
+            covered,
+            violations,
+        }
+    }
+}
+
+/// [`run_campaign`] with each point's trajectory memo made by `new_memo`
+/// (tests make tiny ones to run the full-memo path).
+fn run_campaign_with(
+    points: &[MaterializedPoint],
+    arch: &Architecture,
+    policies: &[SchedPolicy],
+    cfg: &CampaignConfig,
+    new_memo: impl Fn() -> TrajectoryMemo<Arc<Outcome>>,
+) -> Result<CampaignSummary, ResilienceError> {
     assert!(!points.is_empty(), "a campaign needs at least one point");
     let fingerprint = campaign_fingerprint(points, cfg);
     let num_apps = points[0].app_wcrt.len();
@@ -473,44 +525,35 @@ pub fn run_campaign(
         }
     }
 
-    let span = cfg.obs.span(
+    let mut span = cfg.obs.span(
         "validate.campaign",
         &[
             ("points", Value::U64(points.len() as u64)),
             ("profiles", Value::U64(cfg.profiles)),
         ],
     );
-    // Everything a run needs that depends only on the point is built
-    // once: the simulator, the fault model (reseeded per profile) and the
-    // simulation parameters.
-    let contexts: Vec<(Simulator<'_>, RandomFaults, SimConfig)> = points
+    let contexts: Vec<PointContext<'_>> = points
         .iter()
-        .map(|p| {
-            (
-                Simulator::new(&p.hsys, arch, &p.mapping, policies.to_vec()),
-                RandomFaults::new(&p.hsys, arch, &p.mapping, cfg.seed).with_boost(cfg.boost),
-                SimConfig {
-                    exec_model: ExecModel::WorstCase,
-                    hyperperiods: cfg.hyperperiods,
-                    dropped: p.dropped.clone(),
-                    start_critical: false,
-                },
-            )
+        .map(|p| PointContext {
+            sim: Simulator::new(&p.hsys, arch, &p.mapping, policies.to_vec()),
+            faults: RandomFaults::new(&p.hsys, arch, &p.mapping, cfg.seed).with_boost(cfg.boost),
+            sim_cfg: SimConfig {
+                exec_model: ExecModel::WorstCase,
+                hyperperiods: cfg.hyperperiods,
+                dropped: p.dropped.clone(),
+                start_critical: false,
+            },
+            memo: new_memo(),
         })
         .collect();
 
     // One work item per (point, profile); outcome index `point` is
     // implicit in input order, so the order-preserving map's output
     // merges deterministically whatever the thread count.
-    struct Outcome {
-        observed: Vec<Time>,
-        faulty: bool,
-        covered: bool,
-        violations: Vec<(usize, Time, Time)>,
-    }
     let chunk = cfg.chunk.max(1);
     let mut interrupted = false;
     let mut chunks_run: u64 = 0;
+    let mut runs: u64 = 0;
     while done < cfg.profiles {
         if cfg.stop.as_ref().is_some_and(|s| s.load(Ordering::SeqCst))
             || cfg.stop_after_chunks.is_some_and(|n| chunks_run >= n)
@@ -523,28 +566,13 @@ pub fn run_campaign(
         let items: Vec<(usize, u64)> = (done..end)
             .flat_map(|i| (0..points.len()).map(move |p| (p, i)))
             .collect();
+        runs += items.len() as u64;
         let outcomes = mcmap_eval::parallel_map(&items, cfg.threads, |&(p, i)| {
-            let point = &points[p];
-            let (sim, faults, sim_cfg) = &contexts[p];
-            let r = sim.run(sim_cfg, &mut faults.reseeded(cfg.seed.wrapping_add(i)));
-            let covered = r.unsafe_instances.iter().sum::<u64>() == 0;
-            let mut viols = Vec::new();
-            if covered {
-                for (a, (&observed, &bound)) in r.app_wcrt.iter().zip(&point.app_wcrt).enumerate() {
-                    if bound != Time::MAX
-                        && !point.dropped.contains(&AppId::new(a))
-                        && observed > bound
-                    {
-                        viols.push((a, observed, bound));
-                    }
-                }
-            }
-            Outcome {
-                observed: r.app_wcrt,
-                faulty: r.critical_entries > 0,
-                covered,
-                violations: viols,
-            }
+            let c = &contexts[p];
+            let mut faults = c.faults.reseeded(cfg.seed.wrapping_add(i));
+            c.memo.run(&c.sim, &c.sim_cfg, &mut faults, |r| {
+                Arc::new(Outcome::of(&points[p], r))
+            })
         });
         for (&(p, i), o) in items.iter().zip(&outcomes) {
             let pv = &mut acc[p];
@@ -585,6 +613,13 @@ pub fn run_campaign(
             write_sealed(path, KIND, &ckpt.encode())?;
         }
     }
+    let simulated: u64 = contexts.iter().map(|c| c.memo.simulated()).sum();
+    span.nondet("simulated", simulated);
+    span.nondet("memo_answered", runs - simulated);
+    span.nondet(
+        "memo_nodes",
+        contexts.iter().map(|c| c.memo.nodes() as u64).sum::<u64>(),
+    );
     drop(span);
 
     Ok(CampaignSummary {
@@ -660,5 +695,312 @@ mod tests {
         let back = CampaignCheckpoint::from_bytes(Path::new("test.ckpt"), &bytes).unwrap();
         assert_eq!(back.points, ckpt.points);
         assert_eq!(back.violations, ckpt.violations);
+    }
+
+    use mcmap_hardening::{harden, HardeningPlan, TaskHardening};
+    use mcmap_model::{
+        AppSet, Criticality, ExecBounds, Fabric, ProcId, ProcKind, Processor, Task, TaskGraph,
+    };
+    use mcmap_sched::{uniform_policies, Mapping};
+    use proptest::prelude::*;
+
+    /// The campaign without a memo: one `Simulator::run` per profile and
+    /// point, merged in profile order.
+    fn reference(
+        points: &[MaterializedPoint],
+        arch: &Architecture,
+        policies: &[SchedPolicy],
+        cfg: &CampaignConfig,
+    ) -> (Vec<PointValidation>, Vec<Violation>) {
+        let mut acc: Vec<PointValidation> = points
+            .iter()
+            .map(|p| PointValidation {
+                covered: 0,
+                beyond_coverage: 0,
+                faulty: 0,
+                observed_max: vec![Time::ZERO; p.app_wcrt.len()],
+                bound: p.app_wcrt.clone(),
+                violations: 0,
+            })
+            .collect();
+        let mut detail = Vec::new();
+        let sims: Vec<Simulator<'_>> = points
+            .iter()
+            .map(|p| Simulator::new(&p.hsys, arch, &p.mapping, policies.to_vec()))
+            .collect();
+        for i in 0..cfg.profiles {
+            for (p, point) in points.iter().enumerate() {
+                let sim_cfg = SimConfig {
+                    exec_model: ExecModel::WorstCase,
+                    hyperperiods: cfg.hyperperiods,
+                    dropped: point.dropped.clone(),
+                    start_critical: false,
+                };
+                let seed = cfg.seed.wrapping_add(i);
+                let mut faults = RandomFaults::new(&point.hsys, arch, &point.mapping, seed)
+                    .with_boost(cfg.boost);
+                let r = sims[p].run(&sim_cfg, &mut faults);
+                let pv = &mut acc[p];
+                pv.faulty += u64::from(r.critical_entries > 0);
+                if r.unsafe_instances.iter().any(|&n| n > 0) {
+                    pv.beyond_coverage += 1;
+                    continue;
+                }
+                pv.covered += 1;
+                for (a, &observed) in r.app_wcrt.iter().enumerate() {
+                    pv.observed_max[a] = pv.observed_max[a].max(observed);
+                    let bound = point.app_wcrt[a];
+                    if bound != Time::MAX
+                        && !point.dropped.contains(&AppId::new(a))
+                        && observed > bound
+                    {
+                        pv.violations += 1;
+                        if detail.len() < MAX_VIOLATION_DETAIL {
+                            detail.push(Violation {
+                                point: p,
+                                profile: i,
+                                app: AppId::new(a),
+                                observed,
+                                bound,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        (acc, detail)
+    }
+
+    /// A small random system: `apps` as (period, task WCETs, droppable),
+    /// hardened per flat task by `techniques` (0 none, 1–2 re-executions,
+    /// 3 active, 4 passive replication) on three processors.
+    #[derive(Debug, Clone)]
+    struct Desc {
+        apps: Vec<(u64, Vec<u64>, bool)>,
+        techniques: Vec<u8>,
+        /// Per point: the processor of each free task, cycled.
+        placements: Vec<Vec<usize>>,
+        /// Per app: its bound as a multiple of 50 ticks (0 = no bound);
+        /// tight bounds make violations.
+        bounds: Vec<u64>,
+    }
+
+    fn desc_strategy() -> impl Strategy<Value = Desc> {
+        let app = (
+            prop::sample::select(vec![1_000u64, 2_000, 4_000]),
+            prop::collection::vec(5u64..120, 1..4),
+            any::<bool>(),
+        );
+        (
+            prop::collection::vec(app, 1..4),
+            prop::collection::vec(0u8..5, 12),
+            prop::collection::vec(prop::collection::vec(0usize..3, 12), 1..4),
+            prop::collection::vec(0u64..8, 4),
+        )
+            .prop_map(|(apps, techniques, placements, bounds)| Desc {
+                apps,
+                techniques,
+                placements,
+                bounds,
+            })
+    }
+
+    fn build(d: &Desc) -> (Architecture, Vec<MaterializedPoint>) {
+        let arch = Architecture::builder()
+            .homogeneous(3, Processor::new("p", ProcKind::new(0), 5.0, 20.0, 1e-6))
+            .fabric(Fabric::new(16))
+            .build()
+            .expect("valid architecture");
+        let graphs: Vec<TaskGraph> = d
+            .apps
+            .iter()
+            .enumerate()
+            .map(|(i, (period, wcets, droppable))| {
+                let crit = if *droppable {
+                    Criticality::Droppable { service: 1.0 }
+                } else {
+                    Criticality::NonDroppable {
+                        max_failure_rate: 0.99,
+                    }
+                };
+                let mut b = TaskGraph::builder(format!("a{i}"), Time::from_ticks(*period))
+                    .criticality(crit);
+                for (j, w) in wcets.iter().enumerate() {
+                    b = b.task(
+                        Task::new(format!("t{i}_{j}"))
+                            .with_uniform_exec(1, ExecBounds::exact(Time::from_ticks(*w)))
+                            .with_detect_overhead(Time::from_ticks(2))
+                            .with_voting_overhead(Time::from_ticks(3)),
+                    );
+                }
+                for j in 1..wcets.len() {
+                    b = b.channel(j - 1, j, 8);
+                }
+                b.build().expect("chains are valid")
+            })
+            .collect();
+        let apps = AppSet::new(graphs).expect("nonempty");
+        let (p1, p2) = (ProcId::new(1), ProcId::new(2));
+        let mut plan = HardeningPlan::unhardened(&apps);
+        for flat in 0..apps.num_tasks() {
+            let h = match d.techniques[flat % d.techniques.len()] {
+                0 => continue,
+                k @ (1 | 2) => TaskHardening::reexecution(k),
+                3 => TaskHardening::active(vec![p1, p2], ProcId::new(0)),
+                _ => TaskHardening::passive(vec![p1], vec![p2], ProcId::new(0)),
+            };
+            plan.set_by_flat_index(flat, h);
+        }
+        let hsys = harden(&apps, &plan, &arch).expect("valid plan");
+        let droppable: Vec<AppId> = hsys
+            .apps()
+            .iter()
+            .filter(|a| a.criticality.is_droppable())
+            .map(|a| a.app)
+            .collect();
+        let points = d
+            .placements
+            .iter()
+            .enumerate()
+            .map(|(k, pattern)| {
+                let placement = hsys
+                    .tasks()
+                    .map(|(id, t)| {
+                        t.fixed_proc
+                            .unwrap_or(ProcId::new(pattern[id.index() % pattern.len()]))
+                    })
+                    .collect();
+                MaterializedPoint {
+                    hsys: hsys.clone(),
+                    mapping: Mapping::new(&hsys, &arch, placement).expect("kind 0 everywhere"),
+                    // Every other point drops the droppable applications.
+                    dropped: if k % 2 == 1 {
+                        droppable.clone()
+                    } else {
+                        vec![]
+                    },
+                    app_wcrt: (0..hsys.apps().len())
+                        .map(|a| match d.bounds[a % d.bounds.len()] {
+                            0 => Time::MAX,
+                            m => Time::from_ticks(50 * m),
+                        })
+                        .collect(),
+                    power: 0.0,
+                    service: 0.0,
+                    histogram: plan.technique_histogram(),
+                }
+            })
+            .collect();
+        (arch, points)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The memoized campaign equals the memo-free reference at one and
+        /// two threads, with the fixed budget and with a tiny one that
+        /// fills up, over random systems, mappings and bounds.
+        #[test]
+        fn memoized_campaign_equals_the_reference(
+            d in desc_strategy(),
+            seed in any::<u64>(),
+            hyperperiods in 1u64..3,
+            tiny in 1usize..40,
+            boost in prop::sample::select(vec![1e3, 4e3, 2e4]),
+        ) {
+            let (arch, points) = build(&d);
+            let policies = uniform_policies(3, SchedPolicy::FixedPriorityPreemptive);
+            let cfg = CampaignConfig {
+                profiles: 48,
+                seed,
+                boost,
+                hyperperiods,
+                chunk: 20,
+                ..CampaignConfig::default()
+            };
+            let (points_ref, detail_ref) = reference(&points, &arch, &policies, &cfg);
+            for threads in [1, 2] {
+                let cfg = CampaignConfig { threads, ..cfg.clone() };
+                let fixed = run_campaign(&points, &arch, &policies, &cfg).unwrap();
+                prop_assert_eq!(&fixed.points, &points_ref);
+                prop_assert_eq!(&fixed.violations, &detail_ref);
+                let small = run_campaign_with(&points, &arch, &policies, &cfg, || {
+                    TrajectoryMemo::with_node_budget(tiny)
+                })
+                .unwrap();
+                prop_assert_eq!(small.to_json(), fixed.to_json());
+            }
+        }
+    }
+
+    /// The benchmark portfolio (Cruise, population 48 × 30 generations,
+    /// GA seed 8) at 2 000 profiles: one summary at one and two threads,
+    /// equal to the memo-free reference, and most runs answered from the
+    /// memo, as the `validate.campaign` span reports.
+    #[test]
+    fn cruise_portfolio_campaign_equals_the_reference() {
+        let b = mcmap_benchmarks::cruise();
+        let dse = mcmap_core::DseConfig {
+            ga: mcmap_ga::GaConfig {
+                population: 48,
+                generations: 30,
+                seed: 8,
+                threads: 1,
+                ..mcmap_ga::GaConfig::default()
+            },
+            objectives: mcmap_core::ObjectiveMode::PowerService,
+            policies: Some(b.policies.clone()),
+            repair_iters: 80,
+            ..mcmap_core::DseConfig::default()
+        };
+        let outcome = mcmap_core::explore(&b.apps, &b.arch, dse.clone());
+        let problem = mcmap_core::MappingProblem::new(&b.apps, &b.arch, dse);
+        let points = mcmap_core::Portfolio::extract(&problem, &outcome.result.front)
+            .materialize(&problem)
+            .expect("materialize");
+        let obs = Recorder::ring(64);
+        let run = |threads: usize, obs: Recorder| {
+            let cfg = CampaignConfig {
+                profiles: 2_000,
+                seed: 1,
+                threads,
+                obs,
+                ..CampaignConfig::default()
+            };
+            run_campaign(&points, &b.arch, &b.policies, &cfg).unwrap()
+        };
+        let one = run(1, obs.clone());
+        let two = run(2, Recorder::default());
+        assert_eq!(one.to_json(), two.to_json());
+        let cfg = CampaignConfig {
+            profiles: 2_000,
+            seed: 1,
+            ..CampaignConfig::default()
+        };
+        let (points_ref, detail_ref) = reference(&points, &b.arch, &b.policies, &cfg);
+        assert_eq!(one.points, points_ref);
+        assert_eq!(one.violations, detail_ref);
+
+        let end = obs
+            .events()
+            .into_iter()
+            .find(|e| e.name == "validate.campaign" && e.kind == mcmap_obs::EventKind::SpanEnd)
+            .expect("the campaign span closes");
+        let field = |k: &str| match end.nondet_field(k) {
+            Some(Value::U64(v)) => *v,
+            other => panic!("{k}: {other:?}"),
+        };
+        let runs = 2_000 * points.len() as u64;
+        assert_eq!(field("simulated") + field("memo_answered"), runs);
+        assert!(
+            field("memo_answered") > runs / 2,
+            "the memo answered {} of {runs} runs",
+            field("memo_answered")
+        );
+        let nodes = field("memo_nodes");
+        assert!(
+            nodes > 0 && nodes <= 2_048 * points.len() as u64,
+            "{nodes} nodes"
+        );
     }
 }

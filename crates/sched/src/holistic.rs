@@ -521,7 +521,7 @@ impl AppReachability {
         // Reverse topological order: a task reaches its successors and
         // everything they reach.
         for &v in hsys.topological_order().iter().rev() {
-            let (ids, words, offset) = &reach.apps[hsys.task(v).app.index()];
+            let (ids, words, offset) = &reach.apps[hsys.task(v).origin.app.index()];
             let (start, words, offset) = (ids.start, *words, *offset);
             let row_v = offset + (v.index() - start) * words;
             for s in hsys.successors(v) {
@@ -539,7 +539,7 @@ impl AppReachability {
     /// The test whether `b` is linked to `a`: whether there is a directed
     /// path `a → … → b` or `b → … → a`.
     fn linked_to(&self, hsys: &HardenedSystem, a: HTaskId) -> impl Fn(HTaskId) -> bool + '_ {
-        let (ids, words, offset) = &self.apps[hsys.task(a).app.index()];
+        let (ids, words, offset) = &self.apps[hsys.task(a).origin.app.index()];
         let la = a.index() - ids.start;
         let bit =
             move |from: usize, to: usize| self.bits[offset + from * words + to / 64] >> (to % 64);

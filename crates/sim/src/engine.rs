@@ -501,7 +501,7 @@ impl<'s, 'a> Run<'s, 'a> {
     }
 
     fn app_of(&self, key: JobKey) -> AppId {
-        self.sim.hsys.task(HTaskId::new(key.task)).app
+        self.sim.hsys.task(HTaskId::new(key.task)).origin.app
     }
 
     fn is_dropped_app(&self, app: AppId) -> bool {

@@ -37,6 +37,13 @@ use std::sync::Arc;
 /// verdicts may drift: anything mutated must be invisible in the answers.
 /// The `fault_model_contract` test module checks all three properties for
 /// every model shipped by this crate.
+///
+/// Campaigns rely on points 1–3 for more than reproducibility:
+/// [`monte_carlo`](crate::monte_carlo) and the validation campaigns answer
+/// a profile from a [`TrajectoryMemo`](crate::TrajectoryMemo) by asking it
+/// the queries an earlier run asked, in that run's order, and reusing that
+/// run's result when every verdict agrees. A model whose verdicts depend on
+/// query order or history would get another profile's result.
 pub trait FaultModel {
     /// Returns `true` if attempt `attempt` of instance `instance` of `task`
     /// is faulty.

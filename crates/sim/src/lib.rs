@@ -11,7 +11,8 @@
 //!
 //! 1. **WC-Sim** (Table 2): [`monte_carlo`] hunts the worst observed
 //!    response time over many seeded failure profiles — a lower bound that
-//!    the static analysis must dominate;
+//!    the static analysis must dominate. A [`TrajectoryMemo`] simulates
+//!    each distinct fault trajectory once and answers repeats from memory;
 //! 2. **validation**: directed [`ScriptedFaults`] scenarios (e.g. the Fig. 1
 //!    motivational example) exercise the dropping protocol end to end.
 //!
@@ -57,10 +58,12 @@
 
 mod engine;
 mod fault;
+mod memo;
 mod monte;
 mod trace;
 
 pub use engine::{ExecModel, SimConfig, SimResult, Simulator};
 pub use fault::{ExhaustiveReexecution, FaultModel, NoFaults, RandomFaults, ScriptedFaults};
+pub use memo::TrajectoryMemo;
 pub use monte::{monte_carlo, MonteCarloConfig, MonteCarloResult};
 pub use trace::{JobOutcome, JobRecord, Segment, Trace};

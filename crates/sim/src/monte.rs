@@ -5,10 +5,11 @@
 //! provides that driver: repeated simulation under seeded [`RandomFaults`],
 //! aggregating per-application maxima.
 
-use crate::{RandomFaults, SimConfig, SimResult, Simulator};
+use crate::{RandomFaults, SimConfig, Simulator, TrajectoryMemo};
 use mcmap_hardening::HardenedSystem;
 use mcmap_model::{Architecture, Time};
 use mcmap_sched::{Mapping, SchedPolicy};
+use std::rc::Rc;
 
 /// Parameters of a Monte-Carlo campaign.
 #[derive(Debug, Clone)]
@@ -37,6 +38,16 @@ impl Default for MonteCarloConfig {
     }
 }
 
+/// What [`MonteCarloResult::merge`] reads of one run: the memoized
+/// outcome of a fault trajectory.
+#[derive(Debug)]
+struct Kept {
+    app_wcrt: Vec<Time>,
+    task_wcrt: Vec<Time>,
+    critical_entries: u64,
+    unsafe_instances: u64,
+}
+
 /// Aggregated maxima over a Monte-Carlo campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonteCarloResult {
@@ -56,7 +67,7 @@ pub struct MonteCarloResult {
 }
 
 impl MonteCarloResult {
-    fn merge(&mut self, r: &SimResult) {
+    fn merge(&mut self, r: &Kept) {
         for (acc, &v) in self.app_wcrt.iter_mut().zip(&r.app_wcrt) {
             *acc = (*acc).max(v);
         }
@@ -67,7 +78,7 @@ impl MonteCarloResult {
             bucket.push(v);
         }
         self.critical_entries += r.critical_entries;
-        self.unsafe_instances += r.unsafe_instances.iter().sum::<u64>();
+        self.unsafe_instances += r.unsafe_instances;
     }
 
     /// The `q`-quantile (`0.0 ..= 1.0`) of one application's observed
@@ -96,7 +107,8 @@ impl MonteCarloResult {
 }
 
 /// Runs `cfg.runs` seeded simulations and returns the per-application and
-/// per-task maxima.
+/// per-task maxima. Runs that repeat an earlier run's fault trajectory are
+/// answered from a [`TrajectoryMemo`] instead of being simulated again.
 ///
 /// # Examples
 ///
@@ -142,12 +154,22 @@ pub fn monte_carlo(
         samples: vec![Vec::with_capacity(cfg.runs); hsys.apps().len()],
     };
     let faults = RandomFaults::new(hsys, arch, mapping, cfg.seed).with_boost(cfg.boost);
+    let memo = TrajectoryMemo::new();
     for i in 0..cfg.runs {
-        let r = sim.run(
+        let kept = memo.run(
+            &sim,
             &cfg.sim,
             &mut faults.reseeded(cfg.seed.wrapping_add(i as u64)),
+            |r| {
+                Rc::new(Kept {
+                    unsafe_instances: r.unsafe_instances.iter().sum(),
+                    critical_entries: r.critical_entries,
+                    app_wcrt: r.app_wcrt,
+                    task_wcrt: r.task_wcrt,
+                })
+            },
         );
-        result.merge(&r);
+        result.merge(&kept);
     }
     for bucket in &mut result.samples {
         bucket.sort_unstable();

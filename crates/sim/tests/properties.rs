@@ -8,7 +8,10 @@ use mcmap_model::{
 use mcmap_sched::{
     nominal_bounds, uniform_policies, HolisticAnalysis, Mapping, SchedBackend, SchedPolicy,
 };
-use mcmap_sim::{ExecModel, NoFaults, RandomFaults, SimConfig, Simulator};
+use mcmap_sim::{
+    monte_carlo, ExecModel, MonteCarloConfig, NoFaults, RandomFaults, SimConfig, Simulator,
+    TrajectoryMemo,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -173,6 +176,83 @@ proptest! {
                     "dropping must not delay critical app {}",
                     happ.app
                 );
+            }
+        }
+    }
+
+    /// Memoized runs equal plain ones for every profile, at any node
+    /// budget (a tiny one fills up and leaves later misses unrecorded),
+    /// and the memo stays within its budget.
+    #[test]
+    fn memoized_runs_equal_plain_runs(
+        d in desc_strategy(),
+        budget in 0usize..64,
+        hyperperiods in 1u64..3,
+    ) {
+        let (arch, hsys, mapping, policies) = build(&d);
+        let sim = Simulator::new(&hsys, &arch, &mapping, policies);
+        let cfg = SimConfig {
+            hyperperiods,
+            ..SimConfig::worst_case(
+                hsys.apps().iter().filter(|a| a.criticality.is_droppable()).map(|a| a.app).collect(),
+            )
+        };
+        let faults = RandomFaults::new(&hsys, &arch, &mapping, d.seed).with_boost(4e3);
+        let tiny = TrajectoryMemo::with_node_budget(budget);
+        let fixed = TrajectoryMemo::new();
+        let runs = 64;
+        for i in 0..runs {
+            let seed = d.seed.wrapping_add(i);
+            let plain = sim.run(&cfg, &mut faults.reseeded(seed));
+            for memo in [&tiny, &fixed] {
+                let r = memo.run(&sim, &cfg, &mut faults.reseeded(seed), |r| r);
+                prop_assert_eq!(&r, &plain, "profile {}", i);
+            }
+        }
+        prop_assert!(tiny.nodes() <= budget);
+        prop_assert!(fixed.simulated() <= runs);
+        prop_assert!(tiny.simulated() >= fixed.simulated());
+    }
+
+    /// `monte_carlo` (memoized) equals merging one plain run per profile.
+    #[test]
+    fn monte_carlo_equals_plain_runs(d in desc_strategy()) {
+        let (arch, hsys, mapping, policies) = build(&d);
+        let cfg = MonteCarloConfig {
+            runs: 40,
+            seed: d.seed,
+            boost: 4e3,
+            sim: SimConfig::worst_case(vec![]),
+        };
+        let mc = monte_carlo(&hsys, &arch, &mapping, &policies, &cfg);
+        let sim = Simulator::new(&hsys, &arch, &mapping, policies);
+        let mut app_wcrt = vec![Time::ZERO; hsys.apps().len()];
+        let mut task_wcrt = vec![Time::ZERO; hsys.num_tasks()];
+        let mut samples = vec![Vec::new(); hsys.apps().len()];
+        let (mut critical_entries, mut unsafe_instances) = (0, 0);
+        for i in 0..cfg.runs as u64 {
+            let mut f = RandomFaults::new(&hsys, &arch, &mapping, d.seed.wrapping_add(i))
+                .with_boost(cfg.boost);
+            let r = sim.run(&cfg.sim, &mut f);
+            for (a, &t) in r.app_wcrt.iter().enumerate() {
+                app_wcrt[a] = app_wcrt[a].max(t);
+                samples[a].push(t);
+            }
+            for (k, &t) in r.task_wcrt.iter().enumerate() {
+                task_wcrt[k] = task_wcrt[k].max(t);
+            }
+            critical_entries += r.critical_entries;
+            unsafe_instances += r.unsafe_instances.iter().sum::<u64>();
+        }
+        prop_assert_eq!(&mc.app_wcrt, &app_wcrt);
+        prop_assert_eq!(&mc.task_wcrt, &task_wcrt);
+        prop_assert_eq!(mc.critical_entries, critical_entries);
+        prop_assert_eq!(mc.unsafe_instances, unsafe_instances);
+        for (a, bucket) in samples.iter_mut().enumerate() {
+            bucket.sort_unstable();
+            for (rank, &t) in bucket.iter().enumerate() {
+                let q = (rank as f64 + 0.5) / bucket.len() as f64;
+                prop_assert_eq!(mc.percentile(AppId::new(a), q), t);
             }
         }
     }

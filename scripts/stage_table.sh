@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Per-stage wall time of a DSE candidate evaluation, measured from the
-# outside: runs `perfbench --trace 1` once on the dse-fleet and dse-paper
-# workloads at seed 1 and records every per-layer metric (repair,
-# decode, harden, map, backend construction, Algorithm 1 enumeration,
-# backend fixed-point runs, objectives, GA and eval-engine counters), the
-# workload's front digest, and the host's core count into
-# results/BENCH_stages.json.
+# outside: runs `perfbench --trace 1` five times on the dse-fleet and
+# dse-paper workloads at seed 1 and records, for every per-layer metric
+# (repair, decode, harden, map, backend construction, Algorithm 1
+# enumeration, backend fixed-point runs, objectives, GA and eval-engine
+# counters), the median and quartiles over the five runs, plus the
+# workload's front digest (equal in every run) and the host's core count,
+# into results/BENCH_stages.json. One traced run cannot resolve a stage
+# change below about 15 %; the quartiles show each metric's spread.
 #
 # The file keeps one entry per label, so a before/after pair is two runs of
 # this script with different labels into the same file, e.g. from a copy of
@@ -34,14 +36,37 @@ export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/.bench_build}"
 cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
 bin="$CARGO_TARGET_DIR/release/perfbench"
 
+runs=5
 entry='{}'
 for workload in dse-fleet dse-paper; do
-    echo "== $workload (seed $seed, traced)" >&2
-    output=$("$bin" --workload "$workload" --seed "$seed" --seconds 0 --trace 1)
-    metrics=$(tail -n 1 <<<"$output" | jq '.metrics | map_values(.value)')
-    digest=$(sed -n "s/^\[$workload\] front_digest = //p" <<<"$output")
-    entry=$(jq --arg w "$workload" --arg d "$digest" --argjson m "$metrics" \
-        '.[$w] = {front_digest: $d, stages: $m}' <<<"$entry")
+    samples='[]'
+    digest=
+    for run in $(seq "$runs"); do
+        echo "== $workload (seed $seed, traced, run $run/$runs)" >&2
+        output=$("$bin" --workload "$workload" --seed "$seed" --seconds 0 --trace 1)
+        metrics=$(tail -n 1 <<<"$output" | jq '.metrics | map_values(.value)')
+        samples=$(jq --argjson m "$metrics" '. + [$m]' <<<"$samples")
+        d=$(sed -n "s/^\[$workload\] front_digest = //p" <<<"$output")
+        if [[ -n "$digest" && "$d" != "$digest" ]]; then
+            echo "stage_table.sh: $workload front digest changed between runs ($digest, $d)" >&2
+            exit 1
+        fi
+        digest=$d
+    done
+    # Per metric: the median and quartiles (linear interpolation between
+    # the sorted runs).
+    stages=$(jq '
+        def quantile($p): sort as $s | ((($s | length) - 1) * $p) as $h
+            | ($h | floor) as $lo | ([$lo + 1, ($s | length) - 1] | min) as $hi
+            | $s[$lo] + ($h - $lo) * ($s[$hi] - $s[$lo]);
+        (.[0] | keys_unsorted) as $names
+        | [.[]] as $runs
+        | reduce $names[] as $k ({};
+            [$runs[][$k]] as $v
+            | .[$k] = {median: ($v | quantile(0.5)), q1: ($v | quantile(0.25)),
+                       q3: ($v | quantile(0.75))})' <<<"$samples")
+    entry=$(jq --arg w "$workload" --arg d "$digest" --argjson s "$stages" \
+        --argjson n "$runs" '.[$w] = {front_digest: $d, traced_runs: $n, stages: $s}' <<<"$entry")
 done
 
 [[ -f "$out" ]] || echo '{"runs": {}}' >"$out"

@@ -37,9 +37,9 @@ fn cruise_reference_design() -> (
             if let Some(p) = t.fixed_proc {
                 return p;
             }
-            if t.app.index() < 2 {
+            if t.origin.app.index() < 2 {
                 // Critical app i isolated on big core i.
-                ProcId::new(t.app.index())
+                ProcId::new(t.origin.app.index())
             } else {
                 // Droppables alternate over the little cores.
                 little += 1;
