@@ -428,7 +428,7 @@ pub fn run_campaign(
 }
 
 /// Everything a run needs that depends only on its point, built once per
-/// campaign: the simulator, the fault model (reseeded per profile), the
+/// campaign: the simulator, the fault model (one profile per seed), the
 /// simulation parameters and the trajectory memo.
 struct PointContext<'a> {
     sim: Simulator<'a>,
@@ -569,7 +569,7 @@ fn run_campaign_with(
         runs += items.len() as u64;
         let outcomes = mcmap_eval::parallel_map(&items, cfg.threads, |&(p, i)| {
             let c = &contexts[p];
-            let mut faults = c.faults.reseeded(cfg.seed.wrapping_add(i));
+            let mut faults = c.faults.profile(cfg.seed.wrapping_add(i));
             c.memo.run(&c.sim, &c.sim_cfg, &mut faults, |r| {
                 Arc::new(Outcome::of(&points[p], r))
             })
@@ -933,10 +933,17 @@ mod tests {
         }
     }
 
+    /// fnv1a64 of the Cruise portfolio campaign's JSON summary (seed 1,
+    /// 2 000 profiles), recorded with std's `DefaultHasher` verdicts before
+    /// the in-crate kernel replaced them. The memo-free reference shares
+    /// the fault model, so only this constant catches a verdict change.
+    const CRUISE_CAMPAIGN_DIGEST: u64 = 0xc25e_ff9f_b33f_b3b1;
+
     /// The benchmark portfolio (Cruise, population 48 × 30 generations,
     /// GA seed 8) at 2 000 profiles: one summary at one and two threads,
-    /// equal to the memo-free reference, and most runs answered from the
-    /// memo, as the `validate.campaign` span reports.
+    /// equal to the golden digest and to the memo-free reference, and
+    /// most runs answered from the memo, as the `validate.campaign` span
+    /// reports.
     #[test]
     fn cruise_portfolio_campaign_equals_the_reference() {
         let b = mcmap_benchmarks::cruise();
@@ -971,7 +978,10 @@ mod tests {
         };
         let one = run(1, obs.clone());
         let two = run(2, Recorder::default());
-        assert_eq!(one.to_json(), two.to_json());
+        for summary in [&one, &two] {
+            let digest = mcmap_resilience::fnv1a64(summary.to_json().as_bytes());
+            assert_eq!(digest, CRUISE_CAMPAIGN_DIGEST, "{digest:016x}");
+        }
         let cfg = CampaignConfig {
             profiles: 2_000,
             seed: 1,

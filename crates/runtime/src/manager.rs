@@ -370,7 +370,7 @@ pub fn run_reaction(
     let mut manager = RuntimeManager::new(points, cfg.runtime).with_recorder(obs);
     let hp = hyperperiod(&points[0].hsys);
     // One simulator and one fault model per point, built once; each
-    // hyperperiod reseeds the current point's model.
+    // hyperperiod runs the current point's profile of its own seed.
     let contexts: Vec<(Simulator<'_>, RandomFaults)> = points
         .iter()
         .map(|p| {
@@ -402,7 +402,7 @@ pub fn run_reaction(
         let point = manager.current_point();
         let (sim, faults) = &contexts[manager.current()];
         sim_cfg.dropped = manager.dropped_now();
-        let (r, trace) = sim.run_traced(&sim_cfg, &mut faults.reseeded(cfg.seed.wrapping_add(h)));
+        let (r, trace) = sim.run_traced(&sim_cfg, &mut faults.profile(cfg.seed.wrapping_add(h)));
 
         // Bound check: only runs within the hardening coverage carry the
         // analysis promise, and only non-dropped applications have one.

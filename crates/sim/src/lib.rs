@@ -63,7 +63,9 @@ mod monte;
 mod trace;
 
 pub use engine::{ExecModel, SimConfig, SimResult, Simulator};
-pub use fault::{ExhaustiveReexecution, FaultModel, NoFaults, RandomFaults, ScriptedFaults};
+pub use fault::{
+    ExhaustiveReexecution, FaultModel, FaultProfile, NoFaults, RandomFaults, ScriptedFaults,
+};
 pub use memo::TrajectoryMemo;
 pub use monte::{monte_carlo, MonteCarloConfig, MonteCarloResult};
 pub use trace::{JobOutcome, JobRecord, Segment, Trace};

@@ -262,8 +262,8 @@ impl FaultModel for Recording<'_> {
 /// let faults = RandomFaults::new(&hsys, &arch, &mapping, 0).with_boost(50.0);
 /// let memo = TrajectoryMemo::new();
 /// for seed in 0..100 {
-///     let wcrt = memo.run(&sim, &cfg, &mut faults.reseeded(seed), |r| r.app_wcrt[0]);
-///     assert_eq!(wcrt, sim.run(&cfg, &mut faults.reseeded(seed)).app_wcrt[0]);
+///     let wcrt = memo.run(&sim, &cfg, &mut faults.profile(seed), |r| r.app_wcrt[0]);
+///     assert_eq!(wcrt, sim.run(&cfg, &mut faults.profile(seed)).app_wcrt[0]);
 /// }
 /// // One task with one re-execution: at most three trajectories.
 /// assert!(memo.simulated() <= 3);

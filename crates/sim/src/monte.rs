@@ -159,7 +159,7 @@ pub fn monte_carlo(
         let kept = memo.run(
             &sim,
             &cfg.sim,
-            &mut faults.reseeded(cfg.seed.wrapping_add(i as u64)),
+            &mut faults.profile(cfg.seed.wrapping_add(i as u64)),
             |r| {
                 Rc::new(Kept {
                     unsafe_instances: r.unsafe_instances.iter().sum(),

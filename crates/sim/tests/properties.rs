@@ -203,9 +203,9 @@ proptest! {
         let runs = 64;
         for i in 0..runs {
             let seed = d.seed.wrapping_add(i);
-            let plain = sim.run(&cfg, &mut faults.reseeded(seed));
+            let plain = sim.run(&cfg, &mut faults.profile(seed));
             for memo in [&tiny, &fixed] {
-                let r = memo.run(&sim, &cfg, &mut faults.reseeded(seed), |r| r);
+                let r = memo.run(&sim, &cfg, &mut faults.profile(seed), |r| r);
                 prop_assert_eq!(&r, &plain, "profile {}", i);
             }
         }
