@@ -17,8 +17,8 @@ use mcmap_sched::Mapping;
 fn contended_design() -> (mcmap_benchmarks::Benchmark, HardenedSystem, Mapping) {
     let b = cruise();
     let mut plan = HardeningPlan::unhardened(&b.apps);
-    plan.set_by_flat_index(0, TaskHardening::reexecution(1));
-    plan.set_by_flat_index(5, TaskHardening::reexecution(1));
+    plan.set_by_flat_index(0, TaskHardening::Reexec(1));
+    plan.set_by_flat_index(5, TaskHardening::Reexec(1));
     let hsys = harden(&b.apps, &plan, &b.arch).expect("static design");
     let mapping = Mapping::new(
         &hsys,

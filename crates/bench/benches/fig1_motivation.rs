@@ -45,10 +45,13 @@ fn bench_fig1(c: &mut Criterion) {
         .expect("static example");
     let apps = AppSet::new(vec![high, low]).expect("static example");
     let mut plan = HardeningPlan::unhardened(&apps);
-    plan.set_by_flat_index(0, TaskHardening::reexecution(1));
+    plan.set_by_flat_index(0, TaskHardening::Reexec(1));
     plan.set_by_flat_index(
         1,
-        TaskHardening::active(vec![ProcId::new(0)], ProcId::new(1)),
+        TaskHardening::Active {
+            replicas: vec![ProcId::new(0)],
+            voter: ProcId::new(1),
+        },
     );
     let hsys = harden(&apps, &plan, &arch).expect("static example");
     let placement = vec![

@@ -37,7 +37,7 @@ fn hardened_dt_med() -> (Benchmark, HardenedSystem, Mapping) {
     let b = dt_med();
     let mut plan = HardeningPlan::unhardened(&b.apps);
     for flat in 0..b.apps.task_refs().len() {
-        plan.set_by_flat_index(flat, TaskHardening::reexecution(2));
+        plan.set_by_flat_index(flat, TaskHardening::Reexec(2));
     }
     let hsys = harden(&b.apps, &plan, &b.arch).expect("uniform re-execution plans are valid");
     let space = GenomeSpace::new(&b.apps, &b.arch);

@@ -60,18 +60,21 @@ fn main() -> ExitCode {
     let variants: Vec<(&str, HardeningPlan)> = vec![
         (
             "re-execution k=1",
-            plan_with(&b, |_| TaskHardening::reexecution(1)),
+            plan_with(&b, |_| TaskHardening::Reexec(1)),
         ),
         (
             "re-execution k=2",
-            plan_with(&b, |_| TaskHardening::reexecution(2)),
+            plan_with(&b, |_| TaskHardening::Reexec(2)),
         ),
         (
             "active triplication",
             plan_with(&b, |flat| {
                 let own = ProcId::new(if flat < 5 { 0 } else { 1 });
                 let other = ProcId::new(if flat < 5 { 1 } else { 0 });
-                TaskHardening::active(vec![other, ProcId::new(2)], own)
+                TaskHardening::Active {
+                    replicas: vec![other, ProcId::new(2)],
+                    voter: own,
+                }
             }),
         ),
         (
@@ -79,7 +82,11 @@ fn main() -> ExitCode {
             plan_with(&b, |flat| {
                 let own = ProcId::new(if flat < 5 { 0 } else { 1 });
                 let other = ProcId::new(if flat < 5 { 1 } else { 0 });
-                TaskHardening::passive(vec![other], vec![ProcId::new(3)], own)
+                TaskHardening::Passive {
+                    actives: vec![other],
+                    standbys: vec![ProcId::new(3)],
+                    voter: own,
+                }
             }),
         ),
     ];

@@ -69,10 +69,13 @@ fn main() -> ExitCode {
 
     // Hardening per the figure: A re-executed, B actively replicated.
     let mut plan = HardeningPlan::unhardened(&apps);
-    plan.set_by_flat_index(0, TaskHardening::reexecution(1));
+    plan.set_by_flat_index(0, TaskHardening::Reexec(1));
     plan.set_by_flat_index(
         1,
-        TaskHardening::active(vec![ProcId::new(0)], ProcId::new(1)),
+        TaskHardening::Active {
+            replicas: vec![ProcId::new(0)],
+            voter: ProcId::new(1),
+        },
     );
     let hsys = harden(&apps, &plan, &arch).expect("static example");
 

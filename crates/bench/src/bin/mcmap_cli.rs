@@ -1047,6 +1047,9 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
                 ("--resume", Switch),
             ];
             let args = flags::parse(tail, &table, 3)?;
+            if args.has("--resume") && args.value("--checkpoint").is_none() {
+                return Err(UsageError("--resume needs --checkpoint <path>".into()));
+            }
             let (b, spec) = exploration(&args, 24)?;
             cmd_validate(&b, &spec, &args)
         }

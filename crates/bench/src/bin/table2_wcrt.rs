@@ -41,8 +41,8 @@ struct Design {
 fn design(b: &Benchmark, k: u8, placement: Vec<usize>, priorities: Vec<u32>) -> Design {
     let mut plan = HardeningPlan::unhardened(&b.apps);
     // Heads: wheel_pulse (flat 0) and brake_pedal (flat 5).
-    plan.set_by_flat_index(0, TaskHardening::reexecution(k));
-    plan.set_by_flat_index(5, TaskHardening::reexecution(k));
+    plan.set_by_flat_index(0, TaskHardening::Reexec(k));
+    plan.set_by_flat_index(5, TaskHardening::Reexec(k));
     let hsys = harden(&b.apps, &plan, &b.arch).expect("static design");
     let mapping = Mapping::new(
         &hsys,

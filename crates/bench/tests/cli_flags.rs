@@ -20,6 +20,8 @@ const CASES: &[(&str, &str)] = &[
     ("validate cruise --bogus", "--bogus"),
     ("validate cruise --profiles", "--profiles"),
     ("validate cruise 6 2 9", "\"9\""),
+    // Nothing to resume from: refused before the exploration runs.
+    ("validate cruise 6 2 --resume", "--resume"),
     ("serve --bogus", "--bogus"),
     ("serve --workers", "--workers"),
     ("serve --slice 0", "--slice"),

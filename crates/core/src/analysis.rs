@@ -848,7 +848,7 @@ mod tests {
         let apps = AppSet::new(vec![hi, lo]).unwrap();
         let arch = arch(1);
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(1));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(1));
         let hsys = harden(&apps, &plan, &arch).unwrap();
         let mapping = Mapping::new(&hsys, &arch, vec![ProcId::new(0); 2]).unwrap();
         let policies = uniform_policies(1, SchedPolicy::FixedPriorityPreemptive);
@@ -871,7 +871,11 @@ mod tests {
         let mut plan = HardeningPlan::unhardened(&apps);
         plan.set_by_flat_index(
             0,
-            TaskHardening::passive(vec![ProcId::new(1)], vec![ProcId::new(2)], ProcId::new(0)),
+            TaskHardening::Passive {
+                actives: vec![ProcId::new(1)],
+                standbys: vec![ProcId::new(2)],
+                voter: ProcId::new(0),
+            },
         );
         let hsys = harden(&apps, &plan, &arch).unwrap();
         let mapping = Mapping::new(
@@ -978,7 +982,7 @@ mod tests {
         let apps = AppSet::new(vec![hi, lo]).unwrap();
         let arch = arch(2);
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(1));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(1));
         let hsys = harden(&apps, &plan, &arch).unwrap();
         let mapping = Mapping::new(
             &hsys,
@@ -1038,7 +1042,7 @@ mod tests {
         let apps = AppSet::new(vec![a, dropped_app, b]).unwrap();
         let arch = arch(2);
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(1));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(1));
         let hsys = harden(&apps, &plan, &arch).unwrap();
         let (p0, p1) = (ProcId::new(0), ProcId::new(1));
         let mapping = Mapping::new(&hsys, &arch, vec![p0, p1, p0, p0])
@@ -1125,8 +1129,8 @@ mod dedup_tests {
         };
         let apps = AppSet::new(vec![mk("a"), mk("b")]).unwrap();
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(1));
-        plan.set_by_flat_index(1, TaskHardening::reexecution(1));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(1));
+        plan.set_by_flat_index(1, TaskHardening::Reexec(1));
         let hsys = harden(&apps, &plan, &arch).unwrap();
         let mapping = Mapping::new(&hsys, &arch, vec![ProcId::new(0), ProcId::new(1)]).unwrap();
         let policies = uniform_policies(2, SchedPolicy::FixedPriorityPreemptive);
@@ -1139,7 +1143,7 @@ mod dedup_tests {
         assert!(mc.backend_calls <= 3);
         // …but a degenerate case with one trigger costs exactly 2 calls.
         let mut plan2 = HardeningPlan::unhardened(&apps);
-        plan2.set_by_flat_index(0, TaskHardening::reexecution(1));
+        plan2.set_by_flat_index(0, TaskHardening::Reexec(1));
         let hsys2 = harden(&apps, &plan2, &arch).unwrap();
         let mapping2 = Mapping::new(&hsys2, &arch, vec![ProcId::new(0), ProcId::new(1)]).unwrap();
         let mc2 = analyze(&hsys2, &arch, &mapping2, &policies, &[]);
@@ -1178,8 +1182,8 @@ mod dedup_tests {
             .unwrap();
         let apps = AppSet::new(vec![g]).unwrap();
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(1));
-        plan.set_by_flat_index(1, TaskHardening::reexecution(1));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(1));
+        plan.set_by_flat_index(1, TaskHardening::Reexec(1));
         let hsys = harden(&apps, &plan, &arch).unwrap();
         let mapping = Mapping::new(&hsys, &arch, vec![ProcId::new(0); 2]).unwrap();
         let policies = uniform_policies(1, SchedPolicy::FixedPriorityPreemptive);
@@ -1223,8 +1227,8 @@ mod dedup_tests {
             .unwrap();
         let apps = AppSet::new(vec![g]).unwrap();
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(1));
-        plan.set_by_flat_index(1, TaskHardening::reexecution(1));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(1));
+        plan.set_by_flat_index(1, TaskHardening::Reexec(1));
         let hsys = harden(&apps, &plan, &arch).unwrap();
         let mapping = Mapping::new(&hsys, &arch, vec![ProcId::new(0), ProcId::new(1)]).unwrap();
         let policies = uniform_policies(2, SchedPolicy::FixedPriorityPreemptive);
@@ -1296,8 +1300,8 @@ mod dedup_tests {
         ])
         .unwrap();
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(1));
-        plan.set_by_flat_index(2, TaskHardening::reexecution(2));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(1));
+        plan.set_by_flat_index(2, TaskHardening::Reexec(2));
         let hsys = harden(&apps, &plan, &arch).unwrap();
         let mapping = Mapping::new(
             &hsys,

@@ -29,7 +29,7 @@ use mcmap_resilience::{
 };
 
 use crate::dse::AuditSnapshot;
-use crate::genome::{GeneHardening, Genome, TaskGene};
+use crate::genome::{Genome, TaskGene, TaskHardening};
 use mcmap_model::ProcId;
 
 /// Envelope kind tag for DSE checkpoints.
@@ -301,20 +301,20 @@ pub(crate) fn push_genome(out: &mut String, genome: &Genome) {
         out.push_str(&gene.binding.index().to_string());
         out.push(',');
         match &gene.hardening {
-            GeneHardening::None => out.push_str("[\"n\"]"),
-            GeneHardening::Reexec(k) => {
+            TaskHardening::None => out.push_str("[\"n\"]"),
+            TaskHardening::Reexec(k) => {
                 out.push_str("[\"r\",");
                 out.push_str(&k.to_string());
                 out.push(']');
             }
-            GeneHardening::Active { replicas, voter } => {
+            TaskHardening::Active { replicas, voter } => {
                 out.push_str("[\"a\",");
                 push_json_u64s(out, replicas.iter().map(|p| p.index() as u64));
                 out.push(',');
                 out.push_str(&voter.index().to_string());
                 out.push(']');
             }
-            GeneHardening::Passive {
+            TaskHardening::Passive {
                 actives,
                 standbys,
                 voter,
@@ -465,15 +465,15 @@ pub(crate) fn decode_genome(v: &Json) -> Result<Genome, String> {
             return Err("gene: expected [binding, hardening]".into());
         };
         let hardening = match hard.as_arr() {
-            Some([Json::Str(t)]) if t == "n" => GeneHardening::None,
+            Some([Json::Str(t)]) if t == "n" => TaskHardening::None,
             Some([Json::Str(t), k]) if t == "r" => {
-                GeneHardening::Reexec(uint(k, "reexec k")? as u8)
+                TaskHardening::Reexec(uint(k, "reexec k")? as u8)
             }
-            Some([Json::Str(t), replicas, voter]) if t == "a" => GeneHardening::Active {
+            Some([Json::Str(t), replicas, voter]) if t == "a" => TaskHardening::Active {
                 replicas: proc_list(replicas, "replicas")?,
                 voter: proc_id(voter, "voter")?,
             },
-            Some([Json::Str(t), actives, standbys, voter]) if t == "p" => GeneHardening::Passive {
+            Some([Json::Str(t), actives, standbys, voter]) if t == "p" => TaskHardening::Passive {
                 actives: proc_list(actives, "actives")?,
                 standbys: proc_list(standbys, "standbys")?,
                 voter: proc_id(voter, "voter")?,
@@ -587,22 +587,22 @@ mod tests {
             genes: vec![
                 TaskGene {
                     binding: ProcId::new(0),
-                    hardening: GeneHardening::None,
+                    hardening: TaskHardening::None,
                 },
                 TaskGene {
                     binding: ProcId::new(2),
-                    hardening: GeneHardening::Reexec(2),
+                    hardening: TaskHardening::Reexec(2),
                 },
                 TaskGene {
                     binding: ProcId::new(1),
-                    hardening: GeneHardening::Active {
+                    hardening: TaskHardening::Active {
                         replicas: vec![ProcId::new(0), ProcId::new(2)],
                         voter: ProcId::new(1),
                     },
                 },
                 TaskGene {
                     binding: ProcId::new(0),
-                    hardening: GeneHardening::Passive {
+                    hardening: TaskHardening::Passive {
                         actives: vec![ProcId::new(1)],
                         standbys: vec![ProcId::new(2), ProcId::new(0)],
                         voter: ProcId::new(2),

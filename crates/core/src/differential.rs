@@ -10,7 +10,7 @@ use crate::analysis::{
     McAnalysis, Recorded,
 };
 use crate::repair::{repair_reliability, repair_structure, strengthen};
-use crate::{GeneHardening, Genome, GenomeSpace};
+use crate::{Genome, GenomeSpace};
 use mcmap_benchmarks::Benchmark;
 use mcmap_hardening::{
     harden, placement_with_default, HTaskId, HardenedSystem, HardeningPlan, Reliability,
@@ -70,7 +70,7 @@ fn repair_reliability_full(
         let unhardened: Vec<usize> = flats
             .iter()
             .copied()
-            .filter(|&f| g.genes[f].hardening == GeneHardening::None)
+            .filter(|&f| g.genes[f].hardening == TaskHardening::None)
             .collect();
         let pool = if unhardened.is_empty() {
             &flats
@@ -390,7 +390,7 @@ fn reliability_repair_matches_the_full_recompute_on_edge_cases() {
     // An empty active-replica list fails hardening: both give up before
     // drawing anything.
     let mut g = genomes(&space, &mut rng, 1).remove(0);
-    g.genes[1].hardening = GeneHardening::Active {
+    g.genes[1].hardening = TaskHardening::Active {
         replicas: vec![],
         voter: ProcId::new(0),
     };
@@ -1011,17 +1011,17 @@ fn random_system(rng: &mut Xorshift) -> (HardenedSystem, Architecture, Mapping) 
     let mut plan = HardeningPlan::unhardened(&apps);
     for flat in 0..apps.num_tasks() {
         let h = match rng.below(4) {
-            0 => TaskHardening::reexecution(1 + rng.below(2) as u8),
-            1 => TaskHardening::active(
-                (0..1 + rng.below(2)).map(|_| rng.proc(num_procs)).collect(),
-                rng.proc(num_procs),
-            ),
-            2 => TaskHardening::passive(
-                vec![rng.proc(num_procs)],
-                vec![rng.proc(num_procs)],
-                rng.proc(num_procs),
-            ),
-            _ => TaskHardening::none(),
+            0 => TaskHardening::Reexec(1 + rng.below(2) as u8),
+            1 => TaskHardening::Active {
+                replicas: (0..1 + rng.below(2)).map(|_| rng.proc(num_procs)).collect(),
+                voter: rng.proc(num_procs),
+            },
+            2 => TaskHardening::Passive {
+                actives: vec![rng.proc(num_procs)],
+                standbys: vec![rng.proc(num_procs)],
+                voter: rng.proc(num_procs),
+            },
+            _ => TaskHardening::None,
         };
         plan.set_by_flat_index(flat, h);
     }

@@ -1,12 +1,13 @@
 //! The DSE's sampling space over the chromosome (Fig. 4 of the paper):
 //! random and clustered sampling, crossover, mutation and decoding.
 //!
-//! The chromosome types themselves ([`Genome`], [`TaskGene`],
-//! [`GeneHardening`]) are defined in `mcmap-hardening` and re-exported
-//! here, so the linter checks the same type the DSE evolves.
+//! The chromosome types themselves ([`Genome`], [`TaskGene`], and the
+//! gene's [`TaskHardening`], which is also its plan entry) are defined in
+//! `mcmap-hardening` and re-exported here, so `harden` and the linter read
+//! the same type the DSE evolves.
 
 use mcmap_hardening::HardeningPlan;
-pub use mcmap_hardening::{GeneHardening, Genome, TaskGene};
+pub use mcmap_hardening::{Genome, TaskGene, TaskHardening};
 use mcmap_model::{AppId, AppSet, Architecture, ProcId};
 use rand::seq::SliceRandom;
 use rand::RngCore;
@@ -100,30 +101,30 @@ impl GenomeSpace {
             .expect("model validation guarantees every task runs somewhere")
     }
 
-    fn random_hardening(&self, flat: usize, rng: &mut dyn RngCore) -> GeneHardening {
+    fn random_hardening(&self, flat: usize, rng: &mut dyn RngCore) -> TaskHardening {
         match rng.next_u32() % 4 {
-            0 | 1 => GeneHardening::None,
+            0 | 1 => TaskHardening::None,
             2 if self.max_reexec > 0 => {
-                GeneHardening::Reexec(1 + (rng.next_u32() as u8) % self.max_reexec)
+                TaskHardening::Reexec(1 + (rng.next_u32() as u8) % self.max_reexec)
             }
             3 if self.max_replicas > 0 => {
                 let n = 1 + (rng.next_u32() as usize) % self.max_replicas as usize;
                 let replicas: Vec<ProcId> =
                     (0..n).map(|_| self.random_allowed(flat, rng)).collect();
                 if rng.next_u32().is_multiple_of(2) {
-                    GeneHardening::Active {
+                    TaskHardening::Active {
                         replicas,
                         voter: self.random_proc(rng),
                     }
                 } else {
-                    GeneHardening::Passive {
+                    TaskHardening::Passive {
                         actives: replicas,
                         standbys: vec![self.random_allowed(flat, rng)],
                         voter: self.random_proc(rng),
                     }
                 }
             }
-            _ => GeneHardening::None,
+            _ => TaskHardening::None,
         }
     }
 
@@ -189,10 +190,10 @@ impl GenomeSpace {
                     self.random_allowed(flat, rng)
                 };
                 let hardening = if self.task_droppable[flat] || self.max_reexec == 0 {
-                    GeneHardening::None
+                    TaskHardening::None
                 } else {
                     // The mildest hardening: deadline-friendliest.
-                    GeneHardening::Reexec(1)
+                    TaskHardening::Reexec(1)
                 };
                 TaskGene { binding, hardening }
             })
@@ -267,10 +268,7 @@ impl GenomeSpace {
     /// Decodes the chromosome into a hardening plan, the dropped application
     /// set `T_d`, and the per-original-task binding vector.
     pub fn decode(&self, g: &Genome) -> (HardeningPlan, Vec<AppId>, Vec<ProcId>) {
-        let mut plan_entries = Vec::with_capacity(g.genes.len());
-        for gene in &g.genes {
-            plan_entries.push(gene.hardening.to_task_hardening());
-        }
+        let plan_entries = g.genes.iter().map(|gene| gene.hardening.clone()).collect();
         let dropped: Vec<AppId> = self
             .droppable
             .iter()
@@ -336,10 +334,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut g = space.random(&mut rng);
         g.keep = vec![false];
-        g.genes[0].hardening = GeneHardening::Reexec(2);
+        g.genes[0].hardening = TaskHardening::Reexec(2);
         let (plan, dropped, bindings) = space.decode(&g);
         assert_eq!(dropped, vec![AppId::new(2 - 1)]);
-        assert_eq!(plan.by_flat_index(0).reexecutions, 2);
+        assert_eq!(plan.by_flat_index(0), &TaskHardening::Reexec(2));
         assert_eq!(bindings.len(), 3);
 
         g.keep = vec![true];
@@ -394,15 +392,15 @@ mod tests {
             let g = space.random(&mut rng);
             for gene in &g.genes {
                 match &gene.hardening {
-                    GeneHardening::Reexec(k) => assert!(*k == 1),
-                    GeneHardening::Active { replicas, .. } => assert_eq!(replicas.len(), 1),
-                    GeneHardening::Passive {
+                    TaskHardening::Reexec(k) => assert!(*k == 1),
+                    TaskHardening::Active { replicas, .. } => assert_eq!(replicas.len(), 1),
+                    TaskHardening::Passive {
                         actives, standbys, ..
                     } => {
                         assert_eq!(actives.len(), 1);
                         assert_eq!(standbys.len(), 1);
                     }
-                    GeneHardening::None => {}
+                    TaskHardening::None => {}
                 }
             }
         }
@@ -449,10 +447,10 @@ mod clustered_tests {
             // Tasks of the same application share one processor.
             assert_eq!(g.genes[0].binding, g.genes[1].binding);
             // Critical tasks carry the mildest re-execution hardening.
-            assert_eq!(g.genes[0].hardening, GeneHardening::Reexec(1));
-            assert_eq!(g.genes[1].hardening, GeneHardening::Reexec(1));
+            assert_eq!(g.genes[0].hardening, TaskHardening::Reexec(1));
+            assert_eq!(g.genes[1].hardening, TaskHardening::Reexec(1));
             // Droppable tasks stay unhardened.
-            assert_eq!(g.genes[2].hardening, GeneHardening::None);
+            assert_eq!(g.genes[2].hardening, TaskHardening::None);
         }
     }
 

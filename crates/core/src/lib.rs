@@ -8,7 +8,8 @@
 //!   state transitions over any [`SchedBackend`](mcmap_sched::SchedBackend);
 //! * [`naive_analysis`] / [`adhoc_analysis`] — the §5.1 comparison points;
 //! * [`Genome`] / [`GenomeSpace`] — the Fig. 4 chromosome (allocation bits,
-//!   droppable-application selection, per-task binding + hardening genes);
+//!   droppable-application selection, per-task binding + hardening genes;
+//!   a gene's [`TaskHardening`] is its hardening-plan entry as it stands);
 //! * [`repair_structure`] / [`repair_reliability`] — the §4 randomized
 //!   repair heuristics;
 //! * [`expected_power`] / [`lost_service`] — the §2.3 objectives;
@@ -43,7 +44,7 @@
 //! let apps = AppSet::new(vec![hi, lo])?;
 //!
 //! let mut plan = HardeningPlan::unhardened(&apps);
-//! plan.set_by_flat_index(0, TaskHardening::reexecution(1));
+//! plan.set_by_flat_index(0, TaskHardening::Reexec(1));
 //! let hsys = harden(&apps, &plan, &arch)?;
 //! let mapping = Mapping::new(&hsys, &arch, vec![ProcId::new(0), ProcId::new(1)])?;
 //! let policies = uniform_policies(2, SchedPolicy::FixedPriorityPreemptive);
@@ -86,7 +87,7 @@ pub use dse::{
     explore, explore_checked, AnalysisStats, AuditSnapshot, DesignReport, DseConfig, DseError,
     DseOutcome, MappingProblem, ObjectiveMode, ResilienceConfig, SharedEvalCache,
 };
-pub use genome::{GeneHardening, Genome, GenomeSpace, TaskGene};
+pub use genome::{Genome, GenomeSpace, TaskGene, TaskHardening};
 pub use mcmap_eval::{CacheStats, EvalStats};
 pub use metrics::MetricsSink;
 pub use objective::{expected_power, lost_service};

@@ -141,7 +141,10 @@ mod tests {
             let mut plan = HardeningPlan::unhardened(&apps);
             plan.set_by_flat_index(
                 0,
-                TaskHardening::active(vec![ProcId::new(1), ProcId::new(2)], ProcId::new(3)),
+                TaskHardening::Active {
+                    replicas: vec![ProcId::new(1), ProcId::new(2)],
+                    voter: ProcId::new(3),
+                },
             );
             plan
         };
@@ -149,7 +152,11 @@ mod tests {
             let mut plan = HardeningPlan::unhardened(&apps);
             plan.set_by_flat_index(
                 0,
-                TaskHardening::passive(vec![ProcId::new(1)], vec![ProcId::new(2)], ProcId::new(3)),
+                TaskHardening::Passive {
+                    actives: vec![ProcId::new(1)],
+                    standbys: vec![ProcId::new(2)],
+                    voter: ProcId::new(3),
+                },
             );
             plan
         };
@@ -176,7 +183,7 @@ mod tests {
         let arch_hot = arch(1, 1e-3);
         let plain = harden(&apps, &HardeningPlan::unhardened(&apps), &arch_hot).unwrap();
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(2));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(2));
         let hardened = harden(&apps, &plan, &arch_hot).unwrap();
         let m1 = Mapping::new(&plain, &arch_hot, vec![ProcId::new(0)]).unwrap();
         let m2 = Mapping::new(&hardened, &arch_hot, vec![ProcId::new(0)]).unwrap();

@@ -292,7 +292,7 @@ fn decode(text: &str) -> Result<Portfolio, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::genome::{GeneHardening, TaskGene};
+    use crate::genome::{TaskGene, TaskHardening};
 
     #[test]
     fn sealed_format_is_pinned() {
@@ -305,11 +305,11 @@ mod tests {
                 genes: vec![
                     TaskGene {
                         binding: ProcId::new(1),
-                        hardening: GeneHardening::Reexec(1),
+                        hardening: TaskHardening::Reexec(1),
                     },
                     TaskGene {
                         binding: ProcId::new(0),
-                        hardening: GeneHardening::Active {
+                        hardening: TaskHardening::Active {
                             replicas: vec![ProcId::new(0), ProcId::new(1)],
                             voter: ProcId::new(1),
                         },

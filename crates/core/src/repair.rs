@@ -12,7 +12,7 @@
 //! Remaining violations are penalized by the evaluation so the GA is guided
 //! back towards feasible regions.
 
-use crate::{GeneHardening, Genome, GenomeSpace};
+use crate::{Genome, GenomeSpace, TaskHardening};
 use mcmap_hardening::{
     copy_failure_prob, copy_nominal_bounds, majority_failure_prob, validate_entry,
 };
@@ -56,7 +56,7 @@ pub fn repair_structure_logged(
             fixed_binding = true;
         }
         // Replicas and voter.
-        let mut hardening = std::mem::replace(&mut g.genes[flat].hardening, GeneHardening::None);
+        let mut hardening = std::mem::replace(&mut g.genes[flat].hardening, TaskHardening::None);
         let (bodies, voter) = hardening.placements_mut();
         for r in bodies {
             if !is_valid(space, g, flat, *r) {
@@ -126,31 +126,31 @@ fn pick_allocated(g: &Genome, rng: &mut dyn RngCore) -> ProcId {
 pub(crate) fn strengthen(space: &GenomeSpace, g: &mut Genome, flat: usize, rng: &mut dyn RngCore) {
     let current = g.genes[flat].hardening.clone();
     let next = match &current {
-        GeneHardening::None => GeneHardening::Reexec(1),
-        GeneHardening::Reexec(k) if *k < space.max_reexec => GeneHardening::Reexec(k + 1),
-        GeneHardening::Reexec(_) => GeneHardening::Active {
+        TaskHardening::None => TaskHardening::Reexec(1),
+        TaskHardening::Reexec(k) if *k < space.max_reexec => TaskHardening::Reexec(k + 1),
+        TaskHardening::Reexec(_) => TaskHardening::Active {
             replicas: vec![
                 pick_valid(space, g, flat, rng),
                 pick_valid(space, g, flat, rng),
             ],
             voter: pick_allocated(g, rng),
         },
-        GeneHardening::Passive {
+        TaskHardening::Passive {
             actives, standbys, ..
         } => {
             // Promote to active replication with one more copy.
             let mut replicas = actives.clone();
             replicas.extend_from_slice(standbys);
             replicas.push(pick_valid(space, g, flat, rng));
-            GeneHardening::Active {
+            TaskHardening::Active {
                 replicas,
                 voter: pick_allocated(g, rng),
             }
         }
-        GeneHardening::Active { replicas, voter } => {
+        TaskHardening::Active { replicas, voter } => {
             let mut replicas = replicas.clone();
             replicas.push(pick_valid(space, g, flat, rng));
-            GeneHardening::Active {
+            TaskHardening::Active {
                 replicas,
                 voter: *voter,
             }
@@ -223,7 +223,7 @@ pub fn repair_reliability(
         let flats = apps.flats_of_app(app);
         let unhardened: Vec<usize> = flats
             .clone()
-            .filter(|&f| g.genes[f].hardening == GeneHardening::None)
+            .filter(|&f| g.genes[f].hardening == TaskHardening::None)
             .collect();
         let flat = if unhardened.is_empty() {
             flats.start + (rng.next_u32() as usize) % flats.len()
@@ -242,9 +242,11 @@ pub fn repair_reliability(
 /// [`validate_entry`].
 fn genes_harden(g: &Genome, apps: &AppSet, arch: &Architecture) -> bool {
     g.genes.len() == apps.num_tasks()
-        && apps.task_refs().iter().zip(&g.genes).all(|(&r, gene)| {
-            validate_entry(r, apps.task(r), &gene.hardening.to_task_hardening(), arch).is_ok()
-        })
+        && apps
+            .task_refs()
+            .iter()
+            .zip(&g.genes)
+            .all(|(&r, gene)| validate_entry(r, apps.task(r), &gene.hardening, arch).is_ok())
 }
 
 /// Failure probability of original task `flat` under its gene: the
@@ -343,12 +345,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut g = space.random(&mut rng);
         g.alloc = vec![true, false, false, false];
-        g.genes[0].hardening = GeneHardening::Active {
+        g.genes[0].hardening = TaskHardening::Active {
             replicas: vec![ProcId::new(2)],
             voter: ProcId::new(3),
         };
         repair_structure(&mut g, &space, &mut rng);
-        if let GeneHardening::Active { replicas, voter } = &g.genes[0].hardening {
+        if let TaskHardening::Active { replicas, voter } = &g.genes[0].hardening {
             for r in replicas {
                 assert!(g.alloc[r.index()]);
             }
@@ -365,7 +367,7 @@ mod tests {
         let mut g = space.random(&mut rng);
         g.alloc = vec![true, false, false, false];
         g.genes[0].binding = ProcId::new(2);
-        g.genes[0].hardening = GeneHardening::Active {
+        g.genes[0].hardening = TaskHardening::Active {
             replicas: vec![ProcId::new(1)],
             voter: ProcId::new(3),
         };
@@ -404,11 +406,11 @@ mod tests {
         let (apps, arch, space) = fixture(1e-5, 1e-8);
         let mut rng = StdRng::seed_from_u64(4);
         let mut g = space.random(&mut rng);
-        g.genes[0].hardening = GeneHardening::None;
+        g.genes[0].hardening = TaskHardening::None;
         g.alloc = vec![true; 4];
         let ok = repair_reliability(&mut g, &space, &apps, &arch, &mut rng, 30);
         assert!(ok, "repair should reach the bound");
-        assert!(g.genes[0].hardening != GeneHardening::None);
+        assert!(g.genes[0].hardening != TaskHardening::None);
     }
 
     #[test]
@@ -416,7 +418,7 @@ mod tests {
         let (apps, arch, space) = fixture(1e-9, 0.5);
         let mut rng = StdRng::seed_from_u64(5);
         let mut g = space.random(&mut rng);
-        g.genes[0].hardening = GeneHardening::None;
+        g.genes[0].hardening = TaskHardening::None;
         repair_structure(&mut g, &space, &mut rng);
         let before = g.clone();
         assert!(repair_reliability(
@@ -443,15 +445,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut g = space.random(&mut rng);
         g.alloc = vec![true; 4];
-        g.genes[0].hardening = GeneHardening::None;
+        g.genes[0].hardening = TaskHardening::None;
         strengthen(&space, &mut g, 0, &mut rng);
-        assert_eq!(g.genes[0].hardening, GeneHardening::Reexec(1));
+        assert_eq!(g.genes[0].hardening, TaskHardening::Reexec(1));
         strengthen(&space, &mut g, 0, &mut rng);
-        assert_eq!(g.genes[0].hardening, GeneHardening::Reexec(2));
+        assert_eq!(g.genes[0].hardening, TaskHardening::Reexec(2));
         strengthen(&space, &mut g, 0, &mut rng);
-        assert!(matches!(g.genes[0].hardening, GeneHardening::Active { .. }));
+        assert!(matches!(g.genes[0].hardening, TaskHardening::Active { .. }));
         strengthen(&space, &mut g, 0, &mut rng);
-        if let GeneHardening::Active { replicas, .. } = &g.genes[0].hardening {
+        if let TaskHardening::Active { replicas, .. } = &g.genes[0].hardening {
             assert_eq!(replicas.len(), 3);
         } else {
             panic!("escalation must stay active");

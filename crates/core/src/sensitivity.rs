@@ -13,9 +13,7 @@
 //!   application.
 
 use crate::analysis::{analyze, analyze_explained, McAnalysis};
-use mcmap_hardening::{
-    harden, HTaskId, HardenedSystem, HardeningPlan, Reliability, Replication, TaskHardening,
-};
+use mcmap_hardening::{harden, HTaskId, HardenedSystem, HardeningPlan, Reliability, TaskHardening};
 use mcmap_model::{AppId, AppSet, Architecture, ProcId, Time};
 use mcmap_sched::{Mapping, SchedPolicy};
 
@@ -133,20 +131,22 @@ impl<'a> Sensitivity<'a> {
             .unwrap_or(Time::ZERO)
     }
 
-    /// What happens if task `flat`'s re-execution degree becomes `k`
-    /// (leaving its replication untouched)?
+    /// What happens if task `flat`, unhardened or re-executed, is
+    /// re-executed up to `k` times instead (`k = 0` removes its hardening)?
     ///
-    /// Returns `None` if either the base or the perturbed design fails to
-    /// instantiate.
+    /// Returns `None` if the task is replicated (a plan entry holds one
+    /// technique, so re-execution cannot be added to a replicated task), or
+    /// if either the base or the perturbed design fails to instantiate.
     pub fn what_if_reexec(&self, flat: usize, k: u8) -> Option<WhatIf> {
-        let (base_hsys, base_mapping, base_mc) = self.run(&self.plan)?;
-        let _ = base_mapping;
-        let before = self.plan.by_flat_index(flat).reexecutions;
+        let entry = self.plan.by_flat_index(flat);
+        if entry.voter().is_some() {
+            return None;
+        }
+        let before = entry.reexecutions();
+        let (base_hsys, _, base_mc) = self.run(&self.plan)?;
 
         let mut plan = self.plan.clone();
-        let mut entry = plan.by_flat_index(flat).clone();
-        entry.reexecutions = k;
-        plan.set_by_flat_index(flat, entry);
+        plan.set_by_flat_index(flat, TaskHardening::Reexec(k));
 
         let (hsys, mapping, mc) = self.run(&plan)?;
         let rel = Reliability::new(&hsys, self.arch);
@@ -190,8 +190,10 @@ impl<'a> Sensitivity<'a> {
     pub fn reexecution_sites(&self) -> Vec<(usize, u8)> {
         self.plan
             .iter()
-            .filter(|(_, h)| h.replication == Replication::None && h.reexecutions > 0)
-            .map(|(flat, h)| (flat, h.reexecutions))
+            .filter_map(|(flat, h)| match h {
+                TaskHardening::Reexec(k) if *k > 0 => Some((flat, *k)),
+                _ => None,
+            })
             .collect()
     }
 }
@@ -202,7 +204,7 @@ pub fn uniform_reexec_plan(apps: &AppSet, k: u8) -> HardeningPlan {
     let mut plan = HardeningPlan::unhardened(apps);
     for (flat, r) in apps.task_refs().iter().enumerate() {
         if !apps.app(r.app).criticality().is_droppable() {
-            plan.set_by_flat_index(flat, TaskHardening::reexecution(k));
+            plan.set_by_flat_index(flat, TaskHardening::Reexec(k));
         }
     }
     plan
@@ -289,6 +291,36 @@ mod tests {
         assert!(w.reliable_after);
         // 550 + … still within the 700 deadline: (110·3) + 220 = 550.
         assert!(w.schedulable_after);
+        // The second task of the chain: the whole result is pinned.
+        assert_eq!(
+            s.what_if_reexec(1, 2),
+            Some(WhatIf {
+                flat: 1,
+                reexec: (1, 2),
+                worst_wcrt: (Time::from_ticks(440), Time::from_ticks(550)),
+                reliable_after: true,
+                schedulable_after: true,
+            })
+        );
+    }
+
+    #[test]
+    fn what_if_on_a_replicated_task_is_none() {
+        let (apps, arch, policies) = fixture();
+        let mut plan = uniform_reexec_plan(&apps, 1);
+        plan.set_by_flat_index(
+            0,
+            TaskHardening::Active {
+                replicas: vec![ProcId::new(1)],
+                voter: ProcId::new(0),
+            },
+        );
+        let bindings = vec![ProcId::new(0), ProcId::new(0), ProcId::new(1)];
+        let s = Sensitivity::new(&apps, &arch, &policies, plan, bindings, vec![AppId::new(1)]);
+        assert!(s.slack().is_some(), "the replicated design instantiates");
+        assert_eq!(s.what_if_reexec(0, 1), None);
+        assert!(s.what_if_reexec(1, 2).is_some());
+        assert_eq!(s.reexecution_sites(), vec![(1, 1)]);
     }
 
     #[test]

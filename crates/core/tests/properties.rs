@@ -95,7 +95,7 @@ fn build(
     for flat in 0..apps.num_tasks() {
         let k = d.reexec[flat % d.reexec.len()];
         if k > 0 {
-            plan.set_by_flat_index(flat, TaskHardening::reexecution(k));
+            plan.set_by_flat_index(flat, TaskHardening::Reexec(k));
         }
     }
     let hsys = harden(&apps, &plan, &arch).expect("valid");
@@ -141,11 +141,21 @@ fn build_replicated(
         let other = ProcId::new((home + 1) % 3);
         let third = ProcId::new((home + 2) % 3);
         match d.reexec[flat % d.reexec.len()] % 3 {
-            0 => plan.set_by_flat_index(flat, TaskHardening::reexecution(1)),
-            1 => plan.set_by_flat_index(flat, TaskHardening::active(vec![other], third)),
+            0 => plan.set_by_flat_index(flat, TaskHardening::Reexec(1)),
+            1 => plan.set_by_flat_index(
+                flat,
+                TaskHardening::Active {
+                    replicas: vec![other],
+                    voter: third,
+                },
+            ),
             _ => plan.set_by_flat_index(
                 flat,
-                TaskHardening::passive(vec![other], vec![third], ProcId::new(home)),
+                TaskHardening::Passive {
+                    actives: vec![other],
+                    standbys: vec![third],
+                    voter: ProcId::new(home),
+                },
             ),
         }
     }

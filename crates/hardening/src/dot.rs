@@ -84,9 +84,13 @@ mod tests {
         let mut plan = HardeningPlan::unhardened(&apps);
         plan.set_by_flat_index(
             0,
-            TaskHardening::passive(vec![ProcId::new(1)], vec![ProcId::new(2)], ProcId::new(0)),
+            TaskHardening::Passive {
+                actives: vec![ProcId::new(1)],
+                standbys: vec![ProcId::new(2)],
+                voter: ProcId::new(0),
+            },
         );
-        plan.set_by_flat_index(1, TaskHardening::reexecution(2));
+        plan.set_by_flat_index(1, TaskHardening::Reexec(2));
         let hsys = harden(&apps, &plan, &arch).unwrap();
         let dot = hardened_to_dot(&hsys, &apps);
         assert!(dot.contains("shape=diamond")); // voter

@@ -294,7 +294,7 @@ mod tests {
         let arch = arch(1, 1e-4);
         let bare = harden(&apps, &HardeningPlan::unhardened(&apps), &arch).unwrap();
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(1));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(1));
         let hardened = harden(&apps, &plan, &arch).unwrap();
 
         let p0 = ProcId::new(0);
@@ -317,7 +317,10 @@ mod tests {
         let mut plan = HardeningPlan::unhardened(&apps);
         plan.set_by_flat_index(
             0,
-            TaskHardening::active(vec![ProcId::new(1), ProcId::new(2)], ProcId::new(0)),
+            TaskHardening::Active {
+                replicas: vec![ProcId::new(1), ProcId::new(2)],
+                voter: ProcId::new(0),
+            },
         );
         let tripled = harden(&apps, &plan, &arch).unwrap();
 
@@ -370,7 +373,7 @@ mod tests {
         let apps = single_task_set(1e-3);
         let arch = arch(1, 1e-4);
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(2));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(2));
         let h = harden(&apps, &plan, &arch).unwrap();
         let rel = Reliability::new(&h, &arch);
         let id = HTaskId::new(0);
@@ -393,7 +396,11 @@ mod tests {
         let mut plan = HardeningPlan::unhardened(&apps);
         plan.set_by_flat_index(
             0,
-            TaskHardening::passive(vec![ProcId::new(1)], vec![ProcId::new(2)], ProcId::new(0)),
+            TaskHardening::Passive {
+                actives: vec![ProcId::new(1)],
+                standbys: vec![ProcId::new(2)],
+                voter: ProcId::new(0),
+            },
         );
         let h = harden(&apps, &plan, &arch).unwrap();
         let rel = Reliability::new(&h, &arch);
@@ -417,7 +424,10 @@ mod tests {
         let mut plan = HardeningPlan::unhardened(&apps);
         plan.set_by_flat_index(
             0,
-            TaskHardening::active(vec![ProcId::new(1)], ProcId::new(0)),
+            TaskHardening::Active {
+                replicas: vec![ProcId::new(1)],
+                voter: ProcId::new(0),
+            },
         );
         let h = harden(&apps, &plan, &arch).unwrap();
         let place = placement_with_default(&h, ProcId::new(0));

@@ -41,19 +41,19 @@ fn chain_apps(n: usize, wcets: &[u64]) -> AppSet {
 /// A random hardening decision over a 4-processor platform.
 fn hardening_strategy() -> impl Strategy<Value = TaskHardening> {
     prop_oneof![
-        Just(TaskHardening::none()),
-        (1u8..=3).prop_map(TaskHardening::reexecution),
+        Just(TaskHardening::None),
+        (1u8..=3).prop_map(TaskHardening::Reexec),
         (prop::collection::vec(0usize..4, 1..3), 0usize..4).prop_map(|(reps, voter)| {
-            TaskHardening::active(
-                reps.into_iter().map(ProcId::new).collect(),
-                ProcId::new(voter),
-            )
+            TaskHardening::Active {
+                replicas: reps.into_iter().map(ProcId::new).collect(),
+                voter: ProcId::new(voter),
+            }
         }),
-        (0usize..4, 0usize..4, 0usize..4).prop_map(|(a, s, v)| TaskHardening::passive(
-            vec![ProcId::new(a)],
-            vec![ProcId::new(s)],
-            ProcId::new(v)
-        )),
+        (0usize..4, 0usize..4, 0usize..4).prop_map(|(a, s, v)| TaskHardening::Passive {
+            actives: vec![ProcId::new(a)],
+            standbys: vec![ProcId::new(s)],
+            voter: ProcId::new(v),
+        }),
     ]
 }
 
@@ -78,8 +78,8 @@ proptest! {
         let mut expected = 0usize;
         for i in 0..n {
             let h = plan.by_flat_index(i);
-            expected += h.replication.active_copies() + h.replication.standby_copies();
-            if h.replication.is_replicated() {
+            expected += h.active_copies() + h.standby_copies();
+            if h.voter().is_some() {
                 expected += 1; // voter
             }
         }
@@ -122,11 +122,11 @@ proptest! {
             let ids: Vec<usize> = block.iter().map(|id| id.index()).collect();
             prop_assert_eq!(ids, (next..next + block.len()).collect::<Vec<_>>());
             next += block.len();
-            let r = &plan.by_flat_index(flat).replication;
+            let r = plan.by_flat_index(flat);
             let mut roles = vec![Role::Primary];
             roles.extend((0..r.active_copies() - 1).map(|i| Role::ActiveReplica(i as u8)));
             roles.extend((0..r.standby_copies()).map(|i| Role::PassiveReplica(i as u8)));
-            roles.extend(r.is_replicated().then_some(Role::Voter));
+            roles.extend(r.voter().map(|_| Role::Voter));
             let got: Vec<Role> = block.iter().map(|&id| hsys.task(id).role).collect();
             prop_assert_eq!(got, roles);
         }
@@ -171,7 +171,7 @@ proptest! {
         let arch = arch(4, rate);
         let bare = harden(&apps, &HardeningPlan::unhardened(&apps), &arch).expect("valid");
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(k));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(k));
         let hard = harden(&apps, &plan, &arch).expect("valid");
 
         let p_bare = Reliability::new(&bare, &arch).app_failure_prob(
@@ -199,10 +199,10 @@ proptest! {
             if !replicas.is_empty() {
                 plan.set_by_flat_index(
                     0,
-                    TaskHardening::active(
-                        replicas.into_iter().map(ProcId::new).collect(),
-                        ProcId::new(0),
-                    ),
+                    TaskHardening::Active {
+                        replicas: replicas.into_iter().map(ProcId::new).collect(),
+                        voter: ProcId::new(0),
+                    },
                 );
             }
             let h = harden(&apps, &plan, &arch).expect("valid");

@@ -564,9 +564,9 @@ pub(crate) const CODE_DOCS: &[CodeDoc] = &[
     },
     CodeDoc {
         code: "MC0106",
-        summary: "voter placed on a nonexistent or unallocated processor",
-        cause: "a replicated task's voter is bound to a processor outside the architecture or with a cleared allocation bit",
-        example: "voter on p7 of a 4-PE platform",
+        summary: "voter placed on an unallocated processor",
+        cause: "a replicated task's voter is bound to a processor whose allocation bit is cleared (a voter outside the architecture is MC0110)",
+        example: "voter on p3 while alloc[3] = false",
         fix: "bind the voter to an allocated processor",
     },
     CodeDoc {
@@ -585,15 +585,15 @@ pub(crate) const CODE_DOCS: &[CodeDoc] = &[
     },
     CodeDoc {
         code: "MC0109",
-        summary: "plan or genome shape does not match the system",
-        cause: "the hardening plan or chromosome has a different task, keep-bit, or alloc-bit count than the system it is checked against",
+        summary: "plan, genome or hardening-entry shape is malformed",
+        cause: "the hardening plan or chromosome has a different task, keep-bit, or alloc-bit count than the system it is checked against, or one hardening entry has too few copies (active replication without a replica, passive replication without an extra active copy and a standby)",
         example: "a 5-gene genome for a 7-task application set",
-        fix: "regenerate the plan/genome from this system's GenomeSpace",
+        fix: "regenerate the plan/genome from this system's GenomeSpace, or give the entry its missing copies",
     },
     CodeDoc {
         code: "MC0110",
         summary: "binding or replica on an invalid processor",
-        cause: "a gene binds a task, replica, or standby to a processor that does not exist, is unallocated, or whose kind the task cannot run on",
+        cause: "a gene or plan entry binds a task, replica, or standby to a processor that does not exist, is unallocated, or whose kind the task cannot run on, or places a voter on a processor that does not exist",
         example: "binding a CPU-only task to a DSP-kind PE",
         fix: "bind to an allocated processor of a supported kind",
     },

@@ -90,13 +90,13 @@ pub const ALL_CODES: &[(&str, &str)] = &[
     ("MC0103", "utilization over-commits the platform"),
     ("MC0104", "no task can execute on this processor"),
     ("MC0105", "task has a zero WCET profile"),
-    (
-        "MC0106",
-        "voter placed on a nonexistent or unallocated processor",
-    ),
+    ("MC0106", "voter placed on an unallocated processor"),
     ("MC0107", "replicas colocated on one processor"),
     ("MC0108", "droppable application carries hardening"),
-    ("MC0109", "plan or genome shape does not match the system"),
+    (
+        "MC0109",
+        "plan, genome or hardening-entry shape is malformed",
+    ),
     ("MC0110", "binding or replica on an invalid processor"),
     ("MC0111", "no processor allocated"),
     ("MC0112", "hardening exceeds the configured limits"),

@@ -821,7 +821,10 @@ mod tests {
         let mut plan = HardeningPlan::unhardened(&apps);
         plan.set_by_flat_index(
             0,
-            TaskHardening::active(vec![ProcId::new(1), ProcId::new(2)], ProcId::new(0)),
+            TaskHardening::Active {
+                replicas: vec![ProcId::new(1), ProcId::new(2)],
+                voter: ProcId::new(0),
+            },
         );
         let hsys = harden(&apps, &plan, &arch).unwrap();
         // primary a → p0, replicas fixed p1/p2, voter fixed p0, b → p1.
@@ -1116,19 +1119,19 @@ mod tests {
             let mut plan = HardeningPlan::unhardened(&apps);
             for flat in 0..apps.num_tasks() {
                 let h = match rng.below(4) {
-                    0 => TaskHardening::reexecution(1 + rng.below(2) as u8),
-                    1 => TaskHardening::active(
-                        (0..1 + rng.below(2)).map(|_| rng.proc(num_procs)).collect(),
-                        rng.proc(num_procs),
-                    ),
-                    2 => TaskHardening::passive(
-                        vec![rng.proc(num_procs)],
-                        vec![rng.proc(num_procs)],
-                        rng.proc(num_procs),
-                    ),
-                    _ => TaskHardening::none(),
+                    0 => TaskHardening::Reexec(1 + rng.below(2) as u8),
+                    1 => TaskHardening::Active {
+                        replicas: (0..1 + rng.below(2)).map(|_| rng.proc(num_procs)).collect(),
+                        voter: rng.proc(num_procs),
+                    },
+                    2 => TaskHardening::Passive {
+                        actives: vec![rng.proc(num_procs)],
+                        standbys: vec![rng.proc(num_procs)],
+                        voter: rng.proc(num_procs),
+                    },
+                    _ => TaskHardening::None,
                 };
-                replicated += usize::from(h.replication.is_replicated());
+                replicated += usize::from(h.voter().is_some());
                 plan.set_by_flat_index(flat, h);
             }
             let hsys = harden(&apps, &plan, &arch).unwrap();

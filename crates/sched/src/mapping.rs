@@ -396,7 +396,10 @@ mod tests {
         let mut plan = HardeningPlan::unhardened(&apps);
         plan.set_by_flat_index(
             0,
-            TaskHardening::active(vec![ProcId::new(1)], ProcId::new(2)),
+            TaskHardening::Active {
+                replicas: vec![ProcId::new(1)],
+                voter: ProcId::new(2),
+            },
         );
         let hsys = harden(&apps, &plan, &arch).unwrap();
         // Tasks: primary (free), replica (fixed p1), voter (fixed p2).

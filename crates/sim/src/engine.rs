@@ -1096,7 +1096,7 @@ mod tests {
             .unwrap();
         let apps = AppSet::new(vec![g]).unwrap();
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(1));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(1));
         let (hsys, mapping, policies) = build(
             apps,
             &arch,
@@ -1123,7 +1123,7 @@ mod tests {
             .unwrap();
         let apps = AppSet::new(vec![g]).unwrap();
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(1));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(1));
         let (hsys, mapping, policies) = build(
             apps,
             &arch,
@@ -1161,7 +1161,7 @@ mod tests {
         let arch = arch(2);
         let apps = AppSet::new(vec![hi, lo]).unwrap();
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(1));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(1));
         let (hsys, mapping, policies) = build(
             apps,
             &arch,
@@ -1208,7 +1208,7 @@ mod tests {
         let arch = arch(2);
         let apps = AppSet::new(vec![hi, lo]).unwrap();
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(1));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(1));
         let (hsys, mapping, policies) = build(
             apps,
             &arch,
@@ -1239,7 +1239,11 @@ mod tests {
         let mut plan = HardeningPlan::unhardened(&apps);
         plan.set_by_flat_index(
             0,
-            TaskHardening::passive(vec![ProcId::new(1)], vec![ProcId::new(2)], ProcId::new(0)),
+            TaskHardening::Passive {
+                actives: vec![ProcId::new(1)],
+                standbys: vec![ProcId::new(2)],
+                voter: ProcId::new(0),
+            },
         );
         let hsys = harden(&apps, &plan, &arch).unwrap();
         let placement: Vec<ProcId> = hsys
@@ -1277,7 +1281,11 @@ mod tests {
         let mut plan = HardeningPlan::unhardened(&apps);
         plan.set_by_flat_index(
             0,
-            TaskHardening::passive(vec![ProcId::new(1)], vec![ProcId::new(2)], ProcId::new(0)),
+            TaskHardening::Passive {
+                actives: vec![ProcId::new(1)],
+                standbys: vec![ProcId::new(2)],
+                voter: ProcId::new(0),
+            },
         );
         let hsys = harden(&apps, &plan, &arch).unwrap();
         let placement: Vec<ProcId> = hsys
@@ -1312,7 +1320,11 @@ mod tests {
         let mut plan = HardeningPlan::unhardened(&apps);
         plan.set_by_flat_index(
             0,
-            TaskHardening::passive(vec![ProcId::new(1)], vec![ProcId::new(2)], ProcId::new(0)),
+            TaskHardening::Passive {
+                actives: vec![ProcId::new(1)],
+                standbys: vec![ProcId::new(2)],
+                voter: ProcId::new(0),
+            },
         );
         let hsys = harden(&apps, &plan, &arch).unwrap();
         let placement: Vec<ProcId> = hsys
@@ -1422,7 +1434,7 @@ mod trace_tests {
             .unwrap();
         let apps = AppSet::new(vec![hi, lo]).unwrap();
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(1));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(1));
         let hsys = harden(&apps, &plan, &arch).unwrap();
         let mapping = Mapping::new(&hsys, &arch, vec![ProcId::new(0); 2]).unwrap();
         (apps, arch, hsys, mapping)

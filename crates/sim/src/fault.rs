@@ -716,7 +716,7 @@ mod exhaustive_tests {
             .unwrap();
         let apps = AppSet::new(vec![g]).unwrap();
         let mut plan = HardeningPlan::unhardened(&apps);
-        plan.set_by_flat_index(0, TaskHardening::reexecution(2));
+        plan.set_by_flat_index(0, TaskHardening::Reexec(2));
         let hsys = harden(&apps, &plan, &arch).unwrap();
         let mut f = ExhaustiveReexecution::new(&hsys);
         assert!(f.faulty(HTaskId::new(0), 0, 0));

@@ -253,7 +253,7 @@ impl FaultModel for Recording<'_> {
 /// #     .build()?;
 /// # let apps = AppSet::new(vec![g])?;
 /// # let mut plan = HardeningPlan::unhardened(&apps);
-/// # plan.set_by_flat_index(0, TaskHardening::reexecution(1));
+/// # plan.set_by_flat_index(0, TaskHardening::Reexec(1));
 /// # let hsys = harden(&apps, &plan, &arch)?;
 /// # let mapping = Mapping::new(&hsys, &arch, vec![ProcId::new(0)])?;
 /// let sim = Simulator::new(&hsys, &arch, &mapping,

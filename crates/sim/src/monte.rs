@@ -200,7 +200,7 @@ mod tests {
         let apps = AppSet::new(vec![g]).unwrap();
         let mut plan = HardeningPlan::unhardened(&apps);
         if reexec > 0 {
-            plan.set_by_flat_index(0, TaskHardening::reexecution(reexec));
+            plan.set_by_flat_index(0, TaskHardening::Reexec(reexec));
         }
         let hsys = harden(&apps, &plan, &arch).unwrap();
         let mapping = Mapping::new(&hsys, &arch, vec![ProcId::new(0)]).unwrap();

@@ -89,10 +89,17 @@ fn system(seed: u64) -> System {
     for flat in 0..apps.num_tasks() {
         let base = rng.gen_range(0..PES);
         let h = match rng.gen_range(0..6u32) {
-            0 | 1 => TaskHardening::reexecution(rng.gen_range(1..=2u8)),
-            2 => TaskHardening::active(vec![pe(base + 1)], pe(base + 2)),
-            3 => TaskHardening::passive(vec![pe(base + 1)], vec![pe(base + 2)], pe(base)),
-            _ => TaskHardening::none(),
+            0 | 1 => TaskHardening::Reexec(rng.gen_range(1..=2u8)),
+            2 => TaskHardening::Active {
+                replicas: vec![pe(base + 1)],
+                voter: pe(base + 2),
+            },
+            3 => TaskHardening::Passive {
+                actives: vec![pe(base + 1)],
+                standbys: vec![pe(base + 2)],
+                voter: pe(base),
+            },
+            _ => TaskHardening::None,
         };
         plan.set_by_flat_index(flat, h);
     }

@@ -83,7 +83,7 @@ fn build(d: &Desc) -> (Architecture, HardenedSystem, Mapping, Vec<SchedPolicy>) 
     for flat in 0..apps.num_tasks() {
         let k = d.reexec[flat % d.reexec.len()];
         if k > 0 {
-            plan.set_by_flat_index(flat, TaskHardening::reexecution(k));
+            plan.set_by_flat_index(flat, TaskHardening::Reexec(k));
         }
     }
     let hsys = harden(&apps, &plan, &arch).expect("valid");

@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let apps = AppSet::new(vec![high, low])?;
 
     let mut plan = HardeningPlan::unhardened(&apps);
-    plan.set_by_flat_index(0, TaskHardening::reexecution(1));
+    plan.set_by_flat_index(0, TaskHardening::Reexec(1));
     let hsys = harden(&apps, &plan, &arch)?;
 
     // A and G on pe0; E, H, I on pe1 where H and I outrank E.

@@ -57,8 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Hardening: re-execute both control tasks once on a fault.
     let mut plan = HardeningPlan::unhardened(&apps);
-    plan.set_by_flat_index(0, TaskHardening::reexecution(1));
-    plan.set_by_flat_index(1, TaskHardening::reexecution(1));
+    plan.set_by_flat_index(0, TaskHardening::Reexec(1));
+    plan.set_by_flat_index(1, TaskHardening::Reexec(1));
     let hsys = harden(&apps, &plan, &arch)?;
 
     // 4. Mapping: control on core 0, logging on core 1.

@@ -21,8 +21,8 @@ fn table2_design_m1() -> (
 ) {
     let b = cruise();
     let mut plan = HardeningPlan::unhardened(&b.apps);
-    plan.set_by_flat_index(0, TaskHardening::reexecution(1));
-    plan.set_by_flat_index(5, TaskHardening::reexecution(1));
+    plan.set_by_flat_index(0, TaskHardening::Reexec(1));
+    plan.set_by_flat_index(5, TaskHardening::Reexec(1));
     let hsys = harden(&b.apps, &plan, &b.arch).unwrap();
     let mapping = Mapping::new(
         &hsys,

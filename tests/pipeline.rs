@@ -26,7 +26,7 @@ fn cruise_reference_design() -> (
     let mut plan = HardeningPlan::unhardened(&b.apps);
     for (flat, r) in b.apps.task_refs().iter().enumerate() {
         if !b.apps.app(r.app).criticality().is_droppable() {
-            plan.set_by_flat_index(flat, TaskHardening::reexecution(1));
+            plan.set_by_flat_index(flat, TaskHardening::Reexec(1));
         }
     }
     let hsys = harden(&b.apps, &plan, &b.arch).unwrap();
