@@ -7,8 +7,9 @@
 //! itself bit-identical for any thread count or cache capacity.
 
 use mcmap::benchmarks::cruise;
-use mcmap::core::{explore, DseConfig, DseOutcome, MetricsSink, ObjectiveMode};
+use mcmap::core::{explore, DseConfig, DseOutcome, MappingProblem, MetricsSink, ObjectiveMode};
 use mcmap::ga::GaConfig;
+use mcmap::hardening::harden;
 use mcmap::obs::{canonical_trace, Recorder, RecorderBuilder};
 use mcmap::resilience::fnv1a64;
 use mcmap::serve::JobSpec;
@@ -244,25 +245,32 @@ fn fleet_front_is_identical_for_any_thread_count() {
 fn golden_outcome(
     name: &str,
     b: &mcmap::benchmarks::Benchmark,
-    (population, generations): (usize, usize),
+    budget: (usize, usize),
 ) -> DseOutcome {
-    let spec = JobSpec {
-        benchmark: name.into(),
-        population,
-        generations,
-        seed: 8,
-    };
     let cfg = DseConfig {
         audit: true,
         obs: Recorder::ring(1 << 18),
-        ..spec.dse_config(b, 2)
+        ..golden_spec(name, budget).dse_config(b, 2)
     };
     explore(&b.apps, &b.arch, cfg)
 }
 
+/// The served-job recipe of [`golden_outcome`]: `name` at seed 8.
+fn golden_spec(name: &str, (population, generations): (usize, usize)) -> JobSpec {
+    JobSpec {
+        benchmark: name.into(),
+        population,
+        generations,
+        seed: 8,
+    }
+}
+
 /// Pinned results of DT-med and Cruise at 48×30, and of a fleet-small
 /// system (generator seed 7, preset hardening depth) at 12×3: the front,
-/// the audit counters and the canonical trace, each hashed with `fnv1a64`. They must not move under a refactor or a speed optimisation.
+/// the audit counters, the canonical trace and the hardened systems `T'`
+/// of the front (each genome repaired, decoded and hardened), each hashed
+/// with `fnv1a64`. They must not move under a refactor or a speed
+/// optimisation.
 /// A constant here changes only in a change that states the front change
 /// it causes (for example making non-converged analyses knob-independent
 /// under dominance pruning).
@@ -274,29 +282,64 @@ fn golden_fronts_audits_and_traces_at_48x30() {
             "dt-med",
             mcmap::benchmarks::dt_med(),
             (48, 30),
-            [0x2ed2cb51def1d4a2, 0xd7d7bfa516dd9e1a, 0x3356cb82845e3f50],
+            [
+                0x2ed2cb51def1d4a2,
+                0xd7d7bfa516dd9e1a,
+                0x3356cb82845e3f50,
+                0x505af3ab0d38847d,
+            ],
         ),
         (
             "cruise",
             cruise(),
             (48, 30),
-            [0xd7ffedf161daa45d, 0xeef7b66b28aa8295, 0xda7ffc30a1cad472],
+            [
+                0xd7ffedf161daa45d,
+                0xeef7b66b28aa8295,
+                0xda7ffc30a1cad472,
+                0x369b4d527de820b9,
+            ],
         ),
         (
             "fleet-small",
             mcmap::benchmarks::fleet(&preset, 7),
             (12, 3),
-            [0xdcd82eb61b5d09ad, 0xa305384e7ab69f06, 0x5ec6dc653b613ba0],
+            [
+                0xdcd82eb61b5d09ad,
+                0xa305384e7ab69f06,
+                0x5ec6dc653b613ba0,
+                0xa9a7e9e545dbe02a,
+            ],
         ),
     ] {
         let o = golden_outcome(name, &b, budget);
         assert_eq!(o.obs.dropped_events(), 0, "{name}: trace ring overflowed");
-        let [front, audit, trace] = [fingerprint(&o), format!("{:?}", o.audit), trace_of(&o)]
-            .map(|s| fnv1a64(s.as_bytes()));
+        let problem = MappingProblem::new(
+            &b.apps,
+            &b.arch,
+            golden_spec(name, budget).dse_config(&b, 2),
+        );
+        let systems: String = o
+            .result
+            .front
+            .iter()
+            .map(|ind| {
+                let (plan, _, _) = problem.decode_repaired(&ind.genotype);
+                format!("{:?}", harden(&b.apps, &plan, &b.arch))
+            })
+            .collect();
+        let [front, audit, trace, hardened] = [
+            fingerprint(&o),
+            format!("{:?}", o.audit),
+            trace_of(&o),
+            systems,
+        ]
+        .map(|s| fnv1a64(s.as_bytes()));
         assert_eq!(
-            [front, audit, trace],
+            [front, audit, trace, hardened],
             expected,
-            "{name}: [front, audit, trace] = [{front:#018x}, {audit:#018x}, {trace:#018x}]"
+            "{name}: [front, audit, trace, hardened] = \
+             [{front:#018x}, {audit:#018x}, {trace:#018x}, {hardened:#018x}]"
         );
     }
 }
