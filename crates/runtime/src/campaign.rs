@@ -282,8 +282,9 @@ impl CampaignSummary {
 /// plus the fingerprint that guards resumption.
 #[derive(Debug, Clone)]
 pub struct CampaignCheckpoint {
-    /// Fingerprint of the campaign inputs (seed, boost, profile count,
-    /// chunking, and every point's bounds/dropped set/placement).
+    /// Fingerprint of the campaign inputs (architecture, scheduling
+    /// policies, seed, boost, profile count, hyperperiods, and every
+    /// point's bounds/dropped set/placement).
     pub fingerprint: u64,
     /// Profiles completed per point.
     pub done: u64,
@@ -434,11 +435,12 @@ struct PointContext<'a> {
     sim: Simulator<'a>,
     faults: RandomFaults,
     sim_cfg: SimConfig,
-    memo: TrajectoryMemo<Arc<Outcome>>,
+    memo: TrajectoryMemo<Outcome>,
 }
 
 /// What the campaign keeps of one run: the memoized outcome of a fault
 /// trajectory on one point.
+#[derive(Debug, PartialEq)]
 struct Outcome {
     observed: Vec<Time>,
     faulty: bool,
@@ -474,14 +476,14 @@ fn run_campaign_with(
     arch: &Architecture,
     policies: &[SchedPolicy],
     cfg: &CampaignConfig,
-    new_memo: impl Fn() -> TrajectoryMemo<Arc<Outcome>>,
+    new_memo: impl Fn() -> TrajectoryMemo<Outcome>,
 ) -> Result<CampaignSummary, ResilienceError> {
     assert!(!points.is_empty(), "a campaign needs at least one point");
     assert!(
         !cfg.resume || cfg.checkpoint.is_some(),
         "resuming a campaign needs a checkpoint path"
     );
-    let fingerprint = campaign_fingerprint(points, cfg);
+    let fingerprint = campaign_fingerprint(points, arch, policies, cfg);
     let num_apps = points[0].app_wcrt.len();
 
     let mut acc: Vec<PointValidation> = points
@@ -502,8 +504,9 @@ fn run_campaign_with(
     if let Some(path) = cfg.checkpoint.as_deref().filter(|_| cfg.resume) {
         if path.exists() {
             let (ckpt, recovered) = read_campaign_checkpoint(path)?;
-            // A different portfolio, seed, boost, or profile count: a
-            // caller mistake, not corruption (no `.bak` fallback).
+            // A different architecture, policy set, portfolio, seed,
+            // boost, or profile count: a caller mistake, not corruption
+            // (no `.bak` fallback).
             if ckpt.fingerprint != fingerprint {
                 return Err(ResilienceError::ConfigMismatch {
                     path: path.to_path_buf(),
@@ -564,14 +567,16 @@ fn run_campaign_with(
             .flat_map(|i| (0..points.len()).map(move |p| (p, i)))
             .collect();
         runs += items.len() as u64;
-        let outcomes = mcmap_eval::parallel_map(&items, cfg.threads, |&(p, i)| {
+        let answers = mcmap_eval::parallel_map(&items, cfg.threads, |&(p, i)| {
             let c = &contexts[p];
             let mut faults = c.faults.profile(cfg.seed.wrapping_add(i));
             c.memo.run(&c.sim, &c.sim_cfg, &mut faults, |r| {
-                Arc::new(Outcome::of(&points[p], r))
+                Outcome::of(&points[p], r)
             })
         });
-        for (&(p, i), o) in items.iter().zip(&outcomes) {
+        let leaves: Vec<_> = contexts.iter().map(|c| c.memo.leaves()).collect();
+        for (&(p, i), answer) in items.iter().zip(&answers) {
+            let o = leaves[p].get(answer);
             let pv = &mut acc[p];
             if o.covered {
                 pv.covered += 1;
@@ -614,8 +619,12 @@ fn run_campaign_with(
     span.nondet("simulated", simulated);
     span.nondet("memo_answered", runs - simulated);
     span.nondet(
-        "memo_nodes",
-        contexts.iter().map(|c| c.memo.nodes() as u64).sum::<u64>(),
+        "memo_bytes",
+        contexts.iter().map(|c| c.memo.bytes() as u64).sum::<u64>(),
+    );
+    span.nondet(
+        "memo_full",
+        contexts.iter().filter(|c| c.memo.is_full()).count() as u64,
     );
     drop(span);
 
@@ -632,14 +641,25 @@ fn run_campaign_with(
 }
 
 /// Fingerprint of everything the accumulated aggregates depend on: the
-/// campaign knobs and each point's identity (bounds, dropped set,
-/// placement). Thread count and chunk size are *excluded* — like the DSE
-/// checkpoint, a campaign may resume with different parallelism. The
-/// chunk size only moves checkpoint boundaries, never results.
-fn campaign_fingerprint(points: &[MaterializedPoint], cfg: &CampaignConfig) -> u64 {
+/// architecture (its fault rates set the verdict thresholds), the
+/// scheduling policies, the campaign knobs and each point's identity
+/// (bounds, dropped set, placement). Thread count and chunk size are
+/// *excluded* — like the DSE checkpoint, a campaign may resume with
+/// different parallelism. The chunk size only moves checkpoint
+/// boundaries, never results.
+fn campaign_fingerprint(
+    points: &[MaterializedPoint],
+    arch: &Architecture,
+    policies: &[SchedPolicy],
+    cfg: &CampaignConfig,
+) -> u64 {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
     let mut h = DefaultHasher::new();
+    // The model types expose no Hash; their Debug forms are complete,
+    // deterministic renderings of the content, as in the DSE fingerprint.
+    format!("{arch:?}").hash(&mut h);
+    format!("{policies:?}").hash(&mut h);
     cfg.seed.hash(&mut h);
     cfg.boost.to_bits().hash(&mut h);
     cfg.profiles.hash(&mut h);
@@ -902,14 +922,14 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The memoized campaign equals the memo-free reference at one and
-        /// two threads, with the fixed budget and with a tiny one that
+        /// two threads, with the fixed byte budget and with a tiny one that
         /// fills up, over random systems, mappings and bounds.
         #[test]
         fn memoized_campaign_equals_the_reference(
             d in desc_strategy(),
             seed in any::<u64>(),
             hyperperiods in 1u64..3,
-            tiny in 1usize..40,
+            tiny in 1usize..640,
             boost in prop::sample::select(vec![1e3, 4e3, 2e4]),
         ) {
             let (arch, points) = build(&d);
@@ -929,7 +949,7 @@ mod tests {
                 prop_assert_eq!(&fixed.points, &points_ref);
                 prop_assert_eq!(&fixed.violations, &detail_ref);
                 let small = run_campaign_with(&points, &arch, &policies, &cfg, || {
-                    TrajectoryMemo::with_node_budget(tiny)
+                    TrajectoryMemo::with_byte_budget(tiny)
                 })
                 .unwrap();
                 prop_assert_eq!(small.to_json(), fixed.to_json());
@@ -1030,10 +1050,13 @@ mod tests {
             "the memo answered {} of {runs} runs",
             field("memo_answered")
         );
-        let nodes = field("memo_nodes");
+        // At one thread every distinct trajectory is recorded within the
+        // byte budget: the memo never fills.
+        assert_eq!(field("memo_full"), 0);
+        let bytes = field("memo_bytes");
         assert!(
-            nodes > 0 && nodes <= 2_048 * points.len() as u64,
-            "{nodes} nodes"
+            bytes > 0 && bytes <= 32 * 1024 * points.len() as u64,
+            "{bytes} bytes"
         );
     }
 }

@@ -8,12 +8,13 @@ use mcmap_core::{
     Portfolio,
 };
 use mcmap_ga::GaConfig;
-use mcmap_model::{Criticality, Time};
+use mcmap_model::{Architecture, Criticality, Processor, Time};
 use mcmap_resilience::ResilienceError;
 use mcmap_runtime::{
     read_campaign_checkpoint, run_campaign, run_reaction, CampaignCheckpoint, CampaignConfig,
     PointValidation, ReactionConfig, RuntimeConfig, RuntimeEvent, RuntimeManager, Violation,
 };
+use mcmap_sched::SchedPolicy;
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mcmap_runtime_{name}"));
@@ -196,23 +197,50 @@ fn resume_refuses_foreign_checkpoint() {
     let partial = run_campaign(&points, &b.arch, &b.policies, &cfg).unwrap();
     assert!(partial.interrupted);
 
-    // Same checkpoint, different seed: a silent restart would blend two
-    // campaigns, so it must be refused.
-    let cfg = CampaignConfig {
-        profiles: 40,
-        chunk: 20,
-        seed: 0xBAD5EED,
-        checkpoint: Some(ckpt),
+    // Same checkpoint, and another seed, other scheduling policies or
+    // other processor fault rates (they set the fault thresholds): a
+    // resume would blend two campaigns, so each must be refused.
+    let resume = CampaignConfig {
         resume: true,
-        ..CampaignConfig::default()
+        stop_after_chunks: None,
+        ..cfg
     };
-    let err = run_campaign(&points, &b.arch, &b.policies, &cfg).unwrap_err();
-    assert!(
-        matches!(err, ResilienceError::ConfigMismatch { .. }),
-        "unexpected error: {err}"
-    );
-    // A configuration mismatch is a caller mistake, not a damaged file.
-    assert!(!err.is_corruption(), "{err}");
+    let other_seed = CampaignConfig {
+        seed: 0xBAD5EED,
+        ..resume.clone()
+    };
+    let mut policies = b.policies.clone();
+    policies[0] = match policies[0] {
+        SchedPolicy::FixedPriorityPreemptive => SchedPolicy::FixedPriorityNonPreemptive,
+        SchedPolicy::FixedPriorityNonPreemptive => SchedPolicy::FixedPriorityPreemptive,
+    };
+    let arch = b
+        .arch
+        .processors()
+        .fold(
+            Architecture::builder().fabric(b.arch.fabric().clone()),
+            |builder, (_, p)| {
+                builder.processor(Processor {
+                    fault_rate: p.fault_rate * 2.0,
+                    ..p.clone()
+                })
+            },
+        )
+        .build()
+        .unwrap();
+    for (arch, policies, cfg) in [
+        (&b.arch, &b.policies, &other_seed),
+        (&b.arch, &policies, &resume),
+        (&arch, &b.policies, &resume),
+    ] {
+        let err = run_campaign(&points, arch, policies, cfg).unwrap_err();
+        assert!(
+            matches!(err, ResilienceError::ConfigMismatch { .. }),
+            "unexpected error: {err}"
+        );
+        // A configuration mismatch is a caller mistake, not a damaged file.
+        assert!(!err.is_corruption(), "{err}");
+    }
 }
 
 #[test]

@@ -66,6 +66,6 @@ pub use engine::{ExecModel, SimConfig, SimResult, Simulator};
 pub use fault::{
     ExhaustiveReexecution, FaultModel, FaultProfile, NoFaults, RandomFaults, ScriptedFaults,
 };
-pub use memo::TrajectoryMemo;
+pub use memo::{Answer, Leaves, TrajectoryMemo};
 pub use monte::{monte_carlo, MonteCarloConfig, MonteCarloResult};
 pub use trace::{JobOutcome, JobRecord, Segment, Trace};

@@ -9,7 +9,6 @@ use crate::{RandomFaults, SimConfig, Simulator, TrajectoryMemo};
 use mcmap_hardening::HardenedSystem;
 use mcmap_model::{Architecture, Time};
 use mcmap_sched::{Mapping, SchedPolicy};
-use std::rc::Rc;
 
 /// Parameters of a Monte-Carlo campaign.
 #[derive(Debug, Clone)]
@@ -40,7 +39,7 @@ impl Default for MonteCarloConfig {
 
 /// What [`MonteCarloResult::merge`] reads of one run: the memoized
 /// outcome of a fault trajectory.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Kept {
     app_wcrt: Vec<Time>,
     task_wcrt: Vec<Time>,
@@ -156,20 +155,18 @@ pub fn monte_carlo(
     let faults = RandomFaults::new(hsys, arch, mapping, cfg.seed).with_boost(cfg.boost);
     let memo = TrajectoryMemo::new();
     for i in 0..cfg.runs {
-        let kept = memo.run(
+        let answer = memo.run(
             &sim,
             &cfg.sim,
             &mut faults.profile(cfg.seed.wrapping_add(i as u64)),
-            |r| {
-                Rc::new(Kept {
-                    unsafe_instances: r.unsafe_instances.iter().sum(),
-                    critical_entries: r.critical_entries,
-                    app_wcrt: r.app_wcrt,
-                    task_wcrt: r.task_wcrt,
-                })
+            |r| Kept {
+                unsafe_instances: r.unsafe_instances.iter().sum(),
+                critical_entries: r.critical_entries,
+                app_wcrt: r.app_wcrt,
+                task_wcrt: r.task_wcrt,
             },
         );
-        result.merge(&kept);
+        result.merge(memo.leaves().get(&answer));
     }
     for bucket in &mut result.samples {
         bucket.sort_unstable();

@@ -1,6 +1,6 @@
 //! Property-based tests for the discrete-event simulator.
 
-use mcmap_hardening::{harden, HardenedSystem, HardeningPlan, TaskHardening};
+use mcmap_hardening::{harden, HTaskId, HardenedSystem, HardeningPlan, TaskHardening};
 use mcmap_model::{
     AppId, AppSet, Architecture, Criticality, ExecBounds, Fabric, ProcId, ProcKind, Processor,
     Task, TaskGraph, Time,
@@ -9,10 +9,25 @@ use mcmap_sched::{
     nominal_bounds, uniform_policies, HolisticAnalysis, Mapping, SchedBackend, SchedPolicy,
 };
 use mcmap_sim::{
-    monte_carlo, ExecModel, MonteCarloConfig, NoFaults, RandomFaults, SimConfig, Simulator,
-    TrajectoryMemo,
+    monte_carlo, ExecModel, FaultModel, MonteCarloConfig, NoFaults, RandomFaults, SimConfig,
+    Simulator, TrajectoryMemo,
 };
 use proptest::prelude::*;
+use std::collections::HashSet;
+
+/// A fault model that records the verdicts it returns.
+struct Verdicts<F> {
+    inner: F,
+    seen: Vec<bool>,
+}
+
+impl<F: FaultModel> FaultModel for Verdicts<F> {
+    fn faulty(&mut self, task: HTaskId, instance: u64, attempt: u8) -> bool {
+        let verdict = self.inner.faulty(task, instance, attempt);
+        self.seen.push(verdict);
+        verdict
+    }
+}
 
 #[derive(Debug, Clone)]
 struct Desc {
@@ -180,13 +195,15 @@ proptest! {
         }
     }
 
-    /// Memoized runs equal plain ones for every profile, at any node
+    /// Memoized runs equal plain ones for every profile, at any byte
     /// budget (a tiny one fills up and leaves later misses unrecorded),
-    /// and the memo stays within its budget.
+    /// and the memo stays within its budget. With an ample budget each
+    /// distinct verdict sequence is simulated exactly once.
     #[test]
     fn memoized_runs_equal_plain_runs(
         d in desc_strategy(),
-        budget in 0usize..64,
+        budget in 0usize..1024,
+        boost in prop::sample::select(vec![1.0, 1e2, 4e3, 1e5]),
         hyperperiods in 1u64..3,
     ) {
         let (arch, hsys, mapping, policies) = build(&d);
@@ -197,19 +214,25 @@ proptest! {
                 hsys.apps().iter().filter(|a| a.criticality.is_droppable()).map(|a| a.app).collect(),
             )
         };
-        let faults = RandomFaults::new(&hsys, &arch, &mapping, d.seed).with_boost(4e3);
-        let tiny = TrajectoryMemo::with_node_budget(budget);
+        let faults = RandomFaults::new(&hsys, &arch, &mapping, d.seed).with_boost(boost);
+        let tiny = TrajectoryMemo::with_byte_budget(budget);
         let fixed = TrajectoryMemo::new();
+        let ample = TrajectoryMemo::with_byte_budget(1 << 30);
+        let mut sequences = HashSet::new();
         let runs = 64;
         for i in 0..runs {
             let seed = d.seed.wrapping_add(i);
-            let plain = sim.run(&cfg, &mut faults.profile(seed));
-            for memo in [&tiny, &fixed] {
-                let r = memo.run(&sim, &cfg, &mut faults.profile(seed), |r| r);
-                prop_assert_eq!(&r, &plain, "profile {}", i);
+            let mut verdicts = Verdicts { inner: faults.profile(seed), seen: Vec::new() };
+            let plain = sim.run(&cfg, &mut verdicts);
+            sequences.insert(verdicts.seen);
+            for memo in [&tiny, &fixed, &ample] {
+                let answer = memo.run(&sim, &cfg, &mut faults.profile(seed), |r| r);
+                prop_assert_eq!(memo.leaves().get(&answer), &plain, "profile {}", i);
             }
         }
-        prop_assert!(tiny.nodes() <= budget);
+        prop_assert!(tiny.bytes() <= budget);
+        prop_assert!(!ample.is_full());
+        prop_assert_eq!(ample.simulated(), sequences.len() as u64);
         prop_assert!(fixed.simulated() <= runs);
         prop_assert!(tiny.simulated() >= fixed.simulated());
     }
