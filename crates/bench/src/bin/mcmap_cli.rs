@@ -54,10 +54,10 @@
 //! prints the engine's instrumentation (cache hit rate, per-phase nanos,
 //! genomes/sec) as text or, with `--eval-stats json`, as JSON, plus the
 //! WCRT-analysis effort counters (backend calls, fixed-point iterations,
-//! scenarios pruned). Dominance pruning of transition scenarios is on by
-//! default and bit-identical to the prune-free reference whenever the
-//! analysis converges (it can change non-converged windows, and with them
-//! the front); `--no-prune` switches it off for A/B timing.
+//! scenarios pruned, candidates stopped after the fault-free run).
+//! Dominance pruning of transition scenarios is on by default and leaves
+//! the front unchanged (the DSE reads no window of a non-converged
+//! scenario run); `--no-prune` switches it off for A/B timing.
 //!
 //! `dse` can additionally trace itself through `mcmap-obs`: `--trace`
 //! streams every event (spans, counters, per-generation telemetry) to a

@@ -24,13 +24,9 @@ use std::cell::RefCell;
 /// converges. Guarantee: `prune` on and off give **bit-identical**
 /// [`McAnalysis`] windows and verdicts (see `DESIGN.md` §15), so the knob
 /// only trades wall time for backend work and is deliberately *not* part
-/// of any result fingerprint.
-///
-/// **Known exception:** when a scenario run does not converge, the rely
-/// fails: `prune` can change the partial `worst` windows, hence the
-/// deadline-ratio penalty the DSE derives from them, and with it the
-/// front: `mcmap_cli dse dt-med 48 30` finds 865 feasible candidates with
-/// pruning and 974 with `--no-prune`. Converged analyses are unaffected.
+/// of any result fingerprint. When a scenario run does not converge,
+/// `prune` can change the partial `worst` windows; the DSE reads none of
+/// them and gives every non-dropped application WCRT [`Time::MAX`].
 ///
 /// The effort counters ([`McAnalysis::backend_calls`],
 /// [`McAnalysis::fixedpoint_iters`], [`McAnalysis::scenarios_pruned`])
@@ -229,14 +225,9 @@ fn critical_wcet(
 /// `opts` picks the fast-path knobs; [`analyze`] runs this with the
 /// holistic backend and the default [`AnalysisOptions`].
 ///
-/// The enumeration runs in three deterministic stages (`DESIGN.md` §15):
-/// (1) key every trigger by the ranks of its two thresholds and take each
-/// key's class counts and vector content hash from one sweep, without
-/// building the vector; (2) build the vectors that can run — with pruning,
-/// those with a key on the staircase (no other key lies below it) or with
-/// no key — and drop those another built vector dominates; (3) run the
-/// backend once per surviving vector, in the order the vectors first occur
-/// among the triggers, and fold the worst case.
+/// It is the composition of its two steps: `normal_run`, the normal-state
+/// run, then `transition_scenarios` over the normal windows. The DSE runs
+/// the second step only when the first meets every deadline.
 pub fn proposed_analysis_with<B: SchedBackend + ?Sized>(
     backend: &B,
     hsys: &HardenedSystem,
@@ -246,10 +237,48 @@ pub fn proposed_analysis_with<B: SchedBackend + ?Sized>(
     dropped: &[AppId],
     opts: AnalysisOptions,
 ) -> McAnalysis {
-    let n = hsys.num_tasks();
-    assert_eq!(nominal.len(), n, "one bound per hardened task required");
+    let normal = normal_run(backend, hsys, nominal);
+    transition_scenarios(backend, hsys, arch, mapping, nominal, dropped, normal, opts)
+}
 
-    let normal = backend.analyze(&normal_state_bounds(hsys, nominal));
+/// Step 1 of Algorithm 1: the backend run of the normal (fault-free)
+/// state. It does not read the dropped set.
+pub(crate) fn normal_run<B: SchedBackend + ?Sized>(
+    backend: &B,
+    hsys: &HardenedSystem,
+    nominal: &[ExecBounds],
+) -> TaskWindows {
+    assert_eq!(
+        nominal.len(),
+        hsys.num_tasks(),
+        "one bound per hardened task required"
+    );
+    backend.analyze(&normal_state_bounds(hsys, nominal))
+}
+
+/// Step 2 of Algorithm 1: the transition scenarios, built from step 1's
+/// `normal` windows, folded with them into the [`McAnalysis`].
+///
+/// The enumeration runs in three deterministic stages (`DESIGN.md` §15):
+/// (1) key every trigger by the ranks of its two thresholds and take each
+/// key's class counts and vector content hash from one sweep, without
+/// building the vector; (2) build the vectors that can run — with pruning,
+/// those with a key on the staircase (no other key lies below it) or with
+/// no key — and drop those another built vector dominates; (3) run the
+/// backend once per surviving vector, in the order the vectors first occur
+/// among the triggers, and fold the worst case.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn transition_scenarios<B: SchedBackend + ?Sized>(
+    backend: &B,
+    hsys: &HardenedSystem,
+    arch: &Architecture,
+    mapping: &Mapping,
+    nominal: &[ExecBounds],
+    dropped: &[AppId],
+    normal: TaskWindows,
+    opts: AnalysisOptions,
+) -> McAnalysis {
+    let n = hsys.num_tasks();
     let cls = Classes::new(hsys, arch, mapping, nominal, dropped, &normal);
 
     // Threshold keys. For a trigger `v` whose normal window is ordered
@@ -746,8 +775,8 @@ pub fn analyze(
     )
 }
 
-/// [`analyze`] with explicit [`AnalysisOptions`] — the entry point the DSE
-/// uses to honor `--no-prune`.
+/// [`analyze`] with explicit [`AnalysisOptions`], for example the
+/// prune-free [`AnalysisOptions::reference`].
 pub fn analyze_with(
     hsys: &HardenedSystem,
     arch: &Architecture,

@@ -6,12 +6,14 @@
 //! recomputed every task's busy window from its base in every sweep.
 
 use crate::analysis::{
-    normal_state_bounds, proposed_analysis_explained, proposed_analysis_with, AnalysisOptions,
-    McAnalysis, Recorded,
+    analyze_with, normal_state_bounds, proposed_analysis_explained, proposed_analysis_with,
+    AnalysisOptions, McAnalysis, Recorded,
 };
+use crate::dse::{Schedule, DEADLINE_PENALTY_CAP};
 use crate::repair::{repair_reliability, repair_structure, strengthen};
-use crate::{Genome, GenomeSpace};
+use crate::{DseConfig, Genome, GenomeSpace, MappingProblem};
 use mcmap_benchmarks::Benchmark;
+use mcmap_ga::{GaConfig, Problem};
 use mcmap_hardening::{
     harden, placement_with_default, HTaskId, HardenedSystem, HardeningPlan, Reliability,
     TaskHardening,
@@ -658,6 +660,138 @@ fn enumeration_matches_the_reference_for_every_knob() {
     assert!(tied_finishes > 0, "no system with tied normal finishes");
     assert!(tied_starts > 0, "no system with tied dropped starts");
     assert!(shared_keys > 0, "no system whose triggers share a key");
+}
+
+/// The DSE stops Algorithm 1 after its normal-state run when that run
+/// already misses a deadline ([`Schedule`]). On the benchmark genomes, under
+/// both knobs: a candidate's feasibility is the full analysis's verdict
+/// (with the reliability check), a candidate that meets every deadline
+/// without faults carries the full analysis bit for bit, every fault-free
+/// miss pays at least the penalty cap, the reported WCRTs and the penalty
+/// do not depend on the knob, and the audit's "rescued by dropping" is the
+/// full no-dropping analysis's verdict.
+#[test]
+fn early_exit_is_exact_on_the_benchmarks() {
+    let mut rng = StdRng::seed_from_u64(29);
+    let (mut stopped, mut analyzed, mut diverged, mut feasible, mut rescued) = (0, 0, 0, 0, 0);
+    for (b, space) in benchmarks() {
+        let cfg = DseConfig {
+            ga: GaConfig {
+                population: 12,
+                generations: 4,
+                ..GaConfig::default()
+            },
+            policies: Some(b.policies.clone()),
+            max_reexec: space.max_reexec,
+            max_replicas: space.max_replicas,
+            audit: true,
+            cache_cap: 0,
+            ..DseConfig::default()
+        };
+        // Random genomes, and a short exploration's front: most random
+        // genomes miss without faults, and few are rescued by dropping.
+        let mut candidates = genomes(&space, &mut rng, 3);
+        let explored = crate::explore(&b.apps, &b.arch, cfg.clone());
+        candidates.extend(explored.result.front.into_iter().map(|ind| ind.genotype));
+        let problem = MappingProblem::new(&b.apps, &b.arch, cfg);
+        for (i, g) in candidates.iter().enumerate() {
+            let label = format!("{} genome {i}", b.name);
+            let before = problem.audit();
+            problem.evaluate(g);
+            let audit = problem.audit();
+            let report = problem.report(g);
+            let (plan, dropped, bindings) = problem.decode_repaired(g);
+            let hsys = harden(&b.apps, &plan, &b.arch).expect("repaired genomes harden");
+            let placement = hsys.placement(&bindings);
+            let mapping = Mapping::new(&hsys, &b.arch, placement).expect("repaired genomes map");
+            let full = analyze_with(
+                &hsys,
+                &b.arch,
+                &mapping,
+                &b.policies,
+                &dropped,
+                AnalysisOptions::default(),
+            );
+            let reliable = Reliability::new(&hsys, &b.arch)
+                .check_all(mapping.placement())
+                .iter()
+                .all(|v| v.satisfied);
+            assert_eq!(
+                report.feasible,
+                full.schedulable(&hsys, &dropped) && reliable,
+                "{label}: verdict"
+            );
+            feasible += usize::from(report.feasible);
+            if !dropped.is_empty() {
+                let without = analyze_with(
+                    &hsys,
+                    &b.arch,
+                    &mapping,
+                    &b.policies,
+                    &[],
+                    AnalysisOptions::default(),
+                );
+                assert_eq!(audit.audited, before.audited + 1, "{label}: audited");
+                assert_eq!(
+                    audit.rescued_by_dropping - before.rescued_by_dropping,
+                    usize::from(report.feasible && !without.schedulable(&hsys, &[])),
+                    "{label}: rescued by dropping"
+                );
+                rescued += audit.rescued_by_dropping - before.rescued_by_dropping;
+            }
+
+            let backend = HolisticAnalysis::new(&hsys, &b.arch, &mapping, b.policies.clone());
+            let nominal = nominal_bounds(&hsys, &b.arch, &mapping);
+            let outcomes = all_options().map(|opts| {
+                let schedule =
+                    Schedule::new(&backend, &hsys, &b.arch, &mapping, &nominal, &dropped, opts);
+                let full = proposed_analysis_with(
+                    &backend, &hsys, &b.arch, &mapping, &nominal, &dropped, opts,
+                );
+                assert_eq!(
+                    schedule.schedulable,
+                    full.schedulable(&hsys, &dropped),
+                    "{label}, {opts:?}: verdict"
+                );
+                let penalty = schedule.add_penalty(&hsys, 0.0);
+                match &schedule.analysis {
+                    Ok(mc) => assert_eq!(mc, &full, "{label}, {opts:?}: analysis"),
+                    Err(normal) => {
+                        assert_eq!(normal, &full.normal, "{label}, {opts:?}: normal run");
+                        assert!(
+                            penalty >= DEADLINE_PENALTY_CAP,
+                            "{label}, {opts:?}: a fault-free miss pays {penalty}"
+                        );
+                    }
+                }
+                let converged = schedule.analysis.as_ref().map(|mc| mc.worst.converged);
+                (schedule.app_wcrt, penalty.to_bits(), converged.ok())
+            });
+            assert_eq!(
+                outcomes[0], outcomes[1],
+                "{label}: the knob moved the outcome"
+            );
+            assert_eq!(report.app_wcrt, outcomes[1].0, "{label}: reported WCRTs");
+            match outcomes[0].2 {
+                None => stopped += 1,
+                Some(converged) => {
+                    analyzed += 1;
+                    diverged += usize::from(!converged);
+                }
+            }
+        }
+    }
+    assert!(stopped > 0, "no candidate missed without faults");
+    assert!(
+        analyzed > 0,
+        "no candidate met every deadline without faults"
+    );
+    assert!(
+        diverged > 0,
+        "no scenario run of an analyzed candidate diverged"
+    );
+    assert!(feasible > 0, "no feasible candidate");
+    assert!(rescued > 0, "no candidate rescued by dropping");
 }
 
 /// The holistic worst-case analysis as it was: every sweep recomputes

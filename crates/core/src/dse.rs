@@ -1,21 +1,25 @@
 //! Design-space exploration (§4 of the paper): the mapping problem as a
 //! multi-objective GA problem, plus the end-to-end [`explore`] driver.
 
+use crate::analysis::{normal_run, transition_scenarios};
 use crate::checkpoint::{write_checkpoint, DseCheckpoint, Resume};
 use crate::{
-    analyze_with, expected_power, lost_service, repair_reliability, repair_structure_logged,
-    AnalysisOptions, Genome, GenomeSpace,
+    expected_power, lost_service, repair_reliability, repair_structure_logged, AnalysisOptions,
+    Genome, GenomeSpace, McAnalysis,
 };
 use mcmap_eval::{EvalEngine, EvalStats, ShardedCache, CACHE_SHARDS};
 use mcmap_ga::{
     optimize_resumable, Evaluation, GaConfig, GaResult, GenerationObserver, GenerationSnapshot,
     LoopControl, Problem,
 };
-use mcmap_hardening::{harden, Reliability, TechniqueHistogram};
-use mcmap_model::{AppId, AppSet, Architecture, ProcId, Time};
+use mcmap_hardening::{harden, HardenedSystem, Reliability, TechniqueHistogram};
+use mcmap_model::{AppId, AppSet, Architecture, ExecBounds, ProcId, Time};
 use mcmap_obs::{Recorder, Value};
 use mcmap_resilience::{EvalFailure, FaultPlan, ResilienceError};
-use mcmap_sched::{uniform_policies, Mapping, SchedPolicy};
+use mcmap_sched::{
+    nominal_bounds, uniform_policies, HolisticAnalysis, Mapping, SchedBackend, SchedPolicy,
+    TaskWindows,
+};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::hash_map::DefaultHasher;
@@ -93,8 +97,10 @@ pub struct DseConfig {
     /// When `false`, the dropped set is forced empty (the paper's
     /// "without task dropping" comparison point).
     pub allow_dropping: bool,
-    /// When `true`, every candidate is additionally analyzed with an empty
-    /// dropped set so the §5.2 "rescued by dropping" ratio can be reported.
+    /// When `true`, every candidate that drops an application is audited
+    /// for the §5.2 "rescued by dropping" ratio: a feasible one is
+    /// additionally analyzed with an empty dropped set (an infeasible one
+    /// cannot be rescued).
     pub audit: bool,
     /// Per-processor scheduling policies (`None` = uniform fixed-priority
     /// preemptive).
@@ -124,12 +130,13 @@ pub struct DseConfig {
     /// Fault-tolerance knobs (checkpointing, resume, panic isolation,
     /// chaos injection). All default off; none affect search results.
     pub resilience: ResilienceConfig,
-    /// Scenario-level WCRT knob (dominance pruning). Meant as a speed
-    /// knob, so — like the thread and cache knobs — it is excluded from
-    /// the context and run fingerprints. Pruning on and off yield
-    /// bit-identical fronts and canonical traces as long as every analysis
-    /// converges; pruning can change the windows of non-converged analyses
-    /// and with them the front (see [`AnalysisOptions`]).
+    /// Scenario-level WCRT knob (dominance pruning). A speed knob, so —
+    /// like the thread and cache knobs — it is excluded from the context
+    /// and run fingerprints. Pruning on and off yield bit-identical
+    /// reports and penalties: a converged analysis is bit-identical, and
+    /// a non-converged scenario run gives every non-dropped application
+    /// WCRT [`Time::MAX`] (see [`AnalysisOptions`]). Only the effort
+    /// counters differ.
     pub analysis: AnalysisOptions,
     /// An externally owned memoization store shared across runs (the job
     /// server's cross-tenant cache). When set, [`DseConfig::cache_cap`] is
@@ -310,6 +317,9 @@ pub struct AnalysisStats {
     pub fixedpoint_iters: u64,
     /// Distinct scenario bound-vectors skipped by dominance pruning.
     pub scenarios_pruned: u64,
+    /// Candidates whose Algorithm 1 stopped after the normal-state run
+    /// because they miss a deadline without faults (attributed).
+    pub normal_misses: u64,
     /// Wall nanoseconds inside Algorithm 1, attributed (cache hits replay
     /// the miss's effort), so the sum can exceed the evaluation wall.
     pub analysis_nanos: u64,
@@ -340,6 +350,8 @@ impl AnalysisStats {
             "analysis-stats: {} candidates, {} scenarios, {} backend calls\n\
              analysis-stats: fast path: {} scenarios pruned ({:.2} %), \
              {} fixed-point iters total\n\
+             analysis-stats: {} candidates stopped after the normal-state run \
+             (a deadline missed without faults)\n\
              analysis-stats: {} ns inside Algorithm 1\n\
              analysis-stats: backend calls, fixed-point iters and ns are \
              attributed (cache hits replay the miss's effort)\n",
@@ -349,6 +361,7 @@ impl AnalysisStats {
             self.scenarios_pruned,
             100.0 * self.prune_rate(),
             self.fixedpoint_iters,
+            self.normal_misses,
             self.analysis_nanos,
         )
     }
@@ -359,7 +372,7 @@ impl AnalysisStats {
         format!(
             "{{\"candidates\":{},\"scenarios\":{},\"backend_calls\":{},\
              \"fixedpoint_iters\":{},\"scenarios_pruned\":{},\
-             \"prune_rate\":{:.6},\
+             \"prune_rate\":{:.6},\"normal_misses\":{},\
              \"analysis_nanos\":{}}}",
             self.candidates,
             self.scenarios,
@@ -367,6 +380,7 @@ impl AnalysisStats {
             self.fixedpoint_iters,
             self.scenarios_pruned,
             self.prune_rate(),
+            self.normal_misses,
             self.analysis_nanos,
         )
     }
@@ -385,7 +399,9 @@ pub struct DesignReport {
     pub dropped: Vec<AppId>,
     /// All constraints satisfied.
     pub feasible: bool,
-    /// Worst-case response time per application under the protocol.
+    /// Worst-case response time per application under the protocol. For
+    /// a candidate that misses a deadline without faults it is the
+    /// fault-free WCRT: Algorithm 1 stops after its normal-state run.
     pub app_wcrt: Vec<Time>,
     /// Hardening technique mix of the plan.
     pub histogram: TechniqueHistogram,
@@ -395,7 +411,8 @@ pub struct DesignReport {
 ///
 /// Implements [`Problem`] so the generic GA can drive it; every evaluation
 /// runs the repair heuristics, the hardening transform, the reliability
-/// check, and the full Algorithm 1 analysis.
+/// check, and Algorithm 1 (stopped after its normal-state run when that
+/// already misses a deadline).
 #[derive(Debug)]
 pub struct MappingProblem<'a> {
     apps: &'a AppSet,
@@ -462,6 +479,114 @@ struct AnalysisEffort {
     class_critical: usize,
     /// Distinct scenario bound-vectors skipped by dominance pruning.
     scenarios_pruned: usize,
+    /// 1 when Algorithm 1 stopped after its normal-state run, because the
+    /// candidate already misses a deadline without faults; else 0.
+    normal_misses: usize,
+}
+
+/// The per-application cap of the deadline-ratio penalty: an application
+/// pays its excess `wcrt / D − 1` up to this cap, and a WCRT of
+/// [`Time::MAX`] counts as the cap.
+pub(crate) const DEADLINE_PENALTY_CAP: f64 = 10.0;
+
+/// The capped deadline excess of one application.
+fn deadline_excess(wcrt: Time, deadline: Time) -> f64 {
+    if wcrt == Time::MAX {
+        DEADLINE_PENALTY_CAP
+    } else {
+        (wcrt.as_f64() / deadline.as_f64() - 1.0).clamp(0.0, DEADLINE_PENALTY_CAP)
+    }
+}
+
+/// Algorithm 1 as the DSE runs it on one candidate (`DESIGN.md` §15):
+/// step 1, the normal-state run, then step 2, the transition scenarios,
+/// only when step 1 meets every deadline. `worst` only widens the normal
+/// windows and dropped applications answer for the normal state, so a
+/// candidate that misses without faults misses in the full analysis too:
+/// the feasibility verdict stays exact.
+#[derive(Debug)]
+pub(crate) struct Schedule {
+    /// The full analysis, or step 1's windows when they already miss a
+    /// deadline.
+    pub(crate) analysis: Result<McAnalysis, TaskWindows>,
+    /// Per-application WCRT, as the report carries it and the penalty
+    /// reads it: the fault-free WCRT after an early stop, else the
+    /// protocol's WCRT, with every non-dropped application at
+    /// [`Time::MAX`] when a scenario run did not converge.
+    pub(crate) app_wcrt: Vec<Time>,
+    /// Every application meets its deadline under the protocol.
+    pub(crate) schedulable: bool,
+}
+
+impl Schedule {
+    pub(crate) fn new<B: SchedBackend + ?Sized>(
+        backend: &B,
+        hsys: &HardenedSystem,
+        arch: &Architecture,
+        mapping: &Mapping,
+        nominal: &[ExecBounds],
+        dropped: &[AppId],
+        opts: AnalysisOptions,
+    ) -> Self {
+        let normal = normal_run(backend, hsys, nominal);
+        if !normal.all_deadlines_met(hsys) {
+            return Schedule {
+                app_wcrt: hsys
+                    .apps()
+                    .iter()
+                    .map(|happ| normal.app_wcrt(hsys, happ.app))
+                    .collect(),
+                analysis: Err(normal),
+                schedulable: false,
+            };
+        }
+        let mc = transition_scenarios(backend, hsys, arch, mapping, nominal, dropped, normal, opts);
+        // A non-converged scenario run leaves partial windows that depend
+        // on pruning; none of them is read.
+        let app_wcrt = hsys
+            .apps()
+            .iter()
+            .map(|happ| {
+                if mc.worst.converged || dropped.contains(&happ.app) {
+                    mc.app_wcrt(hsys, happ.app, dropped)
+                } else {
+                    Time::MAX
+                }
+            })
+            .collect();
+        Schedule {
+            schedulable: mc.schedulable(hsys, dropped),
+            analysis: Ok(mc),
+            app_wcrt,
+        }
+    }
+
+    /// `penalty` plus the scheduling penalty (none when schedulable).
+    /// After an early stop, each application that misses without faults
+    /// pays `CAP` plus its capped excess, and the candidate pays at least
+    /// `CAP` (a run stopped at its sweep cap may leave every window within
+    /// its deadline). Otherwise each application pays its capped excess.
+    pub(crate) fn add_penalty(&self, hsys: &HardenedSystem, mut penalty: f64) -> f64 {
+        if self.schedulable {
+            return penalty;
+        }
+        let excess = hsys
+            .apps()
+            .iter()
+            .zip(&self.app_wcrt)
+            .map(|(happ, &wcrt)| (happ.deadline, wcrt));
+        if self.analysis.is_err() {
+            let missed: f64 = excess
+                .filter(|&(deadline, wcrt)| wcrt > deadline)
+                .map(|(deadline, wcrt)| DEADLINE_PENALTY_CAP + deadline_excess(wcrt, deadline))
+                .sum();
+            return penalty + missed.max(DEADLINE_PENALTY_CAP);
+        }
+        for (deadline, wcrt) in excess {
+            penalty += deadline_excess(wcrt, deadline);
+        }
+        penalty
+    }
 }
 
 /// Content fingerprint of the non-genome evaluation inputs: the memo key
@@ -769,8 +894,8 @@ impl<'a> MappingProblem<'a> {
     }
 
     /// The full (cacheable) evaluation of one genome: repair, harden, map,
-    /// Algorithm 1 (plus the no-dropping audit run when `cfg.audit` is on)
-    /// and the expected-power objective.
+    /// Algorithm 1 as [`Schedule`] runs it (plus the no-dropping audit run
+    /// when `cfg.audit` is on) and the expected-power objective.
     fn assess(&self, genome: &Genome) -> EvalRecord {
         let Repaired {
             genome: g,
@@ -819,66 +944,70 @@ impl<'a> MappingProblem<'a> {
         }
 
         let t_analysis = std::time::Instant::now();
-        let mc = analyze_with(
+        let backend = HolisticAnalysis::new(&hsys, self.arch, &mapping, self.policies.clone());
+        let nominal = nominal_bounds(&hsys, self.arch, &mapping);
+        let schedule = Schedule::new(
+            &backend,
             &hsys,
             self.arch,
             &mapping,
-            &self.policies,
+            &nominal,
             dropped,
             self.cfg.analysis,
         );
-        r.analysis_nanos = t_analysis.elapsed().as_nanos() as u64;
-        r.effort = AnalysisEffort {
-            scenarios: mc.scenarios,
-            backend_calls: mc.backend_calls,
-            fixedpoint_iters: mc.fixedpoint_iters,
-            class_normal: mc.class_normal,
-            class_dropped: mc.class_dropped,
-            class_transition: mc.class_transition,
-            class_critical: mc.class_critical,
-            scenarios_pruned: mc.scenarios_pruned,
+        r.effort = match &schedule.analysis {
+            Ok(mc) => AnalysisEffort {
+                scenarios: mc.scenarios,
+                backend_calls: mc.backend_calls,
+                fixedpoint_iters: mc.fixedpoint_iters,
+                class_normal: mc.class_normal,
+                class_dropped: mc.class_dropped,
+                class_transition: mc.class_transition,
+                class_critical: mc.class_critical,
+                scenarios_pruned: mc.scenarios_pruned,
+                normal_misses: 0,
+            },
+            Err(normal) => AnalysisEffort {
+                backend_calls: 1,
+                fixedpoint_iters: normal.outer_iters,
+                normal_misses: 1,
+                ..AnalysisEffort::default()
+            },
         };
-        r.report.app_wcrt = self
-            .apps
-            .app_ids()
-            .map(|a| mc.app_wcrt(&hsys, a, dropped))
-            .collect();
-        let schedulable = mc.schedulable(&hsys, dropped);
-        if !schedulable {
-            for happ in hsys.apps() {
-                let wcrt = mc.app_wcrt(&hsys, happ.app, dropped);
-                let ratio = if wcrt == Time::MAX {
-                    10.0
-                } else {
-                    (wcrt.as_f64() / happ.deadline.as_f64() - 1.0).clamp(0.0, 10.0)
-                };
-                penalty += ratio;
-            }
-        }
+        let schedulable = schedule.schedulable;
+        penalty = schedule.add_penalty(&hsys, penalty);
 
         if self.cfg.audit && !dropped.is_empty() {
-            // The no-dropping audit re-analysis of the same hardened
-            // system and mapping.
-            let t_audit = std::time::Instant::now();
-            let mc0 = analyze_with(
-                &hsys,
-                self.arch,
-                &mapping,
-                &self.policies,
-                &[],
-                self.cfg.analysis,
-            );
-            r.analysis_nanos += t_audit.elapsed().as_nanos() as u64;
-            // The no-dropping re-analysis is real backend effort; fold it
-            // into the enumeration counters (classification counts stay
-            // those of the protocol analysis).
-            r.effort.scenarios += mc0.scenarios;
-            r.effort.backend_calls += mc0.backend_calls;
-            r.effort.fixedpoint_iters += mc0.fixedpoint_iters;
-            r.effort.scenarios_pruned += mc0.scenarios_pruned;
-            let feasible_without = mc0.schedulable(&hsys, &[]);
-            r.rescued = Some(schedulable && penalty == 0.0 && !feasible_without);
+            // The no-dropping audit re-analysis runs only where dropping
+            // can rescue: on a feasible candidate. The normal state does
+            // not depend on the dropped set, so it reuses step 1's windows.
+            let rescued = match &schedule.analysis {
+                Ok(mc) if schedulable && penalty == 0.0 => {
+                    let mc0 = transition_scenarios(
+                        &backend,
+                        &hsys,
+                        self.arch,
+                        &mapping,
+                        &nominal,
+                        &[],
+                        mc.normal.clone(),
+                        self.cfg.analysis,
+                    );
+                    // The scenario runs are real backend effort; fold them
+                    // into the enumeration counters (classification counts
+                    // stay those of the protocol analysis).
+                    r.effort.scenarios += mc0.scenarios;
+                    r.effort.backend_calls += mc0.backend_calls - 1;
+                    r.effort.fixedpoint_iters += mc0.fixedpoint_iters - mc.normal.outer_iters;
+                    r.effort.scenarios_pruned += mc0.scenarios_pruned;
+                    !mc0.schedulable(&hsys, &[])
+                }
+                _ => false,
+            };
+            r.rescued = Some(rescued);
         }
+        r.analysis_nanos = t_analysis.elapsed().as_nanos() as u64;
+        r.report.app_wcrt = schedule.app_wcrt;
 
         r.report.power = expected_power(
             &hsys,
@@ -930,6 +1059,7 @@ impl<'a> MappingProblem<'a> {
             analysis.backend_calls += e.backend_calls as u64;
             analysis.fixedpoint_iters += e.fixedpoint_iters as u64;
             analysis.scenarios_pruned += e.scenarios_pruned as u64;
+            analysis.normal_misses += e.normal_misses as u64;
             analysis.analysis_nanos += r.analysis_nanos;
         }
         if self.cfg.obs.enabled() {
@@ -946,6 +1076,7 @@ impl<'a> MappingProblem<'a> {
                     ("backend_calls", Value::from(e.backend_calls)),
                     ("fixedpoint_iters", Value::from(e.fixedpoint_iters)),
                     ("scenarios_pruned", Value::from(e.scenarios_pruned)),
+                    ("normal_misses", Value::from(e.normal_misses)),
                     ("class_normal", Value::from(e.class_normal)),
                     ("class_dropped", Value::from(e.class_dropped)),
                     ("class_transition", Value::from(e.class_transition)),
@@ -1716,6 +1847,7 @@ mod tests {
                     run.analysis.backend_calls,
                     run.analysis.fixedpoint_iters,
                     run.analysis.scenarios_pruned,
+                    run.analysis.normal_misses,
                 ),
                 (
                     reference.analysis.candidates,
@@ -1723,6 +1855,7 @@ mod tests {
                     reference.analysis.backend_calls,
                     reference.analysis.fixedpoint_iters,
                     reference.analysis.scenarios_pruned,
+                    reference.analysis.normal_misses,
                 ),
                 "threads={threads} cache_cap={cache_cap}"
             );
@@ -1743,6 +1876,7 @@ mod tests {
         let text = reference.analysis.render_text();
         assert!(text.contains("backend calls"));
         assert!(text.contains("scenarios pruned"));
+        assert!(text.contains("stopped after the normal-state run"));
         assert!(text.contains("attributed (cache hits replay the miss's effort)"));
         let json = reference.analysis.to_json();
         let parsed = mcmap_obs::parse_json(&json).expect("analysis JSON parses");
@@ -1753,6 +1887,12 @@ mod tests {
             Some(reference.analysis.backend_calls)
         );
         assert!(parsed.get("prune_rate").is_some());
+        assert_eq!(
+            parsed
+                .get("normal_misses")
+                .and_then(mcmap_obs::Json::as_u64),
+            Some(reference.analysis.normal_misses)
+        );
     }
 
     #[test]

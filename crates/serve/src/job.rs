@@ -230,6 +230,7 @@ impl JobTotals {
         a.backend_calls += analysis.backend_calls;
         a.fixedpoint_iters += analysis.fixedpoint_iters;
         a.scenarios_pruned += analysis.scenarios_pruned;
+        a.normal_misses += analysis.normal_misses;
         a.analysis_nanos += analysis.analysis_nanos;
     }
 }
@@ -440,6 +441,7 @@ mod tests {
         let a = AnalysisStats {
             candidates: 10,
             backend_calls: 30,
+            normal_misses: 4,
             ..AnalysisStats::default()
         };
         t.absorb(&e, &a);
@@ -450,6 +452,7 @@ mod tests {
         assert_eq!(t.eval.cache_hits, 8);
         assert_eq!(t.eval.cache_entries, 9, "gauge, not a sum");
         assert_eq!(t.analysis.backend_calls, 60);
+        assert_eq!(t.analysis.normal_misses, 8);
     }
 
     #[test]

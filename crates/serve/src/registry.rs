@@ -795,6 +795,8 @@ mod tests {
         assert_eq!(sample("sched.analyze").0, analysis.candidates);
         let backend_calls = sample("sched.analyze.backend_calls").1;
         assert_eq!(backend_calls, analysis.backend_calls);
+        let normal_misses = sample("sched.analyze.normal_misses").1;
+        assert_eq!(normal_misses, analysis.normal_misses);
         assert_eq!(sample("eval.batch.genomes").1, genomes);
         // Every resumed slice re-emits the preamble (the pre-flight mark,
         // the opening of `dse.explore`) below the checkpoint's trace_seq;

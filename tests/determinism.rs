@@ -7,7 +7,9 @@
 //! itself bit-identical for any thread count or cache capacity.
 
 use mcmap::benchmarks::cruise;
-use mcmap::core::{explore, DseConfig, DseOutcome, MappingProblem, MetricsSink, ObjectiveMode};
+use mcmap::core::{
+    explore, AnalysisOptions, DseConfig, DseOutcome, MappingProblem, MetricsSink, ObjectiveMode,
+};
 use mcmap::ga::GaConfig;
 use mcmap::hardening::harden;
 use mcmap::obs::{canonical_trace, Recorder, RecorderBuilder};
@@ -283,10 +285,10 @@ fn golden_fronts_audits_and_traces_at_48x30() {
             mcmap::benchmarks::dt_med(),
             (48, 30),
             [
-                0x2ed2cb51def1d4a2,
-                0xd7d7bfa516dd9e1a,
-                0x3356cb82845e3f50,
-                0x505af3ab0d38847d,
+                0x72ad347b5adf3e35,
+                0xb6c083fdb5682ce6,
+                0xb227fdc1e9bf38b9,
+                0x5976666965e90b05,
             ],
         ),
         (
@@ -294,10 +296,10 @@ fn golden_fronts_audits_and_traces_at_48x30() {
             cruise(),
             (48, 30),
             [
-                0xd7ffedf161daa45d,
-                0xeef7b66b28aa8295,
-                0xda7ffc30a1cad472,
-                0x369b4d527de820b9,
+                0x9695e8b6544e3a6a,
+                0xc19e767c04534a43,
+                0x4ffe3d0eceb59b52,
+                0x701b3d9d1ee51e05,
             ],
         ),
         (
@@ -305,10 +307,10 @@ fn golden_fronts_audits_and_traces_at_48x30() {
             mcmap::benchmarks::fleet(&preset, 7),
             (12, 3),
             [
-                0xdcd82eb61b5d09ad,
-                0xa305384e7ab69f06,
-                0x5ec6dc653b613ba0,
-                0xa9a7e9e545dbe02a,
+                0xb3870ca4121ae713,
+                0xa0dab437ac3dc6cd,
+                0xece40fa0dc8b32b6,
+                0x1df857e0d9e9d91b,
             ],
         ),
     ] {
@@ -341,6 +343,45 @@ fn golden_fronts_audits_and_traces_at_48x30() {
             "{name}: [front, audit, trace, hardened] = \
              [{front:#018x}, {audit:#018x}, {trace:#018x}, {hardened:#018x}]"
         );
+    }
+}
+
+/// Dominance pruning is a speed knob. A converged analysis is bit-identical
+/// with it on and off; a non-converged scenario run gives every non-dropped
+/// application WCRT `Time::MAX` either way, and a candidate that misses a
+/// deadline without faults runs no scenario at all. So the fronts, reports
+/// and audit counters agree on every paper workload and on fleet-small.
+#[test]
+fn fronts_are_identical_with_and_without_pruning() {
+    for (name, budget) in [
+        ("dt-med", (48, 30)),
+        ("cruise", (48, 30)),
+        ("synth1", (48, 30)),
+        ("synth2", (48, 30)),
+        ("dt-large", (48, 30)),
+        ("fleet-small", (12, 3)),
+    ] {
+        let b = mcmap::benchmarks::by_name(name).expect("a benchmark name");
+        let run = |prune| {
+            let cfg = DseConfig {
+                audit: true,
+                analysis: AnalysisOptions { prune },
+                ..golden_spec(name, budget).dse_config(&b, 2)
+            };
+            explore(&b.apps, &b.arch, cfg)
+        };
+        let (pruned, reference) = (run(true), run(false));
+        assert_eq!(fingerprint(&pruned), fingerprint(&reference), "{name}");
+        let genomes = |o: &DseOutcome| -> Vec<_> {
+            o.result
+                .front
+                .iter()
+                .map(|ind| (ind.genotype.clone(), ind.eval.clone()))
+                .collect()
+        };
+        assert_eq!(genomes(&pruned), genomes(&reference), "{name}");
+        assert_eq!(pruned.audit, reference.audit, "{name}");
+        assert!(pruned.analysis.backend_calls < reference.analysis.backend_calls);
     }
 }
 
