@@ -211,13 +211,8 @@ fn cmd_analyze(b: &Benchmark, seed: u64, json: bool) -> ExitCode {
         // One object per run, with the same `analysis` keys as the DSE's
         // `--eval-stats json` report (a single candidate).
         let stats = AnalysisStats {
-            candidates: 1,
-            scenarios: mc.scenarios as u64,
-            backend_calls: mc.backend_calls as u64,
-            fixedpoint_iters: mc.fixedpoint_iters as u64,
-            scenarios_pruned: mc.scenarios_pruned as u64,
             analysis_nanos,
-            ..AnalysisStats::default()
+            ..AnalysisStats::of(Ok(&mc))
         };
         let apps: Vec<String> = b
             .apps

@@ -559,6 +559,7 @@ impl Analyzed<'_> {
 fn enumeration_matches_the_reference_for_every_knob() {
     let mut rng = StdRng::seed_from_u64(5);
     let (mut overloaded, mut diverged, mut schedulable) = (0, 0, 0);
+    let mut diverged_in_step2 = 0;
     for (b, space) in benchmarks() {
         for (i, mut g) in genomes(&space, &mut rng, 2).into_iter().enumerate() {
             let _ = repair_reliability(&mut g, &space, &b.apps, &b.arch, &mut rng, 80);
@@ -595,6 +596,24 @@ fn enumeration_matches_the_reference_for_every_knob() {
                 let mc = mc.expect("the pruned analysis ran last");
                 if !mc.worst.converged {
                     diverged += 1;
+                    // Partial windows depend on the knob; the WCRTs the
+                    // DSE reports from them do not: Time::MAX for every
+                    // non-dropped app once step 2 ran, the fault-free WCRT
+                    // after an early stop.
+                    let [off, on] = all_options().map(|opts| {
+                        Schedule::new(&backend, &hsys, &b.arch, &mapping, &nominal, &dropped, opts)
+                    });
+                    assert_eq!(off.app_wcrt, on.app_wcrt, "{label}: WCRTs across the knob");
+                    let step2 = on.analysis.is_ok();
+                    diverged_in_step2 += usize::from(step2);
+                    for (happ, &wcrt) in hsys.apps().iter().zip(&on.app_wcrt) {
+                        let expected = if step2 && !dropped.contains(&happ.app) {
+                            Time::MAX
+                        } else {
+                            mc.normal.app_wcrt(&hsys, happ.app)
+                        };
+                        assert_eq!(wcrt, expected, "{label}: {:?}", happ.app);
+                    }
                 } else if mc.schedulable(&hsys, &dropped) {
                     schedulable += 1;
                 } else {
@@ -604,6 +623,10 @@ fn enumeration_matches_the_reference_for_every_knob() {
         }
     }
     assert!(diverged > 0, "no non-converged candidate was compared");
+    assert!(
+        diverged_in_step2 > 0,
+        "no non-converged candidate passed the normal-state run"
+    );
     assert!(
         overloaded > 0,
         "no converged but overloaded candidate was compared"

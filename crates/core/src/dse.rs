@@ -291,8 +291,11 @@ impl AuditSnapshot {
     }
 }
 
-/// Cumulative scenario-analysis effort over every evaluated candidate —
-/// the aggregate view of the per-candidate `sched.analyze` events.
+/// Scenario-analysis effort: one type for one candidate's Algorithm 1
+/// record (`candidates: 1`, built by [`AnalysisStats::of`]), a run's
+/// running total and a served job's total, all added by
+/// [`AnalysisStats::merge`]. A candidate's record is what its
+/// `sched.analyze` event carries.
 ///
 /// All fields except `analysis_nanos` are deterministic for a fixed
 /// configuration (replayed from cached evaluation records on hits, so
@@ -300,12 +303,13 @@ impl AuditSnapshot {
 /// wall time and varies run to run. The effort fields are attributed, not
 /// performed: a hit counts its miss's backend calls, iterations and nanos
 /// again, so `analysis_nanos` can exceed the evaluation wall. Like
-/// [`EvalStats`], this aggregate is not checkpointed: a resumed run counts
+/// [`EvalStats`], the total is not checkpointed: a resumed run counts
 /// only the candidates it evaluated after the resume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AnalysisStats {
     /// Candidates whose Algorithm 1 analysis was accounted (cache hits
-    /// replay their cached effort and count here too).
+    /// replay their cached effort and count here too; a design that
+    /// cannot be hardened or mapped counts with no effort).
     pub candidates: u64,
     /// Transition scenarios enumerated across all candidates.
     pub scenarios: u64,
@@ -320,6 +324,15 @@ pub struct AnalysisStats {
     /// Candidates whose Algorithm 1 stopped after the normal-state run
     /// because they miss a deadline without faults (attributed).
     pub normal_misses: u64,
+    /// Task classifications over all transition scenarios: completed
+    /// before the fault could occur (normal bounds kept).
+    pub class_normal: u64,
+    /// Classifications: certainly dropped.
+    pub class_dropped: u64,
+    /// Classifications: in transition (maybe dropped).
+    pub class_transition: u64,
+    /// Classifications: critical (Eq. 1 bounds), the triggers included.
+    pub class_critical: u64,
     /// Wall nanoseconds inside Algorithm 1, attributed (cache hits replay
     /// the miss's effort), so the sum can exceed the evaluation wall.
     pub analysis_nanos: u64,
@@ -335,6 +348,51 @@ pub struct AnalysisStats {
 }
 
 impl AnalysisStats {
+    /// One candidate's record (without its `analysis_nanos`): the counts of
+    /// its full analysis, or of the normal-state run alone when that run
+    /// already missed a deadline and Algorithm 1 stopped there.
+    pub fn of(analysis: Result<&McAnalysis, &TaskWindows>) -> Self {
+        match analysis {
+            Ok(mc) => AnalysisStats {
+                candidates: 1,
+                scenarios: mc.scenarios as u64,
+                backend_calls: mc.backend_calls as u64,
+                fixedpoint_iters: mc.fixedpoint_iters as u64,
+                scenarios_pruned: mc.scenarios_pruned as u64,
+                class_normal: mc.class_normal as u64,
+                class_dropped: mc.class_dropped as u64,
+                class_transition: mc.class_transition as u64,
+                class_critical: mc.class_critical as u64,
+                ..AnalysisStats::default()
+            },
+            Err(normal) => AnalysisStats {
+                candidates: 1,
+                backend_calls: 1,
+                fixedpoint_iters: normal.outer_iters as u64,
+                normal_misses: 1,
+                ..AnalysisStats::default()
+            },
+        }
+    }
+
+    /// Adds `other` into `self`, field by field.
+    pub fn merge(&mut self, other: &AnalysisStats) {
+        self.candidates += other.candidates;
+        self.scenarios += other.scenarios;
+        self.backend_calls += other.backend_calls;
+        self.fixedpoint_iters += other.fixedpoint_iters;
+        self.scenarios_pruned += other.scenarios_pruned;
+        self.normal_misses += other.normal_misses;
+        self.class_normal += other.class_normal;
+        self.class_dropped += other.class_dropped;
+        self.class_transition += other.class_transition;
+        self.class_critical += other.class_critical;
+        self.analysis_nanos += other.analysis_nanos;
+        self.backend_reused += other.backend_reused;
+        self.delta_reuses += other.delta_reuses;
+        self.delta_cold_fallbacks += other.delta_cold_fallbacks;
+    }
+
     /// Backend runs avoided per enumerated scenario (0 when nothing ran).
     pub fn prune_rate(&self) -> f64 {
         if self.scenarios == 0 {
@@ -352,6 +410,8 @@ impl AnalysisStats {
              {} fixed-point iters total\n\
              analysis-stats: {} candidates stopped after the normal-state run \
              (a deadline missed without faults)\n\
+             analysis-stats: task classes: {} normal, {} dropped, {} transition, \
+             {} critical\n\
              analysis-stats: {} ns inside Algorithm 1\n\
              analysis-stats: backend calls, fixed-point iters and ns are \
              attributed (cache hits replay the miss's effort)\n",
@@ -362,6 +422,10 @@ impl AnalysisStats {
             100.0 * self.prune_rate(),
             self.fixedpoint_iters,
             self.normal_misses,
+            self.class_normal,
+            self.class_dropped,
+            self.class_transition,
+            self.class_critical,
             self.analysis_nanos,
         )
     }
@@ -373,6 +437,8 @@ impl AnalysisStats {
             "{{\"candidates\":{},\"scenarios\":{},\"backend_calls\":{},\
              \"fixedpoint_iters\":{},\"scenarios_pruned\":{},\
              \"prune_rate\":{:.6},\"normal_misses\":{},\
+             \"class_normal\":{},\"class_dropped\":{},\
+             \"class_transition\":{},\"class_critical\":{},\
              \"analysis_nanos\":{}}}",
             self.candidates,
             self.scenarios,
@@ -381,6 +447,10 @@ impl AnalysisStats {
             self.scenarios_pruned,
             self.prune_rate(),
             self.normal_misses,
+            self.class_normal,
+            self.class_dropped,
+            self.class_transition,
+            self.class_critical,
             self.analysis_nanos,
         )
     }
@@ -444,44 +514,11 @@ struct EvalRecord {
     /// Constraint-violation penalty (0 when feasible).
     penalty: f64,
     rescued: Option<bool>,
-    effort: AnalysisEffort,
+    /// The candidate's Algorithm 1 effort, replayed on cache hits; all but
+    /// `analysis_nanos` (protocol analysis plus the optional audit run) is
+    /// a pure function of the genome.
+    stats: AnalysisStats,
     repair_codes: Vec<&'static str>,
-    /// Wall nanoseconds spent inside Algorithm 1 for this candidate
-    /// (protocol analysis plus the optional no-dropping audit run).
-    /// Timing, not content: replayed from the cache on hits, emitted only
-    /// in non-deterministic event payloads, and excluded from
-    /// [`AnalysisEffort`]'s pure-function equality.
-    analysis_nanos: u64,
-}
-
-/// Deterministic effort counters of one candidate's Algorithm 1 analysis.
-///
-/// These are a pure function of the genome (and fixed config), so they ride
-/// inside the cached [`EvalRecord`] and replay identically on cache hits —
-/// the emitted `sched.analyze` event is the same whether a record was
-/// computed fresh or served from the memo cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct AnalysisEffort {
-    /// Fault scenarios enumerated (Algorithm 1 outer loop).
-    scenarios: usize,
-    /// Schedulability-backend invocations (including memoized-analysis
-    /// cache misses only).
-    backend_calls: usize,
-    /// Fixed-point iterations summed over all backend runs.
-    fixedpoint_iters: usize,
-    /// Tasks classified as completing before the fault (normal mode).
-    class_normal: usize,
-    /// Tasks classified as certainly dropped.
-    class_dropped: usize,
-    /// Tasks classified as maybe-dropped (mode-transition window).
-    class_transition: usize,
-    /// Tasks classified through the critical-mode bounds (Eq. 1).
-    class_critical: usize,
-    /// Distinct scenario bound-vectors skipped by dominance pruning.
-    scenarios_pruned: usize,
-    /// 1 when Algorithm 1 stopped after its normal-state run, because the
-    /// candidate already misses a deadline without faults; else 0.
-    normal_misses: usize,
 }
 
 /// The per-application cap of the deadline-ratio penalty: an application
@@ -920,9 +957,11 @@ impl<'a> MappingProblem<'a> {
             },
             penalty: 1e9,
             rescued: None,
-            effort: AnalysisEffort::default(),
+            stats: AnalysisStats {
+                candidates: 1,
+                ..AnalysisStats::default()
+            },
             repair_codes,
-            analysis_nanos: 0,
         };
         let Ok(hsys) = harden(self.apps, &plan, self.arch) else {
             return r;
@@ -955,25 +994,7 @@ impl<'a> MappingProblem<'a> {
             dropped,
             self.cfg.analysis,
         );
-        r.effort = match &schedule.analysis {
-            Ok(mc) => AnalysisEffort {
-                scenarios: mc.scenarios,
-                backend_calls: mc.backend_calls,
-                fixedpoint_iters: mc.fixedpoint_iters,
-                class_normal: mc.class_normal,
-                class_dropped: mc.class_dropped,
-                class_transition: mc.class_transition,
-                class_critical: mc.class_critical,
-                scenarios_pruned: mc.scenarios_pruned,
-                normal_misses: 0,
-            },
-            Err(normal) => AnalysisEffort {
-                backend_calls: 1,
-                fixedpoint_iters: normal.outer_iters,
-                normal_misses: 1,
-                ..AnalysisEffort::default()
-            },
-        };
+        r.stats = AnalysisStats::of(schedule.analysis.as_ref());
         let schedulable = schedule.schedulable;
         penalty = schedule.add_penalty(&hsys, penalty);
 
@@ -996,17 +1017,18 @@ impl<'a> MappingProblem<'a> {
                     // The scenario runs are real backend effort; fold them
                     // into the enumeration counters (classification counts
                     // stay those of the protocol analysis).
-                    r.effort.scenarios += mc0.scenarios;
-                    r.effort.backend_calls += mc0.backend_calls - 1;
-                    r.effort.fixedpoint_iters += mc0.fixedpoint_iters - mc.normal.outer_iters;
-                    r.effort.scenarios_pruned += mc0.scenarios_pruned;
+                    let e = &mut r.stats;
+                    e.scenarios += mc0.scenarios as u64;
+                    e.backend_calls += mc0.backend_calls as u64 - 1;
+                    e.fixedpoint_iters += (mc0.fixedpoint_iters - mc.normal.outer_iters) as u64;
+                    e.scenarios_pruned += mc0.scenarios_pruned as u64;
                     !mc0.schedulable(&hsys, &[])
                 }
                 _ => false,
             };
             r.rescued = Some(rescued);
         }
-        r.analysis_nanos = t_analysis.elapsed().as_nanos() as u64;
+        r.stats.analysis_nanos = t_analysis.elapsed().as_nanos() as u64;
         r.report.app_wcrt = schedule.app_wcrt;
 
         r.report.power = expected_power(
@@ -1041,7 +1063,7 @@ impl<'a> MappingProblem<'a> {
     /// evaluation — so `AuditSnapshot::evaluated` keeps matching the
     /// driver's evaluation count exactly.
     fn record_audit(&self, r: &EvalRecord) {
-        let e = &r.effort;
+        let e = &r.stats;
         {
             let (audit, analysis) = &mut *self.tally();
             audit.evaluated += 1;
@@ -1054,13 +1076,7 @@ impl<'a> MappingProblem<'a> {
             audit.reexecutions += h.reexecution;
             audit.active_replications += h.active;
             audit.passive_replications += h.passive;
-            analysis.candidates += 1;
-            analysis.scenarios += e.scenarios as u64;
-            analysis.backend_calls += e.backend_calls as u64;
-            analysis.fixedpoint_iters += e.fixedpoint_iters as u64;
-            analysis.scenarios_pruned += e.scenarios_pruned as u64;
-            analysis.normal_misses += e.normal_misses as u64;
-            analysis.analysis_nanos += r.analysis_nanos;
+            analysis.merge(e);
         }
         if self.cfg.obs.enabled() {
             // Emitted on the sequential replay path, from cached effort
@@ -1083,7 +1099,7 @@ impl<'a> MappingProblem<'a> {
                     ("class_critical", Value::from(e.class_critical)),
                     ("feasible", Value::from(r.report.feasible)),
                 ],
-                &[("analysis_ns", Value::from(r.analysis_nanos))],
+                &[("analysis_ns", Value::from(e.analysis_nanos))],
             );
             if !r.repair_codes.is_empty() {
                 self.cfg.obs.counter(
@@ -1545,11 +1561,17 @@ mod tests {
     use mcmap_model::{Criticality, ExecBounds, ProcKind, Processor, Task, TaskGraph};
 
     fn small_system() -> (AppSet, Architecture) {
+        small_system_with_deadline(1_000)
+    }
+
+    /// [`small_system`] with the critical application's deadline set to
+    /// `deadline` ticks.
+    fn small_system_with_deadline(deadline: u64) -> (AppSet, Architecture) {
         let arch = Architecture::builder()
             .homogeneous(3, Processor::new("p", ProcKind::new(0), 5.0, 50.0, 1e-7))
             .build()
             .unwrap();
-        let hi = TaskGraph::builder("hi", Time::from_ticks(1_000))
+        let hi = TaskGraph::builder("hi", Time::from_ticks(deadline))
             .criticality(Criticality::NonDroppable {
                 max_failure_rate: 1e-4,
             })
@@ -1840,23 +1862,14 @@ mod tests {
             cfg.ga.threads = threads;
             cfg.cache_cap = cache_cap;
             let run = explore(&apps, &arch, cfg);
+            // Every field but the wall time `analysis_nanos`.
+            let det = |a: AnalysisStats| AnalysisStats {
+                analysis_nanos: 0,
+                ..a
+            };
             assert_eq!(
-                (
-                    run.analysis.candidates,
-                    run.analysis.scenarios,
-                    run.analysis.backend_calls,
-                    run.analysis.fixedpoint_iters,
-                    run.analysis.scenarios_pruned,
-                    run.analysis.normal_misses,
-                ),
-                (
-                    reference.analysis.candidates,
-                    reference.analysis.scenarios,
-                    reference.analysis.backend_calls,
-                    reference.analysis.fixedpoint_iters,
-                    reference.analysis.scenarios_pruned,
-                    reference.analysis.normal_misses,
-                ),
+                det(run.analysis),
+                det(reference.analysis),
                 "threads={threads} cache_cap={cache_cap}"
             );
         }
@@ -1877,6 +1890,10 @@ mod tests {
         assert!(text.contains("backend calls"));
         assert!(text.contains("scenarios pruned"));
         assert!(text.contains("stopped after the normal-state run"));
+        assert!(text.contains(&format!(
+            "task classes: {} normal",
+            reference.analysis.class_normal
+        )));
         assert!(text.contains("attributed (cache hits replay the miss's effort)"));
         let json = reference.analysis.to_json();
         let parsed = mcmap_obs::parse_json(&json).expect("analysis JSON parses");
@@ -1892,6 +1909,80 @@ mod tests {
                 .get("normal_misses")
                 .and_then(mcmap_obs::Json::as_u64),
             Some(reference.analysis.normal_misses)
+        );
+        assert!(reference.analysis.class_critical > 0);
+        assert_eq!(
+            parsed
+                .get("class_critical")
+                .and_then(mcmap_obs::Json::as_u64),
+            Some(reference.analysis.class_critical)
+        );
+    }
+
+    /// The analysis of one repaired random genome of `small_system_with_deadline(deadline)`.
+    fn schedule_of(deadline: u64) -> Schedule {
+        let (apps, arch) = small_system_with_deadline(deadline);
+        let problem = MappingProblem::new(&apps, &arch, tiny_cfg());
+        let g = problem.space().random(&mut StdRng::seed_from_u64(3));
+        let (plan, dropped, bindings) = problem.decode_repaired(&g);
+        let hsys = harden(&apps, &plan, &arch).expect("repaired genomes harden");
+        let mapping =
+            Mapping::new(&hsys, &arch, hsys.placement(&bindings)).expect("repaired genomes map");
+        let backend = HolisticAnalysis::new(&hsys, &arch, &mapping, problem.policies().to_vec());
+        let nominal = nominal_bounds(&hsys, &arch, &mapping);
+        let opts = AnalysisOptions::default();
+        Schedule::new(&backend, &hsys, &arch, &mapping, &nominal, &dropped, opts)
+    }
+
+    #[test]
+    fn analysis_stats_of_counts_a_full_run_and_an_early_stop() {
+        let full = schedule_of(1_000);
+        let Ok(mc) = &full.analysis else {
+            panic!("the small system meets its deadlines without faults");
+        };
+        assert!(mc.scenarios > 0);
+        let s = AnalysisStats::of(Ok(mc));
+        let counts = [
+            mc.scenarios,
+            mc.backend_calls,
+            mc.fixedpoint_iters,
+            mc.scenarios_pruned,
+            0,
+            mc.class_normal,
+            mc.class_dropped,
+            mc.class_transition,
+            mc.class_critical,
+        ];
+        assert_eq!(
+            [
+                s.scenarios,
+                s.backend_calls,
+                s.fixedpoint_iters,
+                s.scenarios_pruned,
+                s.normal_misses,
+                s.class_normal,
+                s.class_dropped,
+                s.class_transition,
+                s.class_critical,
+            ],
+            counts.map(|n| n as u64)
+        );
+        assert_eq!((s.candidates, s.analysis_nanos), (1, 0));
+
+        // Two 40-tick tasks in a chain cannot meet a 50-tick deadline.
+        let stopped = schedule_of(50);
+        let Err(normal) = &stopped.analysis else {
+            panic!("a 50-tick deadline is missed without faults");
+        };
+        assert_eq!(
+            AnalysisStats::of(Err(normal)),
+            AnalysisStats {
+                candidates: 1,
+                backend_calls: 1,
+                fixedpoint_iters: normal.outer_iters as u64,
+                normal_misses: 1,
+                ..AnalysisStats::default()
+            }
         );
     }
 

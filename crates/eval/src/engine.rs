@@ -2,12 +2,12 @@
 
 use crate::cache::{ShardedCache, CACHE_SHARDS};
 use crate::pool::parallel_map_caught_timed;
-use crate::stats::{EvalStats, StatCounters};
+use crate::stats::EvalStats;
 use mcmap_obs::{Recorder, Value};
 use mcmap_resilience::{panic_message, EvalFailure};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Where an evaluation attempt sits inside its batch — handed to the
@@ -39,7 +39,9 @@ pub struct EvalContext {
 pub struct EvalEngine<V> {
     cache: Option<Arc<ShardedCache<V>>>,
     context: u64,
-    counters: StatCounters,
+    /// The running total: each batch merges its tally once, each
+    /// `evaluate_one` its candidate's record.
+    total: Mutex<EvalStats>,
     obs: Recorder,
 }
 
@@ -53,7 +55,7 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
         EvalEngine {
             cache: (capacity > 0).then(|| Arc::new(ShardedCache::new(capacity, CACHE_SHARDS))),
             context: h.finish(),
-            counters: StatCounters::default(),
+            total: Mutex::default(),
             obs: Recorder::default(),
         }
     }
@@ -72,7 +74,7 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
         EvalEngine {
             cache: Some(cache),
             context: h.finish(),
-            counters: StatCounters::default(),
+            total: Mutex::default(),
             obs: Recorder::default(),
         }
     }
@@ -111,30 +113,35 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
         G: Hash,
         F: Fn(&G) -> V,
     {
+        let (v, record) = self.lookup(genome, eval);
+        self.total().merge(&record);
+        v
+    }
+
+    /// One candidate through the cache, with its record: a hit or a miss,
+    /// its evictions and its lookup, evaluation and insertion nanos.
+    fn lookup<G: Hash>(&self, genome: &G, eval: impl FnOnce(&G) -> V) -> (V, EvalStats) {
+        let mut record = EvalStats::default();
         let t0 = Instant::now();
         let key = self.key_of(genome);
         let cached = self.cache.as_ref().and_then(|c| c.get(key));
-        self.counters
-            .add(&self.counters.lookup_nanos, t0.elapsed().as_nanos() as u64);
+        record.lookup_nanos = t0.elapsed().as_nanos() as u64;
         if let Some(v) = cached {
-            self.counters.add(&self.counters.hits, 1);
-            return v;
+            record.cache_hits = 1;
+            return (v, record);
         }
 
         let t1 = Instant::now();
         let v = eval(genome);
-        self.counters
-            .add(&self.counters.eval_nanos, t1.elapsed().as_nanos() as u64);
-        self.counters.add(&self.counters.misses, 1);
+        record.eval_nanos = t1.elapsed().as_nanos() as u64;
+        record.cache_misses = 1;
 
         if let Some(cache) = &self.cache {
             let t2 = Instant::now();
-            let evicted = cache.insert(key, v.clone());
-            self.counters
-                .add(&self.counters.insert_nanos, t2.elapsed().as_nanos() as u64);
-            self.counters.add(&self.counters.evictions, evicted as u64);
+            record.evictions = cache.insert(key, v.clone()) as u64;
+            record.insert_nanos = t2.elapsed().as_nanos() as u64;
         }
-        v
+        (v, record)
     }
 
     /// Evaluates a batch across `threads` workers (0 = one per core),
@@ -174,7 +181,6 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
         I: Fn(EvalContext) + Sync,
     {
         let t0 = Instant::now();
-        let before = self.obs.enabled().then(|| self.stats());
         // The thread budget is a speed knob that must not shape the
         // canonical trace, so it rides in the non-deterministic payload.
         let mut span = self
@@ -187,24 +193,38 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
             .collect();
         let mut pending: Vec<usize> = (0..genomes.len()).collect();
         let mut attempt: u32 = 0;
+        // The candidates' records, folded in index order within each wave;
+        // merged into the running total once, at the end.
+        let mut tally = EvalStats {
+            batches: 1,
+            genomes: genomes.len() as u64,
+            ..EvalStats::default()
+        };
         while !pending.is_empty() {
             let wave: Vec<(usize, &G)> = pending.iter().map(|&i| (i, &genomes[i])).collect();
-            let (outcomes, loads) = parallel_map_caught_timed(&wave, threads, |&(index, g)| {
-                let ctx = EvalContext { index, attempt };
-                inject(ctx);
-                self.evaluate_one(g, |g| eval(g, ctx))
+            let (outcomes, worker_loads) =
+                parallel_map_caught_timed(&wave, threads, |&(index, g)| {
+                    let ctx = EvalContext { index, attempt };
+                    inject(ctx);
+                    self.lookup(g, |g| eval(g, ctx))
+                });
+            tally.merge(&EvalStats {
+                worker_loads,
+                ..EvalStats::default()
             });
-            self.counters.merge_loads(&loads);
             let mut still = Vec::new();
             for (&(index, g), outcome) in wave.iter().zip(outcomes) {
                 match outcome {
-                    Ok(v) => slots[index] = Some(Ok(v)),
+                    Ok((v, record)) => {
+                        tally.merge(&record);
+                        slots[index] = Some(Ok(v));
+                    }
                     Err(payload) => {
-                        self.counters.add(&self.counters.panics, 1);
+                        tally.panics += 1;
                         if attempt < retries {
                             still.push(index);
                         } else {
-                            self.counters.add(&self.counters.degraded, 1);
+                            tally.degraded += 1;
                             slots[index] = Some(Err(EvalFailure {
                                 candidate: (self.key_of(g) >> 64) as u64,
                                 index,
@@ -218,11 +238,7 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
             pending = still;
             attempt += 1;
         }
-        self.counters.add(&self.counters.batches, 1);
-        self.counters
-            .add(&self.counters.genomes, genomes.len() as u64);
-        self.counters
-            .add(&self.counters.wall_nanos, t0.elapsed().as_nanos() as u64);
+        tally.wall_nanos = t0.elapsed().as_nanos() as u64;
 
         let results: Vec<Result<V, EvalFailure>> = slots
             .into_iter()
@@ -242,25 +258,29 @@ impl<V: Clone + Send + Sync> EvalEngine<V> {
         if failures > 0 {
             span.field("failures", failures);
         }
-        if let Some(before) = before {
-            // Which worker computes vs. reuses a value is a race: the cache
-            // split and the phase latencies are non-deterministic payload.
-            let after = self.stats();
-            span.nondet("cache_hits", after.cache_hits - before.cache_hits);
-            span.nondet("cache_misses", after.cache_misses - before.cache_misses);
-            span.nondet("evictions", after.evictions - before.evictions);
-            span.nondet("lookup_ns", after.lookup_nanos - before.lookup_nanos);
-            span.nondet("eval_ns", after.eval_nanos - before.eval_nanos);
-            span.nondet("insert_ns", after.insert_nanos - before.insert_nanos);
-        }
+        // Which worker computes vs. reuses a value is a race: the cache
+        // split and the phase latencies are non-deterministic payload.
+        span.nondet("cache_hits", tally.cache_hits);
+        span.nondet("cache_misses", tally.cache_misses);
+        span.nondet("evictions", tally.evictions);
+        span.nondet("lookup_ns", tally.lookup_nanos);
+        span.nondet("eval_ns", tally.eval_nanos);
+        span.nondet("insert_ns", tally.insert_nanos);
         span.end();
+        self.total().merge(&tally);
         results
     }
 
-    /// Snapshot of the instrumentation counters.
+    /// Snapshot of the instrumentation counters, with the cache's current
+    /// size as `cache_entries`.
     pub fn stats(&self) -> EvalStats {
-        let entries = self.cache.as_ref().map_or(0, |c| c.len()) as u64;
-        self.counters.snapshot(entries)
+        let mut stats = self.total().clone();
+        stats.cache_entries = self.cache.as_ref().map_or(0, |c| c.len()) as u64;
+        stats
+    }
+
+    fn total(&self) -> std::sync::MutexGuard<'_, EvalStats> {
+        self.total.lock().expect("eval stats poisoned")
     }
 }
 
@@ -439,6 +459,47 @@ mod tests {
         // stale hit of a poisoned entry.
         let ok = e.evaluate_batch(&poisoned, 1, 0, |_| {}, |g, _ctx| g + 1);
         assert_eq!(*ok[0].as_ref().unwrap(), 8);
+    }
+
+    #[test]
+    fn batch_span_deltas_sum_to_the_running_total() {
+        use mcmap_obs::EventKind;
+        let e = EvalEngine::new(4, &"span-ctx").with_recorder(Recorder::ring(1024));
+        // Overlapping batches (hits, misses and evictions of the tiny
+        // cache), one with a panic rescued by its retry.
+        for (b, threads) in [(0u64, 1), (1, 2), (2, 2)] {
+            let genomes: Vec<u64> = (0..12).map(|i| (i + 3 * b) % 9).collect();
+            let out = e.evaluate_batch(
+                &genomes,
+                threads,
+                1,
+                |ctx| assert!(b != 1 || ctx.attempt > 0 || ctx.index != 5, "transient"),
+                |g, _| g + 1,
+            );
+            assert!(out.iter().all(Result::is_ok));
+        }
+        let ends: Vec<_> = e
+            .obs
+            .events()
+            .into_iter()
+            .filter(|ev| ev.kind == EventKind::SpanEnd && ev.name.as_ref() == "eval.batch")
+            .collect();
+        assert_eq!(ends.len(), 3);
+        let sum = |key: &str| -> u64 {
+            ends.iter()
+                .map(|ev| ev.nondet_field(key).and_then(|v| v.as_u64()).expect(key))
+                .sum()
+        };
+        let s = e.stats();
+        assert_eq!(s.panics, 1);
+        assert!(s.evictions > 0 && s.cache_hits > 0, "{s:?}");
+        assert_eq!(sum("cache_hits"), s.cache_hits);
+        assert_eq!(sum("cache_misses"), s.cache_misses);
+        assert_eq!(sum("cache_hits") + sum("cache_misses"), s.genomes);
+        assert_eq!(sum("evictions"), s.evictions);
+        assert_eq!(sum("lookup_ns"), s.lookup_nanos);
+        assert_eq!(sum("eval_ns"), s.eval_nanos);
+        assert_eq!(sum("insert_ns"), s.insert_nanos);
     }
 
     #[test]

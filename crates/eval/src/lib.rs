@@ -33,10 +33,13 @@
 //! the replay data inside `V` and apply it after every gather, hit or miss,
 //! which keeps such counters deterministic too.
 //!
-//! Instrumentation is free-running ([`EvalStats`]): cache hits / misses /
-//! evictions, per-phase nanoseconds (key hashing + lookup, evaluation,
-//! insertion, batch wall clock), and genomes/sec, renderable as text or
-//! JSON for `BENCH_*.json` tracking.
+//! Instrumentation is one type, [`EvalStats`]: each candidate's lookup
+//! returns its record (hit or miss, evictions, key hashing + lookup,
+//! evaluation and insertion nanoseconds) with its result, each batch folds
+//! its records plus its wall clock into one tally, and the engine merges
+//! that tally into its running total once per batch
+//! ([`EvalStats::merge`]). The total is renderable as text or JSON (with
+//! genomes/sec) for `BENCH_*.json` tracking.
 //!
 //! # Examples
 //!

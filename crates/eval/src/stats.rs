@@ -1,79 +1,26 @@
-//! Free-running instrumentation counters and their report formats.
+//! The engine's instrumentation record and its report formats.
 
 use crate::pool::WorkerLoad;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-/// Internal atomic counters, bumped lock-free from worker threads.
-#[derive(Debug, Default)]
-pub(crate) struct StatCounters {
-    pub batches: AtomicU64,
-    pub genomes: AtomicU64,
-    pub hits: AtomicU64,
-    pub misses: AtomicU64,
-    pub evictions: AtomicU64,
-    pub panics: AtomicU64,
-    pub degraded: AtomicU64,
-    pub lookup_nanos: AtomicU64,
-    pub eval_nanos: AtomicU64,
-    pub insert_nanos: AtomicU64,
-    pub wall_nanos: AtomicU64,
-    /// Per-participant dispatch ledger, merged batch by batch: slot `i`
-    /// accumulates what participant `i` (0 = the submitting thread)
-    /// contributed across all batches. Cold path — touched once per batch,
-    /// not per candidate — so a mutex is fine.
-    pub workers: Mutex<Vec<WorkerLoad>>,
-}
-
-impl StatCounters {
-    pub fn add(&self, field: &AtomicU64, v: u64) {
-        field.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Folds one batch's per-participant loads into the cumulative ledger.
-    pub fn merge_loads(&self, loads: &[WorkerLoad]) {
-        let mut workers = self.workers.lock().expect("worker ledger");
-        if workers.len() < loads.len() {
-            workers.resize(loads.len(), WorkerLoad::default());
-        }
-        for (slot, load) in workers.iter_mut().zip(loads) {
-            slot.busy_nanos += load.busy_nanos;
-            slot.items += load.items;
-        }
-    }
-
-    pub fn snapshot(&self, cache_entries: u64) -> EvalStats {
-        EvalStats {
-            worker_loads: self.workers.lock().expect("worker ledger").clone(),
-            batches: self.batches.load(Ordering::Relaxed),
-            genomes: self.genomes.load(Ordering::Relaxed),
-            cache_hits: self.hits.load(Ordering::Relaxed),
-            cache_misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            cache_entries,
-            lookup_nanos: self.lookup_nanos.load(Ordering::Relaxed),
-            eval_nanos: self.eval_nanos.load(Ordering::Relaxed),
-            insert_nanos: self.insert_nanos.load(Ordering::Relaxed),
-            wall_nanos: self.wall_nanos.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A snapshot of the engine's instrumentation.
+/// The engine's instrumentation: one type for one candidate's lookup, one
+/// batch's tally and the engine's running total, all added by
+/// [`EvalStats::merge`].
 ///
-/// `genomes` and `batches` are deterministic for a fixed exploration
-/// (results are gathered by index, and every submitted candidate counts
-/// exactly once, cache hit or not). Hit/miss totals can shift by a few
-/// units across thread counts — concurrent workers may race to first-fill
-/// the same key — so throughput tracking should compare `hit_rate()`
-/// trends, not exact counts.
+/// A candidate's record carries its hit or miss, evictions and phase
+/// nanos; a batch folds its candidates' records and adds its size, wall
+/// time, panics, degraded candidates and worker ledger; the engine merges
+/// each batch once. `genomes` and `batches` are deterministic for a fixed
+/// exploration (results are gathered by index, and every submitted
+/// candidate counts exactly once, cache hit or not). Hit/miss totals can
+/// shift by a few units across thread counts — concurrent workers may race
+/// to first-fill the same key — so throughput tracking should compare
+/// `hit_rate()` trends, not exact counts.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EvalStats {
     /// Number of `evaluate_batch` calls.
     pub batches: u64,
-    /// Total candidates submitted (hits + misses).
+    /// Candidates submitted to `evaluate_batch` (a single lookup through
+    /// `evaluate_one` counts as a hit or a miss only).
     pub genomes: u64,
     /// Candidates answered from the memoization cache.
     pub cache_hits: u64,
@@ -87,7 +34,10 @@ pub struct EvalStats {
     /// Candidates that exhausted their retry budget and were degraded to
     /// a typed failure.
     pub degraded: u64,
-    /// Entries resident in the cache at snapshot time.
+    /// Entries resident in the cache at snapshot time (a gauge: [`merge`]
+    /// keeps the newer value).
+    ///
+    /// [`merge`]: EvalStats::merge
     pub cache_entries: u64,
     /// Nanoseconds spent hashing keys and probing the cache.
     pub lookup_nanos: u64,
@@ -108,6 +58,32 @@ pub struct EvalStats {
 }
 
 impl EvalStats {
+    /// Adds `other` into `self`: every counter sums, `worker_loads` sums by
+    /// participant index (widening to the wider ledger), and
+    /// `cache_entries`, a gauge, takes `other`'s value.
+    pub fn merge(&mut self, other: &EvalStats) {
+        self.batches += other.batches;
+        self.genomes += other.genomes;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.evictions += other.evictions;
+        self.panics += other.panics;
+        self.degraded += other.degraded;
+        self.cache_entries = other.cache_entries;
+        self.lookup_nanos += other.lookup_nanos;
+        self.eval_nanos += other.eval_nanos;
+        self.insert_nanos += other.insert_nanos;
+        self.wall_nanos += other.wall_nanos;
+        if self.worker_loads.len() < other.worker_loads.len() {
+            self.worker_loads
+                .resize(other.worker_loads.len(), WorkerLoad::default());
+        }
+        for (slot, load) in self.worker_loads.iter_mut().zip(&other.worker_loads) {
+            slot.busy_nanos += load.busy_nanos;
+            slot.items += load.items;
+        }
+    }
+
     /// Share of candidates answered from the cache (0 when nothing ran).
     pub fn hit_rate(&self) -> f64 {
         if self.genomes == 0 {
@@ -282,37 +258,35 @@ mod tests {
     }
 
     #[test]
-    fn worker_ledger_merges_by_participant_index() {
-        let c = StatCounters::default();
-        c.merge_loads(&[
-            WorkerLoad {
-                busy_nanos: 100,
-                items: 4,
-            },
-            WorkerLoad {
-                busy_nanos: 50,
-                items: 2,
-            },
-        ]);
+    fn merge_sums_counters_widens_the_ledger_and_keeps_the_entries_gauge() {
+        let load = |busy_nanos, items| WorkerLoad { busy_nanos, items };
+        let mut s = EvalStats {
+            genomes: 6,
+            cache_hits: 2,
+            cache_entries: 4,
+            lookup_nanos: 10,
+            worker_loads: vec![load(100, 4), load(50, 2)],
+            ..EvalStats::default()
+        };
         // A later serial batch only touches participant 0; the ledger
         // keeps the wider shape.
-        c.merge_loads(&[WorkerLoad {
-            busy_nanos: 25,
-            items: 1,
-        }]);
-        let s = c.snapshot(0);
-        assert_eq!(
-            s.worker_loads,
-            vec![
-                WorkerLoad {
-                    busy_nanos: 125,
-                    items: 5,
-                },
-                WorkerLoad {
-                    busy_nanos: 50,
-                    items: 2,
-                },
-            ]
-        );
+        s.merge(&EvalStats {
+            batches: 1,
+            genomes: 1,
+            cache_misses: 1,
+            cache_entries: 5,
+            lookup_nanos: 7,
+            worker_loads: vec![load(25, 1)],
+            ..EvalStats::default()
+        });
+        assert_eq!(s.worker_loads, vec![load(125, 5), load(50, 2)]);
+        assert_eq!((s.batches, s.genomes), (1, 7));
+        assert_eq!((s.cache_hits, s.cache_misses), (2, 1));
+        assert_eq!(s.lookup_nanos, 17);
+        assert_eq!(s.cache_entries, 5, "gauge, not a sum");
+        // Merged into an empty record, a record comes back unchanged.
+        let mut empty = EvalStats::default();
+        empty.merge(&s);
+        assert_eq!(empty, s);
     }
 }

@@ -203,35 +203,8 @@ impl JobTotals {
     /// Folds one slice's instrumentation into the totals.
     pub fn absorb(&mut self, eval: &EvalStats, analysis: &AnalysisStats) {
         self.slices += 1;
-        let e = &mut self.eval;
-        e.batches += eval.batches;
-        e.genomes += eval.genomes;
-        e.cache_hits += eval.cache_hits;
-        e.cache_misses += eval.cache_misses;
-        e.evictions += eval.evictions;
-        e.panics += eval.panics;
-        e.degraded += eval.degraded;
-        e.cache_entries = eval.cache_entries;
-        e.lookup_nanos += eval.lookup_nanos;
-        e.eval_nanos += eval.eval_nanos;
-        e.insert_nanos += eval.insert_nanos;
-        e.wall_nanos += eval.wall_nanos;
-        if e.worker_loads.len() < eval.worker_loads.len() {
-            e.worker_loads
-                .resize(eval.worker_loads.len(), Default::default());
-        }
-        for (slot, load) in e.worker_loads.iter_mut().zip(&eval.worker_loads) {
-            slot.busy_nanos += load.busy_nanos;
-            slot.items += load.items;
-        }
-        let a = &mut self.analysis;
-        a.candidates += analysis.candidates;
-        a.scenarios += analysis.scenarios;
-        a.backend_calls += analysis.backend_calls;
-        a.fixedpoint_iters += analysis.fixedpoint_iters;
-        a.scenarios_pruned += analysis.scenarios_pruned;
-        a.normal_misses += analysis.normal_misses;
-        a.analysis_nanos += analysis.analysis_nanos;
+        self.eval.merge(eval);
+        self.analysis.merge(analysis);
     }
 }
 

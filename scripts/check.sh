@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, lints, rustdoc links, the frozen perfbench
+# Full local gate: formatting, lints, build logs in committed results,
+# rustdoc links, the frozen perfbench
 # crate graph, the whole test suite (the determinism, chaos and resume
 # suites included), perfbench's smoke test, the CLI, server and
 # validation-campaign kill-and-resume smokes, and the eval-engine +
@@ -22,6 +23,14 @@ if [[ "${1:-}" == "--fix" ]]; then
 else
     cargo fmt --check
     cargo clippy --workspace --all-targets -- -D warnings
+fi
+
+# Committed results hold program output only: a cargo build-log line
+# (`Compiling`, `Finished`, `Running`) means the file was recorded with
+# stderr redirected into it and cannot be reproduced byte for byte.
+if grep -nE '^ *(Compiling|Finished|Running) ' results/*.txt; then
+    echo "check.sh: cargo build log in results/*.txt; regenerate from stdout only (cargo run -q ... > results/<file>.txt)" >&2
+    exit 1
 fi
 
 # Rustdoc gate: no broken or private intra-doc links, so a doc comment
